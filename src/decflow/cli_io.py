@@ -549,7 +549,10 @@ def cmd_run(config_path: str) -> int:
         try:
             stepper.run(state, cfg.steps, observer=observer)
         except it.IntegratorError as exc:
-            print(f"run failed: {exc}", file=sys.stderr)
+            hint = ""
+            if isinstance(exc, (it.SeriesRangeError, it.StateRangeError)):
+                hint = f" (config key 'run.h' = {cfg.h:g})"
+            print(f"run failed: {exc}{hint}", file=sys.stderr)
             return 3
 
     print(f"{cfg.steps} steps, wrote {csv_path}")

@@ -27,6 +27,8 @@ which the verification suite checks.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import expm
 from scipy.special import bernoulli
@@ -38,6 +40,8 @@ __all__ = [
     "dtau_inv",
     "dtau_inv_star",
     "commutator",
+    "norm_bound",
+    "series_order",
     "GroupMapError",
     "KINDS",
 ]
@@ -46,6 +50,7 @@ KINDS = ("exponential", "cayley")
 
 _SERIES_CAP = 24
 _BERNOULLI = bernoulli(_SERIES_CAP)  # B_1 = -1/2 convention
+_COEFF = [abs(float(b)) / math.factorial(n) for n, b in enumerate(_BERNOULLI)]  # |B_n| / n!
 
 
 class GroupMapError(ValueError):
@@ -88,7 +93,34 @@ def tau_inv(q: np.ndarray, kind: str = "exponential") -> np.ndarray:
     return np.linalg.inv(np.asarray(q, dtype=float))
 
 
+def norm_bound(x: np.ndarray) -> float:
+    """``sqrt(|x|_1 |x|_inf)``, an upper bound on the spectral norm
+    ``|x|_2`` that costs two absolute sums instead of an SVD."""
+    ax = np.abs(x)
+    return float(np.sqrt(ax.sum(axis=0).max() * ax.sum(axis=1).max()))
+
+
+def series_order(beta: float, level: float) -> int:
+    """Highest order ``n`` of the ``dtau_inv`` series whose bound
+    ``|B_n|/n! (2 beta)^n`` is at least ``level``.
+
+    With ``beta >= |xi|_2`` and ``|ad_xi| <= 2 |xi|``, the order-``n`` term
+    is at most that bound times ``|eta|``, so terms past the returned order
+    stay below ``level`` relative to ``eta``.  Order 0 always counts.
+    """
+    order, power = 0, 1.0
+    for n, coeff in enumerate(_COEFF):
+        if coeff * power >= level:
+            order = n
+        power *= 2.0 * beta  # overflows to inf rather than raising
+    return order
+
+
 def _series_guard(xi: np.ndarray) -> None:
+    # The bound decides only well clear of 1, so rounding in it or in the
+    # SVD cannot make its decision differ from the SVD's.
+    if norm_bound(xi) < 1.0 - 1e-12:
+        return
     norm = float(np.linalg.norm(xi, 2))
     if norm >= 1.0:
         raise GroupMapError(

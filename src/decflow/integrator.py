@@ -15,10 +15,51 @@ The variational step solves, in order:
 3. a fixed point for the new entropy ``S^{k+1}`` balancing transport,
    friction heating, conduction and sources against the old temperature,
    followed by the boundary temperature condition (unless insulated).
+
+A step that leaves the range the scheme covers raises a subclass of
+:class:`IntegratorError` naming the cause: :class:`SeriesRangeError` when the
+group map is out of range, :class:`StateRangeError` when the transported
+density is not positive or the momentum residual is not finite.
+
+Colored Jacobian
+----------------
+The Jacobian is a central difference with the step ``1e-7 max(|f_p|, 1)``
+per flux ``p``, but columns are perturbed together (Curtis, Powell & Reid
+1974).  In the *flux graph* two fluxes are adjacent when they share a cell.
+Row ``q = (i, j)`` of the residual reads
+
+* the fluxes of cells ``i`` and ``j`` (distance <= 1): the adjacent flat
+  entries and the diagonal ``A_ii``, ``A_jj`` at series order 0, the
+  kinetic density under ``d0`` in the gradient forces, ``d0(div A)`` in the
+  viscous force;
+* every flux of the node fans at the two ends of the shared edge: ``Lambda``
+  in the viscous force reads their vorticities, and so do the flat's
+  two-away entries (kite values) that the order-1 series term reads.  The
+  *fan reach* ``F`` is the largest flux-graph distance between two fluxes
+  meeting at one node: 3 across a fan of six cells, more across a wider fan
+  or one that boundary cells break into a chain;
+* one more flux ring per further order of the ``dtau_inv`` series, since
+  each ``ad_{-hA^T}`` widens the support by one cell.
+
+Order ``n`` is bounded by ``|B_n|/n! (2 beta)^n`` with
+``beta = sqrt(|hA|_1 |hA|_inf) >= |hA|_2`` at the flux where the Jacobian
+is built.  ``K`` is the highest order whose bound is at least the central
+difference's own roundoff level ``eps / 1e-7``; later orders change a
+column by less than the difference can resolve.  Column ``p`` is therefore
+taken to reach the rows within ``R = F + max(K - 1, 0)`` of ``p``, which is
+``2 + K`` when ``F = 3`` and ``K >= 1``.  Columns more than ``2R`` apart
+share no row, so a greedy coloring of that distance graph (most conflicts
+first) puts them in one color; each color costs one residual pair, and each
+row's quotient goes to the one column of the color that reaches it.  When ``R`` spans the graph
+every column gets its own color, which is the column-by-column difference.
+``R`` is computed at each build; the graph, ``F`` and the coloring for each
+``R`` are cached on the stepper.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +78,24 @@ __all__ = [
     "semi_discrete_rhs",
     "momentum_vector",
     "IntegratorError",
+    "SeriesRangeError",
+    "StateRangeError",
 ]
 
 
 class IntegratorError(RuntimeError):
-    """A nonlinear solve failed to converge."""
+    """A step failed: a nonlinear solve did not converge, or the state left
+    the range the scheme covers (the subclasses)."""
+
+
+class SeriesRangeError(IntegratorError):
+    """The group map is out of range at this step: ``|h A|_2 >= 1`` for
+    the exponential's tangent series, or a singular Cayley denominator --
+    in effect a CFL violation."""
+
+
+class StateRangeError(IntegratorError):
+    """The density lost positivity or the momentum residual is not finite."""
 
 
 # ---------------------------------------------------------------------------
@@ -177,14 +231,110 @@ def rk4_step(geom, state, h, gas, phys, layout=None, heat_source=None, t=0.0):
 
 
 # ---------------------------------------------------------------------------
+# Colored finite differences
+# ---------------------------------------------------------------------------
+
+_FD_STEP = 1e-7  # central-difference step relative to max(|f_p|, 1)
+
+
+def _gather(src, nodes, indptr, indices):
+    """Pairs ``(src[k], v)`` for every ``v`` listed for ``nodes[k]`` in the
+    compressed lists ``indptr``/``indices``."""
+    count = indptr[nodes + 1] - indptr[nodes]
+    first = np.repeat(indptr[nodes] - np.cumsum(count) + count, count)
+    return np.repeat(src, count), indices[first + np.arange(count.sum())]
+
+
+def _compress(keys, m):
+    """Compressed neighbor lists of the sorted pair keys ``p * m + q``."""
+    indptr = np.searchsorted(keys, np.arange(m + 1) * m)
+    return indptr, keys % m
+
+
+def _sharing(flux, key, num_keys, m):
+    """Sorted pair keys ``p * m + q`` of the fluxes listed with a common
+    ``key`` (a cell or a node), each flux paired with itself too."""
+    order = np.argsort(key, kind="stable")
+    ptr = np.searchsorted(key[order], np.arange(num_keys + 1))
+    src, nbr = _gather(flux, key, ptr, flux[order])
+    return np.unique(src * m + nbr)
+
+
+def _flux_graph(layout):
+    """Neighbor lists (itself included) of the flux graph, in which two
+    fluxes are adjacent when they share a cell."""
+    m = layout.size
+    ends = np.concatenate([layout.rows, layout.cols])
+    return _compress(_sharing(np.tile(np.arange(m), 2), ends, layout.geom.n, m), m)
+
+
+def _rings(graph):
+    """Successive sorted key arrays ``p * m + q`` of the flux pairs at
+    flux-graph distance 0, 1, 2, ... (until every reachable pair is out)."""
+    indptr, indices = graph
+    m = len(indptr) - 1
+    ring, inner = np.arange(m) * (m + 1), np.empty(0, dtype=np.int64)
+    while ring.size:
+        yield ring
+        src, nbr = _gather(ring // m, ring % m, indptr, indices)
+        # a neighbor of ring k lies in ring k - 1, k or k + 1
+        ring, inner = np.setdiff1d(src * m + nbr, np.union1d(inner, ring)), ring
+
+
+def _fan_reach(layout, graph):
+    """Largest flux-graph distance between two fluxes whose shared edges
+    meet at one node; unreachable pairs give the flux count."""
+    m = layout.size
+    cells = layout.geom.mesh.cells
+    shared = cells[layout.rows][:, :, None] == cells[layout.cols][:, None, :]
+    flux, corner, _ = np.nonzero(shared)  # each flux ends at two nodes
+    node = cells[layout.rows[flux], corner]
+    wanted = _sharing(flux, node, layout.geom.mesh.num_nodes, m)
+    for dist, ring in enumerate(_rings(graph)):
+        wanted = np.setdiff1d(wanted, ring, assume_unique=True)
+        if not wanted.size:
+            return dist
+    return m
+
+
+def _coloring(graph, reach):
+    """Columns grouped so that no two of one color reach a common row when
+    column ``p`` reaches the rows within flux-graph distance ``reach``.
+
+    Returns ``(cols, rows, owners)`` per color: the columns to perturb
+    together and, for every row one of them reaches, that column.
+    """
+    m = len(graph[0]) - 1
+    rings = list(itertools.islice(_rings(graph), 2 * reach + 1))
+    near = np.sort(np.concatenate(rings[: reach + 1]))
+    # two columns share a row iff they are at most 2 * reach apart
+    indptr, indices = _compress(np.sort(np.concatenate(rings)), m)
+    color = np.full(m, -1)
+    for p in np.argsort(-np.diff(indptr), kind="stable"):  # most conflicts first
+        used = color[indices[indptr[p] : indptr[p + 1]]]
+        color[p] = np.setdiff1d(np.arange(len(used) + 1), used)[0]
+    owners, rows = near // m, near % m
+    owner_color = color[owners]
+    return [
+        (np.flatnonzero(color == c), rows[owner_color == c], owners[owner_color == c])
+        for c in range(color.max() + 1)
+    ]
+
+
+# ---------------------------------------------------------------------------
 # Variational stepper
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class StepReport:
+    """Solver effort of one step; ``residual_evals`` counts every momentum
+    residual, the Newton ones and those of the Jacobian builds."""
+
     newton_iters: int = 0
     entropy_iters: int = 0
+    jacobian_builds: int = 0
+    residual_evals: int = 0
 
 
 class VariationalStepper:
@@ -220,6 +370,7 @@ class VariationalStepper:
         self.entropy_max = entropy_max
         self.heat_source = heat_source
         self.layout = FluxLayout.build(geom)
+        self._colorings = {}  # reach -> colored difference pattern
         self._lu = None
         self._d_prev = None  # density one step behind the incoming state
 
@@ -239,34 +390,62 @@ class VariationalStepper:
         visc = self.layout.pick(ph.viscous_force(self.geom, a, self.phys))
         return cur - prev_term + grad - visc
 
+    @functools.cached_property
+    def _graph(self):
+        """The flux graph and its fan reach, built at the first Jacobian."""
+        graph = _flux_graph(self.layout)
+        return graph, _fan_reach(self.layout, graph)
+
+    def _reach(self, flux):
+        """Flux-graph radius ``R`` of the Jacobian columns at ``flux`` (see
+        the module docstring): the fan reach plus one flux step per series
+        order past the first whose bound clears the central difference's
+        roundoff level ``eps / _FD_STEP``."""
+        beta = gr.norm_bound(self.h * self.layout.to_matrix(flux))
+        order = gr.series_order(beta, np.finfo(float).eps / _FD_STEP)
+        return self._graph[1] + max(order - 1, 0)
+
     def _jacobian(self, flux, d, s, prev_term):
-        m = self.layout.size
-        jac = np.empty((m, m))
-        base = np.maximum(np.abs(flux), 1.0)
-        for p in range(m):
-            dp = 1e-7 * base[p]
+        """Colored central differences: one residual pair per color, each
+        row's quotient scattered to the one column of that color that
+        reaches it.  Returns the Jacobian and the residuals it took."""
+        reach = self._reach(flux)
+        if reach not in self._colorings:
+            self._colorings[reach] = _coloring(self._graph[0], reach)
+        colors = self._colorings[reach]
+        jac = np.zeros((self.layout.size, self.layout.size))
+        step = _FD_STEP * np.maximum(np.abs(flux), 1.0)
+        for cols, rows, owners in colors:
             fp = flux.copy()
-            fp[p] += dp
+            fp[cols] += step[cols]
             rp = self._momentum_residual(fp, d, s, prev_term)
-            fp[p] -= 2 * dp
+            fp[cols] -= 2 * step[cols]
             rm = self._momentum_residual(fp, d, s, prev_term)
-            jac[:, p] = (rp - rm) / (2 * dp)
-        return jac
+            jac[rows, owners] = (rp[rows] - rm[rows]) / (2 * step[owners])
+        return jac, 2 * len(colors)
 
     def _solve_momentum(self, flux0, d, s, prev_term):
+        """Newton on the fluxes; returns the solution and a report of the
+        effort (``entropy_iters`` left at 0)."""
         flux = flux0.copy()
+        report = StepReport()
         if self.layout.size == 0:
-            return flux, 0
+            return flux, report
         prev_norm = np.inf
-        rebuilt = 0
         for it in range(1, self.newton_max + 1):
             r = self._momentum_residual(flux, d, s, prev_term)
+            report.residual_evals += 1
             norm = float(np.max(np.abs(r)))
+            if not np.isfinite(norm):
+                raise StateRangeError("momentum residual is not finite; reduce the time step")
             if norm <= self.newton_tol:
-                return flux, it - 1
-            if self._lu is None or (norm > 0.5 * prev_norm and rebuilt < 3):
-                self._lu = lu_factor(self._jacobian(flux, d, s, prev_term))
-                rebuilt += 1
+                report.newton_iters = it - 1
+                return flux, report
+            if self._lu is None or (norm > 0.5 * prev_norm and report.jacobian_builds < 3):
+                jac, evals = self._jacobian(flux, d, s, prev_term)
+                self._lu = lu_factor(jac)
+                report.jacobian_builds += 1
+                report.residual_evals += evals
             flux = flux - lu_solve(self._lu, r)
             prev_norm = norm
         raise IntegratorError(
@@ -276,11 +455,11 @@ class VariationalStepper:
 
     # -- entropy -----------------------------------------------------------
 
-    def _solve_entropy(self, a_new, d_old, s_old, d_new, theta_old, fric, heat):
-        """Fixed point for ``S^{k+1}`` (before boundary enforcement)."""
+    def _solve_entropy(self, a_new, q_back, d_old, s_old, d_new, theta_old, fric, heat):
+        """Fixed point for ``S^{k+1}`` (before boundary enforcement);
+        ``q_back`` is the step's ``tau(-h A^k)``."""
         geom, phys, gas, h = self.geom, self.phys, self.gas, self.h
         q = gr.tau(h * a_new, self.kind)
-        q_back = gr.tau(-h * a_new, self.kind)
         j_old = ph.entropy_flux(geom, theta_old, phys)
         theta_old_ext = np.append(theta_old, phys.theta_env)
         rhs_const = h * fric - h * _theta_dot_flux(j_old, theta_old_ext, geom.n)
@@ -322,25 +501,34 @@ class VariationalStepper:
         if self._d_prev is None:
             self._d_prev = state.d.copy()
 
-        prev_term = self._transport_term(state.a, self._d_prev, -1.0)
         flux0 = self.layout.from_matrix(state.a)
-        flux, newton_iters = self._solve_momentum(flux0, state.d, state.s, prev_term)
-        a_new = self.layout.to_matrix(flux)
+        try:
+            prev_term = self._transport_term(state.a, self._d_prev, -1.0)
+            flux, report = self._solve_momentum(flux0, state.d, state.s, prev_term)
+            a_new = self.layout.to_matrix(flux)
+            q_back = gr.tau(-h * a_new, self.kind)
+        except gr.GroupMapError as exc:
+            raise SeriesRangeError(str(exc)) from exc
 
-        d_new = fd.group_act_den(geom, state.d, gr.tau(-h * a_new, self.kind))
+        d_new = fd.group_act_den(geom, state.d, q_back)
+        if not np.all(d_new > 0.0):
+            raise StateRangeError(
+                f"density not positive after transport (min {np.min(d_new):.3e}); "
+                "reduce the time step"
+            )
 
         theta_old = ph.temperature(state.d, state.s, gas)
         fric = ph.friction_power(geom, a_new, phys)
         heat = self.heat_source(t) if self.heat_source is not None else None
-        s_new, entropy_iters = self._solve_entropy(
-            a_new, state.d, state.s, d_new, theta_old, fric, heat
+        s_new, report.entropy_iters = self._solve_entropy(
+            a_new, q_back, state.d, state.s, d_new, theta_old, fric, heat
         )
         if not phys.insulated:
             bc = geom.mesh.boundary_cells
             s_new[bc] = ph.entropy_from_temperature(d_new[bc], phys.theta_env, gas)
 
         self._d_prev = state.d.copy()
-        return ph.FluidState(a_new, d_new, s_new), StepReport(newton_iters, entropy_iters)
+        return ph.FluidState(a_new, d_new, s_new), report
 
     def run(self, state: ph.FluidState, steps: int, observer=None, t0: float = 0.0):
         """Advance ``steps`` steps, invoking ``observer(k, t, state, report)``
@@ -352,7 +540,7 @@ class VariationalStepper:
             try:
                 state, report = self.step(state, t)
             except IntegratorError as exc:
-                raise IntegratorError(f"step {k}: {exc}") from exc
+                raise type(exc)(f"step {k}: {exc}") from exc
             t = t0 + k * self.h
             if observer is not None:
                 observer(k, t, state, report)

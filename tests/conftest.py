@@ -50,6 +50,14 @@ def jittered():
     return msh.compute_geometry(mesh)
 
 
+@pytest.fixture(scope="session")
+def jittered65():
+    """Irregular 65-cell mesh (the 6x5 strip with moved interior nodes)."""
+    rng = np.random.default_rng(7)
+    mesh = msh.jitter_mesh(msh.generate_rect_mesh(6, 5, 1.0, 1.0), 0.15, rng)
+    return msh.compute_geometry(mesh)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)

@@ -299,6 +299,36 @@ def test_run_reports_solver_failures(tmp_path, capsys):
     assert "step 1" in err and "momentum solve stalled" in err
 
 
+def taylor_config(tmp_path, h):
+    cfg = tmp_path / "taylor.cfg"
+    cfg.write_text(
+        MINIMAL.replace("initial.preset = rest", "initial.preset = taylor-like")
+        .replace("mesh.nx = 4", "mesh.nx = 6")
+        .replace("mesh.ny = 3", "mesh.ny = 5")
+        .replace("run.h = 1e-3", f"run.h = {h}")
+        .replace("run.steps = 5", "run.steps = 40")
+        + "initial.amplitude = 3\n"
+        + f"output.directory = {tmp_path / 'out'}\n"
+    )
+    return cfg
+
+
+def test_run_reports_a_series_out_of_range(tmp_path, capsys):
+    assert cli.main(["run", str(taylor_config(tmp_path, 0.5))]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("run failed: step 1: tangent-map series needs |xi| < 1")
+    assert err.endswith("reduce the time step (config key 'run.h' = 0.5)")
+    assert len(err.splitlines()) == 1
+
+
+def test_run_reports_a_nonpositive_density(tmp_path, capsys):
+    assert cli.main(["run", str(taylor_config(tmp_path, 0.02))]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("run failed: step 3: density not positive after transport")
+    assert err.endswith("reduce the time step (config key 'run.h' = 0.02)")
+    assert len(err.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # decflow verify
 # ---------------------------------------------------------------------------

@@ -87,6 +87,41 @@ def test_series_guard_rejects_large_arguments():
         gr.dtau_inv(xi, xi, "exponential")
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    norm=st.floats(0.0, 2.0),
+)
+def test_series_guard_raises_iff_the_spectral_norm_reaches_one(seed, n, norm):
+    xi = small_matrix(seed, n, norm)
+    raised = False
+    try:
+        gr.dtau_inv(xi, xi, "exponential")
+    except gr.GroupMapError:
+        raised = True
+    assert raised == (np.linalg.norm(xi, 2) >= 1.0)
+
+
+def test_series_guard_looks_past_a_loose_bound():
+    # A scaled rotation: |xi|_1 = |xi|_inf = 0.9 sqrt(2) >= 1 > 0.9 = |xi|_2.
+    c = 0.9 / np.sqrt(2.0)
+    xi = np.array([[c, -c], [c, c]])
+    assert gr.norm_bound(xi) >= 1.0
+    gr.dtau_inv(xi, xi, "exponential")
+    with pytest.raises(gr.GroupMapError, match="got 1.111; reduce the time step"):
+        gr.dtau_inv(xi / 0.81, xi, "exponential")
+
+
+def test_series_order_counts_the_terms_above_the_level():
+    assert gr.series_order(0.0, 1e-9) == 0
+    # |B_1|/1! (2 beta) = beta; B_3 = 0, so order 3 never counts
+    assert gr.series_order(2e-9, 1e-9) == 1
+    assert gr.series_order(0.01, 2.2e-9) == 2
+    assert gr.series_order(0.4, 2.2e-9) == 10
+    assert gr.series_order(1e300, 2.2e-9) == 24  # every term up to the cap
+
+
 def test_cayley_singularity():
     xi = np.diag([2.0, 0.0])
     with pytest.raises(gr.GroupMapError, match="cayley map is singular"):

@@ -172,3 +172,117 @@ def test_uniform_heating_raises_energy_at_the_injected_rate(gen65):
     e1 = dg.total_energy(gen65, state, GAS)
     expected = steps * 1e-4 * np.sum(gen65.omega * state.d * rate)
     assert e1 - e0 == pytest.approx(expected, rel=5e-3)
+
+
+def test_one_group_map_per_direction_per_step(gen65, monkeypatch):
+    calls = []
+    tau = ig.gr.tau
+    monkeypatch.setattr(ig.gr, "tau", lambda xi, kind="exponential": calls.append(xi) or tau(xi, kind))
+    stepper = ig.VariationalStepper(gen65, GAS, ph.PhysParams(mu=0.01, lam=0.01), h=1e-3)
+    stepper.step(shear_state(gen65))
+    assert len(calls) == 2  # tau(h A) and tau(-h A), each once
+    np.testing.assert_array_equal(calls[0], -calls[1])
+
+
+def test_step_reports_solver_effort(gen65):
+    phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01, insulated=True)
+    stepper = ig.VariationalStepper(gen65, GAS, phys, h=1e-3)
+    _, report = stepper.step(shear_state(gen65))
+    assert report.jacobian_builds == 1
+    fd_residuals = report.residual_evals - (report.newton_iters + 1)
+    assert 0 < fd_residuals < 2 * stepper.layout.size
+
+
+def test_range_failure_keeps_its_subclass_through_run(gen65):
+    stepper = ig.VariationalStepper(gen65, GAS, INVISCID, h=0.5)
+    with pytest.raises(ig.SeriesRangeError, match="step 1: tangent-map series"):
+        stepper.run(shear_state(gen65, amp=30.0), 1)
+
+
+# ---------------------------------------------------------------------------
+# Colored finite-difference Jacobian
+# ---------------------------------------------------------------------------
+
+
+def dense_jacobian(stepper, flux, d, s, prev_term):
+    """The column-by-column central difference the colored build replaces."""
+    m = stepper.layout.size
+    jac = np.empty((m, m))
+    base = np.maximum(np.abs(flux), 1.0)
+    for p in range(m):
+        dp = 1e-7 * base[p]
+        fp = flux.copy()
+        fp[p] += dp
+        rp = stepper._momentum_residual(fp, d, s, prev_term)
+        fp[p] -= 2 * dp
+        rm = stepper._momentum_residual(fp, d, s, prev_term)
+        jac[:, p] = (rp - rm) / (2 * dp)
+    return jac
+
+
+def jacobian_pair(geom, h, amp):
+    phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01, insulated=True)
+    stepper = ig.VariationalStepper(geom, GAS, phys, h=h)
+    state = shear_state(geom, amp)
+    d = 1.0 + 0.1 * np.cos(np.arange(geom.n))
+    s = 0.05 * np.sin(np.arange(geom.n))
+    prev_term = stepper._transport_term(state.a, d, -1.0)
+    flux = stepper.layout.from_matrix(state.a)
+    colored, evals = stepper._jacobian(flux, d, s, prev_term)
+    return colored, dense_jacobian(stepper, flux, d, s, prev_term), evals
+
+
+@pytest.mark.parametrize("h", [1e-3, 1e-2, 1e-1])
+def test_colored_jacobian_matches_the_dense_one(jittered65, h):
+    colored, dense, _ = jacobian_pair(jittered65, h, amp=0.3)
+    assert np.max(np.abs(colored - dense)) <= 1e-9 * np.max(np.abs(dense))
+
+
+def test_colored_jacobian_at_rest_keeps_the_whole_fans(jittered65):
+    # No flow: no series order past 0 counts, but Lambda still couples the
+    # fluxes three apart around a degree-6 node.
+    colored, dense, evals = jacobian_pair(jittered65, 1e-3, amp=0.0)
+    np.testing.assert_array_equal(colored, dense)
+    assert evals < 2 * len(dense)
+
+
+def flux_distances(layout):
+    """All-pairs flux-graph distances by breadth-first search (two fluxes
+    are adjacent when they share a cell)."""
+    m = layout.size
+    ends = [{int(i), int(j)} for i, j in zip(layout.rows, layout.cols)]
+    dist = np.full((m, m), m)
+    for p in range(m):
+        dist[p, p] = 0
+        frontier = [p]
+        while frontier:
+            nxt = []
+            for q in frontier:
+                for r in range(m):
+                    if dist[p, r] == m and ends[q] & ends[r]:
+                        dist[p, r] = dist[p, q] + 1
+                        nxt.append(r)
+            frontier = nxt
+    return dist
+
+
+@pytest.mark.parametrize("reach", [1, 3, 4])
+def test_coloring_keeps_colors_apart(jittered65, reach):
+    layout = ig.FluxLayout.build(jittered65)
+    dist = flux_distances(layout)
+    colors = ig._coloring(ig._flux_graph(layout), reach)
+    seen_cols = np.concatenate([cols for cols, _, _ in colors])
+    np.testing.assert_array_equal(np.sort(seen_cols), np.arange(layout.size))
+    pattern = np.zeros_like(dist, dtype=bool)
+    for cols, rows, owners in colors:
+        # no two columns of one color share a row of the pattern
+        assert len(np.unique(rows)) == len(rows)
+        assert np.all(np.isin(owners, cols))
+        pattern[rows, owners] = True
+    np.testing.assert_array_equal(pattern, dist <= reach)
+    assert len(colors) < layout.size
+
+
+def test_fan_reach_on_degree_six_meshes(jittered65):
+    layout = ig.FluxLayout.build(jittered65)
+    assert ig._fan_reach(layout, ig._flux_graph(layout)) == 3
