@@ -554,6 +554,15 @@ def cmd_run(config_path: str) -> int:
                 hint = f" (config key 'run.h' = {cfg.h:g})"
             print(f"run failed: {exc}{hint}", file=sys.stderr)
             return 3
+        except fd.FlatAmbiguityError as exc:
+            # only meshes with interior nodes of degree < 5, which the
+            # generator never makes, can get here
+            print(
+                f"config error: config key 'mesh.file': {exc}; "
+                "see 'decflow mesh check'",
+                file=sys.stderr,
+            )
+            return 2
 
     print(f"{cfg.steps} steps, wrote {csv_path}")
     return 0
@@ -592,11 +601,10 @@ def cmd_mesh_check(path: str) -> int:
         return 1
     try:
         mesh = msh.load_mesh(text)
-        geom = msh.compute_geometry(mesh)
     except msh.MeshError as exc:
         print(f"invalid mesh: {exc}", file=sys.stderr)
         return 1
-    issues = msh.validate(mesh, geom)
+    geom, issues = msh.inspect_geometry(mesh)
     if issues:
         for issue in issues:
             print(f"issue: {issue}", file=sys.stderr)

@@ -44,7 +44,6 @@ __all__ = [
     "proj_P",
     "lie_deriv_oneform",
     "lie_deriv_oneform_cartan",
-    "ad_star",
     "lie_deriv_oneform_density",
     "lie_deriv_oneform_density_kite",
     "init_from_velocity",
@@ -92,9 +91,11 @@ def act_den(geom: MeshGeometry, d, a) -> np.ndarray:
     return (np.asarray(a).T @ (geom.omega * np.asarray(d, dtype=float))) / geom.omega
 
 
-def group_act_den(geom: MeshGeometry, d, q) -> np.ndarray:
-    """Transport of a density by a group matrix: ``Omega^-1 q^T Omega d``."""
-    return (np.asarray(q).T @ (geom.omega * np.asarray(d, dtype=float))) / geom.omega
+def group_act_den(geom: MeshGeometry, d, act) -> np.ndarray:
+    """Transport of a density by a group element ``q``:
+    ``Omega^-1 q^T Omega d``, with ``act`` the map ``w -> q^T w``
+    (:func:`decflow.groups.tau_action`)."""
+    return act(geom.omega * np.asarray(d, dtype=float)) / geom.omega
 
 
 def div(a) -> np.ndarray:
@@ -276,11 +277,6 @@ def lie_deriv_oneform_cartan(a, f) -> np.ndarray:
     iadf = iadf - iadf.T
     diaf = iaf[None, :] - iaf[:, None]
     return -(iadf + diaf)
-
-
-def ad_star(geom: MeshGeometry, a, lmat) -> np.ndarray:
-    """Coadjoint action on momenta: ``Q(Omega^-1 [A^T, Omega L])``."""
-    return proj_Q(_weighted_commutator(geom, a, lmat))
 
 
 def lie_deriv_oneform_density(geom: MeshGeometry, a, lmat) -> np.ndarray:

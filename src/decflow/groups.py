@@ -1,9 +1,10 @@
 """Matrix group maps used by the discrete-time integrator.
 
 A group difference map ``tau`` turns a scaled velocity matrix into a
-transport matrix close to the identity; the integrator needs ``tau``, the
-left-trivialized tangent ``dtau`` of ``tau``, its inverse ``dtau_inv``, and
-the adjoint of ``dtau_inv`` with respect to the area-weighted pairing.
+transport matrix close to the identity; the integrator needs the action of
+``tau`` on vectors (:func:`tau_action`), the left-trivialized tangent
+``dtau`` of ``tau``, its inverse ``dtau_inv``, and the adjoint of
+``dtau_inv`` with respect to the area-weighted pairing.
 
 Two kinds are provided:
 
@@ -35,6 +36,7 @@ from scipy.special import bernoulli
 
 __all__ = [
     "tau",
+    "tau_action",
     "tau_inv",
     "dtau",
     "dtau_inv",
@@ -87,6 +89,53 @@ def tau(xi: np.ndarray, kind: str = "exponential") -> np.ndarray:
     return np.linalg.solve(p, q)
 
 
+def _taylor_terms(norm: float) -> int:
+    """Least ``K`` with ``norm^(K+1)/(K+1)! / (1 - norm/(K+2)) <= 2^-53``:
+    the tail bound of the exponential's Taylor series after order ``K``
+    (``norm <= 1``)."""
+    order, term = 0, norm  # term = norm^(order+1) / (order+1)!
+    while term / (1.0 - norm / (order + 2)) > 2.0**-53:
+        order += 1
+        term *= norm / (order + 1)
+    return order
+
+
+def tau_action(xi: np.ndarray, kind: str = "exponential"):
+    """The map ``w -> tau(xi)^T w``, for applying one group element to
+    several vectors without forming it.
+
+    For the exponential, ``exp(xi^T) w = (exp(xi^T / s))^s w`` with
+    ``s = max(1, ceil(|xi|_1))``, and each factor is the Taylor series
+    ``sum_k (xi^T / s)^k w / k!`` cut after the order ``K`` whose tail bound,
+    from ``|xi^T|_inf = |xi|_1``, is at most ``2^-53 |w|_inf``.  ``s`` and
+    ``K`` are fixed per action, so every application costs ``s K``
+    matrix-vector products.  The Cayley element is formed once.
+    """
+    _check_kind(kind)
+    xi = np.asarray(xi, dtype=float)
+    if kind == "cayley":
+        qt = tau(xi, kind).T
+        return lambda w: qt @ w
+    norm = float(np.abs(xi).sum(axis=0).max())
+    if not math.isfinite(norm):
+        raise GroupMapError("group map argument is not finite")
+    steps = max(1, math.ceil(norm))
+    xt = xi.T / steps
+    terms = _taylor_terms(norm / steps)
+
+    def act(w):
+        w = np.asarray(w, dtype=float)
+        for _ in range(steps):
+            term = total = w
+            for k in range(1, terms + 1):
+                term = (xt @ term) / k
+                total = total + term
+            w = total
+        return w
+
+    return act
+
+
 def tau_inv(q: np.ndarray, kind: str = "exponential") -> np.ndarray:
     """Inverse of the group element (not of the map): ``tau(xi)^-1``."""
     _check_kind(kind)
@@ -119,8 +168,11 @@ def series_order(beta: float, level: float) -> int:
 def _series_guard(xi: np.ndarray) -> None:
     # The bound decides only well clear of 1, so rounding in it or in the
     # SVD cannot make its decision differ from the SVD's.
-    if norm_bound(xi) < 1.0 - 1e-12:
+    bound = norm_bound(xi)
+    if bound < 1.0 - 1e-12:
         return
+    if not math.isfinite(bound):  # the SVD would not converge
+        raise GroupMapError("tangent-map series argument is not finite; reduce the time step")
     norm = float(np.linalg.norm(xi, 2))
     if norm >= 1.0:
         raise GroupMapError(

@@ -11,15 +11,24 @@ The variational step solves, in order:
 1. the discrete momentum balance for the new velocity ``A^k`` (Newton on
    fluxes, finite-difference Jacobian, with LU reuse across iterations and
    steps),
-2. exact density transport ``D^{k+1} = D^k bullet tau(-h A^k)``,
+2. exact density transport ``D^{k+1} = D^k bullet tau(-h A^k)``.  The
+   group element is never formed: :func:`decflow.groups.tau_action` applies
+   ``tau(-h A^k)^T`` to ``Omega D^k`` as a Taylor series of matrix-vector
+   products whose term count is fixed from ``|h A^k|_1`` so the remainder
+   is at most ``2^-53`` of the vector.  Mass stays exact to round-off:
+   the rows of ``A^k`` sum to zero, so every term after the first has zero
+   sum,
 3. a fixed point for the new entropy ``S^{k+1}`` balancing transport,
    friction heating, conduction and sources against the old temperature,
-   followed by the boundary temperature condition (unless insulated).
+   followed by the boundary temperature condition (unless insulated).  It
+   applies ``tau(h A^k)^T`` and ``tau(-h A^k)^T`` once per iteration; each
+   action is built once per step.
 
 A step that leaves the range the scheme covers raises a subclass of
 :class:`IntegratorError` naming the cause: :class:`SeriesRangeError` when the
 group map is out of range, :class:`StateRangeError` when the transported
-density is not positive or the momentum residual is not finite.
+density is not positive or the momentum residual or Newton update is not
+finite.
 
 Colored Jacobian
 ----------------
@@ -60,10 +69,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from . import fields as fd
 from . import groups as gr
@@ -95,7 +105,8 @@ class SeriesRangeError(IntegratorError):
 
 
 class StateRangeError(IntegratorError):
-    """The density lost positivity or the momentum residual is not finite."""
+    """The density lost positivity, or the momentum residual or the Newton
+    update is not finite."""
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +454,16 @@ class VariationalStepper:
                 return flux, report
             if self._lu is None or (norm > 0.5 * prev_norm and report.jacobian_builds < 3):
                 jac, evals = self._jacobian(flux, d, s, prev_term)
-                self._lu = lu_factor(jac)
+                with warnings.catch_warnings():  # a singular LU shows in the update
+                    warnings.simplefilter("ignore", LinAlgWarning)
+                    self._lu = lu_factor(jac)
                 report.jacobian_builds += 1
                 report.residual_evals += evals
             flux = flux - lu_solve(self._lu, r)
+            if not np.all(np.isfinite(flux)):
+                raise StateRangeError(
+                    "Newton update is not finite; reduce the time step"
+                )
             prev_norm = norm
         raise IntegratorError(
             f"momentum solve stalled at residual {prev_norm:.3e} "
@@ -455,11 +472,11 @@ class VariationalStepper:
 
     # -- entropy -----------------------------------------------------------
 
-    def _solve_entropy(self, a_new, q_back, d_old, s_old, d_new, theta_old, fric, heat):
+    def _solve_entropy(self, a_new, back, d_old, s_old, d_new, theta_old, fric, heat):
         """Fixed point for ``S^{k+1}`` (before boundary enforcement);
-        ``q_back`` is the step's ``tau(-h A^k)``."""
+        ``back`` is the step's action of ``tau(-h A^k)``."""
         geom, phys, gas, h = self.geom, self.phys, self.gas, self.h
-        q = gr.tau(h * a_new, self.kind)
+        fwd = gr.tau_action(h * a_new, self.kind)
         j_old = ph.entropy_flux(geom, theta_old, phys)
         theta_old_ext = np.append(theta_old, phys.theta_env)
         rhs_const = h * fric - h * _theta_dot_flux(j_old, theta_old_ext, geom.n)
@@ -473,8 +490,8 @@ class VariationalStepper:
             theta_new = ph.temperature(d_new, s, gas)
             j_new = ph.entropy_flux(geom, theta_new, phys)
             div_j = 2.0 * np.diagonal(j_new)[: geom.n]
-            target = rhs_const - h * fd.group_act_den(geom, div_j, q)
-            s_next = fd.group_act_den(geom, target, q_back)
+            target = rhs_const - h * fd.group_act_den(geom, div_j, fwd)
+            s_next = fd.group_act_den(geom, target, back)
             delta = float(np.max(np.abs(s_next - s)))
             scale = max(1.0, float(np.max(np.abs(s_next))))
             if delta <= self.entropy_tol * scale:
@@ -506,11 +523,11 @@ class VariationalStepper:
             prev_term = self._transport_term(state.a, self._d_prev, -1.0)
             flux, report = self._solve_momentum(flux0, state.d, state.s, prev_term)
             a_new = self.layout.to_matrix(flux)
-            q_back = gr.tau(-h * a_new, self.kind)
+            back = gr.tau_action(-h * a_new, self.kind)
         except gr.GroupMapError as exc:
             raise SeriesRangeError(str(exc)) from exc
 
-        d_new = fd.group_act_den(geom, state.d, q_back)
+        d_new = fd.group_act_den(geom, state.d, back)
         if not np.all(d_new > 0.0):
             raise StateRangeError(
                 f"density not positive after transport (min {np.min(d_new):.3e}); "
@@ -521,7 +538,7 @@ class VariationalStepper:
         fric = ph.friction_power(geom, a_new, phys)
         heat = self.heat_source(t) if self.heat_source is not None else None
         s_new, report.entropy_iters = self._solve_entropy(
-            a_new, q_back, state.d, state.s, d_new, theta_old, fric, heat
+            a_new, back, state.d, state.s, d_new, theta_old, fric, heat
         )
         if not phys.insulated:
             bc = geom.mesh.boundary_cells

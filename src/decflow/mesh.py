@@ -47,6 +47,7 @@ __all__ = [
     "generate_rect_mesh",
     "jitter_mesh",
     "compute_geometry",
+    "inspect_geometry",
     "validate",
 ]
 
@@ -70,9 +71,6 @@ class Mesh:
         ``(num_nodes, 2)`` float array of vertex positions.
     cells:
         ``(num_cells, 3)`` int array of node indices, counterclockwise.
-    neighbors:
-        ``neighbors[i]`` is the sorted array of indices of cells sharing an
-        edge with cell ``i``, *including* ``i`` itself.
     cell_adjacency:
         ``(num_cells, 3)``; entry ``[c, t]`` is the cell across the edge
         opposite local vertex ``t`` of cell ``c``, or ``-1`` on the boundary.
@@ -85,7 +83,6 @@ class Mesh:
 
     nodes: np.ndarray
     cells: np.ndarray
-    neighbors: list
     cell_adjacency: np.ndarray
     boundary_cells: np.ndarray
     reoriented: tuple
@@ -166,10 +163,6 @@ def _build_mesh(nodes: np.ndarray, cells: np.ndarray) -> Mesh:
             adjacency[c2, t2] = c1
 
     boundary_cells = (adjacency < 0).any(axis=1)
-    neighbors = [
-        np.unique(np.append(adjacency[c][adjacency[c] >= 0], c))
-        for c in range(len(cells))
-    ]
 
     # Edge-connectedness.
     seen = np.zeros(len(cells), dtype=bool)
@@ -187,7 +180,6 @@ def _build_mesh(nodes: np.ndarray, cells: np.ndarray) -> Mesh:
     return Mesh(
         nodes=nodes,
         cells=cells,
-        neighbors=neighbors,
         cell_adjacency=adjacency,
         boundary_cells=boundary_cells,
         reoriented=tuple(int(c) for c in flipped),
@@ -391,9 +383,6 @@ class MeshGeometry:
     dup_tri: np.ndarray
     dup_sign: np.ndarray
     boundary_factor: np.ndarray
-    bnd_cell: np.ndarray
-    bnd_h: np.ndarray
-    bnd_star_h: np.ndarray
     eps_geom: float
     diameter: float
 
@@ -443,7 +432,6 @@ def _node_fans(mesh: Mesh, issues: list) -> tuple:
         # which is the edge opposite local vertex p+1.
         nxt = {}
         prv = {}
-        pos = {c: p for c, p in items}
         for c, p in items:
             nxt[c] = int(adjacency[c, (p + 1) % 3])
             prv[c] = int(adjacency[c, (p + 2) % 3])
@@ -480,7 +468,6 @@ def _node_fans(mesh: Mesh, issues: list) -> tuple:
         else:
             issues.append(f"node {v}: {len(starts)} fans meet (pinched node)")
             rings.append(np.empty(0, dtype=np.int64))
-        del pos
     return rings, cyclic
 
 
@@ -504,9 +491,6 @@ def _geometry(mesh: Mesh, issues: list) -> MeshGeometry:
     h_len = np.zeros((n, n))
     star_h = np.zeros((n, n))
     boundary_factor = np.zeros(n)
-    bnd_cell: list = []
-    bnd_h: list = []
-    bnd_sh: list = []
     for c in range(n):
         for t in range(3):
             d = int(mesh.cell_adjacency[c, t])
@@ -535,9 +519,6 @@ def _geometry(mesh: Mesh, issues: list) -> MeshGeometry:
                     )
                 else:
                     boundary_factor[c] += hlen / slen
-                bnd_cell.append(c)
-                bnd_h.append(hlen)
-                bnd_sh.append(slen)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(adj, star_h / np.where(h_len > 0, h_len, 1.0), 0.0)
@@ -709,9 +690,6 @@ def _geometry(mesh: Mesh, issues: list) -> MeshGeometry:
         dup_tri=np.array(dup_rows[2], dtype=np.int64),
         dup_sign=np.array(dup_rows[3]),
         boundary_factor=boundary_factor,
-        bnd_cell=np.array(bnd_cell, dtype=np.int64),
-        bnd_h=np.array(bnd_h),
-        bnd_star_h=np.array(bnd_sh),
         eps_geom=eps_geom,
         diameter=diameter,
     )
@@ -737,17 +715,16 @@ def compute_geometry(mesh: Mesh) -> MeshGeometry:
     return geom
 
 
-def validate(mesh: Mesh, geometry: MeshGeometry | None = None) -> list:
-    """Collect every violated invariant; returns an empty list when valid.
+def inspect_geometry(mesh: Mesh) -> tuple:
+    """The dual geometry and every violated invariant, never raising:
+    degenerate dual edges, non-positive kites, kite partition failures,
+    non-manifold fans, low-degree interior nodes, and a note for each input
+    cell that had to be reoriented.  Returns ``(geometry, issues)``."""
+    issues = [f"cell {c} was clockwise; reoriented" for c in mesh.reoriented]
+    return _geometry(mesh, issues), issues
 
-    Reports (never raises): degenerate dual edges, non-positive kites, kite
-    partition failures, non-manifold fans, low-degree interior nodes, and a
-    note for each input cell that had to be reoriented.  ``geometry`` is
-    recomputed when not supplied.
-    """
-    issues: list = []
-    for c in mesh.reoriented:
-        issues.append(f"cell {c} was clockwise; reoriented")
-    del geometry  # geometry is derived data; recompute to inspect it
-    _geometry(mesh, issues)
-    return issues
+
+def validate(mesh: Mesh) -> list:
+    """Every violated invariant (see :func:`inspect_geometry`); an empty
+    list when the mesh is valid."""
+    return inspect_geometry(mesh)[1]

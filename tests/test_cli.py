@@ -329,6 +329,61 @@ def test_run_reports_a_nonpositive_density(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_run_reports_a_non_finite_newton_update(tmp_path, capsys):
+    # The heating drives the energy to about 2e43 in step 1; step 2's
+    # Jacobian is singular and its solve gives NaN.
+    cfg = tmp_path / "hot.cfg"
+    cfg.write_text(
+        MINIMAL.replace("mesh.nx = 4", "mesh.nx = 6").replace("mesh.ny = 3", "mesh.ny = 5")
+        + "heat.preset = constant\nheat.rate = 1e5\nphys.lambda = 0.01\n"
+        + f"output.directory = {tmp_path / 'out'}\n"
+    )
+    assert cli.main(["run", str(cfg)]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err == (
+        "run failed: step 2: Newton update is not finite; "
+        "reduce the time step (config key 'run.h' = 0.001)"
+    )
+
+
+def ambiguous_mesh():
+    """A Delaunay mesh of a jittered 5x5 grid with two interior points
+    removed: node 10 is interior with only four cells."""
+    from scipy.spatial import Delaunay
+
+    rng = np.random.default_rng(1)
+    x, y = np.meshgrid(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 5))
+    points = np.column_stack([x.ravel(), y.ravel()])
+    inner = np.flatnonzero((points > 0.0).all(axis=1) & (points < 1.0).all(axis=1))
+    points[inner] += rng.uniform(-0.05, 0.05, (inner.size, 2))
+    points = np.delete(points, rng.choice(inner, 2, replace=False), axis=0)
+    cells = Delaunay(points).simplices
+    lines = [f"{len(points)} {len(cells)}"]
+    lines += [f"{x!r} {y!r}" for x, y in points.tolist()]
+    lines += [" ".join(map(str, cell)) for cell in cells.tolist()]
+    return msh.load_mesh("\n".join(lines) + "\n")
+
+
+def test_run_reports_an_ambiguous_mesh_as_a_config_error(tmp_path, capsys):
+    mesh = ambiguous_mesh()
+    assert any("degree 4 < 5" in issue for issue in msh.validate(mesh))
+    mesh_file = tmp_path / "mesh.txt"
+    mesh_file.write_text(cli.format_mesh(mesh))
+    cfg = tmp_path / "ambiguous.cfg"
+    cfg.write_text(
+        f"mesh.file = {mesh_file}\nrun.h = 1e-3\nrun.steps = 3\n"
+        f"initial.preset = shear\noutput.directory = {tmp_path / 'out'}\n"
+    )
+    assert cli.main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error: config key 'mesh.file': two-away one-form entries disagree")
+    assert err.endswith("see 'decflow mesh check'")
+    assert len(err.splitlines()) == 1
+
+    assert cli.main(["mesh", "check", str(mesh_file)]) == 1
+    assert "degree 4 < 5" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # decflow verify
 # ---------------------------------------------------------------------------
@@ -366,6 +421,16 @@ def test_mesh_gen_check_roundtrip(tmp_path, capsys):
 
     assert cli.main(["mesh", "check", str(path)]) == 0
     assert "ok" in capsys.readouterr().out
+
+
+def test_mesh_check_builds_the_geometry_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "grid.txt"
+    assert cli.main(["mesh", "gen", "3", "3", "1", "1", str(path)]) == 0
+    calls = []
+    geometry = msh._geometry
+    monkeypatch.setattr(msh, "_geometry", lambda *args: calls.append(1) or geometry(*args))
+    assert cli.main(["mesh", "check", str(path)]) == 0
+    assert len(calls) == 1
 
 
 def test_mesh_check_flags_problems(tmp_path, capsys):

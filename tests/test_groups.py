@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decflow import fields as fd
 from decflow import groups as gr
 from decflow import verify as vf
 
@@ -131,6 +132,76 @@ def test_cayley_singularity():
 # ---------------------------------------------------------------------------
 # Identities used by the integrator (shared with the randomized suite)
 # ---------------------------------------------------------------------------
+
+
+# ---------------------------------------------------------------------------
+# Action of the group element on vectors
+# ---------------------------------------------------------------------------
+
+
+def mesh_velocity(geom):
+    """A no-slip velocity matrix with rows summing to zero."""
+    return fd.init_from_velocity(
+        geom,
+        lambda p: np.array([0.3 * np.sin(2 * np.pi * p[1]), 0.2 * np.cos(2 * np.pi * p[0])]),
+        no_slip=True,
+    )
+
+
+@pytest.mark.parametrize("h", [1e-3, 1e-2, 1e-1])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_tau_action_matches_the_dense_transpose(jittered65, rng, h, sign):
+    xi = sign * h * mesh_velocity(jittered65)
+    act = gr.tau_action(xi)
+    dense = gr.tau(xi).T
+    for _ in range(5):
+        w = rng.normal(size=jittered65.n)
+        ref = dense @ w
+        assert np.max(np.abs(act(w) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("h", [1e-3, 1e-2, 1e-1])
+def test_tau_action_conserves_the_weighted_total(jittered65, rng, h):
+    act = gr.tau_action(-h * mesh_velocity(jittered65))
+    omega = jittered65.omega
+    for _ in range(5):
+        d = 0.5 + rng.random(jittered65.n)
+        moved = fd.group_act_den(jittered65, d, act)
+        assert abs(omega @ moved - omega @ d) <= 1e-15 * (omega @ d)
+
+
+def test_tau_action_past_unit_norm_is_split_into_steps(rng):
+    # |xi|_1 = 3.5: four factors exp(xi^T / 4), each within the unit ball.
+    xi = rng.normal(size=(6, 6))
+    xi *= 3.5 / np.abs(xi).sum(axis=0).max()
+    w = rng.normal(size=6)
+    ref = gr.tau(xi).T @ w
+    np.testing.assert_allclose(gr.tau_action(xi)(w), ref, rtol=0, atol=1e-14 * np.abs(ref).max())
+
+
+def test_tau_action_of_zero_is_identity(rng):
+    w = rng.normal(size=4)
+    np.testing.assert_array_equal(gr.tau_action(np.zeros((4, 4)))(w), w)
+
+
+def test_cayley_action_is_the_dense_transpose(jittered65, rng):
+    xi = 1e-2 * mesh_velocity(jittered65)
+    w = rng.normal(size=jittered65.n)
+    np.testing.assert_array_equal(
+        gr.tau_action(xi, "cayley")(w), gr.tau(xi, "cayley").T @ w
+    )
+
+
+def test_tau_action_rejects_bad_arguments():
+    with pytest.raises(gr.GroupMapError, match="unknown group map kind"):
+        gr.tau_action(np.zeros((2, 2)), "pade")
+    with pytest.raises(gr.GroupMapError, match="not finite"):
+        gr.tau_action(np.full((2, 2), np.nan))
+
+
+def test_series_guard_rejects_non_finite_arguments():
+    with pytest.raises(gr.GroupMapError, match="not finite"):
+        gr.dtau_inv(np.full((3, 3), np.nan), np.eye(3))
 
 
 @pytest.mark.parametrize("kind", gr.KINDS)

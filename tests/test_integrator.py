@@ -174,13 +174,18 @@ def test_uniform_heating_raises_energy_at_the_injected_rate(gen65):
     assert e1 - e0 == pytest.approx(expected, rel=5e-3)
 
 
-def test_one_group_map_per_direction_per_step(gen65, monkeypatch):
+def test_one_group_action_per_direction_per_step(gen65, monkeypatch):
     calls = []
-    tau = ig.gr.tau
-    monkeypatch.setattr(ig.gr, "tau", lambda xi, kind="exponential": calls.append(xi) or tau(xi, kind))
+    action = ig.gr.tau_action
+    monkeypatch.setattr(
+        ig.gr, "tau_action", lambda xi, kind="exponential": calls.append(xi) or action(xi, kind)
+    )
+    monkeypatch.setattr(ig.gr, "tau", None)  # the element itself is never formed
     stepper = ig.VariationalStepper(gen65, GAS, ph.PhysParams(mu=0.01, lam=0.01), h=1e-3)
-    stepper.step(shear_state(gen65))
-    assert len(calls) == 2  # tau(h A) and tau(-h A), each once
+    _, report = stepper.step(shear_state(gen65))
+    assert report.entropy_iters > 1  # each action is applied more than once
+    assert len(calls) == 2  # tau(-h A) and tau(h A), each once
+    assert np.any(calls[0])
     np.testing.assert_array_equal(calls[0], -calls[1])
 
 
