@@ -20,6 +20,7 @@ values, checked by :func:`membership_residuals`, not a type tag.
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from .mesh import MeshGeometry
 
@@ -33,6 +34,7 @@ __all__ = [
     "div",
     "boundary_div",
     "pair_mean",
+    "flux_matrix",
     "flat",
     "sharp",
     "laplace_beltrami",
@@ -112,6 +114,20 @@ def pair_mean(f) -> np.ndarray:
     """Arithmetic two-point mean ``(f_i + f_j)/2`` as a dense matrix."""
     f = np.asarray(f, dtype=float)
     return 0.5 * (f[:, None] + f[None, :])
+
+
+def flux_matrix(omega, rows, cols, flux) -> np.ndarray:
+    """Vector field carrying ``flux[k]`` from cell ``rows[k]`` to cell
+    ``cols[k]``: ``A_rc = f / (2 omega_r)``, ``A_cr = -f / (2 omega_c)``, and
+    the diagonal completing every row to zero, so the result lies in S and
+    V.  Its size is ``len(omega)`` (pass an environment-extended ``omega``
+    for exchange fluxes)."""
+    n = len(omega)
+    a = np.zeros((n, n))
+    a[rows, cols] = flux / (2.0 * omega[rows])
+    a[cols, rows] = -flux / (2.0 * omega[cols])
+    np.fill_diagonal(a, -a.sum(axis=1))
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +268,16 @@ def proj_P(lmat) -> np.ndarray:
 
 
 def lie_deriv_oneform(a, f) -> np.ndarray:
-    """Lie derivative of a one-form along a vector field: ``-(A F + F A^T)``."""
-    a = np.asarray(a, dtype=float)
+    """Lie derivative of a one-form along a vector field: ``-(A F + F A^T)``.
+
+    ``A`` may be a SciPy sparse array (the CSR form of
+    :class:`decflow.mesh.AdjacencyCSR`).  ``F A^T`` is taken as
+    ``(A F^T)^T``, so with a sparse ``A`` both products are
+    sparse-times-dense.
+    """
+    a = a if sparse.issparse(a) else np.asarray(a, dtype=float)
     f = np.asarray(f, dtype=float)
-    return -(a @ f + f @ a.T)
+    return -(a @ f + (a @ f.T).T)
 
 
 def lie_deriv_oneform_cartan(a, f) -> np.ndarray:

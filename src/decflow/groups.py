@@ -18,6 +18,13 @@ Two kinds are provided:
   not preserve the row-sum-zero structure of transported quantities the way
   the exponential does, so the exponential is the default everywhere.
 
+The tangents and the series guard take ``xi`` as a dense array or as a
+SciPy sparse array whose ``.T`` is kept ready, such as the CSR form of a
+velocity matrix from :class:`decflow.mesh.AdjacencyCSR`; the series code is
+the same for both.  Each term ``T xi - xi T`` is then two sparse-times-dense
+products, ``xi T`` and ``(xi^T T^T)^T``, instead of two dense ``N^3``
+products.  The Cayley tangents and the guard's SVD use the dense form.
+
 Both kinds satisfy, for any square ``xi`` and ``delta``,
 
     dtau_{-xi}(delta)                  = Ad_{tau(xi)} dtau_{xi}(delta)
@@ -31,13 +38,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import expm
 from scipy.special import bernoulli
 
 __all__ = [
     "tau",
     "tau_action",
-    "tau_inv",
     "dtau",
     "dtau_inv",
     "dtau_inv_star",
@@ -65,11 +72,25 @@ def _check_kind(kind: str) -> None:
         raise GroupMapError(f"unknown group map kind {kind!r}; use one of {KINDS}")
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def commutator(a: np.ndarray, b) -> np.ndarray:
+    """``[a, b] = a b - b a``.  A sparse ``b`` multiplies from the right
+    as ``a b = (b^T a^T)^T``, a sparse-times-dense product."""
+    if sparse.issparse(b):
+        return (b.T @ a.T).T - b @ a
     return a @ b - b @ a
 
 
+def _operand(xi):
+    """A series argument as given if sparse, else as a float array."""
+    return xi if sparse.issparse(xi) else np.asarray(xi, dtype=float)
+
+
+def _dense(xi) -> np.ndarray:
+    return xi.toarray() if sparse.issparse(xi) else np.asarray(xi, dtype=float)
+
+
 def _cayley_factors(xi: np.ndarray):
+    xi = _dense(xi)
     n = xi.shape[0]
     eye = np.eye(n)
     p = eye - 0.5 * xi
@@ -136,17 +157,19 @@ def tau_action(xi: np.ndarray, kind: str = "exponential"):
     return act
 
 
-def tau_inv(q: np.ndarray, kind: str = "exponential") -> np.ndarray:
-    """Inverse of the group element (not of the map): ``tau(xi)^-1``."""
-    _check_kind(kind)
-    return np.linalg.inv(np.asarray(q, dtype=float))
-
-
-def norm_bound(x: np.ndarray) -> float:
+def norm_bound(x) -> float:
     """``sqrt(|x|_1 |x|_inf)``, an upper bound on the spectral norm
-    ``|x|_2`` that costs two absolute sums instead of an SVD."""
-    ax = np.abs(x)
-    return float(np.sqrt(ax.sum(axis=0).max() * ax.sum(axis=1).max()))
+    ``|x|_2`` that costs two absolute sums instead of an SVD.  A sparse
+    ``x`` is summed over its stored entries."""
+    if sparse.issparse(x):
+        ax = np.abs(x.data)
+        rows = np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))
+        cols_sum = np.bincount(x.indices, ax, minlength=x.shape[1])
+        rows_sum = np.bincount(rows, ax, minlength=x.shape[0])
+    else:
+        ax = np.abs(x)
+        cols_sum, rows_sum = ax.sum(axis=0), ax.sum(axis=1)
+    return float(np.sqrt(cols_sum.max() * rows_sum.max()))
 
 
 def series_order(beta: float, level: float) -> int:
@@ -165,7 +188,7 @@ def series_order(beta: float, level: float) -> int:
     return order
 
 
-def _series_guard(xi: np.ndarray) -> None:
+def _series_guard(xi) -> None:
     # The bound decides only well clear of 1, so rounding in it or in the
     # SVD cannot make its decision differ from the SVD's.
     bound = norm_bound(xi)
@@ -173,7 +196,7 @@ def _series_guard(xi: np.ndarray) -> None:
         return
     if not math.isfinite(bound):  # the SVD would not converge
         raise GroupMapError("tangent-map series argument is not finite; reduce the time step")
-    norm = float(np.linalg.norm(xi, 2))
+    norm = float(np.linalg.norm(_dense(xi), 2))
     if norm >= 1.0:
         raise GroupMapError(
             f"tangent-map series needs |xi| < 1, got {norm:.3f}; "
@@ -181,11 +204,11 @@ def _series_guard(xi: np.ndarray) -> None:
         )
 
 
-def dtau(xi: np.ndarray, delta: np.ndarray, kind: str = "exponential") -> np.ndarray:
+def dtau(xi, delta: np.ndarray, kind: str = "exponential") -> np.ndarray:
     """Left-trivialized tangent of ``tau`` at ``xi`` applied to ``delta``:
     ``tau(xi)^-1 d/dt tau(xi + t delta)``."""
     _check_kind(kind)
-    xi = np.asarray(xi, dtype=float)
+    xi = _operand(xi)
     delta = np.asarray(delta, dtype=float)
     if kind == "cayley":
         p, q = _cayley_factors(xi)
@@ -196,18 +219,18 @@ def dtau(xi: np.ndarray, delta: np.ndarray, kind: str = "exponential") -> np.nda
     term = delta.copy()
     total = term.copy()
     for n in range(1, _SERIES_CAP + 1):
-        term = commutator(-xi, term) / (n + 1.0)
+        term = commutator(term, xi) / (n + 1.0)  # ad_{-xi}
         total += term
         if float(np.max(np.abs(term))) <= 1e-14 * scale:
             break
     return total
 
 
-def dtau_inv(xi: np.ndarray, eta: np.ndarray, kind: str = "exponential") -> np.ndarray:
+def dtau_inv(xi, eta: np.ndarray, kind: str = "exponential") -> np.ndarray:
     """Inverse trivialized tangent; for the exponential the Bernoulli series
     ``eta + [xi, eta]/2 + [xi, [xi, eta]]/12 - ...``."""
     _check_kind(kind)
-    xi = np.asarray(xi, dtype=float)
+    xi = _operand(xi)
     eta = np.asarray(eta, dtype=float)
     if kind == "cayley":
         p, q = _cayley_factors(xi)
@@ -218,7 +241,7 @@ def dtau_inv(xi: np.ndarray, eta: np.ndarray, kind: str = "exponential") -> np.n
     total = term.copy()
     factorial = 1.0
     for n in range(1, _SERIES_CAP + 1):
-        term = commutator(-xi, term)
+        term = commutator(term, xi)  # ad_{-xi}
         factorial *= n
         coeff = _BERNOULLI[n] / factorial
         if coeff != 0.0:
@@ -229,11 +252,14 @@ def dtau_inv(xi: np.ndarray, eta: np.ndarray, kind: str = "exponential") -> np.n
 
 
 def dtau_inv_star(
-    omega: np.ndarray, xi: np.ndarray, lmat: np.ndarray, kind: str = "exponential"
+    omega: np.ndarray, xi, lmat: np.ndarray, kind: str = "exponential", *, divide: bool = True
 ) -> np.ndarray:
     """Adjoint of ``dtau_inv`` in the area-weighted pairing
     ``<L, B> = Tr(L^T Omega B)``: equals ``Omega^-1 dtau_inv(xi^T, Omega L)``
     (the pairing turns each ``ad_{-xi}`` into ``Omega^-1 ad_{-xi^T} Omega``).
+    With ``divide=False`` it returns ``dtau_inv(xi^T, Omega L)``, leaving the
+    row division by ``Omega`` to a caller that needs only some entries.
     """
     wl = omega[:, None] * np.asarray(lmat, dtype=float)
-    return dtau_inv(np.asarray(xi, dtype=float).T, wl, kind) / omega[:, None]
+    out = dtau_inv(_operand(xi).T, wl, kind)
+    return out / omega[:, None] if divide else out

@@ -10,7 +10,11 @@ The variational step solves, in order:
 
 1. the discrete momentum balance for the new velocity ``A^k`` (Newton on
    fluxes, finite-difference Jacobian, with LU reuse across iterations and
-   steps),
+   steps).  Each residual applies the adjoint tangent series
+   :func:`decflow.groups.dtau_inv_star` at ``±h A`` in the CSR form of
+   :class:`decflow.mesh.AdjacencyCSR`, whose ``.data`` it refreshes without
+   building a sparse array, and reads four entries per flux of the result
+   (:meth:`FluxLayout.pick_P`),
 2. exact density transport ``D^{k+1} = D^k bullet tau(-h A^k)``.  The
    group element is never formed: :func:`decflow.groups.tau_action` applies
    ``tau(-h A^k)^T`` to ``Omega D^k`` as a Taylor series of matrix-vector
@@ -27,8 +31,9 @@ The variational step solves, in order:
 A step that leaves the range the scheme covers raises a subclass of
 :class:`IntegratorError` naming the cause: :class:`SeriesRangeError` when the
 group map is out of range, :class:`StateRangeError` when the transported
-density is not positive or the momentum residual or Newton update is not
-finite.
+density is not positive, the entropy update is not finite, the temperature
+after the entropy update and the boundary condition is not finite and
+positive, or the momentum residual or Newton update is not finite.
 
 Colored Jacobian
 ----------------
@@ -105,7 +110,8 @@ class SeriesRangeError(IntegratorError):
 
 
 class StateRangeError(IntegratorError):
-    """The density lost positivity, or the momentum residual or the Newton
+    """The density lost positivity, the temperature is not finite and
+    positive, or the momentum residual, the Newton update or the entropy
     update is not finite."""
 
 
@@ -140,12 +146,7 @@ class FluxLayout:
         return len(self.rows)
 
     def to_matrix(self, flux: np.ndarray) -> np.ndarray:
-        g = self.geom
-        a = np.zeros((g.n, g.n))
-        a[self.rows, self.cols] = flux / (2.0 * g.omega[self.rows])
-        a[self.cols, self.rows] = -flux / (2.0 * g.omega[self.cols])
-        np.fill_diagonal(a, -a.sum(axis=1))
-        return a
+        return fd.flux_matrix(self.geom.omega, self.rows, self.cols, flux)
 
     def from_matrix(self, a: np.ndarray) -> np.ndarray:
         g = self.geom
@@ -155,6 +156,15 @@ class FluxLayout:
 
     def pick(self, mat: np.ndarray) -> np.ndarray:
         return mat[self.rows, self.cols]
+
+    def pick_P(self, mat: np.ndarray, omega: np.ndarray) -> np.ndarray:
+        """``pick(proj_P(mat / omega[:, None]))``, read from the four entries
+        ``(r, c)``, ``(c, r)``, ``(r, r)`` and ``(c, c)`` of each flux
+        instead of the whole matrix."""
+        r, c = self.rows, self.cols
+        m_rc, m_rr = mat[r, c] / omega[r], mat[r, r] / omega[r]
+        m_cr, m_cc = mat[c, r] / omega[c], mat[c, c] / omega[c]
+        return 0.5 * (m_rc - m_cr - m_rr + m_cc)
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +398,15 @@ class VariationalStepper:
     # -- momentum ----------------------------------------------------------
 
     def _transport_term(self, a, d, sign):
-        """``(1/h) P((dtau_inv_{sign*h*A})^* (D A^flat))`` on the layout."""
-        z = fd.flat(self.geom, a)
+        """``(1/h) P((dtau_inv_{sign*h*A})^* (D A^flat))`` on the layout,
+        with ``sign*h*A`` in CSR form and the adjoint's division by
+        ``Omega`` applied to the entries that ``P`` reads."""
+        geom = self.geom
+        z = fd.flat(geom, a)
         lmat = d[:, None] * z
-        star = gr.dtau_inv_star(self.geom.omega, sign * self.h * a, lmat, self.kind)
-        return self.layout.pick(fd.proj_P(star)) / self.h
+        xi = geom.adjacency_csr.load(a, sign * self.h)
+        star = gr.dtau_inv_star(geom.omega, xi, lmat, self.kind, divide=False)
+        return self.layout.pick_P(star, geom.omega) / self.h
 
     def _momentum_residual(self, flux, d, s, prev_term):
         a = self.layout.to_matrix(flux)
@@ -493,6 +507,8 @@ class VariationalStepper:
             target = rhs_const - h * fd.group_act_den(geom, div_j, fwd)
             s_next = fd.group_act_den(geom, target, back)
             delta = float(np.max(np.abs(s_next - s)))
+            if not np.isfinite(delta):  # an infinite temperature, with conduction
+                raise StateRangeError("entropy update is not finite; reduce the time step")
             scale = max(1.0, float(np.max(np.abs(s_next))))
             if delta <= self.entropy_tol * scale:
                 return s_next, it
@@ -537,12 +553,20 @@ class VariationalStepper:
         theta_old = ph.temperature(state.d, state.s, gas)
         fric = ph.friction_power(geom, a_new, phys)
         heat = self.heat_source(t) if self.heat_source is not None else None
-        s_new, report.entropy_iters = self._solve_entropy(
-            a_new, back, state.d, state.s, d_new, theta_old, fric, heat
-        )
-        if not phys.insulated:
-            bc = geom.mesh.boundary_cells
-            s_new[bc] = ph.entropy_from_temperature(d_new[bc], phys.theta_env, gas)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            s_new, report.entropy_iters = self._solve_entropy(
+                a_new, back, state.d, state.s, d_new, theta_old, fric, heat
+            )
+            if not phys.insulated:
+                bc = geom.mesh.boundary_cells
+                s_new[bc] = ph.entropy_from_temperature(d_new[bc], phys.theta_env, gas)
+            theta_new = ph.temperature(d_new, s_new, gas)
+        if not np.all((theta_new > 0.0) & np.isfinite(theta_new)):
+            raise StateRangeError(
+                "temperature not finite and positive after the entropy update "
+                f"(range {np.min(theta_new):.3e} to {np.max(theta_new):.3e}); "
+                "reduce the time step"
+            )
 
         self._d_prev = state.d.copy()
         return ph.FluidState(a_new, d_new, s_new), report

@@ -35,13 +35,16 @@ identities exact on bounded meshes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 
 __all__ = [
     "Mesh",
     "MeshGeometry",
+    "AdjacencyCSR",
     "MeshError",
     "load_mesh",
     "generate_rect_mesh",
@@ -393,6 +396,53 @@ class MeshGeometry:
     @property
     def interior_nodes(self) -> np.ndarray:
         return self.ring_cyclic
+
+    @functools.cached_property
+    def adjacency_csr(self) -> "AdjacencyCSR":
+        """CSR form of matrices on the diagonal and the adjacent pairs,
+        built at its first use."""
+        return AdjacencyCSR(self.adj)
+
+
+class _PairedCSR(csr_array):
+    """A CSR array whose transpose is a second one kept on the same index
+    structure, so that ``.T`` constructs nothing."""
+
+    transposed = None
+
+    def transpose(self, axes=None, copy=False):
+        if self.transposed is None or copy:
+            return super().transpose(axes=axes, copy=copy)
+        return self.transposed
+
+
+class AdjacencyCSR:
+    """SciPy CSR arrays on the fixed pattern of the diagonal and the
+    adjacent cell pairs, which supports every velocity matrix.
+
+    The index structure is built once.  The pattern is symmetric, so the
+    same structure serves a matrix ``X`` and its transpose: :meth:`load`
+    gathers the pattern entries of ``scale * X`` and of ``scale * X^T``
+    from a dense ``X`` into ``.data`` of two cached arrays and returns the
+    first, whose ``.T`` is the second.  Both are overwritten by the next
+    :meth:`load`.
+    """
+
+    def __init__(self, adj: np.ndarray):
+        n = len(adj)
+        self.rows, self.cols = np.nonzero(adj | np.eye(n, dtype=bool))
+        indptr = np.searchsorted(self.rows, np.arange(n + 1))
+        pair = [
+            _PairedCSR((np.zeros(len(self.rows)), self.cols, indptr), shape=(n, n))
+            for _ in range(2)
+        ]
+        pair[0].transposed, pair[1].transposed = pair[1], pair[0]
+        self._mat = pair[0]
+
+    def load(self, x: np.ndarray, scale: float = 1.0) -> csr_array:
+        np.multiply(x[self.rows, self.cols], scale, out=self._mat.data)
+        np.multiply(x[self.cols, self.rows], scale, out=self._mat.T.data)
+        return self._mat
 
 
 def _circumcenters(nodes: np.ndarray, cells: np.ndarray) -> np.ndarray:

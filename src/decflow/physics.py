@@ -207,7 +207,7 @@ def nabla_aa(geom: MeshGeometry, a) -> np.ndarray:
     ``(nabla_A A)^flat = L_A(A^flat) - d0(K)/2``, raised back with sharp.
     Lands in S and V by construction."""
     z = fd.flat(geom, a, two_away=False)
-    lz = fd.lie_deriv_oneform(a, z)
+    lz = fd.lie_deriv_oneform(geom.adjacency_csr.load(a), z)
     k = kinetic_density(geom, a)
     return fd.sharp(geom, lz - 0.5 * fd.d0(geom, k))
 

@@ -89,29 +89,23 @@ def random_tangent(
     if no_slip:
         bc = geom.mesh.boundary_cells
         flux = np.where(bc[iu] | bc[ju], 0.0, flux)
-    a = np.zeros((geom.n, geom.n))
-    a[iu, ju] = flux / (2.0 * geom.omega[iu])
-    a[ju, iu] = -flux / (2.0 * geom.omega[ju])
-    np.fill_diagonal(a, -a.sum(axis=1))
-    return a
+    return fd.flux_matrix(geom.omega, iu, ju, flux)
 
 
 def random_exchange(geom, rng) -> np.ndarray:
     """Extended ``(N+1)`` field: random edge fluxes plus a random exchange
     flux between every boundary cell and the environment column, all rows
     (environment row included) summing to zero."""
-    n = geom.n
-    a = np.zeros((n + 1, n + 1))
     iu, ju = np.nonzero(np.triu(geom.adj, 1))
     flux = rng.standard_normal(iu.size)
-    a[iu, ju] = flux / (2.0 * geom.omega[iu])
-    a[ju, iu] = -flux / (2.0 * geom.omega[ju])
     bc = np.nonzero(geom.mesh.boundary_cells)[0]
     bflux = rng.standard_normal(bc.size)
-    a[bc, n] = bflux / (2.0 * geom.omega[bc])
-    a[n, bc] = -bflux / (2.0 * geom.omega_env)
-    np.fill_diagonal(a, -a.sum(axis=1))
-    return a
+    return fd.flux_matrix(
+        np.append(geom.omega, geom.omega_env),
+        np.concatenate([iu, bc]),
+        np.concatenate([ju, np.full(bc.size, geom.n)]),
+        np.concatenate([flux, bflux]),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Config parsing, presets, exporters, and the command-line entry points."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -344,6 +346,35 @@ def test_run_reports_a_non_finite_newton_update(tmp_path, capsys):
         "run failed: step 2: Newton update is not finite; "
         "reduce the time step (config key 'run.h' = 0.001)"
     )
+
+
+@pytest.mark.parametrize(
+    "extra, cause",
+    [
+        ("", "temperature not finite and positive after the entropy update (range 1.000e+00 to inf)"),
+        ("phys.lambda = 0.01\n", "entropy update is not finite"),
+    ],
+)
+def test_run_reports_an_infinite_temperature(tmp_path, capsys, extra, cause):
+    # Step 1 turns about 1000 units of heat per cell into an entropy whose
+    # temperature overflows; without conduction the entropy update itself
+    # stays finite, with it the update is NaN.
+    cfg = tmp_path / "hotter.cfg"
+    cfg.write_text(
+        MINIMAL.replace("mesh.nx = 4", "mesh.nx = 6").replace("mesh.ny = 3", "mesh.ny = 5")
+        + "heat.preset = constant\nheat.rate = 1e6\n"
+        + extra
+        + f"output.directory = {tmp_path / 'out'}\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["run", str(cfg)]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err == (
+        f"run failed: step 1: {cause}; reduce the time step (config key 'run.h' = 0.001)"
+    )
+    rows = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+    assert len(rows) == 2  # the header and step 0
 
 
 def ambiguous_mesh():

@@ -192,6 +192,14 @@ def test_lie_derivative_routes_agree(small43, rng):
     )
 
 
+def test_lie_derivative_along_the_csr_form_is_the_dense_one(jittered65, rng):
+    a = vf.random_tangent(jittered65, rng)
+    f = rng.normal(size=a.shape)
+    ref = fd.lie_deriv_oneform(a, f)
+    got = fd.lie_deriv_oneform(jittered65.adjacency_csr.load(a), f)
+    assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
 def test_momentum_transport_routes_agree(jittered, rng):
     # Weighted-commutator route versus the kite-quadrature assembly,
     # compared where the latter is defined (adjacent entries).

@@ -33,7 +33,6 @@ def test_tau_inverse(kind):
     xi = small_matrix(3)
     q = gr.tau(xi, kind)
     np.testing.assert_allclose(q @ gr.tau(-xi, kind), np.eye(5), atol=1e-13)
-    np.testing.assert_allclose(gr.tau_inv(q, kind), gr.tau(-xi, kind), atol=1e-13)
 
 
 @pytest.mark.parametrize("kind", gr.KINDS)
@@ -202,6 +201,49 @@ def test_tau_action_rejects_bad_arguments():
 def test_series_guard_rejects_non_finite_arguments():
     with pytest.raises(gr.GroupMapError, match="not finite"):
         gr.dtau_inv(np.full((3, 3), np.nan), np.eye(3))
+
+
+# ---------------------------------------------------------------------------
+# CSR form of the series argument
+# ---------------------------------------------------------------------------
+
+
+def rel_diff(x, ref):
+    return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("h", [1e-3, 1e-2, 1e-1])
+@pytest.mark.parametrize("kind", gr.KINDS)
+def test_csr_and_dense_arguments_agree(jittered65, rng, h, kind):
+    xi = h * mesh_velocity(jittered65)
+    csr = jittered65.adjacency_csr.load(xi)
+    eta = rng.normal(size=xi.shape)
+    omega = jittered65.omega
+    for fn in (gr.dtau_inv, gr.dtau):
+        assert rel_diff(fn(csr, eta, kind), fn(xi, eta, kind)) <= 1e-14
+    star = gr.dtau_inv_star(omega, csr, eta, kind)
+    assert rel_diff(star, gr.dtau_inv_star(omega, xi, eta, kind)) <= 1e-14
+    undivided = gr.dtau_inv_star(omega, csr, eta, kind, divide=False)
+    np.testing.assert_array_equal(undivided / omega[:, None], star)
+
+
+@pytest.mark.parametrize("c", [0.5, 0.9, 0.999, 1.001, 1.5])
+def test_the_guard_decides_alike_for_csr_and_dense(jittered65, c):
+    a = mesh_velocity(jittered65)
+    xi = c * a / np.linalg.norm(a, 2)
+    csr = jittered65.adjacency_csr.load(xi)
+    assert gr.norm_bound(csr) == pytest.approx(gr.norm_bound(xi), rel=1e-15)
+    # the bound alone clears |xi|_2 = 0.5; from 0.9 on the SVD decides
+    assert (gr.norm_bound(xi) >= 1.0) == (c >= 0.9)
+    outcomes = []
+    for arg in (xi, csr):
+        try:
+            gr.dtau_inv(arg, xi)
+            outcomes.append(None)
+        except gr.GroupMapError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    assert (outcomes[0] is not None) == (c >= 1.0)
 
 
 @pytest.mark.parametrize("kind", gr.KINDS)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from decflow import diagnostics as dg
 from decflow import fields as fd
@@ -54,6 +55,17 @@ def test_momentum_vector_values(gen65, rng):
     m = ig.momentum_vector(gen65, layout, a, d)
     z = fd.flat(gen65, a, two_away=False)
     np.testing.assert_array_equal(m, (fd.pair_mean(d) * z)[layout.rows, layout.cols])
+
+
+def test_pick_P_reads_four_entries_per_flux(jittered65, rng):
+    layout = ig.FluxLayout.build(jittered65)
+    m = rng.normal(size=(jittered65.n, jittered65.n))
+    omega = jittered65.omega
+    ones = np.ones(jittered65.n)
+    np.testing.assert_array_equal(layout.pick_P(m, ones), layout.pick(fd.proj_P(m)))
+    np.testing.assert_array_equal(
+        layout.pick_P(m, omega), layout.pick(fd.proj_P(m / omega[:, None]))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +199,28 @@ def test_one_group_action_per_direction_per_step(gen65, monkeypatch):
     assert len(calls) == 2  # tau(-h A) and tau(h A), each once
     assert np.any(calls[0])
     np.testing.assert_array_equal(calls[0], -calls[1])
+
+
+def test_residuals_construct_no_sparse_arrays(jittered65, monkeypatch):
+    # The CSR index structure is built at the first residual; afterwards a
+    # residual, or a whole step, only refreshes the cached arrays' data.
+    phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01, insulated=True)
+    stepper = ig.VariationalStepper(jittered65, GAS, phys, h=1e-3)
+    state = shear_state(jittered65)
+    flux = stepper.layout.from_matrix(state.a)
+    prev_term = stepper._transport_term(state.a, state.d, -1.0)
+    first = stepper._momentum_residual(flux, state.d, state.s, prev_term)
+
+    built = []
+    for cls in (sparse.csr_array, sparse.csc_array, sparse.coo_array):
+        init = cls.__init__
+        monkeypatch.setattr(
+            cls, "__init__", lambda self, *args, _init=init, **kw: built.append(self) or _init(self, *args, **kw)
+        )
+    again = stepper._momentum_residual(flux, state.d, state.s, prev_term)
+    np.testing.assert_array_equal(again, first)
+    stepper.step(state)
+    assert built == []
 
 
 def test_step_reports_solver_effort(gen65):

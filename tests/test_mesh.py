@@ -218,3 +218,16 @@ def test_right_triangle_pair_has_degenerate_dual_edge():
 def test_validate_clean_meshes(gen65, jittered):
     assert msh.validate(gen65.mesh) == []
     assert msh.validate(jittered.mesh) == []
+
+
+def test_adjacency_csr_holds_the_pattern_and_its_transpose(jittered65, rng):
+    pattern = jittered65.adjacency_csr
+    assert jittered65.adjacency_csr is pattern  # built once per geometry
+    x = np.where(jittered65.adj | np.eye(jittered65.n, dtype=bool), rng.normal(size=(65, 65)), 0.0)
+    mat = pattern.load(x, -2.0)
+    np.testing.assert_array_equal(mat.toarray(), -2.0 * x)
+    np.testing.assert_array_equal(mat.T.toarray(), -2.0 * x.T)
+    assert mat.T.T is mat and mat.T.format == "csr"
+    np.testing.assert_array_equal(mat.T.indptr, mat.indptr)
+    assert pattern.load(x) is mat  # refreshed in place
+    np.testing.assert_array_equal(mat.toarray(), x)
