@@ -549,10 +549,7 @@ def cmd_run(config_path: str) -> int:
         try:
             stepper.run(state, cfg.steps, observer=observer)
         except it.IntegratorError as exc:
-            hint = ""
-            if isinstance(exc, (it.SeriesRangeError, it.StateRangeError)):
-                hint = f" (config key 'run.h' = {cfg.h:g})"
-            print(f"run failed: {exc}{hint}", file=sys.stderr)
+            print(f"run failed: {exc} (config key 'run.h' = {cfg.h:g})", file=sys.stderr)
             return 3
         except fd.FlatAmbiguityError as exc:
             # only meshes with interior nodes of degree < 5, which the

@@ -64,10 +64,7 @@ def sample(
     a, d, s = state.a, state.d, state.s
     omega = geom.omega
     theta = ph.temperature(d, s, gas)
-    jmat = ph.entropy_flux(geom, theta, phys)
-    j_bnd = fd.boundary_div(jmat, geom.n)
-    theta_ext = np.append(theta, phys.theta_env)
-    theta_j = -(jmat @ theta_ext)[: geom.n]
+    _, theta_j, j_bnd = ph.conduction(geom, theta, phys)
     fric = ph.friction_power(geom, a, phys)
 
     r = np.zeros(geom.n) if heat is None else d * np.asarray(heat, dtype=float)

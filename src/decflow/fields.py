@@ -1,10 +1,15 @@
-"""Discrete tensor calculus on cell-pair matrices.
+"""Discrete tensor calculus on cell pairs.
 
 Fields live on cells: a *function* is a vector of cell values (optionally
 extended by one environment slot), a *vector field* is an ``(N, N)`` matrix
 supported on the diagonal plus adjacent cell pairs, and a *one-form* is an
-``(N, N)`` matrix supported on adjacent and two-away pairs.  The fundamental
-matrix spaces are
+``(N, N)`` matrix supported on adjacent and two-away pairs.
+
+One-forms and forces on adjacent pairs are evaluated *per pair*, on the
+directed adjacency list ``(geom.adj_i, geom.adj_j)``, by NumPy gathers and
+``np.bincount`` (the ``*_pairs`` functions); the dense matrices of ``d0``,
+``lambda_op``, ``sharp`` and the adjacent part of ``flat`` are scatters of
+those values (:func:`from_pairs`).  The fundamental matrix spaces are
 
 * ``S``: rows sum to zero (NB: the row convention -- transport matrices act
   on densities through their transpose),
@@ -20,11 +25,14 @@ values, checked by :func:`membership_residuals`, not a type tag.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from .mesh import MeshGeometry
 
 __all__ = [
+    "on_pairs",
+    "from_pairs",
+    "pair_diff",
+    "pair_avg",
     "pairing0",
     "pairing1",
     "d0",
@@ -36,16 +44,17 @@ __all__ = [
     "pair_mean",
     "flux_matrix",
     "flat",
+    "flat_pairs",
     "sharp",
     "laplace_beltrami",
     "total_vorticity",
+    "fan_vorticity",
     "lambda_op",
-    "hodge",
+    "lambda_pairs",
     "wedge_star",
     "proj_Q",
     "proj_P",
-    "lie_deriv_oneform",
-    "lie_deriv_oneform_cartan",
+    "lie_deriv_pairs",
     "lie_deriv_oneform_density",
     "lie_deriv_oneform_density_kite",
     "init_from_velocity",
@@ -57,6 +66,36 @@ __all__ = [
 
 class FlatAmbiguityError(ValueError):
     """Two kite triplets assign incompatible values to a two-away entry."""
+
+
+# ---------------------------------------------------------------------------
+# The adjacency list
+# ---------------------------------------------------------------------------
+
+
+def on_pairs(geom: MeshGeometry, x) -> np.ndarray:
+    """Entries ``x_ij`` of a pairwise matrix on the directed adjacency list."""
+    return np.asarray(x, dtype=float)[geom.adj_i, geom.adj_j]
+
+
+def from_pairs(geom: MeshGeometry, xp) -> np.ndarray:
+    """The dense ``(N, N)`` matrix holding ``xp`` on the directed adjacency
+    list and zero elsewhere."""
+    out = np.zeros((geom.n, geom.n))
+    out[geom.adj_i, geom.adj_j] = xp
+    return out
+
+
+def pair_diff(f, i, j) -> np.ndarray:
+    """Differences ``f_j - f_i`` on the cell pairs ``(i[k], j[k])``."""
+    f = np.asarray(f, dtype=float)
+    return f[j] - f[i]
+
+
+def pair_avg(f, i, j) -> np.ndarray:
+    """Two-point means ``(f_i + f_j)/2`` on the cell pairs ``(i[k], j[k])``."""
+    f = np.asarray(f, dtype=float)
+    return 0.5 * (f[i] + f[j])
 
 
 # ---------------------------------------------------------------------------
@@ -78,9 +117,7 @@ def pairing1(geom: MeshGeometry, lmat, bmat) -> float:
 
 def d0(geom: MeshGeometry, f) -> np.ndarray:
     """Differences ``f_j - f_i`` on adjacent cell pairs (a one-form)."""
-    f = np.asarray(f, dtype=float)
-    n = geom.n
-    return np.where(geom.adj, f[None, :n] - f[:n, None], 0.0)
+    return from_pairs(geom, pair_diff(f, geom.adj_i, geom.adj_j))
 
 
 def act_fn(a, f) -> np.ndarray:
@@ -105,15 +142,16 @@ def div(a) -> np.ndarray:
     return 2.0 * np.diagonal(np.asarray(a)).copy()
 
 
-def boundary_div(j_ext: np.ndarray, n: int) -> np.ndarray:
-    """Flux divergence into the environment: ``-2 J_{i,env}`` per cell."""
-    return -2.0 * np.asarray(j_ext)[:n, n]
+def boundary_div(j_env) -> np.ndarray:
+    """Flux divergence into the environment: ``-2 J_{i,env}`` per cell, from
+    the environment column ``J_{i,env}``."""
+    return -2.0 * np.asarray(j_env)
 
 
 def pair_mean(f) -> np.ndarray:
     """Arithmetic two-point mean ``(f_i + f_j)/2`` as a dense matrix."""
-    f = np.asarray(f, dtype=float)
-    return 0.5 * (f[:, None] + f[None, :])
+    idx = np.arange(len(f))
+    return pair_avg(f, idx[:, None], idx[None, :])
 
 
 def flux_matrix(omega, rows, cols, flux) -> np.ndarray:
@@ -151,11 +189,11 @@ def flat(geom: MeshGeometry, a, two_away: bool = True, check: bool = True) -> np
     values must agree to ``1e-9`` relative or :class:`FlatAmbiguityError` is
     raised (only meshes with interior nodes of degree < 5 can disagree).
     """
-    a = np.asarray(a, dtype=float)
-    z = geom.flat_coef * a
+    zp = flat_pairs(geom, on_pairs(geom, a))
+    z = from_pairs(geom, zp)
     if not two_away or len(geom.ta_row) == 0:
         return z
-    om = total_vorticity(geom, z)
+    om = fan_vorticity(geom, zp)
     ti, tj, tk = geom.tri_i, geom.tri_j, geom.tri_k
     rhs = geom.tri_kconst * om[geom.tri_node]
     fwd = rhs - z[ti, tj] - z[tk, ti]   # solves for Z[j, k]
@@ -175,11 +213,16 @@ def flat(geom: MeshGeometry, a, two_away: bool = True, check: bool = True) -> np
     return z
 
 
+def flat_pairs(geom: MeshGeometry, ap) -> np.ndarray:
+    """Adjacent entries ``2 Omega_ii A_ij |*h_ij| / |h_ij|`` of the flat, from
+    the vector field's entries ``ap`` on the adjacency list."""
+    return geom.pairs.flat_coef * ap
+
+
 def sharp(geom: MeshGeometry, z) -> np.ndarray:
     """Raise a one-form to a vector field (adjacent entries only, diagonal
     completed so rows sum to zero)."""
-    a = geom.sharp_coef * np.asarray(z, dtype=float) * geom.adj
-    np.fill_diagonal(a, 0.0)
+    a = from_pairs(geom, geom.pairs.sharp_coef * on_pairs(geom, z))
     np.fill_diagonal(a, -a.sum(axis=1))
     return a
 
@@ -191,12 +234,9 @@ def laplace_beltrami(geom: MeshGeometry, f, env: float | None = None) -> np.ndar
     ``env`` set, boundary cells get the extra term against the environment
     value through their boundary edges.
     """
-    f = np.asarray(f, dtype=float)
-    n = geom.n
-    fv = f[:n]
-    with np.errstate(invalid="ignore"):
-        w = np.where(geom.adj, geom.h_len / np.where(geom.star_h_len > 0, geom.star_h_len, 1.0), 0.0)
-    out = fv * w.sum(axis=1) - w @ fv
+    fv = np.asarray(f, dtype=float)[: geom.n]
+    w = geom.pairs.h_len / geom.pairs.star_h_len
+    out = np.bincount(geom.adj_i, w * pair_diff(fv, geom.adj_j, geom.adj_i), minlength=geom.n)
     if env is not None:
         out += (fv - float(env)) * geom.boundary_factor
     return out / geom.omega
@@ -205,29 +245,26 @@ def laplace_beltrami(geom: MeshGeometry, f, env: float | None = None) -> np.ndar
 def total_vorticity(geom: MeshGeometry, z) -> np.ndarray:
     """Sum of one-form entries around each node's ccw fan (one value per
     node; interior fans wrap, boundary fans are open chains)."""
-    z = np.asarray(z, dtype=float)
-    om = np.zeros(geom.mesh.num_nodes)
-    np.add.at(om, geom.pair_node, z[geom.pair_i, geom.pair_j])
-    return om
+    return fan_vorticity(geom, on_pairs(geom, z))
+
+
+def fan_vorticity(geom: MeshGeometry, zp) -> np.ndarray:
+    """:func:`total_vorticity` from the one-form's entries ``zp`` on the
+    adjacency list."""
+    return np.bincount(geom.pair_node, zp[geom.pairs.fan], minlength=geom.mesh.num_nodes)
 
 
 def lambda_op(geom: MeshGeometry, z) -> np.ndarray:
     """Rotated-gradient part of the one-form Laplacian: differences of
     dual-area-weighted vorticities at the two shared-edge endpoints."""
-    z = np.asarray(z, dtype=float)
-    om = total_vorticity(geom, z)
-    w = om * geom.star_e
-    out = np.zeros_like(z)
-    i, j = geom.adj_i, geom.adj_j
-    out[i, j] = 0.5 * (w[geom.adj_eplus] - w[geom.adj_eminus]) * (
-        geom.star_h_len[i, j] / geom.h_len[i, j]
-    )
-    return out
+    return from_pairs(geom, lambda_pairs(geom, on_pairs(geom, z)))
 
 
-def hodge(geom: MeshGeometry, a) -> np.ndarray:
-    """One-form Laplacian of a vector field: ``d0(div A) - Lambda(A^flat)``."""
-    return d0(geom, div(a)) - lambda_op(geom, flat(geom, a, two_away=False))
+def lambda_pairs(geom: MeshGeometry, zp) -> np.ndarray:
+    """:func:`lambda_op` on the adjacency list, from the one-form's entries
+    ``zp`` there."""
+    w = fan_vorticity(geom, zp) * geom.star_e
+    return 0.5 * (w[geom.adj_eplus] - w[geom.adj_eminus]) * geom.pairs.lam_coef
 
 
 def wedge_star(geom: MeshGeometry, za, zb) -> np.ndarray:
@@ -267,38 +304,14 @@ def proj_P(lmat) -> np.ndarray:
     return 0.5 * (lmat - lmat.T - diag[:, None] + diag[None, :])
 
 
-def lie_deriv_oneform(a, f) -> np.ndarray:
-    """Lie derivative of a one-form along a vector field: ``-(A F + F A^T)``.
-
-    ``A`` may be a SciPy sparse array (the CSR form of
-    :class:`decflow.mesh.AdjacencyCSR`).  ``F A^T`` is taken as
-    ``(A F^T)^T``, so with a sparse ``A`` both products are
-    sparse-times-dense.
-    """
-    a = a if sparse.issparse(a) else np.asarray(a, dtype=float)
-    f = np.asarray(f, dtype=float)
-    return -(a @ f + (a @ f.T).T)
-
-
-def lie_deriv_oneform_cartan(a, f) -> np.ndarray:
-    """Same Lie derivative through the homotopy (Cartan) formula
-    ``-(i_A d F + d0 i_A F)``; agrees with :func:`lie_deriv_oneform` for
-    antisymmetric ``F`` and row-sum-zero ``A``.
-
-    Contractions: ``(i_A F)_i = (A F^T)_ii`` and, for the three-index
-    ``(dF)_ikj = F_ik + F_kj + F_ji``,
-    ``(i_A dF)_ij = sum_k [(dF)_ikj A_ik - (dF)_jki A_jk]``.
-    """
-    a = np.asarray(a, dtype=float)
-    f = np.asarray(f, dtype=float)
-    rowsum = a.sum(axis=1)
-    iaf = np.einsum("ik,ik->i", a, f)
-    # sum_k (F_ik + F_kj + F_ji) A_ik  =  iaf_i + (A F)_ij + F_ji rowsum_i
-    iadf = iaf[:, None] + a @ f + f.T * rowsum[:, None]
-    # minus sum_k (F_jk + F_ki + F_ij) A_jk (same expression with i <-> j)
-    iadf = iadf - iadf.T
-    diaf = iaf[None, :] - iaf[:, None]
-    return -(iadf + diaf)
+def lie_deriv_pairs(geom: MeshGeometry, a, zp) -> np.ndarray:
+    """Lie derivative ``-(A Z + Z A^T)`` along a vector field ``A`` of a
+    one-form ``Z`` on adjacent pairs (entries ``zp``), on the adjacency list:
+    ``-(A_ii + A_jj) Z_ij``.  No cell ``k`` is adjacent to both ``i`` and
+    ``j``, which would add ``A_ik Z_kj + A_jk Z_ik``: that takes an interior
+    node of degree 3, whose widest cell has a non-positive kite."""
+    diag = np.diagonal(np.asarray(a, dtype=float))
+    return -(diag[geom.adj_i] + diag[geom.adj_j]) * zp
 
 
 def lie_deriv_oneform_density(geom: MeshGeometry, a, lmat) -> np.ndarray:
@@ -341,53 +354,19 @@ def lie_deriv_oneform_density_kite(geom: MeshGeometry, a, b, d) -> np.ndarray:
     dabar = pair_mean(da)
     rowdot = np.einsum("ik,ik->i", a, zb * geom.adj)
 
-    rings = geom.rings
-    cyclic = geom.ring_cyclic
-    kappa = geom.kappa
-    ring_pos: list = [dict() for _ in range(geom.mesh.num_nodes)]
-    for v in range(geom.mesh.num_nodes):
-        for t, c in enumerate(rings[v]):
-            ring_pos[v][int(c)] = t
-
-    def fan_other(v: int, c: int, exclude: int) -> int:
-        """Fan neighbor of cell c at node v other than ``exclude``; -1 if
-        missing (c sits at an open chain end)."""
-        ring = rings[v]
-        m = len(ring)
-        t = ring_pos[v][c]
-        cands = []
-        if cyclic[v]:
-            cands = [int(ring[(t + 1) % m]), int(ring[(t - 1) % m])]
-        else:
-            if t + 1 < m:
-                cands.append(int(ring[t + 1]))
-            if t - 1 >= 0:
-                cands.append(int(ring[t - 1]))
-        cands = [c2 for c2 in cands if c2 != exclude]
-        return cands[0] if len(cands) == 1 else -1
-
-    def kconst(v: int, c: int) -> float:
-        se = geom.star_e[v]
-        if se <= 0:
-            return 0.0
-        return kappa[v][ring_pos[v][c]] / se
-
+    # A kite triplet (middle m, ccw next x, ccw previous v, node e) holds
+    # the fan-neighbor terms at e of the four pairs meeting at m: e is the
+    # e+ of (m, x) and (v, m) and the e- of (m, v) and (x, m).  A cell at the
+    # end of an open fan is the middle of no triplet, so it adds nothing.
+    m, x, v = geom.tri_i, geom.tri_j, geom.tri_k
+    w = geom.tri_kconst * om[geom.tri_node]
     out = np.zeros_like(a)
-    for i, j, ep, em in zip(geom.adj_i, geom.adj_j, geom.adj_eplus, geom.adj_eminus):
-        i, j, ep, em = int(i), int(j), int(ep), int(em)
-        val = 0.0
-        for e, sgn in ((ep, 1.0), (em, -1.0)):
-            ip = fan_other(e, i, j)
-            jp = fan_other(e, j, i)
-            term = 0.0
-            if ip >= 0:
-                term += kconst(e, i) * dbar[j, ip] * a[i, ip]
-            if jp >= 0:
-                term += kconst(e, j) * dbar[i, jp] * a[j, jp]
-            val += sgn * om[e] * term
-        val += dbar[i, j] * (rowdot[i] - rowdot[j])
-        val += dabar[i, j] * zb[i, j]
-        out[i, j] = val
+    np.add.at(out, (m, x), w * dbar[x, v] * a[m, v])
+    np.add.at(out, (v, m), w * dbar[v, x] * a[m, x])
+    np.add.at(out, (m, v), -w * dbar[v, x] * a[m, x])
+    np.add.at(out, (x, m), -w * dbar[x, v] * a[m, v])
+    i, j = geom.adj_i, geom.adj_j
+    out[i, j] += dbar[i, j] * (rowdot[i] - rowdot[j]) + dabar[i, j] * zb[i, j]
     return out
 
 
@@ -407,25 +386,15 @@ def init_from_velocity(geom: MeshGeometry, u, no_slip: bool = True) -> np.ndarra
     subspace simultaneously.
     """
     mesh = geom.mesh
-    nodes, cells = mesh.nodes, mesh.cells
-    n = geom.n
-    a = np.zeros((n, n))
-    for c in range(n):
-        for t in range(3):
-            d = int(mesh.cell_adjacency[c, t])
-            if d < 0:
-                continue
-            p = nodes[int(cells[c, (t + 1) % 3])]
-            q = nodes[int(cells[c, (t + 2) % 3])]
-            edge = q - p
-            normal = np.array([edge[1], -edge[0]])  # outward for ccw cells
-            mid = 0.5 * (p + q)
-            flux = float(np.asarray(u(mid)) @ normal)  # |h| * (u . n_hat)
-            if no_slip and (mesh.boundary_cells[c] or mesh.boundary_cells[d]):
-                flux = 0.0
-            a[c, d] = -flux / (2.0 * geom.omega[c])
-    np.fill_diagonal(a, -a.sum(axis=1))
-    return a
+    c, t = np.nonzero(mesh.cell_adjacency > np.arange(geom.n)[:, None])  # once per edge
+    d = mesh.cell_adjacency[c, t]
+    p, q = mesh.nodes[mesh.cells[c, (t + 1) % 3]], mesh.nodes[mesh.cells[c, (t + 2) % 3]]
+    normal = np.stack([q[:, 1] - p[:, 1], p[:, 0] - q[:, 0]], axis=1)  # outward for ccw cells
+    # |h| * (u . n_hat) out of cell c
+    flux = np.array([np.asarray(u(0.5 * (x + y))) @ nv for x, y, nv in zip(p, q, normal)])
+    if no_slip:
+        flux[mesh.boundary_cells[c] | mesh.boundary_cells[d]] = 0.0
+    return flux_matrix(geom.omega, c, d, -flux)
 
 
 def reconstruct_velocity(geom: MeshGeometry, a) -> np.ndarray:
@@ -439,17 +408,12 @@ def reconstruct_velocity(geom: MeshGeometry, a) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     mesh = geom.mesh
+    cells = np.arange(geom.n)
     out = np.zeros((geom.n, 2))
-    for c in range(geom.n):
-        cc = geom.circumcenters[c]
-        acc = np.zeros(2)
-        for t in range(3):
-            d = int(mesh.cell_adjacency[c, t])
-            if d < 0:
-                continue
-            x_opp = mesh.nodes[int(mesh.cells[c, t])]
-            acc -= a[c, d] * (cc - x_opp)
-        out[c] = acc
+    for t in range(3):  # in this order per cell; a boundary edge adds +0.0
+        nbr = mesh.cell_adjacency[:, t]
+        term = a[cells, nbr, None] * (geom.circumcenters - mesh.nodes[mesh.cells[:, t]])
+        out -= np.where(nbr[:, None] >= 0, term, 0.0)
     return out
 
 

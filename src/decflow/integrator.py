@@ -14,7 +14,10 @@ The variational step solves, in order:
    :func:`decflow.groups.dtau_inv_star` at ``±h A`` in the CSR form of
    :class:`decflow.mesh.AdjacencyCSR`, whose ``.data`` it refreshes without
    building a sparse array, and reads four entries per flux of the result
-   (:meth:`FluxLayout.pick_P`),
+   (:meth:`FluxLayout.pick_P`).  The pressure/temperature gradient and the
+   viscous force are evaluated on the flux pairs only, from cell values and
+   from the per-pair kernels of :mod:`decflow.physics`; only the series
+   operand (``A``, its flat and the momentum ``D A^flat``) is dense,
 2. exact density transport ``D^{k+1} = D^k bullet tau(-h A^k)``.  The
    group element is never formed: :func:`decflow.groups.tau_action` applies
    ``tau(-h A^k)^T`` to ``Omega D^k`` as a Taylor series of matrix-vector
@@ -26,7 +29,8 @@ The variational step solves, in order:
    friction heating, conduction and sources against the old temperature,
    followed by the boundary temperature condition (unless insulated).  It
    applies ``tau(h A^k)^T`` and ``tau(-h A^k)^T`` once per iteration; each
-   action is built once per step.
+   action is built once per step.  The conduction terms come from the
+   entropy flux on the adjacent pairs (:func:`decflow.physics.conduction`).
 
 A step that leaves the range the scheme covers raises a subclass of
 :class:`IntegratorError` naming the cause: :class:`SeriesRangeError` when the
@@ -127,19 +131,21 @@ class FluxLayout:
     A flux vector ``f`` assembles into the velocity matrix with
     ``A_ij = f / (2 Omega_ii)``, ``A_ji = -f / (2 Omega_jj)`` and diagonal
     completing the rows to zero, which lands exactly in S, V and the no-slip
-    subspace.
+    subspace.  Flux ``k`` is the pair ``(rows[k], cols[k])``, ``rows < cols``,
+    at position ``pos[k]`` of the directed adjacency list.
     """
 
     geom: MeshGeometry
     rows: np.ndarray
     cols: np.ndarray
+    pos: np.ndarray
 
     @classmethod
     def build(cls, geom: MeshGeometry) -> "FluxLayout":
         interior = geom.mesh.interior_cells
-        i, j = np.nonzero(np.triu(geom.adj))
-        keep = interior[i] & interior[j]
-        return cls(geom=geom, rows=i[keep], cols=j[keep])
+        i, j = geom.adj_i, geom.adj_j
+        pos = np.flatnonzero((i < j) & interior[i] & interior[j])
+        return cls(geom=geom, rows=i[pos], cols=j[pos], pos=pos)
 
     @property
     def size(self) -> int:
@@ -172,19 +178,13 @@ class FluxLayout:
 # ---------------------------------------------------------------------------
 
 
-def _gradient_forces(geom, a, d, s, gas):
-    """``Dbar (dl/dD_j - dl/dD_i) + Sbar (dl/dS_j - dl/dS_i)`` on adjacent
+def _gradient_forces(geom, layout, a, d, s, gas):
+    """``Dbar (dl/dD_j - dl/dD_i) + Sbar (dl/dS_j - dl/dS_i)`` on the flux
     pairs (the discrete pressure/temperature gradient block)."""
-    _, dl_dd, dl_ds = ph.variational_derivatives(geom, a, d, s, gas)
-    gd = fd.d0(geom, dl_dd)
-    gs = fd.d0(geom, dl_ds)
-    return fd.pair_mean(d) * gd + fd.pair_mean(s) * gs
-
-
-def _theta_dot_flux(j_ext, theta_ext, n):
-    """The vector ``(Theta . J)_i = -(J theta)_i`` (so that
-    ``Theta_i (div J)_i + (Theta.J)_i = -sum_j J_ij (Theta_i + Theta_j)``)."""
-    return -(j_ext @ theta_ext)[:n]
+    dl_dd, dl_ds = ph.scalar_derivatives(geom, a, d, s, gas)
+    i, j = layout.rows, layout.cols
+    gd, gs = fd.pair_diff(dl_dd, i, j), fd.pair_diff(dl_ds, i, j)
+    return fd.pair_avg(d, i, j) * gd + fd.pair_avg(s, i, j) * gs
 
 
 def semi_discrete_rhs(geom, state, gas, phys, layout, heat=None):
@@ -193,18 +193,14 @@ def semi_discrete_rhs(geom, state, gas, phys, layout, heat=None):
     flux layout."""
     a, d, s = state.a, state.d, state.s
     z = fd.flat(geom, a)
-    lmat = d[:, None] * z
-    lie = fd.lie_deriv_oneform_density(geom, a, lmat)
-    visc = ph.viscous_force(geom, a, phys)
-    mdot = layout.pick(-lie - _gradient_forces(geom, a, d, s, gas) + visc)
+    lie = layout.pick(fd.lie_deriv_oneform_density(geom, a, d[:, None] * z))
+    visc = ph.viscous_pairs(geom, a, phys)[layout.pos]
+    mdot = -lie - _gradient_forces(geom, layout, a, d, s, gas) + visc
 
     ddot = -fd.act_den(geom, d, a)
 
     theta = ph.temperature(d, s, gas)
-    jmat = ph.entropy_flux(geom, theta, phys)
-    theta_ext = np.append(theta, phys.theta_env)
-    div_j = 2.0 * np.diagonal(jmat)[: geom.n]
-    theta_j = _theta_dot_flux(jmat, theta_ext, geom.n)
+    div_j, theta_j, _ = ph.conduction(geom, theta, phys)
     fric = ph.friction_power(geom, a, phys)
     source = fric.copy()
     if heat is not None:
@@ -215,12 +211,12 @@ def semi_discrete_rhs(geom, state, gas, phys, layout, heat=None):
 
 def momentum_vector(geom, layout, a, d):
     """Edge momenta ``m_ij = Dbar_ij A^flat_ij`` on the flux layout."""
-    z = fd.flat(geom, a, two_away=False)
-    return layout.pick(fd.pair_mean(d) * z)
+    zp = fd.flat_pairs(geom, fd.on_pairs(geom, a))[layout.pos]
+    return fd.pair_avg(d, layout.rows, layout.cols) * zp
 
 
 def _state_from_momentum(geom, layout, mvec, d, s):
-    dbar = 0.5 * (d[layout.rows] + d[layout.cols])
+    dbar = fd.pair_avg(d, layout.rows, layout.cols)
     z = np.zeros((geom.n, geom.n))
     z[layout.rows, layout.cols] = mvec / dbar
     z[layout.cols, layout.rows] = -mvec / dbar
@@ -411,8 +407,8 @@ class VariationalStepper:
     def _momentum_residual(self, flux, d, s, prev_term):
         a = self.layout.to_matrix(flux)
         cur = self._transport_term(a, d, 1.0)
-        grad = self.layout.pick(_gradient_forces(self.geom, a, d, s, self.gas))
-        visc = self.layout.pick(ph.viscous_force(self.geom, a, self.phys))
+        grad = _gradient_forces(self.geom, self.layout, a, d, s, self.gas)
+        visc = ph.viscous_pairs(self.geom, a, self.phys)[self.layout.pos]
         return cur - prev_term + grad - visc
 
     @functools.cached_property
@@ -481,7 +477,7 @@ class VariationalStepper:
             prev_norm = norm
         raise IntegratorError(
             f"momentum solve stalled at residual {prev_norm:.3e} "
-            f"(tolerance {self.newton_tol:.1e})"
+            f"(tolerance {self.newton_tol:.1e}); reduce the time step"
         )
 
     # -- entropy -----------------------------------------------------------
@@ -491,9 +487,7 @@ class VariationalStepper:
         ``back`` is the step's action of ``tau(-h A^k)``."""
         geom, phys, gas, h = self.geom, self.phys, self.gas, self.h
         fwd = gr.tau_action(h * a_new, self.kind)
-        j_old = ph.entropy_flux(geom, theta_old, phys)
-        theta_old_ext = np.append(theta_old, phys.theta_env)
-        rhs_const = h * fric - h * _theta_dot_flux(j_old, theta_old_ext, geom.n)
+        rhs_const = h * fric - h * ph.conduction(geom, theta_old, phys)[1]
         if heat is not None:
             rhs_const = rhs_const + h * d_old * heat
         rhs_const = s_old + rhs_const / theta_old
@@ -502,8 +496,7 @@ class VariationalStepper:
         prev_delta = np.inf
         for it in range(1, self.entropy_max + 1):
             theta_new = ph.temperature(d_new, s, gas)
-            j_new = ph.entropy_flux(geom, theta_new, phys)
-            div_j = 2.0 * np.diagonal(j_new)[: geom.n]
+            div_j = ph.conduction(geom, theta_new, phys)[0]
             target = rhs_const - h * fd.group_act_den(geom, div_j, fwd)
             s_next = fd.group_act_den(geom, target, back)
             delta = float(np.max(np.abs(s_next - s)))
@@ -517,7 +510,8 @@ class VariationalStepper:
             prev_delta = delta
             s = s_next
         raise IntegratorError(
-            f"entropy fixed point stalled (last update {prev_delta:.3e})"
+            f"entropy fixed point stalled (last update {prev_delta:.3e}); "
+            "reduce the time step"
         )
 
     # -- full step ----------------------------------------------------------

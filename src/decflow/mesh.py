@@ -45,6 +45,7 @@ __all__ = [
     "Mesh",
     "MeshGeometry",
     "AdjacencyCSR",
+    "AdjacencyPairs",
     "MeshError",
     "load_mesh",
     "generate_rect_mesh",
@@ -336,7 +337,8 @@ class MeshGeometry:
     """Every precomputed circumcentric-dual quantity.
 
     Pairwise quantities are stored as dense ``(N, N)`` arrays that vanish off
-    the adjacency pattern; per-node fan data is stored both as ragged lists
+    the adjacency pattern (gathered onto the adjacency list by :attr:`pairs`
+    at its first use); per-node fan data is stored both as ragged lists
     (``rings``, ``kappa``) and as flattened index tables for vectorized
     operator assembly:
 
@@ -393,15 +395,17 @@ class MeshGeometry:
     def n(self) -> int:
         return len(self.omega)
 
-    @property
-    def interior_nodes(self) -> np.ndarray:
-        return self.ring_cyclic
-
     @functools.cached_property
     def adjacency_csr(self) -> "AdjacencyCSR":
         """CSR form of matrices on the diagonal and the adjacent pairs,
         built at its first use."""
         return AdjacencyCSR(self.adj)
+
+    @functools.cached_property
+    def pairs(self) -> "AdjacencyPairs":
+        """Coefficients and index tables on the directed adjacency list
+        ``(adj_i, adj_j)``, built at their first use."""
+        return AdjacencyPairs(self)
 
 
 class _PairedCSR(csr_array):
@@ -443,6 +447,20 @@ class AdjacencyCSR:
         np.multiply(x[self.rows, self.cols], scale, out=self._mat.data)
         np.multiply(x[self.cols, self.rows], scale, out=self._mat.T.data)
         return self._mat
+
+
+class AdjacencyPairs:
+    """The geometry on the directed adjacency list ``(adj_i, adj_j)`` (row
+    major), gathered once from the dense arrays: ``flat_coef``,
+    ``sharp_coef``, ``h_len``, ``star_h_len`` and ``lam_coef = |*h|/|h|``
+    per pair; and ``fan``, the positions of the fan pairs ``(pair_i, pair_j)``."""
+
+    def __init__(self, geom: MeshGeometry):
+        i, j, n = geom.adj_i, geom.adj_j, geom.n
+        for name in ("flat_coef", "sharp_coef", "h_len", "star_h_len"):
+            setattr(self, name, getattr(geom, name)[i, j])
+        self.lam_coef = self.star_h_len / self.h_len
+        self.fan = np.searchsorted(i * n + j, geom.pair_i * n + geom.pair_j)  # i * n + j is sorted
 
 
 def _circumcenters(nodes: np.ndarray, cells: np.ndarray) -> np.ndarray:

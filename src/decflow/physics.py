@@ -10,6 +10,12 @@ constant ``K`` is
 whose partial derivatives give temperature ``Theta = eps / (c_v D)`` and,
 through the Euler relation ``p = D eps_D + S eps_S - eps``, the pressure
 ``p = (gamma - 1) eps``.
+
+The force and heating terms live on adjacent cell pairs and are evaluated
+there, on the directed adjacency list (see :mod:`decflow.fields`): the
+``*_pairs`` functions return those values, :func:`conduction` sums the
+entropy flux per cell, and :func:`viscous_force`, :func:`nabla_aa` and
+:func:`entropy_flux` scatter them into the dense matrices verify reads.
 """
 
 from __future__ import annotations
@@ -31,11 +37,16 @@ __all__ = [
     "entropy_from_temperature",
     "kinetic_density",
     "lagrangian",
+    "scalar_derivatives",
     "variational_derivatives",
     "entropy_flux",
+    "entropy_flux_pairs",
+    "conduction",
     "nabla_aa",
+    "nabla_pairs",
     "friction_power",
     "viscous_force",
+    "viscous_pairs",
 ]
 
 
@@ -125,8 +136,8 @@ def entropy_from_temperature(d, theta, gas: GasParams) -> np.ndarray:
 
 def kinetic_density(geom: MeshGeometry, a) -> np.ndarray:
     """Pointwise squared speed ``K_i = sum_j (A^flat)_ij A_ij`` (adjacent)."""
-    z = fd.flat(geom, a, two_away=False)
-    return np.einsum("ij,ij->i", z, np.asarray(a) * geom.adj)
+    ap = fd.on_pairs(geom, a)
+    return np.bincount(geom.adj_i, fd.flat_pairs(geom, ap) * ap, minlength=geom.n)
 
 
 def lagrangian(geom: MeshGeometry, a, d, s, gas: GasParams) -> float:
@@ -136,20 +147,19 @@ def lagrangian(geom: MeshGeometry, a, d, s, gas: GasParams) -> float:
     return float(np.sum(geom.omega * (0.5 * np.asarray(d) * k - eps)))
 
 
-def variational_derivatives(geom: MeshGeometry, a, d, s, gas: GasParams):
-    """Partial derivatives of the Lagrangian:
-
-    * w.r.t. velocity: the momentum ``L_ij = D_i (A^flat)_ij`` (two-away
-      entries of the flat included -- the Lie derivative needs them),
-    * w.r.t. density: ``K_i / 2 - eps_D``,
-    * w.r.t. entropy: ``-eps_S = -Theta_i``.
-    """
+def scalar_derivatives(geom: MeshGeometry, a, d, s, gas: GasParams):
+    """Partial derivatives of the Lagrangian w.r.t. density,
+    ``K_i / 2 - eps_D``, and w.r.t. entropy, ``-eps_S = -Theta_i``."""
     _, eps_d, eps_s = internal_energy(d, s, gas)
-    z = fd.flat(geom, a)
-    dl_da = np.asarray(d)[:, None] * z
-    dl_dd = 0.5 * kinetic_density(geom, a) - eps_d
-    dl_ds = -eps_s
-    return dl_da, dl_dd, dl_ds
+    return 0.5 * kinetic_density(geom, a) - eps_d, -eps_s
+
+
+def variational_derivatives(geom: MeshGeometry, a, d, s, gas: GasParams):
+    """Partial derivatives of the Lagrangian: w.r.t. velocity the momentum
+    ``L_ij = D_i (A^flat)_ij`` (two-away entries of the flat included -- the
+    Lie derivative needs them), then :func:`scalar_derivatives`."""
+    dl_dd, dl_ds = scalar_derivatives(geom, a, d, s, gas)
+    return np.asarray(d)[:, None] * fd.flat(geom, a), dl_dd, dl_ds
 
 
 # ---------------------------------------------------------------------------
@@ -158,43 +168,49 @@ def variational_derivatives(geom: MeshGeometry, a, d, s, gas: GasParams):
 
 
 def entropy_flux(geom: MeshGeometry, theta, phys: PhysParams) -> np.ndarray:
-    """Discrete entropy-flux matrix on the environment-extended index set.
-
-    For adjacent cells: ``J_ij = sign * lam * (Th_i - Th_j)/(Th_i + Th_j)
-    * |h_ij| / (Omega_ii |*h_ij|)``; boundary cells get an environment
-    column with the aggregate geometric factor of their boundary edges
-    (suppressed when insulated).  Rows sum to zero, and weighted
-    antisymmetry holds with the environment cell weighted by the total area.
-    """
+    """Entropy-flux matrix on the environment-extended index set: the
+    scatter of :func:`entropy_flux_pairs`, the environment row weighted by
+    the total area (weighted antisymmetry), rows summing to zero."""
     n = geom.n
-    theta = np.asarray(theta, dtype=float)
+    jp, col = entropy_flux_pairs(geom, theta, phys)
     j = np.zeros((n + 1, n + 1))
-    if phys.lam != 0.0:
-        i, k = geom.adj_i, geom.adj_j
-        ti, tk = theta[i], theta[k]
-        j[i, k] = (
-            phys.conduction_sign
-            * phys.lam
-            * (ti - tk)
-            / (ti + tk)
-            * geom.h_len[i, k]
-            / (geom.omega[i] * geom.star_h_len[i, k])
-        )
-        if not phys.insulated:
-            te = phys.theta_env
-            col = (
-                phys.conduction_sign
-                * phys.lam
-                * (theta - te)
-                / (theta + te)
-                * geom.boundary_factor
-                / geom.omega
-            )
-            j[:n, n] = col
-            j[n, :n] = -geom.omega * col / geom.omega_env
-    np.fill_diagonal(j, 0.0)
+    j[geom.adj_i, geom.adj_j] = jp
+    j[:n, n] = col
+    j[n, :n] = -geom.omega * col / geom.omega_env
     np.fill_diagonal(j, -j.sum(axis=1))
     return j
+
+
+def entropy_flux_pairs(geom: MeshGeometry, theta, phys: PhysParams):
+    """Entropy flux ``J_ij = sign lam (Th_i - Th_j)/(Th_i + Th_j) |h_ij| /
+    (Omega_ii |*h_ij|)`` on the adjacency list, and the environment column:
+    the same with ``theta_env`` and the aggregate factor of the boundary
+    edges (zero when insulated)."""
+    theta = np.asarray(theta, dtype=float)
+    jp, col = np.zeros(len(geom.adj_i)), np.zeros(geom.n)
+    if phys.lam != 0.0:
+        i, k, pairs = geom.adj_i, geom.adj_j, geom.pairs
+        ti, tk = theta[i], theta[k]
+        sl = phys.conduction_sign * phys.lam
+        jp = sl * (ti - tk) / (ti + tk) * pairs.h_len / (geom.omega[i] * pairs.star_h_len)
+        if not phys.insulated:
+            te = phys.theta_env
+            col = sl * (theta - te) / (theta + te) * geom.boundary_factor / geom.omega
+    return jp, col
+
+
+def conduction(geom: MeshGeometry, theta, phys: PhysParams):
+    """Per-cell terms of the entropy flux at ``theta``, summed from
+    :func:`entropy_flux_pairs`: ``div J = 2 J_ii``, ``(Theta.J)_i =
+    -(J Theta)_i = -sum_j J_ij (Theta_j - Theta_i)`` (``Theta_env`` in the
+    environment slot) and the divergence into the environment."""
+    theta = np.asarray(theta, dtype=float)
+    i, k = geom.adj_i, geom.adj_j
+    jp, col = entropy_flux_pairs(geom, theta, phys)
+    div_j = -2.0 * (np.bincount(i, jp, minlength=geom.n) + col)
+    drop = np.bincount(i, jp * fd.pair_diff(theta, i, k), minlength=geom.n)
+    theta_j = -(drop + col * (phys.theta_env - theta))
+    return div_j, theta_j, fd.boundary_div(col)
 
 
 # ---------------------------------------------------------------------------
@@ -203,13 +219,17 @@ def entropy_flux(geom: MeshGeometry, theta, phys: PhysParams) -> np.ndarray:
 
 
 def nabla_aa(geom: MeshGeometry, a) -> np.ndarray:
-    """Self-advection ``(nabla_A A)`` defined through its one-form:
-    ``(nabla_A A)^flat = L_A(A^flat) - d0(K)/2``, raised back with sharp.
-    Lands in S and V by construction."""
-    z = fd.flat(geom, a, two_away=False)
-    lz = fd.lie_deriv_oneform(geom.adjacency_csr.load(a), z)
+    """Self-advection ``(nabla_A A)``: :func:`nabla_pairs` raised back with
+    sharp.  Lands in S and V by construction."""
+    return fd.sharp(geom, fd.from_pairs(geom, nabla_pairs(geom, a)))
+
+
+def nabla_pairs(geom: MeshGeometry, a) -> np.ndarray:
+    """The one-form ``(nabla_A A)^flat = L_A(A^flat) - d0(K)/2`` on the
+    adjacency list (all that sharp reads of it)."""
+    zp = fd.flat_pairs(geom, fd.on_pairs(geom, a))
     k = kinetic_density(geom, a)
-    return fd.sharp(geom, lz - 0.5 * fd.d0(geom, k))
+    return fd.lie_deriv_pairs(geom, a, zp) - 0.5 * fd.pair_diff(k, geom.adj_i, geom.adj_j)
 
 
 def friction_power(geom: MeshGeometry, a, phys: PhysParams) -> np.ndarray:
@@ -224,7 +244,9 @@ def friction_power(geom: MeshGeometry, a, phys: PhysParams) -> np.ndarray:
     if phys.mu != 0.0:
         z = fd.flat(geom, a)
         out = out + phys.mu * fd.wedge_star(geom, z, z)
-        out = out + 2.0 * phys.mu * fd.div(nabla_aa(geom, a))
+        # div(nabla_A A) = 2 (nabla_A A)_ii, minus twice the raised row sums
+        vp = geom.pairs.sharp_coef * nabla_pairs(geom, a)
+        out = out + 2.0 * phys.mu * (-2.0 * np.bincount(geom.adj_i, vp, minlength=geom.n))
         out = out - 2.0 * phys.mu * fd.act_den(geom, diva, a)
     return out
 
@@ -240,10 +262,16 @@ def viscous_force(geom: MeshGeometry, a, phys: PhysParams) -> np.ndarray:
     (dA^flat ^ * dB^flat)_i, so the kinetic energy drained here reappears,
     cell by cell, as the heating entering the entropy equation.  Without
     that duality the time integrator would create or destroy total energy
-    at order one.
+    at order one.  The scatter of :func:`viscous_pairs`.
     """
-    out = -phys.mu_tilde * fd.d0(geom, fd.div(a))
+    return fd.from_pairs(geom, viscous_pairs(geom, a, phys))
+
+
+def viscous_pairs(geom: MeshGeometry, a, phys: PhysParams) -> np.ndarray:
+    """:func:`viscous_force` on the adjacency list,
+    ``-mu_tilde (div_j - div_i) - 2 mu Lambda_ij``."""
+    out = -phys.mu_tilde * fd.pair_diff(fd.div(a), geom.adj_i, geom.adj_j)
     if phys.mu != 0.0:
-        z = fd.flat(geom, a, two_away=False)
-        out = out - 2.0 * phys.mu * fd.lambda_op(geom, z)
+        zp = fd.flat_pairs(geom, fd.on_pairs(geom, a))
+        out = out - 2.0 * phys.mu * fd.lambda_pairs(geom, zp)
     return out

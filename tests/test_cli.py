@@ -299,6 +299,23 @@ def test_run_reports_solver_failures(tmp_path, capsys):
     assert cli.main(["run", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert "step 1" in err and "momentum solve stalled" in err
+    assert err.strip().endswith("; reduce the time step (config key 'run.h' = 0.001)")
+
+
+def test_run_reports_an_entropy_stall_with_the_time_step(tmp_path, capsys):
+    # Strong conduction: the explicit conduction term of the entropy fixed
+    # point does not contract at this step.
+    cfg = tmp_path / "stall.cfg"
+    cfg.write_text(
+        MINIMAL.replace("mesh.nx = 4", "mesh.nx = 6").replace("mesh.ny = 3", "mesh.ny = 5")
+        + "heat.preset = constant\nheat.rate = 5\nphys.lambda = 3\n"
+        + f"output.directory = {tmp_path / 'out'}\n"
+    )
+    assert cli.main(["run", str(cfg)]) == 3
+    assert capsys.readouterr().err.strip() == (
+        "run failed: step 1: entropy fixed point stalled (last update 4.802e+00); "
+        "reduce the time step (config key 'run.h' = 0.001)"
+    )
 
 
 def taylor_config(tmp_path, h):

@@ -1,0 +1,182 @@
+"""Forces, friction and conduction on the adjacency list.
+
+The step evaluates these terms per pair of adjacent cells.  The dense
+``(N, N)`` formulas they replaced are kept here as the oracle.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from decflow import cli_io as cli
+from decflow import fields as fd
+from decflow import integrator as ig
+from decflow import mesh as msh
+from decflow import physics as ph
+
+GAS = ph.GasParams()
+PHYS = ph.PhysParams(mu=0.02, zeta=0.01, lam=0.05, theta_env=1.2, insulated=False)
+
+
+@pytest.fixture(scope="module")
+def jittered250():
+    """Irregular 250-cell mesh (the 12x10 strip with moved interior nodes)."""
+    rng = np.random.default_rng(7)
+    return msh.compute_geometry(msh.jitter_mesh(msh.generate_rect_mesh(12, 10, 1.0, 1.0), 0.15, rng))
+
+
+# ---------------------------------------------------------------------------
+# The dense formulas
+# ---------------------------------------------------------------------------
+
+
+def dense_d0(geom, f):
+    return np.where(geom.adj, f[None, :] - f[:, None], 0.0)
+
+
+def dense_mean(f):
+    return 0.5 * (f[:, None] + f[None, :])
+
+
+def dense_kinetic(geom, a):
+    return np.einsum("ij,ij->i", geom.flat_coef * a, a * geom.adj)
+
+
+def dense_gradient_forces(geom, a, d, s):
+    _, eps_d, eps_s = ph.internal_energy(d, s, GAS)
+    dl_dd = 0.5 * dense_kinetic(geom, a) - eps_d
+    return dense_mean(d) * dense_d0(geom, dl_dd) + dense_mean(s) * dense_d0(geom, -eps_s)
+
+
+def dense_viscous_force(geom, a, phys):
+    z = geom.flat_coef * a
+    om = np.zeros(geom.mesh.num_nodes)
+    np.add.at(om, geom.pair_node, z[geom.pair_i, geom.pair_j])
+    w = om * geom.star_e
+    i, j = geom.adj_i, geom.adj_j
+    lam = np.zeros_like(z)
+    lam[i, j] = 0.5 * (w[geom.adj_eplus] - w[geom.adj_eminus]) * (geom.star_h_len[i, j] / geom.h_len[i, j])
+    return -phys.mu_tilde * dense_d0(geom, 2.0 * np.diagonal(a)) - 2.0 * phys.mu * lam
+
+
+def dense_entropy_flux(geom, theta, phys):
+    n = geom.n
+    j = np.zeros((n + 1, n + 1))
+    i, k = geom.adj_i, geom.adj_j
+    sl = phys.conduction_sign * phys.lam
+    j[i, k] = sl * (theta[i] - theta[k]) / (theta[i] + theta[k]) * geom.h_len[i, k] / (
+        geom.omega[i] * geom.star_h_len[i, k]
+    )
+    te = phys.theta_env
+    j[:n, n] = sl * (theta - te) / (theta + te) * geom.boundary_factor / geom.omega
+    j[n, :n] = -geom.omega * j[:n, n] / geom.omega_env
+    np.fill_diagonal(j, -j.sum(axis=1))
+    return j
+
+
+def dense_friction_power(geom, a, phys):
+    diva = 2.0 * np.diagonal(a)
+    z = geom.flat_coef * a
+    y = -(a @ z + z @ a.T) - 0.5 * dense_d0(geom, dense_kinetic(geom, a))
+    nabla = geom.sharp_coef * y * geom.adj
+    div_nabla = -2.0 * nabla.sum(axis=1)
+    two_away = fd.flat(geom, a)
+    return (
+        phys.mu_tilde * diva * diva
+        + phys.mu * fd.wedge_star(geom, two_away, two_away)
+        + 2.0 * phys.mu * div_nabla
+        - 2.0 * phys.mu * (a.T @ (geom.omega * diva)) / geom.omega
+    )
+
+
+# ---------------------------------------------------------------------------
+# Per pair against dense
+# ---------------------------------------------------------------------------
+
+
+def stepped_state(geom, h):
+    """One variational step at ``h`` from a vortex with uneven density and
+    temperature, or the uneven rest state for ``h = 0``.  The step leaves
+    conduction out: its fixed point stalls at ``h = 0.1``."""
+    amp = 0.0 if h == 0.0 else 0.3
+    state = cli.initial_condition_presets("taylor-like", {"amplitude": str(amp)}, geom, GAS)
+    x = geom.circumcenters
+    state.d = 1.0 + 0.2 * np.sin(3.0 * x[:, 0]) * np.cos(2.0 * x[:, 1])
+    theta = 1.0 + 0.3 * np.cos(4.0 * x[:, 0] + x[:, 1])
+    state.s = ph.entropy_from_temperature(state.d, theta, GAS)
+    if h == 0.0:
+        return state
+    return ig.VariationalStepper(geom, GAS, dataclasses.replace(PHYS, lam=0.0), h).step(state)[0]
+
+
+def assert_close(got, ref, rel=1e-14):
+    assert np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("h", [0.0, 1e-3, 1e-2, 1e-1])
+@pytest.mark.parametrize("mesh", ["jittered65", "jittered250"])
+def test_per_pair_terms_equal_the_dense_formulas(mesh, h, request):
+    geom = request.getfixturevalue(mesh)
+    st = stepped_state(geom, h)
+    a, d, s = st.a, st.d, st.s
+    layout = ig.FluxLayout.build(geom)
+    pick = lambda m: m[layout.rows, layout.cols]
+
+    grad = ig._gradient_forces(geom, layout, a, d, s, GAS)
+    assert_close(grad, pick(dense_gradient_forces(geom, a, d, s)))
+    visc = ph.viscous_pairs(geom, a, PHYS)[layout.pos]
+    if h == 0.0:
+        assert np.all(visc == 0.0)
+    else:
+        assert_close(visc, pick(dense_viscous_force(geom, a, PHYS)))
+        assert_close(ph.friction_power(geom, a, PHYS), dense_friction_power(geom, a, PHYS))
+
+    theta = ph.temperature(d, s, GAS)
+    jmat = dense_entropy_flux(geom, theta, PHYS)
+    div_j, theta_j, bnd = ph.conduction(geom, theta, PHYS)
+    assert_close(div_j, 2.0 * np.diagonal(jmat)[: geom.n])
+    assert_close(theta_j, -(jmat @ np.append(theta, PHYS.theta_env))[: geom.n])
+    assert_close(bnd, -2.0 * jmat[: geom.n, geom.n])
+
+
+def test_dense_operators_are_scatters_of_the_pairs(jittered65, rng):
+    geom = jittered65
+    st = stepped_state(geom, 1e-2)
+    theta = ph.temperature(st.d, st.s, GAS)
+    np.testing.assert_array_equal(ph.entropy_flux(geom, theta, PHYS), dense_entropy_flux(geom, theta, PHYS))
+    np.testing.assert_array_equal(ph.viscous_force(geom, st.a, PHYS), dense_viscous_force(geom, st.a, PHYS))
+    f = rng.normal(size=geom.n)
+    np.testing.assert_array_equal(fd.d0(geom, f), dense_d0(geom, f))
+    np.testing.assert_array_equal(fd.pair_mean(f), dense_mean(f))
+
+
+# ---------------------------------------------------------------------------
+# What the step calls
+# ---------------------------------------------------------------------------
+
+
+def test_the_step_builds_no_dense_force(jittered65, monkeypatch):
+    state = stepped_state(jittered65, 1e-3)
+    stepper = ig.VariationalStepper(jittered65, GAS, dataclasses.replace(PHYS, lam=0.01), 1e-3)
+    prev = stepper._transport_term(state.a, state.d, -1.0)
+    flux = stepper.layout.from_matrix(state.a)
+    stepper._momentum_residual(flux, state.d, state.s, prev)
+
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+
+        return call
+
+    for module, name in (
+        (fd, "d0"),
+        (fd, "pair_mean"),
+        (ph, "variational_derivatives"),
+        (ph, "viscous_force"),
+        (ph, "entropy_flux"),
+    ):
+        monkeypatch.setattr(module, name, forbidden(name))
+    stepper._momentum_residual(flux, state.d, state.s, prev)
+    _, report = stepper.step(state)  # residuals, a Jacobian and the entropy iterations
+    assert report.jacobian_builds == 1 and report.entropy_iters > 1
