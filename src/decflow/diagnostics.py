@@ -1,5 +1,5 @@
-"""Scalar diagnostics of a fluid state: conserved totals, balance residuals,
-vorticity and circulation probes.
+"""Scalar diagnostics of a fluid state: conserved totals and balance
+residuals.
 
 The balance quantities mirror the semi-discrete theorems: total mass is
 constant, total entropy changes by the production minus the boundary flux,
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fields as fd
 from . import physics as ph
 from .mesh import MeshGeometry
 
@@ -24,8 +23,6 @@ __all__ = [
     "sample",
     "energy_residual",
     "total_energy",
-    "vorticity_field",
-    "kelvin_circulation",
 ]
 
 
@@ -41,11 +38,10 @@ class DiagnosticsSample:
 
 
 def total_energy(geom: MeshGeometry, state: ph.FluidState, gas: ph.GasParams) -> float:
-    """``E = pairing1(dl/dA, A) - l`` (kinetic + internal)."""
-    dl_da, _, _ = ph.variational_derivatives(geom, state.a, state.d, state.s, gas)
-    return fd.pairing1(geom, dl_da, state.a) - ph.lagrangian(
-        geom, state.a, state.d, state.s, gas
-    )
+    """Kinetic plus internal energy, ``sum_i Omega_ii (D_i K_i / 2 + eps_i)``."""
+    k = ph.kinetic_density(geom, state.a)
+    eps = ph.internal_energy(state.d, state.s, gas)[0]
+    return float(np.sum(geom.omega * (0.5 * state.d * k + eps)))
 
 
 def sample(
@@ -92,24 +88,3 @@ def energy_residual(prev: DiagnosticsSample, cur: DiagnosticsSample) -> float:
     )
     return rate - source
 
-
-def vorticity_field(geom: MeshGeometry, a) -> np.ndarray:
-    """Vorticity around every node of the velocity's one-form."""
-    return fd.total_vorticity(geom, fd.flat(geom, a, two_away=False))
-
-
-def kelvin_circulation(geom: MeshGeometry, a, d, loop) -> float:
-    """Circulation ``sum A^flat_ij / Dbar_ij`` around a closed chain of
-    adjacent cells (the momentum one-form weighted by inverse density)."""
-    loop = np.asarray(loop, dtype=int)
-    if loop.ndim != 1 or len(loop) < 3:
-        raise ValueError("loop must list at least three cells")
-    z = fd.flat(geom, a, two_away=False)
-    d = np.asarray(d, dtype=float)
-    total = 0.0
-    for p in range(len(loop)):
-        i, j = int(loop[p]), int(loop[(p + 1) % len(loop)])
-        if not geom.adj[i, j]:
-            raise ValueError(f"cells {i} and {j} in the loop are not adjacent")
-        total += z[i, j] / (0.5 * (d[i] + d[j]))
-    return total

@@ -6,7 +6,8 @@ supported on the diagonal plus adjacent cell pairs, and a *one-form* is an
 ``(N, N)`` matrix supported on adjacent and two-away pairs.
 
 One-forms and forces on adjacent pairs are evaluated *per pair*, on the
-directed adjacency list ``(geom.adj_i, geom.adj_j)``, by NumPy gathers and
+directed adjacency list ``(geom.adj_i, geom.adj_j)`` where the geometry
+stores its lengths and flat/sharp coefficients, by NumPy gathers and
 ``np.bincount`` (the ``*_pairs`` functions); the dense matrices of ``d0``,
 ``lambda_op``, ``sharp`` and the adjacent part of ``flat`` are scatters of
 those values (:func:`from_pairs`).  The fundamental matrix spaces are
@@ -216,13 +217,13 @@ def flat(geom: MeshGeometry, a, two_away: bool = True, check: bool = True) -> np
 def flat_pairs(geom: MeshGeometry, ap) -> np.ndarray:
     """Adjacent entries ``2 Omega_ii A_ij |*h_ij| / |h_ij|`` of the flat, from
     the vector field's entries ``ap`` on the adjacency list."""
-    return geom.pairs.flat_coef * ap
+    return geom.flat_coef * ap
 
 
 def sharp(geom: MeshGeometry, z) -> np.ndarray:
     """Raise a one-form to a vector field (adjacent entries only, diagonal
     completed so rows sum to zero)."""
-    a = from_pairs(geom, geom.pairs.sharp_coef * on_pairs(geom, z))
+    a = from_pairs(geom, geom.sharp_coef * on_pairs(geom, z))
     np.fill_diagonal(a, -a.sum(axis=1))
     return a
 
@@ -235,7 +236,7 @@ def laplace_beltrami(geom: MeshGeometry, f, env: float | None = None) -> np.ndar
     value through their boundary edges.
     """
     fv = np.asarray(f, dtype=float)[: geom.n]
-    w = geom.pairs.h_len / geom.pairs.star_h_len
+    w = geom.h_len / geom.star_h_len
     out = np.bincount(geom.adj_i, w * pair_diff(fv, geom.adj_j, geom.adj_i), minlength=geom.n)
     if env is not None:
         out += (fv - float(env)) * geom.boundary_factor
@@ -251,7 +252,7 @@ def total_vorticity(geom: MeshGeometry, z) -> np.ndarray:
 def fan_vorticity(geom: MeshGeometry, zp) -> np.ndarray:
     """:func:`total_vorticity` from the one-form's entries ``zp`` on the
     adjacency list."""
-    return np.bincount(geom.pair_node, zp[geom.pairs.fan], minlength=geom.mesh.num_nodes)
+    return np.bincount(geom.pair_node, zp[geom.pair_adj], minlength=geom.mesh.num_nodes)
 
 
 def lambda_op(geom: MeshGeometry, z) -> np.ndarray:
@@ -264,7 +265,7 @@ def lambda_pairs(geom: MeshGeometry, zp) -> np.ndarray:
     """:func:`lambda_op` on the adjacency list, from the one-form's entries
     ``zp`` there."""
     w = fan_vorticity(geom, zp) * geom.star_e
-    return 0.5 * (w[geom.adj_eplus] - w[geom.adj_eminus]) * geom.pairs.lam_coef
+    return 0.5 * (w[geom.adj_eplus] - w[geom.adj_eminus]) * (geom.star_h_len / geom.h_len)
 
 
 def wedge_star(geom: MeshGeometry, za, zb) -> np.ndarray:

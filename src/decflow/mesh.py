@@ -45,7 +45,6 @@ __all__ = [
     "Mesh",
     "MeshGeometry",
     "AdjacencyCSR",
-    "AdjacencyPairs",
     "MeshError",
     "load_mesh",
     "generate_rect_mesh",
@@ -336,15 +335,17 @@ def jitter_mesh(mesh: Mesh, amount: float, rng: np.random.Generator) -> Mesh:
 class MeshGeometry:
     """Every precomputed circumcentric-dual quantity.
 
-    Pairwise quantities are stored as dense ``(N, N)`` arrays that vanish off
-    the adjacency pattern (gathered onto the adjacency list by :attr:`pairs`
-    at its first use); per-node fan data is stored both as ragged lists
-    (``rings``, ``kappa``) and as flattened index tables for vectorized
-    operator assembly:
+    Pairwise quantities are stored per pair, aligned with the directed
+    adjacency list ``(adj_i, adj_j)`` (row major): the lengths ``h_len`` =
+    ``|h_ij|`` and ``star_h_len`` = ``|*h_ij|``, ``flat_coef`` =
+    ``2 Omega_ii |*h_ij|/|h_ij|`` and ``sharp_coef`` = ``|h_ij|/|*h_ij| /
+    (2 Omega_ii)``.  The boolean ``(N, N)`` ``adj`` marks the same pairs.
+    Per-node fan data is stored both as ragged lists (``rings``, ``kappa``)
+    and as flattened index tables for vectorized operator assembly:
 
     * ``pair_*``: one row per consecutive ccw fan pair ``(i, j)`` at a node
       (the dual-polygon boundary segments; this is the support of the total
-      vorticity sums),
+      vorticity sums), with ``pair_adj`` its row on the adjacency list,
     * ``tri_*``: one row per kite triplet -- middle cell ``i`` with fan
       neighbors ``j`` (ccw next) and ``k`` (ccw previous) at node ``e`` --
       with the kite area, ``W_ijk`` and signed ``K_ijk``,
@@ -368,6 +369,7 @@ class MeshGeometry:
     pair_node: np.ndarray
     pair_i: np.ndarray
     pair_j: np.ndarray
+    pair_adj: np.ndarray
     tri_node: np.ndarray
     tri_i: np.ndarray
     tri_j: np.ndarray
@@ -399,13 +401,7 @@ class MeshGeometry:
     def adjacency_csr(self) -> "AdjacencyCSR":
         """CSR form of matrices on the diagonal and the adjacent pairs,
         built at its first use."""
-        return AdjacencyCSR(self.adj)
-
-    @functools.cached_property
-    def pairs(self) -> "AdjacencyPairs":
-        """Coefficients and index tables on the directed adjacency list
-        ``(adj_i, adj_j)``, built at their first use."""
-        return AdjacencyPairs(self)
+        return AdjacencyCSR(self.n, self.adj_i, self.adj_j)
 
 
 class _PairedCSR(csr_array):
@@ -432,9 +428,11 @@ class AdjacencyCSR:
     :meth:`load`.
     """
 
-    def __init__(self, adj: np.ndarray):
-        n = len(adj)
-        self.rows, self.cols = np.nonzero(adj | np.eye(n, dtype=bool))
+    def __init__(self, n: int, adj_i: np.ndarray, adj_j: np.ndarray):
+        rows = np.concatenate([adj_i, np.arange(n)])
+        cols = np.concatenate([adj_j, np.arange(n)])
+        order = np.lexsort((cols, rows))  # row major
+        self.rows, self.cols = rows[order], cols[order]
         indptr = np.searchsorted(self.rows, np.arange(n + 1))
         pair = [
             _PairedCSR((np.zeros(len(self.rows)), self.cols, indptr), shape=(n, n))
@@ -447,20 +445,6 @@ class AdjacencyCSR:
         np.multiply(x[self.rows, self.cols], scale, out=self._mat.data)
         np.multiply(x[self.cols, self.rows], scale, out=self._mat.T.data)
         return self._mat
-
-
-class AdjacencyPairs:
-    """The geometry on the directed adjacency list ``(adj_i, adj_j)`` (row
-    major), gathered once from the dense arrays: ``flat_coef``,
-    ``sharp_coef``, ``h_len``, ``star_h_len`` and ``lam_coef = |*h|/|h|``
-    per pair; and ``fan``, the positions of the fan pairs ``(pair_i, pair_j)``."""
-
-    def __init__(self, geom: MeshGeometry):
-        i, j, n = geom.adj_i, geom.adj_j, geom.n
-        for name in ("flat_coef", "sharp_coef", "h_len", "star_h_len"):
-            setattr(self, name, getattr(geom, name)[i, j])
-        self.lam_coef = self.star_h_len / self.h_len
-        self.fan = np.searchsorted(i * n + j, geom.pair_i * n + geom.pair_j)  # i * n + j is sorted
 
 
 def _circumcenters(nodes: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -554,10 +538,9 @@ def _geometry(mesh: Mesh, issues: list) -> MeshGeometry:
     diameter = float(np.hypot(*(hi - lo)))
     eps_geom = 1e-12 * diameter
 
-    # Pairwise lengths over adjacent pairs.
+    # Lengths |h|, |*h| of each shared edge, keyed by its cell pair.
     adj = np.zeros((n, n), dtype=bool)
-    h_len = np.zeros((n, n))
-    star_h = np.zeros((n, n))
+    lengths = {}
     boundary_factor = np.zeros(n)
     for c in range(n):
         for t in range(3):
@@ -570,8 +553,7 @@ def _geometry(mesh: Mesh, issues: list) -> MeshGeometry:
                     continue  # handled once per unordered pair
                 slen = float(np.hypot(*(cc[d] - cc[c])))
                 adj[c, d] = adj[d, c] = True
-                h_len[c, d] = h_len[d, c] = hlen
-                star_h[c, d] = star_h[d, c] = slen
+                lengths[(c, d)] = lengths[(d, c)] = (hlen, slen)
                 if slen <= eps_geom:
                     issues.append(
                         f"degenerate dual edge between cells {c} and {d} "
@@ -587,12 +569,6 @@ def _geometry(mesh: Mesh, issues: list) -> MeshGeometry:
                     )
                 else:
                     boundary_factor[c] += hlen / slen
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(adj, star_h / np.where(h_len > 0, h_len, 1.0), 0.0)
-        inv_ratio = np.where(adj & (star_h > eps_geom), h_len / np.where(star_h > 0, star_h, 1.0), 0.0)
-    flat_coef = 2.0 * omega[:, None] * ratio
-    sharp_coef = inv_ratio / (2.0 * omega[:, None])
 
     rings, cyclic = _node_fans(mesh, issues)
 
@@ -676,7 +652,7 @@ def _geometry(mesh: Mesh, issues: list) -> MeshGeometry:
     eplus = {}
     for v, i, j in zip(pair_node, pair_i, pair_j):
         eplus[(i, j)] = v
-    adj_i, adj_j, adj_ep, adj_em = [], [], [], []
+    adj_i, adj_j, adj_ep, adj_em, adj_len = [], [], [], [], []
     for i, j in zip(*np.nonzero(adj)):
         key, rkey = (int(i), int(j)), (int(j), int(i))
         if key in eplus and rkey in eplus:
@@ -684,8 +660,17 @@ def _geometry(mesh: Mesh, issues: list) -> MeshGeometry:
             adj_j.append(int(j))
             adj_ep.append(eplus[key])
             adj_em.append(eplus[rkey])
+            adj_len.append(lengths[key])
         else:
             issues.append(f"adjacent pair ({i},{j}) missing a fan endpoint")
+    adj_i = np.array(adj_i, dtype=np.int64)
+    adj_j = np.array(adj_j, dtype=np.int64)
+    h_len, star_h = np.array(adj_len).reshape(-1, 2).T
+    flat_coef = 2.0 * omega[adj_i] * (star_h / h_len)
+    dual = star_h > eps_geom  # a degenerate dual edge gets no sharp
+    sharp_coef = np.where(dual, h_len / np.where(dual, star_h, 1.0), 0.0) / (2.0 * omega[adj_i])
+    pair_i, pair_j = np.array(pair_i, dtype=np.int64), np.array(pair_j, dtype=np.int64)
+    pair_adj = np.searchsorted(adj_i * n + adj_j, pair_i * n + pair_j)  # the keys are sorted
 
     # Two-away one-form entry assignments.  Triplet (i, j, k) at node e fixes
     # the entries between the fan neighbors j and k of its middle cell:
@@ -736,8 +721,9 @@ def _geometry(mesh: Mesh, issues: list) -> MeshGeometry:
         kappa=kappa,
         star_e=star_e,
         pair_node=np.array(pair_node, dtype=np.int64),
-        pair_i=np.array(pair_i, dtype=np.int64),
-        pair_j=np.array(pair_j, dtype=np.int64),
+        pair_i=pair_i,
+        pair_j=pair_j,
+        pair_adj=pair_adj,
         tri_node=tri_node,
         tri_i=tri_i,
         tri_j=tri_j,
@@ -745,8 +731,8 @@ def _geometry(mesh: Mesh, issues: list) -> MeshGeometry:
         tri_kappa=tri_kappa,
         tri_w=tri_w,
         tri_kconst=tri_kconst,
-        adj_i=np.array(adj_i, dtype=np.int64),
-        adj_j=np.array(adj_j, dtype=np.int64),
+        adj_i=adj_i,
+        adj_j=adj_j,
         adj_eplus=np.array(adj_ep, dtype=np.int64),
         adj_eminus=np.array(adj_em, dtype=np.int64),
         ta_row=np.array(ta_rows[0], dtype=np.int64),

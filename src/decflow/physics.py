@@ -189,10 +189,10 @@ def entropy_flux_pairs(geom: MeshGeometry, theta, phys: PhysParams):
     theta = np.asarray(theta, dtype=float)
     jp, col = np.zeros(len(geom.adj_i)), np.zeros(geom.n)
     if phys.lam != 0.0:
-        i, k, pairs = geom.adj_i, geom.adj_j, geom.pairs
+        i, k = geom.adj_i, geom.adj_j
         ti, tk = theta[i], theta[k]
         sl = phys.conduction_sign * phys.lam
-        jp = sl * (ti - tk) / (ti + tk) * pairs.h_len / (geom.omega[i] * pairs.star_h_len)
+        jp = sl * (ti - tk) / (ti + tk) * geom.h_len / (geom.omega[i] * geom.star_h_len)
         if not phys.insulated:
             te = phys.theta_env
             col = sl * (theta - te) / (theta + te) * geom.boundary_factor / geom.omega
@@ -245,7 +245,7 @@ def friction_power(geom: MeshGeometry, a, phys: PhysParams) -> np.ndarray:
         z = fd.flat(geom, a)
         out = out + phys.mu * fd.wedge_star(geom, z, z)
         # div(nabla_A A) = 2 (nabla_A A)_ii, minus twice the raised row sums
-        vp = geom.pairs.sharp_coef * nabla_pairs(geom, a)
+        vp = geom.sharp_coef * nabla_pairs(geom, a)
         out = out + 2.0 * phys.mu * (-2.0 * np.bincount(geom.adj_i, vp, minlength=geom.n))
         out = out - 2.0 * phys.mu * fd.act_den(geom, diva, a)
     return out

@@ -82,10 +82,11 @@ def random_tangent(
     actually evolves, and the one on which the rotational-energy identities
     hold without boundary terms.
     """
-    iu, ju = np.nonzero(np.triu(geom.adj, 1))
+    up = geom.adj_i < geom.adj_j  # the pairs of np.nonzero(np.triu(adj, 1)), in order
+    iu, ju = geom.adj_i[up], geom.adj_j[up]
     flux = rng.standard_normal(iu.size)
     if velocity_scale:
-        flux = flux * geom.h_len[iu, ju]
+        flux = flux * geom.h_len[up]
     if no_slip:
         bc = geom.mesh.boundary_cells
         flux = np.where(bc[iu] | bc[ju], 0.0, flux)

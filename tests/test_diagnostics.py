@@ -1,4 +1,4 @@
-"""Scalar diagnostics: totals, balance residuals, circulation."""
+"""Scalar diagnostics: totals and balance residuals."""
 
 import numpy as np
 import pytest
@@ -37,7 +37,12 @@ def test_total_energy_is_kinetic_plus_internal(gen65):
     state = shear_state(gen65)
     kin = 0.5 * np.sum(gen65.omega * state.d * ph.kinetic_density(gen65, state.a))
     internal = np.sum(gen65.omega * ph.internal_energy(state.d, state.s, GAS)[0])
-    assert dg.total_energy(gen65, state, GAS) == pytest.approx(kin + internal, rel=1e-13)
+    energy = dg.total_energy(gen65, state, GAS)
+    assert energy == pytest.approx(kin + internal, rel=1e-13)
+    # The Legendre transform of the Lagrangian, E = <dl/dA, A> - l.
+    dl_da = ph.variational_derivatives(gen65, state.a, state.d, state.s, GAS)[0]
+    legendre = fd.pairing1(gen65, dl_da, state.a) - ph.lagrangian(gen65, state.a, state.d, state.s, GAS)
+    assert energy == pytest.approx(legendre, rel=1e-14)
 
 
 def test_energy_residual_of_identical_times_is_zero(gen65):
@@ -75,35 +80,3 @@ def test_balance_residuals_shrink_linearly(gen65):
     assert abs(e2) < 5e-5 and abs(s2) < 1e-4
     assert 1.5 < abs(e2) / abs(e1) < 2.5
     assert 1.5 < abs(s2) / abs(s1) < 2.5
-
-
-# ---------------------------------------------------------------------------
-# Vorticity and circulation
-# ---------------------------------------------------------------------------
-
-
-def test_gradient_flow_has_no_interior_circulation(gen65, rng):
-    f = rng.normal(size=gen65.n)
-    a = fd.sharp(gen65, fd.d0(gen65, f))
-    om = dg.vorticity_field(gen65, a)
-    assert np.abs(om[gen65.ring_cyclic]).max() < 1e-13
-
-
-def test_kelvin_circulation_matches_nodal_vorticity(gen65, rng):
-    layout = ig.FluxLayout.build(gen65)
-    a = layout.to_matrix(rng.normal(size=layout.size))
-    ring = [0, 1, 7, 14, 19, 13]  # the fan around interior node 8
-    circ = dg.kelvin_circulation(gen65, a, np.ones(gen65.n), ring)
-    assert circ == pytest.approx(dg.vorticity_field(gen65, a)[8], rel=1e-13)
-    # A non-uniform density reweights the loop.
-    d = 1.0 + 0.3 * np.sin(np.arange(gen65.n))
-    assert dg.kelvin_circulation(gen65, a, d, ring) != pytest.approx(circ, rel=1e-6)
-
-
-def test_kelvin_circulation_rejects_bad_loops(gen65):
-    a = np.zeros((gen65.n, gen65.n))
-    with pytest.raises(ValueError, match="at least three"):
-        dg.kelvin_circulation(gen65, a, np.ones(gen65.n), [0, 1])
-    far = int(np.flatnonzero(~gen65.adj[0])[-1])
-    with pytest.raises(ValueError, match=f"cells 0 and {far} in the loop are not adjacent"):
-        dg.kelvin_circulation(gen65, a, np.ones(gen65.n), [0, far, 1])

@@ -1,5 +1,7 @@
 """Mesh loading, generation, and circumcentric dual geometry."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,11 +30,14 @@ def test_rhombus_circumcenters(rhombus):
 def test_rhombus_dual_edge(rhombus):
     assert rhombus.adj[0, 1] and rhombus.adj[1, 0]
     assert not rhombus.adj[0, 0]
-    assert rhombus.h_len[0, 1] == pytest.approx(1.0, rel=1e-14)
-    assert rhombus.star_h_len[0, 1] == pytest.approx(ROOT3 / 3.0, rel=1e-14)
+    np.testing.assert_array_equal(rhombus.adj_i, [0, 1])
+    np.testing.assert_array_equal(rhombus.adj_j, [1, 0])
+    np.testing.assert_allclose(rhombus.h_len, 1.0, rtol=1e-14)
+    np.testing.assert_allclose(rhombus.star_h_len, ROOT3 / 3.0, rtol=1e-14)
     # 2 * omega * |*h| / |h| for the unit-flux one-form coefficient
-    assert rhombus.flat_coef[0, 1] == pytest.approx(0.5, rel=1e-14)
-    assert rhombus.flat_coef[1, 0] == pytest.approx(0.5, rel=1e-14)
+    np.testing.assert_allclose(rhombus.flat_coef, 0.5, rtol=1e-14)
+    # |h| / |*h| / (2 * omega) raises it back
+    np.testing.assert_allclose(rhombus.sharp_coef, 2.0, rtol=1e-14)
 
 
 def test_rhombus_everything_touches_boundary(rhombus):
@@ -127,9 +132,16 @@ def test_triplets_walk_the_fan(gen65):
 def test_symmetric_tables(jittered):
     g = jittered
     np.testing.assert_array_equal(g.adj, g.adj.T)
-    np.testing.assert_allclose(g.h_len, g.h_len.T, atol=0)
-    np.testing.assert_allclose(g.star_h_len, g.star_h_len.T, atol=0)
-    assert (g.h_len[~g.adj] == 0).all()
+    i, j = np.nonzero(g.adj)
+    np.testing.assert_array_equal(g.adj_i, i)  # the pair list is row major
+    np.testing.assert_array_equal(g.adj_j, j)
+    key = g.adj_i * g.n + g.adj_j
+    reverse = np.searchsorted(key, g.adj_j * g.n + g.adj_i)
+    np.testing.assert_array_equal(key[reverse], g.adj_j * g.n + g.adj_i)
+    for length in (g.h_len, g.star_h_len):
+        assert length.shape == g.adj_i.shape
+        np.testing.assert_array_equal(length, length[reverse])
+        assert (length > 0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +235,11 @@ def test_validate_clean_meshes(gen65, jittered):
 def test_adjacency_csr_holds_the_pattern_and_its_transpose(jittered65, rng):
     pattern = jittered65.adjacency_csr
     assert jittered65.adjacency_csr is pattern  # built once per geometry
-    x = np.where(jittered65.adj | np.eye(jittered65.n, dtype=bool), rng.normal(size=(65, 65)), 0.0)
+    support = jittered65.adj | np.eye(jittered65.n, dtype=bool)
+    rows, cols = np.nonzero(support)  # row major
+    np.testing.assert_array_equal(pattern.rows, rows)
+    np.testing.assert_array_equal(pattern.cols, cols)
+    x = np.where(support, rng.normal(size=(65, 65)), 0.0)
     mat = pattern.load(x, -2.0)
     np.testing.assert_array_equal(mat.toarray(), -2.0 * x)
     np.testing.assert_array_equal(mat.T.toarray(), -2.0 * x.T)
@@ -231,3 +247,17 @@ def test_adjacency_csr_holds_the_pattern_and_its_transpose(jittered65, rng):
     np.testing.assert_array_equal(mat.T.indptr, mat.indptr)
     assert pattern.load(x) is mat  # refreshed in place
     np.testing.assert_array_equal(mat.toarray(), x)
+
+
+def test_geometry_holds_no_dense_float_array():
+    # The pairwise geometry is stored per pair: building it for 980 cells
+    # allocates less than one dense (N, N) float array at its peak.
+    mesh = msh.jitter_mesh(msh.generate_rect_mesh(24, 20, 1.0, 1.0), 0.15, np.random.default_rng(7))
+    tracemalloc.start()
+    try:
+        geom = msh.compute_geometry(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert geom.n == 980
+    assert peak < 8 * geom.n**2

@@ -40,7 +40,7 @@ def dense_mean(f):
 
 
 def dense_kinetic(geom, a):
-    return np.einsum("ij,ij->i", geom.flat_coef * a, a * geom.adj)
+    return np.einsum("ij,ij->i", fd.from_pairs(geom, geom.flat_coef) * a, a * geom.adj)
 
 
 def dense_gradient_forces(geom, a, d, s):
@@ -50,13 +50,14 @@ def dense_gradient_forces(geom, a, d, s):
 
 
 def dense_viscous_force(geom, a, phys):
-    z = geom.flat_coef * a
+    z = fd.from_pairs(geom, geom.flat_coef) * a
     om = np.zeros(geom.mesh.num_nodes)
     np.add.at(om, geom.pair_node, z[geom.pair_i, geom.pair_j])
     w = om * geom.star_e
     i, j = geom.adj_i, geom.adj_j
+    h_len, star_h_len = fd.from_pairs(geom, geom.h_len), fd.from_pairs(geom, geom.star_h_len)
     lam = np.zeros_like(z)
-    lam[i, j] = 0.5 * (w[geom.adj_eplus] - w[geom.adj_eminus]) * (geom.star_h_len[i, j] / geom.h_len[i, j])
+    lam[i, j] = 0.5 * (w[geom.adj_eplus] - w[geom.adj_eminus]) * (star_h_len[i, j] / h_len[i, j])
     return -phys.mu_tilde * dense_d0(geom, 2.0 * np.diagonal(a)) - 2.0 * phys.mu * lam
 
 
@@ -64,9 +65,10 @@ def dense_entropy_flux(geom, theta, phys):
     n = geom.n
     j = np.zeros((n + 1, n + 1))
     i, k = geom.adj_i, geom.adj_j
+    h_len, star_h_len = fd.from_pairs(geom, geom.h_len), fd.from_pairs(geom, geom.star_h_len)
     sl = phys.conduction_sign * phys.lam
-    j[i, k] = sl * (theta[i] - theta[k]) / (theta[i] + theta[k]) * geom.h_len[i, k] / (
-        geom.omega[i] * geom.star_h_len[i, k]
+    j[i, k] = sl * (theta[i] - theta[k]) / (theta[i] + theta[k]) * h_len[i, k] / (
+        geom.omega[i] * star_h_len[i, k]
     )
     te = phys.theta_env
     j[:n, n] = sl * (theta - te) / (theta + te) * geom.boundary_factor / geom.omega
@@ -77,9 +79,9 @@ def dense_entropy_flux(geom, theta, phys):
 
 def dense_friction_power(geom, a, phys):
     diva = 2.0 * np.diagonal(a)
-    z = geom.flat_coef * a
+    z = fd.from_pairs(geom, geom.flat_coef) * a
     y = -(a @ z + z @ a.T) - 0.5 * dense_d0(geom, dense_kinetic(geom, a))
-    nabla = geom.sharp_coef * y * geom.adj
+    nabla = fd.from_pairs(geom, geom.sharp_coef) * y * geom.adj
     div_nabla = -2.0 * nabla.sum(axis=1)
     two_away = fd.flat(geom, a)
     return (
