@@ -174,7 +174,7 @@ def flux_matrix(omega, rows, cols, flux) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def flat(geom: MeshGeometry, a, two_away: bool = True, check: bool = True) -> np.ndarray:
+def flat(geom: MeshGeometry, a, two_away: bool = True) -> np.ndarray:
     """Lower a vector field to a one-form.
 
     Adjacent entries are ``2 Omega_ii A_ij |*h_ij| / |h_ij|``.  With
@@ -201,7 +201,7 @@ def flat(geom: MeshGeometry, a, two_away: bool = True, check: bool = True) -> np
     rev = -rhs - z[ti, tk] - z[tj, ti]  # solves for Z[k, j]
     vals = np.where(geom.ta_sign > 0, fwd[geom.ta_tri], rev[geom.ta_tri])
     z[geom.ta_row, geom.ta_col] = vals
-    if check and len(geom.dup_row):
+    if len(geom.dup_row):
         dvals = np.where(geom.dup_sign > 0, fwd[geom.dup_tri], rev[geom.dup_tri])
         have = z[geom.dup_row, geom.dup_col]
         scale = max(1e-300, float(np.max(np.abs(z))))
@@ -353,7 +353,7 @@ def lie_deriv_oneform_density_kite(geom: MeshGeometry, a, b, d) -> np.ndarray:
     dbar = pair_mean(d)
     da = act_den(geom, d, a)
     dabar = pair_mean(da)
-    rowdot = np.einsum("ik,ik->i", a, zb * geom.adj)
+    rowdot = np.einsum("ik,ik->i", a, zb * from_pairs(geom, 1.0))
 
     # A kite triplet (middle m, ccw next x, ccw previous v, node e) holds
     # the fan-neighbor terms at e of the four pairs meeting at m: e is the
@@ -428,7 +428,7 @@ def membership_residuals(geom: MeshGeometry, a) -> dict:
     a = np.asarray(a, dtype=float)
     weighted = geom.omega[:, None] * a
     off = ~np.eye(geom.n, dtype=bool)
-    support = off & ~geom.adj
+    support = off & (from_pairs(geom, 1.0) == 0.0)
     bc = geom.mesh.boundary_cells
     d0_rows = bc[:, None] | bc[None, :]
     return {

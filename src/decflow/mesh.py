@@ -15,6 +15,11 @@ precomputes every dual-geometry quantity the discrete operators need:
   built from them,
 * the shared-edge endpoint labels ``e+_ij`` / ``e-_ij`` per adjacent pair.
 
+Everything is computed by array operations over two flat tables: one row per
+(cell, local edge), and one row per (node, position in its fan).  Pairwise
+quantities are indexed only by the row-major directed adjacency list
+``(adj_i, adj_j)``; no ``(N, N)`` array is formed.
+
 Orientation conventions (used consistently by every operator):
 
 * cells are stored counterclockwise (auto-corrected on load);
@@ -99,11 +104,6 @@ class Mesh:
         return len(self.nodes)
 
     @property
-    def env_index(self) -> int:
-        """Index of the environment cell in extended (N+1)-sized arrays."""
-        return self.num_cells
-
-    @property
     def interior_cells(self) -> np.ndarray:
         """Cells with no boundary edge (the no-slip degrees of freedom)."""
         return ~self.boundary_cells
@@ -118,6 +118,13 @@ def _signed_areas(nodes: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return 0.5 * _cross2(p1 - p0, p2 - p0)
 
 
+def _edge_ends(cells: np.ndarray) -> np.ndarray:
+    """Endpoints of every local edge, one row per (cell, local edge) in
+    ``(c, t)`` order: local edge ``t`` is the one opposite vertex ``t`` and
+    runs from vertex ``t+1`` to vertex ``t+2``."""
+    return cells[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2)
+
+
 def _build_mesh(nodes: np.ndarray, cells: np.ndarray) -> Mesh:
     nodes = np.asarray(nodes, dtype=float)
     cells = np.asarray(cells, dtype=np.int64)
@@ -129,9 +136,9 @@ def _build_mesh(nodes: np.ndarray, cells: np.ndarray) -> Mesh:
         raise MeshError("mesh has no cells")
     if cells.min() < 0 or cells.max() >= len(nodes):
         raise MeshError("cell references a node index out of range")
-    for c, tri in enumerate(cells):
-        if len(set(tri.tolist())) != 3:
-            raise MeshError(f"cell {c} repeats a node index")
+    repeats = np.flatnonzero((cells == np.roll(cells, 1, axis=1)).any(axis=1))
+    if repeats.size:
+        raise MeshError(f"cell {repeats[0]} repeats a node index")
 
     areas = _signed_areas(nodes, cells)
     flipped = np.flatnonzero(areas < 0.0)
@@ -146,38 +153,39 @@ def _build_mesh(nodes: np.ndarray, cells: np.ndarray) -> Mesh:
         bad = int(np.argmin(areas))
         raise MeshError(f"cell {bad} is degenerate (area {areas[bad]:.3e})")
 
-    # Edge table: local edge t of a cell is the edge opposite vertex t.
-    edge_users: dict = {}
-    for c in range(len(cells)):
-        for t in range(3):
-            a = int(cells[c, (t + 1) % 3])
-            b = int(cells[c, (t + 2) % 3])
-            key = (a, b) if a < b else (b, a)
-            edge_users.setdefault(key, []).append((c, t))
-    adjacency = np.full((len(cells), 3), -1, dtype=np.int64)
-    for key, users in edge_users.items():
-        if len(users) > 2:
-            raise MeshError(f"edge {key} is shared by {len(users)} cells")
-        if len(users) == 2:
-            (c1, t1), (c2, t2) = users
-            if c1 == c2:
-                raise MeshError(f"cell {c1} uses edge {key} twice")
-            adjacency[c1, t1] = c2
-            adjacency[c2, t2] = c1
+    # Match the local edges by their sorted node pairs; the stable sort keeps
+    # the users of each edge in (c, t) order.
+    ends = _edge_ends(cells)
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    key = lo * len(nodes) + hi
+    order = np.argsort(key, kind="stable")
+    first = np.flatnonzero(np.r_[True, key[order][1:] != key[order][:-1]])
+    users = np.diff(np.r_[first, len(key)])
+    crowded = np.flatnonzero(users > 2)
+    if crowded.size:  # report the edge that appears first
+        g = crowded[np.argmin(order[first[crowded]])]
+        row = order[first[g]]
+        raise MeshError(f"edge ({lo[row]}, {hi[row]}) is shared by {users[g]} cells")
+    r1, r2 = order[first[users == 2]], order[first[users == 2] + 1]
+    own = np.arange(len(cells))
+    row_cell = np.repeat(own, 3)
+    adjacency = np.full(3 * len(cells), -1, dtype=np.int64)
+    adjacency[r1], adjacency[r2] = row_cell[r2], row_cell[r1]
+    adjacency = adjacency.reshape(-1, 3)
 
     boundary_cells = (adjacency < 0).any(axis=1)
 
-    # Edge-connectedness.
-    seen = np.zeros(len(cells), dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        c = stack.pop()
-        for d in adjacency[c]:
-            if d >= 0 and not seen[d]:
-                seen[d] = True
-                stack.append(int(d))
-    if not seen.all():
+    # Edge-connectedness: every cell takes the smallest label among itself
+    # and its neighbors, then its label's label, until nothing changes.
+    nbr = np.where(adjacency >= 0, adjacency, own[:, None])
+    label = own
+    while True:
+        step = np.minimum(label, label[nbr].min(axis=1))
+        step = step[step]
+        if np.array_equal(step, label):
+            break
+        label = step
+    if label.any():
         raise MeshError("mesh is not edge-connected")
 
     return Mesh(
@@ -306,17 +314,13 @@ def jitter_mesh(mesh: Mesh, amount: float, rng: np.random.Generator) -> Mesh:
     obtuse triangles with degenerate duals).
     """
     nodes = mesh.nodes.copy()
-    on_boundary = np.zeros(mesh.num_nodes, dtype=bool)
+    ends = _edge_ends(mesh.cells)
+    length = np.hypot(*(nodes[ends[:, 1]] - nodes[ends[:, 0]]).T)
     edge_min = np.full(mesh.num_nodes, np.inf)
-    for c in range(mesh.num_cells):
-        for t in range(3):
-            a = int(mesh.cells[c, (t + 1) % 3])
-            b = int(mesh.cells[c, (t + 2) % 3])
-            ln = float(np.hypot(*(mesh.nodes[b] - mesh.nodes[a])))
-            edge_min[a] = min(edge_min[a], ln)
-            edge_min[b] = min(edge_min[b], ln)
-            if mesh.cell_adjacency[c, t] < 0:
-                on_boundary[a] = on_boundary[b] = True
+    np.minimum.at(edge_min, ends[:, 0], length)
+    np.minimum.at(edge_min, ends[:, 1], length)
+    on_boundary = np.zeros(mesh.num_nodes, dtype=bool)
+    on_boundary[ends[mesh.cell_adjacency.ravel() < 0]] = True
     interior = np.flatnonzero(~on_boundary)
     if interior.size:
         angles = rng.uniform(0.0, 2.0 * np.pi, interior.size)
@@ -339,7 +343,7 @@ class MeshGeometry:
     adjacency list ``(adj_i, adj_j)`` (row major): the lengths ``h_len`` =
     ``|h_ij|`` and ``star_h_len`` = ``|*h_ij|``, ``flat_coef`` =
     ``2 Omega_ii |*h_ij|/|h_ij|`` and ``sharp_coef`` = ``|h_ij|/|*h_ij| /
-    (2 Omega_ii)``.  The boolean ``(N, N)`` ``adj`` marks the same pairs.
+    (2 Omega_ii)``.  The list is the only index of cell pairs.
     Per-node fan data is stored both as ragged lists (``rings``, ``kappa``)
     and as flattened index tables for vectorized operator assembly:
 
@@ -357,7 +361,6 @@ class MeshGeometry:
     omega: np.ndarray
     omega_env: float
     circumcenters: np.ndarray
-    adj: np.ndarray
     h_len: np.ndarray
     star_h_len: np.ndarray
     flat_coef: np.ndarray
@@ -390,7 +393,6 @@ class MeshGeometry:
     dup_tri: np.ndarray
     dup_sign: np.ndarray
     boundary_factor: np.ndarray
-    eps_geom: float
     diameter: float
 
     @property
@@ -523,9 +525,14 @@ def _node_fans(mesh: Mesh, issues: list) -> tuple:
     return rings, cyclic
 
 
-def _polygon_area(points: np.ndarray) -> float:
-    x, y = points[:, 0], points[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+def _last_row(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Row of the last occurrence of each query in ``keys``, ``-1`` where it
+    does not occur."""
+    if len(keys) == 0:
+        return np.full(len(queries), -1)
+    order = np.argsort(keys, kind="stable")
+    rows = order[np.maximum(np.searchsorted(keys[order], queries, side="right") - 1, 0)]
+    return np.where(keys[rows] == queries, rows, -1)
 
 
 def _geometry(mesh: Mesh, issues: list) -> MeshGeometry:
@@ -538,96 +545,67 @@ def _geometry(mesh: Mesh, issues: list) -> MeshGeometry:
     diameter = float(np.hypot(*(hi - lo)))
     eps_geom = 1e-12 * diameter
 
-    # Lengths |h|, |*h| of each shared edge, keyed by its cell pair.
-    adj = np.zeros((n, n), dtype=bool)
-    lengths = {}
-    boundary_factor = np.zeros(n)
-    for c in range(n):
-        for t in range(3):
-            d = int(mesh.cell_adjacency[c, t])
-            a = int(cells[c, (t + 1) % 3])
-            b = int(cells[c, (t + 2) % 3])
-            hlen = float(np.hypot(*(nodes[b] - nodes[a])))
-            if d >= 0:
-                if d < c:
-                    continue  # handled once per unordered pair
-                slen = float(np.hypot(*(cc[d] - cc[c])))
-                adj[c, d] = adj[d, c] = True
-                lengths[(c, d)] = lengths[(d, c)] = (hlen, slen)
-                if slen <= eps_geom:
-                    issues.append(
-                        f"degenerate dual edge between cells {c} and {d} "
-                        f"(|*h| = {slen:.3e})"
-                    )
-            else:
-                mid = 0.5 * (nodes[a] + nodes[b])
-                slen = float(np.hypot(*(mid - cc[c])))
-                if slen <= eps_geom:
-                    issues.append(
-                        f"degenerate boundary dual edge on cell {c} "
-                        f"(|*h| = {slen:.3e})"
-                    )
-                else:
-                    boundary_factor[c] += hlen / slen
-
-    rings, cyclic = _node_fans(mesh, issues)
-
-    # Kites and fan tables.
-    kappa: list = []
-    star_e = np.zeros(mesh.num_nodes)
-    pair_node, pair_i, pair_j = [], [], []
-    tri_node, tri_i, tri_j, tri_k = [], [], [], []
-    tri_kappa = []
-    for v in range(mesh.num_nodes):
-        ring = rings[v]
-        m = len(ring)
-        if m == 0:
-            kappa.append(np.empty(0))
-            continue
-        pv = nodes[v]
-        kv = np.empty(m)
-        for t, c in enumerate(ring):
-            p = int(np.flatnonzero(cells[c] == v)[0])
-            a = int(cells[c, (p + 1) % 3])
-            b = int(cells[c, (p + 2) % 3])
-            quad = np.array(
-                [pv, 0.5 * (pv + nodes[a]), cc[c], 0.5 * (pv + nodes[b])]
+    # Edge table: one row per (cell c, local edge), in (c, t) order, with the
+    # cell d across it (-1 on the boundary), |h| and |*h| (circumcenter to
+    # circumcenter, or to the edge midpoint on the boundary).
+    c = np.repeat(np.arange(n), 3)
+    d = mesh.cell_adjacency.ravel()
+    ends = _edge_ends(cells)
+    pa, pb = nodes[ends[:, 0]], nodes[ends[:, 1]]
+    h = np.hypot(*(pb - pa).T)
+    inner = d >= 0
+    s = np.hypot(*(np.where(inner[:, None], cc[d], 0.5 * (pa + pb)) - cc[c]).T)
+    degenerate = s <= eps_geom
+    for r in np.flatnonzero(degenerate & ((d > c) | ~inner)):  # once per edge
+        if inner[r]:
+            issues.append(
+                f"degenerate dual edge between cells {c[r]} and {d[r]} (|*h| = {s[r]:.3e})"
             )
-            kv[t] = _polygon_area(quad)
-            if kv[t] <= eps_geom * diameter:
-                issues.append(
-                    f"non-positive kite at node {v}, cell {c} "
-                    f"(area {kv[t]:.3e})"
-                )
-        kappa.append(kv)
-        # Consecutive ccw pairs (dual-polygon boundary).
-        last = m if cyclic[v] else m - 1
-        for t in range(last):
-            pair_node.append(v)
-            pair_i.append(int(ring[t]))
-            pair_j.append(int(ring[(t + 1) % m]))
-        # Chain-interior cells: both fan neighbors present.
-        if cyclic[v]:
-            middles = range(m)
         else:
-            middles = range(1, m - 1)
-        se = 0.0
-        for t in middles:
-            se += kv[t]
-        star_e[v] = se
-        for t in middles:
-            tri_node.append(v)
-            tri_i.append(int(ring[t]))
-            tri_j.append(int(ring[(t + 1) % m]))  # ccw next
-            tri_k.append(int(ring[(t - 1) % m]))  # ccw previous
-            tri_kappa.append(kv[t])
+            issues.append(f"degenerate boundary dual edge on cell {c[r]} (|*h| = {s[r]:.3e})")
+    outer = ~inner & ~degenerate
+    # (np.bincount gives int64 zeros when it sums nothing)
+    boundary_factor = np.bincount(c[outer], h[outer] / s[outer], minlength=n).astype(float)
+    # Every adjacent pair, row major, with its edge row (a pair of cells
+    # shares one edge, unless they are the same triangle twice).
+    adj_key, adj_row = np.unique(c[inner] * n + d[inner], return_index=True)
+    adj_row = np.flatnonzero(inner)[adj_row]
 
-    tri_node = np.array(tri_node, dtype=np.int64)
-    tri_i = np.array(tri_i, dtype=np.int64)
-    tri_j = np.array(tri_j, dtype=np.int64)
-    tri_k = np.array(tri_k, dtype=np.int64)
-    tri_kappa = np.array(tri_kappa)
-    se_of_tri = star_e[tri_node] if len(tri_node) else np.empty(0)
+    # Fan table: one row per (node, position in its ccw fan), node by node.
+    rings, cyclic = _node_fans(mesh, issues)
+    size = np.array([len(ring) for ring in rings])
+    fan_cell = np.concatenate(rings)
+    fan_node = np.repeat(np.arange(mesh.num_nodes), size)
+    first = np.cumsum(size)[fan_node] - size[fan_node]
+    pos, m = np.arange(len(fan_cell)) - first, size[fan_node]
+    nxt, prv = first + (pos + 1) % m, first + (pos - 1) % m
+    closed = cyclic[fan_node]
+
+    # The kite of a fan row is the quad (v, midpoint to a, circumcenter,
+    # midpoint to b) for the cell (v, a, b), by the shoelace formula.  Its two
+    # dot products are 1x4 by 4x1 matmuls, which NumPy hands to BLAS ``ddot``
+    # (the x coordinates at stride 2); an elementwise sum rounds differently.
+    local = np.nonzero(cells[fan_cell] == fan_node[:, None])[1]  # one match per row
+    pv = nodes[fan_node]
+    na, nb = nodes[cells[fan_cell, (local + 1) % 3]], nodes[cells[fan_cell, (local + 2) % 3]]
+    quad = np.stack([pv, 0.5 * (pv + na), cc[fan_cell], 0.5 * (pv + nb)], axis=1)
+    x, y, roll = quad[:, :, 0], quad[:, :, 1], [1, 2, 3, 0]
+    kites = 0.5 * (x[:, None, :] @ y[:, roll, None] - y[:, None, :] @ x[:, roll, None])[:, 0, 0]
+    for r in np.flatnonzero(kites <= eps_geom * diameter):
+        issues.append(
+            f"non-positive kite at node {fan_node[r]}, cell {fan_cell[r]} (area {kites[r]:.3e})"
+        )
+    kappa = np.split(kites, np.cumsum(size)[:-1])
+
+    # Consecutive ccw pairs (dual-polygon boundary) and the kite triplets of
+    # the chain-interior cells (both fan neighbors present).
+    link = closed | (pos < m - 1)
+    pair_node, pair_i, pair_j = fan_node[link], fan_cell[link], fan_cell[nxt[link]]
+    mid = closed | ((pos > 0) & (pos < m - 1))
+    tri_node, tri_i, tri_kappa = fan_node[mid], fan_cell[mid], kites[mid]
+    tri_j, tri_k = fan_cell[nxt[mid]], fan_cell[prv[mid]]  # ccw next, ccw previous
+    star_e = np.bincount(tri_node, tri_kappa, minlength=mesh.num_nodes).astype(float)
+    se_of_tri = star_e[tri_node]
     with np.errstate(divide="ignore", invalid="ignore"):
         tri_w = np.where(
             tri_kappa > 0, se_of_tri**2 / (2.0 * omega[tri_i] * np.where(tri_kappa != 0, tri_kappa, 1.0)), 0.0
@@ -635,41 +613,25 @@ def _geometry(mesh: Mesh, issues: list) -> MeshGeometry:
         tri_kconst = np.where(se_of_tri > 0, tri_kappa / np.where(se_of_tri != 0, se_of_tri, 1.0), 0.0)
 
     # Kite partition check (cell areas).
-    kite_sum = np.zeros(n)
-    for v in range(mesh.num_nodes):
-        ring = rings[v]
-        if len(ring):
-            np.add.at(kite_sum, ring, kappa[v])
-    bad = np.flatnonzero(np.abs(kite_sum - omega) > 1e-12 * diameter * diameter)
-    for c in bad:
+    kite_sum = np.bincount(fan_cell, kites, minlength=n)
+    for cell in np.flatnonzero(np.abs(kite_sum - omega) > 1e-12 * diameter * diameter):
         issues.append(
-            f"kites of cell {c} sum to {kite_sum[c]:.15g}, area is "
-            f"{omega[c]:.15g}"
+            f"kites of cell {cell} sum to {kite_sum[cell]:.15g}, area is {omega[cell]:.15g}"
         )
 
     # e+/e- labels per ordered adjacent pair: at a node, each consecutive
     # ccw fan pair (i, j) has that node as its e+.
-    eplus = {}
-    for v, i, j in zip(pair_node, pair_i, pair_j):
-        eplus[(i, j)] = v
-    adj_i, adj_j, adj_ep, adj_em, adj_len = [], [], [], [], []
-    for i, j in zip(*np.nonzero(adj)):
-        key, rkey = (int(i), int(j)), (int(j), int(i))
-        if key in eplus and rkey in eplus:
-            adj_i.append(int(i))
-            adj_j.append(int(j))
-            adj_ep.append(eplus[key])
-            adj_em.append(eplus[rkey])
-            adj_len.append(lengths[key])
-        else:
-            issues.append(f"adjacent pair ({i},{j}) missing a fan endpoint")
-    adj_i = np.array(adj_i, dtype=np.int64)
-    adj_j = np.array(adj_j, dtype=np.int64)
-    h_len, star_h = np.array(adj_len).reshape(-1, 2).T
+    ai, aj = c[adj_row], d[adj_row]
+    fan_key = pair_i * n + pair_j
+    ep, em = _last_row(fan_key, adj_key), _last_row(fan_key, aj * n + ai)
+    found = (ep >= 0) & (em >= 0)
+    for i, j in zip(ai[~found], aj[~found]):
+        issues.append(f"adjacent pair ({i},{j}) missing a fan endpoint")
+    adj_i, adj_j = ai[found], aj[found]
+    h_len, star_h = h[adj_row[found]], s[adj_row[found]]
     flat_coef = 2.0 * omega[adj_i] * (star_h / h_len)
     dual = star_h > eps_geom  # a degenerate dual edge gets no sharp
     sharp_coef = np.where(dual, h_len / np.where(dual, star_h, 1.0), 0.0) / (2.0 * omega[adj_i])
-    pair_i, pair_j = np.array(pair_i, dtype=np.int64), np.array(pair_j, dtype=np.int64)
     pair_adj = np.searchsorted(adj_i * n + adj_j, pair_i * n + pair_j)  # the keys are sorted
 
     # Two-away one-form entry assignments.  Triplet (i, j, k) at node e fixes
@@ -679,30 +641,16 @@ def _geometry(mesh: Mesh, issues: list) -> MeshGeometry:
     # Entries are skipped when j, k happen to share an edge (their value is
     # already the adjacent one).  Later triplets hitting an already-assigned
     # entry go to the duplicate table, checked for consistency by ``flat``.
-    ta_seen = {}
-    ta_rows: list = [[], [], [], []]
-    dup_rows: list = [[], [], [], []]
-    for t in range(len(tri_node)):
-        j, k = int(tri_j[t]), int(tri_k[t])
-        if j == k or adj[j, k]:
-            continue
-        for row, col, sign in ((j, k, 1.0), (k, j, -1.0)):
-            target = ta_rows if (row, col) not in ta_seen else dup_rows
-            if (row, col) not in ta_seen:
-                ta_seen[(row, col)] = t
-            target[0].append(row)
-            target[1].append(col)
-            target[2].append(t)
-            target[3].append(sign)
+    t = np.flatnonzero((tri_j != tri_k) & (_last_row(adj_key, tri_j * n + tri_k) < 0))
+    ta_row = np.stack([tri_j[t], tri_k[t]], axis=1).ravel()
+    ta_col = np.stack([tri_k[t], tri_j[t]], axis=1).ravel()
+    ta_tri, ta_sign = np.repeat(t, 2), np.tile([1.0, -1.0], len(t))
+    new = np.zeros(len(ta_row), dtype=bool)
+    new[np.unique(ta_row * n + ta_col, return_index=True)[1]] = True
 
-    low_degree = [
-        v
-        for v in range(mesh.num_nodes)
-        if cyclic[v] and len(rings[v]) < 5
-    ]
-    for v in low_degree:
+    for v in np.flatnonzero(cyclic & (size < 5)):
         issues.append(
-            f"interior node {v} has degree {len(rings[v])} < 5 (two-away "
+            f"interior node {v} has degree {size[v]} < 5 (two-away "
             "one-form entries may be ambiguous)"
         )
 
@@ -711,7 +659,6 @@ def _geometry(mesh: Mesh, issues: list) -> MeshGeometry:
         omega=omega,
         omega_env=float(omega.sum()),
         circumcenters=cc,
-        adj=adj,
         h_len=h_len,
         star_h_len=star_h,
         flat_coef=flat_coef,
@@ -720,7 +667,7 @@ def _geometry(mesh: Mesh, issues: list) -> MeshGeometry:
         ring_cyclic=cyclic,
         kappa=kappa,
         star_e=star_e,
-        pair_node=np.array(pair_node, dtype=np.int64),
+        pair_node=pair_node,
         pair_i=pair_i,
         pair_j=pair_j,
         pair_adj=pair_adj,
@@ -733,18 +680,17 @@ def _geometry(mesh: Mesh, issues: list) -> MeshGeometry:
         tri_kconst=tri_kconst,
         adj_i=adj_i,
         adj_j=adj_j,
-        adj_eplus=np.array(adj_ep, dtype=np.int64),
-        adj_eminus=np.array(adj_em, dtype=np.int64),
-        ta_row=np.array(ta_rows[0], dtype=np.int64),
-        ta_col=np.array(ta_rows[1], dtype=np.int64),
-        ta_tri=np.array(ta_rows[2], dtype=np.int64),
-        ta_sign=np.array(ta_rows[3]),
-        dup_row=np.array(dup_rows[0], dtype=np.int64),
-        dup_col=np.array(dup_rows[1], dtype=np.int64),
-        dup_tri=np.array(dup_rows[2], dtype=np.int64),
-        dup_sign=np.array(dup_rows[3]),
+        adj_eplus=pair_node[ep[found]],
+        adj_eminus=pair_node[em[found]],
+        ta_row=ta_row[new],
+        ta_col=ta_col[new],
+        ta_tri=ta_tri[new],
+        ta_sign=ta_sign[new],
+        dup_row=ta_row[~new],
+        dup_col=ta_col[~new],
+        dup_tri=ta_tri[~new],
+        dup_sign=ta_sign[~new],
         boundary_factor=boundary_factor,
-        eps_geom=eps_geom,
         diameter=diameter,
     )
 

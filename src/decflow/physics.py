@@ -63,23 +63,13 @@ class GasParams:
 
 @dataclass(frozen=True)
 class PhysParams:
-    """Transport coefficients and boundary data.
-
-    ``conduction_sign`` multiplies the entropy-flux matrix; ``-1`` (the
-    default) is the dissipative orientation -- heat flows from hot to cold
-    and the conduction part of the entropy production,
-    ``-sign * lam * sum (Theta_i - Theta_j)^2 / (Theta_i Theta_j) * ...``,
-    is nonnegative.  ``+1`` reproduces the anti-diffusive orientation some
-    derivations print and is kept only so the verification suite can
-    demonstrate the difference.
-    """
+    """Transport coefficients and boundary data."""
 
     mu: float = 0.0
     zeta: float = 0.0
     lam: float = 0.0
     theta_env: float = 1.0
     insulated: bool = False
-    conduction_sign: float = -1.0
 
     @property
     def mu_tilde(self) -> float:
@@ -182,16 +172,17 @@ def entropy_flux(geom: MeshGeometry, theta, phys: PhysParams) -> np.ndarray:
 
 
 def entropy_flux_pairs(geom: MeshGeometry, theta, phys: PhysParams):
-    """Entropy flux ``J_ij = sign lam (Th_i - Th_j)/(Th_i + Th_j) |h_ij| /
+    """Entropy flux ``J_ij = -lam (Th_i - Th_j)/(Th_i + Th_j) |h_ij| /
     (Omega_ii |*h_ij|)`` on the adjacency list, and the environment column:
     the same with ``theta_env`` and the aggregate factor of the boundary
-    edges (zero when insulated)."""
+    edges (zero when insulated).  The sign makes heat flow from hot to cold,
+    so the conduction part of the entropy production is nonnegative."""
     theta = np.asarray(theta, dtype=float)
     jp, col = np.zeros(len(geom.adj_i)), np.zeros(geom.n)
     if phys.lam != 0.0:
         i, k = geom.adj_i, geom.adj_j
         ti, tk = theta[i], theta[k]
-        sl = phys.conduction_sign * phys.lam
+        sl = -phys.lam
         jp = sl * (ti - tk) / (ti + tk) * geom.h_len / (geom.omega[i] * geom.star_h_len)
         if not phys.insulated:
             te = phys.theta_env

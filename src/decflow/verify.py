@@ -62,7 +62,7 @@ def random_density(geom, rng) -> np.ndarray:
 def random_algebra(geom, rng) -> np.ndarray:
     """Adjacency-supported matrix with rows summing to zero (no flux
     antisymmetry imposed)."""
-    a = np.where(geom.adj, rng.standard_normal((geom.n, geom.n)), 0.0)
+    a = np.where(fd.from_pairs(geom, 1.0) > 0, rng.standard_normal((geom.n, geom.n)), 0.0)
     np.fill_diagonal(a, 0.0)
     np.fill_diagonal(a, -a.sum(axis=1))
     return a
@@ -82,7 +82,7 @@ def random_tangent(
     actually evolves, and the one on which the rotational-energy identities
     hold without boundary terms.
     """
-    up = geom.adj_i < geom.adj_j  # the pairs of np.nonzero(np.triu(adj, 1)), in order
+    up = geom.adj_i < geom.adj_j  # each shared edge once, row major
     iu, ju = geom.adj_i[up], geom.adj_j[up]
     flux = rng.standard_normal(iu.size)
     if velocity_scale:
@@ -97,7 +97,8 @@ def random_exchange(geom, rng) -> np.ndarray:
     """Extended ``(N+1)`` field: random edge fluxes plus a random exchange
     flux between every boundary cell and the environment column, all rows
     (environment row included) summing to zero."""
-    iu, ju = np.nonzero(np.triu(geom.adj, 1))
+    up = geom.adj_i < geom.adj_j
+    iu, ju = geom.adj_i[up], geom.adj_j[up]
     flux = rng.standard_normal(iu.size)
     bc = np.nonzero(geom.mesh.boundary_cells)[0]
     bflux = rng.standard_normal(bc.size)
@@ -232,8 +233,8 @@ def check_advection_kite(geom, rng) -> float:
     d = random_density(geom, rng)
     direct = fd.lie_deriv_oneform_density(geom, a, d[:, None] * fd.flat(geom, b))
     kite = fd.lie_deriv_oneform_density_kite(geom, a, b, d)
-    err = np.max(np.abs(np.where(geom.adj, direct - kite, 0.0)))
-    scale = np.max(np.abs(np.where(geom.adj, direct, 0.0)))
+    err = np.max(np.abs(fd.on_pairs(geom, direct - kite)))
+    scale = np.max(np.abs(fd.on_pairs(geom, direct)))
     return _rel(err, scale)
 
 
@@ -300,11 +301,7 @@ def check_conduction_exchange(geom, rng) -> float:
     j = ph.entropy_flux(geom, theta, phys)
     theta_ext = np.append(theta, phys.theta_env)
     lhs = theta * fd.div(j)[: geom.n] - (j @ theta_ext)[: geom.n]
-    rhs = (
-        -phys.conduction_sign
-        * phys.lam
-        * fd.laplace_beltrami(geom, theta, env=phys.theta_env)
-    )
+    rhs = phys.lam * fd.laplace_beltrami(geom, theta, env=phys.theta_env)
     return _rel(np.max(np.abs(lhs - rhs)), np.max(np.abs(rhs)))
 
 
@@ -343,15 +340,15 @@ def check_viscous_duality(geom, rng) -> float:
 
 def _two_away_triple(geom):
     """A cell pair two apart in the dual graph with a unique go-between."""
-    adj = geom.adj
+    rows = np.split(geom.adj_j, np.searchsorted(geom.adj_i, np.arange(1, geom.n)))
+    nbrs = [row.tolist() for row in rows]
     for i in range(geom.n):
-        for j in np.nonzero(adj[i])[0]:
-            for k in np.nonzero(adj[j])[0]:
-                if k == i or adj[i, k]:
+        for j in nbrs[i]:
+            for k in nbrs[j]:
+                if k == i or k in nbrs[i]:
                     continue
-                common = np.nonzero(adj[i] & adj[k])[0]
-                if common.size == 1 and common[0] == j:
-                    return int(i), int(j), int(k)
+                if [m for m in nbrs[i] if m in nbrs[k]] == [j]:
+                    return i, j, k
     return None
 
 

@@ -8,6 +8,11 @@ from decflow import mesh as msh
 from decflow import verify as vf
 
 
+def adjacent(geom):
+    """The adjacency pattern as a dense boolean mask, from the pair list."""
+    return fd.from_pairs(geom, 1.0) > 0
+
+
 # ---------------------------------------------------------------------------
 # Pairings and elementary operators (frozen on the rhombus)
 # ---------------------------------------------------------------------------
@@ -34,7 +39,7 @@ def test_d0_is_pair_difference(rhombus):
 
 def test_d0_vanishes_off_adjacency(small43):
     z = fd.d0(small43, np.arange(small43.n, dtype=float))
-    assert (z[~small43.adj] == 0).all()
+    assert (z[~adjacent(small43)] == 0).all()
 
 
 def test_divergence_is_twice_diagonal():
@@ -77,9 +82,9 @@ def test_flat_two_away_extends_adjacent_entries(jittered, rng):
     a = vf.random_tangent(jittered, rng, velocity_scale=True)
     full = fd.flat(jittered, a)
     adj_only = fd.flat(jittered, a, two_away=False)
-    assert np.array_equal(full[jittered.adj], adj_only[jittered.adj])
+    assert np.array_equal(full[adjacent(jittered)], adj_only[adjacent(jittered)])
     # The completed entries live strictly off the adjacency pattern.
-    off = ~jittered.adj & ~np.eye(jittered.n, dtype=bool)
+    off = ~adjacent(jittered) & ~np.eye(jittered.n, dtype=bool)
     assert np.abs(full[off]).max() > 0
     assert np.abs(adj_only[off]).max() == 0
 
@@ -118,7 +123,6 @@ def test_flat_ambiguity_is_detected():
     a = vf.random_tangent(geom, np.random.default_rng(1))
     with pytest.raises(fd.FlatAmbiguityError, match="two-away"):
         fd.flat(geom, a)
-    fd.flat(geom, a, check=False)  # opting out must not raise
 
 
 def test_degree_six_fans_are_unambiguous(gen65, jittered):
@@ -242,8 +246,8 @@ def test_momentum_transport_routes_agree(jittered, rng):
     lmat = d[:, None] * fd.flat(jittered, b)
     direct = fd.lie_deriv_oneform_density(jittered, a, lmat)
     kite = fd.lie_deriv_oneform_density_kite(jittered, a, b, d)
-    diff = np.where(jittered.adj, direct - kite, 0.0)
-    scale = np.abs(np.where(jittered.adj, direct, 0.0)).max()
+    diff = np.where(adjacent(jittered), direct - kite, 0.0)
+    scale = np.abs(np.where(adjacent(jittered), direct, 0.0)).max()
     assert np.abs(diff).max() <= 1e-12 * scale
 
 

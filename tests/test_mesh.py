@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from decflow import mesh as msh
 
@@ -28,8 +30,6 @@ def test_rhombus_circumcenters(rhombus):
 
 
 def test_rhombus_dual_edge(rhombus):
-    assert rhombus.adj[0, 1] and rhombus.adj[1, 0]
-    assert not rhombus.adj[0, 0]
     np.testing.assert_array_equal(rhombus.adj_i, [0, 1])
     np.testing.assert_array_equal(rhombus.adj_j, [1, 0])
     np.testing.assert_allclose(rhombus.h_len, 1.0, rtol=1e-14)
@@ -57,7 +57,6 @@ def test_generator_counts(gen65):
     mesh = gen65.mesh
     assert mesh.num_cells == 65  # (2*6 + 1) * 5
     assert int(mesh.boundary_cells.sum()) == 21
-    assert mesh.env_index == 65
 
 
 def test_generator_tiles_the_rectangle():
@@ -131,11 +130,8 @@ def test_triplets_walk_the_fan(gen65):
 
 def test_symmetric_tables(jittered):
     g = jittered
-    np.testing.assert_array_equal(g.adj, g.adj.T)
-    i, j = np.nonzero(g.adj)
-    np.testing.assert_array_equal(g.adj_i, i)  # the pair list is row major
-    np.testing.assert_array_equal(g.adj_j, j)
     key = g.adj_i * g.n + g.adj_j
+    assert (np.diff(key) > 0).all()  # the pair list is row major
     reverse = np.searchsorted(key, g.adj_j * g.n + g.adj_i)
     np.testing.assert_array_equal(key[reverse], g.adj_j * g.n + g.adj_i)
     for length in (g.h_len, g.star_h_len):
@@ -227,6 +223,99 @@ def test_right_triangle_pair_has_degenerate_dual_edge():
     assert any("degenerate dual edge" in s for s in issues)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "5 3\n0 0\n1 0\n0.5 1\n0.5 -1\n0.5 2\n0 1 2\n1 0 3\n0 1 4\n",
+            "edge (0, 1) is shared by 3 cells",
+        ),
+        (
+            "5 2\n0 0\n1 0\n0 1\n-1 0\n0 -1\n0 1 2\n0 3 4\n",  # a shared node only
+            "mesh is not edge-connected",
+        ),
+        (GOOD.replace("1 0 3", "1 1 3"), "cell 1 repeats a node index"),
+        (
+            "4 2\n0 0\n1 0\n0.5 0.9\n2 0\n0 1 2\n0 1 3\n",
+            "cell 1 is degenerate (area 0.000e+00)",
+        ),
+    ],
+)
+def test_broken_topology_is_rejected_on_load(text, message):
+    with pytest.raises(msh.MeshError) as err:
+        msh.load_mesh(text)
+    assert str(err.value) == message
+
+
+# Cells 0 and 1 touch only at node 0; a chain of six cells joins their far
+# edges, so the mesh is edge-connected but node 0 has two open fans.
+PINCHED = (
+    "9 8\n0 0\n1.6 0.4\n1.2 1.3\n-0.8 0.7\n-1.8 0.3\n1.8 0.6\n2.4 2.6\n-1.9 2.6\n"
+    "-1.9 0.5\n0 1 2\n0 3 4\n1 5 2\n2 5 6\n2 6 7\n2 7 3\n3 7 8\n3 8 4\n"
+)
+# Both cells lie on the same side of their shared edge.
+FOLDED = "4 2\n0 0\n1 0\n0.5 1\n0.5 0.4\n0 1 2\n0 1 3\n"
+
+
+@pytest.mark.parametrize(
+    "text, issues",
+    [
+        (
+            PINCHED,
+            [
+                "node 0: 2 fans meet (pinched node)",
+                "kites of cell 0 sum to 0.58490625, area is 0.8",
+                "kites of cell 1 sum to 0.489558823529412, area is 0.51",
+            ],
+        ),
+        (
+            FOLDED,
+            [
+                "node 0: non-manifold interior fan",
+                "node 1: 2 fans meet (pinched node)",
+                "kites of cell 0 sum to 0.15625, area is 0.5",
+                "kites of cell 1 sum to 0.128125, area is 0.2",
+                "adjacent pair (0,1) missing a fan endpoint",
+                "adjacent pair (1,0) missing a fan endpoint",
+            ],
+        ),
+        (
+            # The right angle puts the circumcenter on the boundary hypotenuse.
+            "3 1\n0 0\n1 0\n0 1\n0 1 2\n",
+            ["degenerate boundary dual edge on cell 0 (|*h| = 0.000e+00)"],
+        ),
+        (
+            "4 2\n0 0\n1 0\n1 1\n0 1\n0 1 2\n0 2 3\n",
+            ["degenerate dual edge between cells 0 and 1 (|*h| = 0.000e+00)"],
+        ),
+    ],
+)
+def test_degenerate_geometry_lists_every_issue(text, issues):
+    mesh = msh.load_mesh(text)
+    assert msh.validate(mesh) == issues
+    with pytest.raises(msh.MeshError) as err:
+        msh.compute_geometry(mesh)
+    assert str(err.value) == "; ".join(issues)
+
+
+def test_low_degree_warning_is_advisory():
+    # Node 4 is interior with four cells; cell 0 is given clockwise.
+    text = "5 4\n1 0\n0 1\n-1 0\n0 -1\n{}\n4 1 0\n1 2 4\n2 3 4\n3 0 4\n"
+    degree = "interior node 4 has degree 4 < 5 (two-away one-form entries may be ambiguous)"
+    mesh = msh.load_mesh(text.format("0.2 0.1"))
+    assert msh.validate(mesh) == ["cell 0 was clockwise; reoriented", degree]
+    assert msh.compute_geometry(mesh).n == 4
+    kites = [
+        "non-positive kite at node 0, cell 0 (area -3.925e-02)",
+        "non-positive kite at node 1, cell 0 (area -2.075e-02)",
+    ]
+    mesh = msh.load_mesh(text.format("0.3 0.2"))
+    assert msh.validate(mesh) == ["cell 0 was clockwise; reoriented", *kites, degree]
+    with pytest.raises(msh.MeshError) as err:
+        msh.compute_geometry(mesh)
+    assert str(err.value) == "; ".join(kites)
+
+
 def test_validate_clean_meshes(gen65, jittered):
     assert msh.validate(gen65.mesh) == []
     assert msh.validate(jittered.mesh) == []
@@ -235,7 +324,8 @@ def test_validate_clean_meshes(gen65, jittered):
 def test_adjacency_csr_holds_the_pattern_and_its_transpose(jittered65, rng):
     pattern = jittered65.adjacency_csr
     assert jittered65.adjacency_csr is pattern  # built once per geometry
-    support = jittered65.adj | np.eye(jittered65.n, dtype=bool)
+    support = np.eye(jittered65.n, dtype=bool)
+    support[jittered65.adj_i, jittered65.adj_j] = True
     rows, cols = np.nonzero(support)  # row major
     np.testing.assert_array_equal(pattern.rows, rows)
     np.testing.assert_array_equal(pattern.cols, cols)
@@ -249,15 +339,101 @@ def test_adjacency_csr_holds_the_pattern_and_its_transpose(jittered65, rng):
     np.testing.assert_array_equal(mat.toarray(), x)
 
 
-def test_geometry_holds_no_dense_float_array():
-    # The pairwise geometry is stored per pair: building it for 980 cells
-    # allocates less than one dense (N, N) float array at its peak.
-    mesh = msh.jitter_mesh(msh.generate_rect_mesh(24, 20, 1.0, 1.0), 0.15, np.random.default_rng(7))
+def _traced_geometry(nx, ny):
+    """A jittered geometry and the ``tracemalloc`` peak of building it."""
+    mesh = msh.jitter_mesh(msh.generate_rect_mesh(nx, ny, 1.0, 1.0), 0.15, np.random.default_rng(7))
     tracemalloc.start()
     try:
         geom = msh.compute_geometry(mesh)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return geom, peak
+
+
+def test_geometry_holds_no_dense_float_array():
+    # The pairwise geometry is stored per pair: building it for 980 cells
+    # allocates less than one dense (N, N) float array at its peak, and for
+    # 3880 cells less than one dense (N, N) boolean array.
+    geom, peak = _traced_geometry(24, 20)
     assert geom.n == 980
     assert peak < 8 * geom.n**2
+    geom, peak = _traced_geometry(48, 40)
+    assert geom.n == 3880
+    assert peak < geom.n**2
+
+
+def test_no_geometry_member_is_square(jittered65):
+    for name, value in vars(jittered65).items():
+        if isinstance(value, np.ndarray):
+            assert list(value.shape).count(jittered65.n) < 2, name
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    nx=st.integers(2, 8),
+    ny=st.integers(2, 8),
+    amount=st.floats(0.0, 0.25),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_geometry_tables_are_consistent(nx, ny, amount, seed):
+    mesh = msh.jitter_mesh(msh.generate_rect_mesh(nx, ny, 1.0, 1.0), amount, np.random.default_rng(seed))
+    try:
+        g = msh.compute_geometry(mesh)
+    except msh.MeshError:
+        assume(False)
+    key = g.adj_i * g.n + g.adj_j
+    assert (np.diff(key) > 0).all()  # row major, no repeats
+    reverse = np.searchsorted(key, g.adj_j * g.n + g.adj_i)
+    np.testing.assert_array_equal(key[reverse], g.adj_j * g.n + g.adj_i)
+    np.testing.assert_array_equal(g.h_len[reverse], g.h_len)
+    np.testing.assert_array_equal(g.star_h_len[reverse], g.star_h_len)
+    np.testing.assert_array_equal(g.adj_i[g.pair_adj], g.pair_i)
+    np.testing.assert_array_equal(g.adj_j[g.pair_adj], g.pair_j)
+    assert not np.isin(g.ta_row * g.n + g.ta_col, key).any()
+    kites = np.bincount(np.concatenate(g.rings), np.concatenate(g.kappa), minlength=g.n)
+    np.testing.assert_allclose(kites, g.omega, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("degree_four", [False, True])
+def test_tables_match_loops_over_edges_and_fans(jittered65, degree_four):
+    # The per-edge and per-fan loops the tables vectorize do the same
+    # arithmetic in the same order, so the results are equal, not close.
+    g = jittered65
+    if degree_four:  # a mesh with duplicate two-away entries
+        g = msh.compute_geometry(msh.load_mesh("5 4\n1 0\n0 1\n-1 0\n0 -1\n0.2 0.1\n0 1 4\n1 2 4\n2 3 4\n3 0 4\n"))
+        assert len(g.dup_row)
+    nodes, cells, cc = g.mesh.nodes, g.mesh.cells, g.circumcenters
+    for p, (i, j) in enumerate(zip(g.adj_i, g.adj_j)):
+        t = list(g.mesh.cell_adjacency[i]).index(j)
+        a, b = nodes[cells[i, (t + 1) % 3]], nodes[cells[i, (t + 2) % 3]]
+        assert g.h_len[p] == float(np.hypot(*(b - a)))
+        assert g.star_h_len[p] == float(np.hypot(*(cc[j] - cc[i])))
+    eplus = {}
+    for v, ring in enumerate(g.rings):
+        m, pv = len(ring), nodes[v]
+        for t, c in enumerate(ring):
+            k = list(cells[c]).index(v)
+            a, b = nodes[cells[c, (k + 1) % 3]], nodes[cells[c, (k + 2) % 3]]
+            quad = np.array([pv, 0.5 * (pv + a), cc[c], 0.5 * (pv + b)])
+            x, y = quad[:, 0], quad[:, 1]
+            assert g.kappa[v][t] == 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+        star = 0.0
+        for t in range(m) if g.ring_cyclic[v] else range(1, m - 1):
+            star += g.kappa[v][t]
+        assert g.star_e[v] == star
+        for t in range(m if g.ring_cyclic[v] else m - 1):
+            eplus[(ring[t], ring[(t + 1) % m])] = v
+    assert g.adj_eplus.tolist() == [eplus[(i, j)] for i, j in zip(g.adj_i, g.adj_j)]
+    assert g.adj_eminus.tolist() == [eplus[(j, i)] for i, j in zip(g.adj_i, g.adj_j)]
+    adjacent = set(zip(g.adj_i.tolist(), g.adj_j.tolist()))
+    first, later, seen = [], [], set()
+    for t, (j, k) in enumerate(zip(g.tri_j.tolist(), g.tri_k.tolist())):
+        if j == k or (j, k) in adjacent:
+            continue
+        for row, col, sign in ((j, k, 1.0), (k, j, -1.0)):
+            (later if (row, col) in seen else first).append((row, col, t, sign))
+            seen.add((row, col))
+    for rows, table in ((first, "ta"), (later, "dup")):
+        got = zip(*(getattr(g, f"{table}_{x}").tolist() for x in ("row", "col", "tri", "sign")))
+        assert list(got) == rows

@@ -31,8 +31,13 @@ def jittered250():
 # ---------------------------------------------------------------------------
 
 
+def adjacent(geom):
+    """The adjacency pattern as a dense boolean mask, from the pair list."""
+    return fd.from_pairs(geom, 1.0) > 0
+
+
 def dense_d0(geom, f):
-    return np.where(geom.adj, f[None, :] - f[:, None], 0.0)
+    return np.where(adjacent(geom), f[None, :] - f[:, None], 0.0)
 
 
 def dense_mean(f):
@@ -40,7 +45,7 @@ def dense_mean(f):
 
 
 def dense_kinetic(geom, a):
-    return np.einsum("ij,ij->i", fd.from_pairs(geom, geom.flat_coef) * a, a * geom.adj)
+    return np.einsum("ij,ij->i", fd.from_pairs(geom, geom.flat_coef) * a, a * adjacent(geom))
 
 
 def dense_gradient_forces(geom, a, d, s):
@@ -66,7 +71,7 @@ def dense_entropy_flux(geom, theta, phys):
     j = np.zeros((n + 1, n + 1))
     i, k = geom.adj_i, geom.adj_j
     h_len, star_h_len = fd.from_pairs(geom, geom.h_len), fd.from_pairs(geom, geom.star_h_len)
-    sl = phys.conduction_sign * phys.lam
+    sl = -phys.lam
     j[i, k] = sl * (theta[i] - theta[k]) / (theta[i] + theta[k]) * h_len[i, k] / (
         geom.omega[i] * star_h_len[i, k]
     )
@@ -81,7 +86,7 @@ def dense_friction_power(geom, a, phys):
     diva = 2.0 * np.diagonal(a)
     z = fd.from_pairs(geom, geom.flat_coef) * a
     y = -(a @ z + z @ a.T) - 0.5 * dense_d0(geom, dense_kinetic(geom, a))
-    nabla = fd.from_pairs(geom, geom.sharp_coef) * y * geom.adj
+    nabla = fd.from_pairs(geom, geom.sharp_coef) * y * adjacent(geom)
     div_nabla = -2.0 * nabla.sum(axis=1)
     two_away = fd.flat(geom, a)
     return (
