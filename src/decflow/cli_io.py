@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -34,46 +35,6 @@ class ConfigError(ValueError):
 # Config parsing
 # ---------------------------------------------------------------------------
 
-KNOWN_KEYS = frozenset(
-    {
-        "mesh.file",
-        "mesh.nx",
-        "mesh.ny",
-        "mesh.lx",
-        "mesh.ly",
-        "run.h",
-        "run.steps",
-        "gas.gamma",
-        "gas.c_v",
-        "gas.K",
-        "phys.mu",
-        "phys.zeta",
-        "phys.lambda",
-        "phys.theta_env",
-        "phys.insulated",
-        "solver.tau",
-        "solver.newton_tol",
-        "solver.newton_max",
-        "solver.entropy_tol",
-        "solver.entropy_max",
-        "initial.preset",
-        "initial.density",
-        "initial.entropy",
-        "initial.amplitude",
-        "initial.center_x",
-        "initial.center_y",
-        "initial.width",
-        "heat.preset",
-        "heat.rate",
-        "heat.amplitude",
-        "heat.center_x",
-        "heat.center_y",
-        "heat.width",
-        "output.directory",
-        "output.snapshot_stride",
-    }
-)
-
 PRESETS = ("rest", "hot-spot", "shear", "taylor-like")
 HEAT_PRESETS = ("zero", "constant", "gaussian")
 
@@ -88,8 +49,73 @@ _BOOL_WORDS = {
     "0": False,
 }
 
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+
+# Every config key: its type, its default (None: no default) and the
+# condition its value must meet, with the message that names the violation.
+# Every float must also be finite.
+CONFIG_KEYS = {
+    "mesh.file": (str, None, None),
+    "mesh.nx": (int, None, _AT_LEAST_ONE),
+    "mesh.ny": (int, None, _AT_LEAST_ONE),
+    "mesh.lx": (float, None, _POSITIVE),
+    "mesh.ly": (float, None, _POSITIVE),
+    "run.h": (float, None, _POSITIVE),
+    "run.steps": (int, None, (lambda v: v >= 1, "must be a positive integer")),
+    "gas.gamma": (float, 1.4, (lambda v: v > 1, "must exceed 1")),
+    "gas.c_v": (float, 1.0, _POSITIVE),
+    "gas.K": (float, 1.0, _POSITIVE),
+    "phys.mu": (float, 0.0, _NONNEGATIVE),
+    "phys.zeta": (float, 0.0, _NONNEGATIVE),
+    "phys.lambda": (float, 0.0, _NONNEGATIVE),
+    "phys.theta_env": (float, 1.0, _POSITIVE),
+    "phys.insulated": (bool, False, None),
+    "solver.tau": (str, "exponential", None),
+    "solver.newton_tol": (float, 1e-10, _POSITIVE),
+    "solver.newton_max": (int, 50, _AT_LEAST_ONE),
+    "solver.entropy_tol": (float, 1e-13, _POSITIVE),
+    "solver.entropy_max": (int, 100, _AT_LEAST_ONE),
+    "initial.preset": (str, None, None),
+    "initial.density": (float, None, _POSITIVE),
+    "initial.entropy": (float, None, None),
+    "initial.amplitude": (float, None, None),
+    "initial.center_x": (float, None, None),
+    "initial.center_y": (float, None, None),
+    "initial.width": (float, None, _POSITIVE),
+    "heat.preset": (str, "zero", None),
+    "heat.rate": (float, None, None),
+    "heat.amplitude": (float, None, None),
+    "heat.center_x": (float, None, None),
+    "heat.center_y": (float, None, None),
+    "heat.width": (float, None, _POSITIVE),
+    "output.directory": (str, "out", None),
+    "output.snapshot_stride": (int, 0, (lambda v: v >= 0, "must be >= 0")),
+}
+
+
+def _value(key: str, raw: str):
+    """Convert the text of a config value to its key's type and check it."""
+    kind, _, check = CONFIG_KEYS[key]
+    if kind is bool:
+        if raw.lower() not in _BOOL_WORDS:
+            raise ConfigError(f"config key '{key}': expected true/false")
+        return _BOOL_WORDS[raw.lower()]
+    try:
+        value = kind(raw)
+    except ValueError:
+        what = "not an integer" if kind is int else "not a number"
+        raise ConfigError(f"config key '{key}': {what}") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"config key '{key}': must be finite")
+    if check is not None and not check[0](value):
+        raise ConfigError(f"config key '{key}': {check[1]}")
+    return value
+
 
 def _parse_pairs(text: str) -> dict:
+    """The keys a config text gives, with their converted, checked values."""
     pairs: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -102,44 +128,17 @@ def _parse_pairs(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         if key in pairs:
             raise ConfigError(f"duplicate config key '{key}'")
-        if key not in KNOWN_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key '{key}'")
-        pairs[key] = value
+        pairs[key] = _value(key, value)
     return pairs
 
 
-def _take_float(pairs, key, default=None):
-    if key not in pairs:
-        return default
-    try:
-        return float(pairs.pop(key))
-    except ValueError:
-        raise ConfigError(f"config key '{key}': not a number") from None
-
-
-def _take_int(pairs, key, default=None):
-    if key not in pairs:
-        return default
-    raw = pairs.pop(key)
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"config key '{key}': not an integer") from None
-
-
-def _take_bool(pairs, key, default):
-    if key not in pairs:
-        return default
-    raw = pairs.pop(key).lower()
-    if raw not in _BOOL_WORDS:
-        raise ConfigError(f"config key '{key}': expected true/false")
-    return _BOOL_WORDS[raw]
-
-
-def _require(value, key, cond, what):
-    if not cond(value):
-        raise ConfigError(f"config key '{key}': {what}")
-    return value
+def _check_preset(key: str, name: str, choices: tuple) -> None:
+    if name not in choices:
+        raise ConfigError(
+            f"config key '{key}': unknown preset '{name}' (expected one of: {', '.join(choices)})"
+        )
 
 
 @dataclass
@@ -165,134 +164,73 @@ class RunConfig:
     snapshot_stride: int = 0
 
 
-def parse_config(text: str) -> RunConfig:
-    pairs = _parse_pairs(text)
+def _shape_params(given: dict, section: str) -> dict:
+    """The preset parameters a config gives, keyed without the section."""
+    return {
+        key.split(".", 1)[1]: value
+        for key, value in given.items()
+        if key.startswith(section + ".") and key != section + ".preset"
+    }
 
-    mesh_file = pairs.pop("mesh.file", None)
+
+def parse_config(text: str) -> RunConfig:
+    """``CONFIG_KEYS`` checks each key alone; this adds the rules that span keys."""
+    given = _parse_pairs(text)
+    v = {key: default for key, (_, default, _) in CONFIG_KEYS.items()} | given
+
     gen_keys = ("mesh.nx", "mesh.ny", "mesh.lx", "mesh.ly")
-    gen_given = [k for k in gen_keys if k in pairs]
-    generator = None
-    if mesh_file is not None and gen_given:
+    gen_given = [k for k in gen_keys if k in given]
+    if v["mesh.file"] is not None and gen_given:
         raise ConfigError(
             "config key 'mesh.file': give either a mesh file or generator "
             "dimensions (mesh.nx/ny/lx/ly), not both"
         )
-    if mesh_file is None:
+    if v["mesh.file"] is None:
         if not gen_given:
             raise ConfigError(
                 "config key 'mesh.file': missing mesh source "
                 "(set mesh.file or mesh.nx/mesh.ny/mesh.lx/mesh.ly)"
             )
-        missing = [k for k in gen_keys if k not in pairs]
+        missing = [k for k in gen_keys if k not in given]
         if missing:
             raise ConfigError(f"config key '{missing[0]}': required with {gen_given[0]}")
-        nx = _require(_take_int(pairs, "mesh.nx"), "mesh.nx", lambda v: v >= 1, "must be >= 1")
-        ny = _require(_take_int(pairs, "mesh.ny"), "mesh.ny", lambda v: v >= 1, "must be >= 1")
-        lx = _require(_take_float(pairs, "mesh.lx"), "mesh.lx", lambda v: v > 0, "must be positive")
-        ly = _require(_take_float(pairs, "mesh.ly"), "mesh.ly", lambda v: v > 0, "must be positive")
-        generator = (nx, ny, lx, ly)
 
-    h = _take_float(pairs, "run.h")
-    if h is None:
-        raise ConfigError("config key 'run.h': required")
-    _require(h, "run.h", lambda v: v > 0, "must be positive")
-    steps = _take_int(pairs, "run.steps")
-    if steps is None:
-        raise ConfigError("config key 'run.steps': required")
-    _require(steps, "run.steps", lambda v: v >= 1, "must be a positive integer")
-
-    gas = ph.GasParams(
-        gamma=_require(_take_float(pairs, "gas.gamma", 1.4), "gas.gamma", lambda v: v > 1, "must exceed 1"),
-        c_v=_require(_take_float(pairs, "gas.c_v", 1.0), "gas.c_v", lambda v: v > 0, "must be positive"),
-        K=_require(_take_float(pairs, "gas.K", 1.0), "gas.K", lambda v: v > 0, "must be positive"),
-    )
-    phys = ph.PhysParams(
-        mu=_require(_take_float(pairs, "phys.mu", 0.0), "phys.mu", lambda v: v >= 0, "must be nonnegative"),
-        zeta=_require(_take_float(pairs, "phys.zeta", 0.0), "phys.zeta", lambda v: v >= 0, "must be nonnegative"),
-        lam=_require(_take_float(pairs, "phys.lambda", 0.0), "phys.lambda", lambda v: v >= 0, "must be nonnegative"),
-        theta_env=_require(
-            _take_float(pairs, "phys.theta_env", 1.0), "phys.theta_env", lambda v: v > 0, "must be positive"
-        ),
-        insulated=_take_bool(pairs, "phys.insulated", False),
-    )
-
-    tau_kind = pairs.pop("solver.tau", "exponential")
-    if tau_kind not in gr.KINDS:
+    for key in ("run.h", "run.steps", "initial.preset"):
+        if v[key] is None:
+            raise ConfigError(f"config key '{key}': required")
+    if v["solver.tau"] not in gr.KINDS:
         raise ConfigError(
-            f"config key 'solver.tau': unknown map '{tau_kind}' (expected "
+            f"config key 'solver.tau': unknown map '{v['solver.tau']}' (expected "
             + " or ".join(gr.KINDS)
             + ")"
         )
-    newton_tol = _require(
-        _take_float(pairs, "solver.newton_tol", 1e-10), "solver.newton_tol", lambda v: v > 0, "must be positive"
-    )
-    newton_max = _require(
-        _take_int(pairs, "solver.newton_max", 50), "solver.newton_max", lambda v: v >= 1, "must be >= 1"
-    )
-    entropy_tol = _require(
-        _take_float(pairs, "solver.entropy_tol", 1e-13), "solver.entropy_tol", lambda v: v > 0, "must be positive"
-    )
-    entropy_max = _require(
-        _take_int(pairs, "solver.entropy_max", 100), "solver.entropy_max", lambda v: v >= 1, "must be >= 1"
-    )
-
-    preset = pairs.pop("initial.preset", None)
-    if preset is None:
-        raise ConfigError("config key 'initial.preset': required")
-    if preset not in PRESETS:
-        raise ConfigError(
-            f"config key 'initial.preset': unknown preset '{preset}' "
-            f"(expected one of: {', '.join(PRESETS)})"
-        )
-    preset_params = {}
-    for key in ("density", "entropy", "amplitude", "center_x", "center_y", "width"):
-        value = _take_float(pairs, f"initial.{key}")
-        if value is not None:
-            preset_params[key] = value
-
-    heat_preset = pairs.pop("heat.preset", "zero")
-    if heat_preset not in HEAT_PRESETS:
-        raise ConfigError(
-            f"config key 'heat.preset': unknown preset '{heat_preset}' "
-            f"(expected one of: {', '.join(HEAT_PRESETS)})"
-        )
-    heat_params = {}
-    for key in ("rate", "amplitude", "center_x", "center_y", "width"):
-        value = _take_float(pairs, f"heat.{key}")
-        if value is not None:
-            heat_params[key] = value
-
-    outdir = pairs.pop("output.directory", "out")
-    stride = _require(
-        _take_int(pairs, "output.snapshot_stride", 0),
-        "output.snapshot_stride",
-        lambda v: v >= 0,
-        "must be >= 0",
-    )
-
-    # _take_* pops as it goes; anything left was recognized but unused here,
-    # which can only be a generator key alongside mesh.file (already rejected)
-    if pairs:
-        raise ConfigError(f"unknown config key '{sorted(pairs)[0]}'")
+    _check_preset("initial.preset", v["initial.preset"], PRESETS)
+    _check_preset("heat.preset", v["heat.preset"], HEAT_PRESETS)
 
     return RunConfig(
-        mesh_file=mesh_file,
-        generator=generator,
-        h=h,
-        steps=steps,
-        gas=gas,
-        phys=phys,
-        tau_kind=tau_kind,
-        newton_tol=newton_tol,
-        newton_max=newton_max,
-        entropy_tol=entropy_tol,
-        entropy_max=entropy_max,
-        preset=preset,
-        preset_params=preset_params,
-        heat_preset=heat_preset,
-        heat_params=heat_params,
-        outdir=outdir,
-        snapshot_stride=stride,
+        mesh_file=v["mesh.file"],
+        generator=None if v["mesh.file"] is not None else tuple(v[k] for k in gen_keys),
+        h=v["run.h"],
+        steps=v["run.steps"],
+        gas=ph.GasParams(gamma=v["gas.gamma"], c_v=v["gas.c_v"], K=v["gas.K"]),
+        phys=ph.PhysParams(
+            mu=v["phys.mu"],
+            zeta=v["phys.zeta"],
+            lam=v["phys.lambda"],
+            theta_env=v["phys.theta_env"],
+            insulated=v["phys.insulated"],
+        ),
+        tau_kind=v["solver.tau"],
+        newton_tol=v["solver.newton_tol"],
+        newton_max=v["solver.newton_max"],
+        entropy_tol=v["solver.entropy_tol"],
+        entropy_max=v["solver.entropy_max"],
+        preset=v["initial.preset"],
+        preset_params=_shape_params(given, "initial"),
+        heat_preset=v["heat.preset"],
+        heat_params=_shape_params(given, "heat"),
+        outdir=v["output.directory"],
+        snapshot_stride=v["output.snapshot_stride"],
     )
 
 
@@ -345,17 +283,12 @@ def initial_condition_presets(name, params, geom, gas: ph.GasParams) -> ph.Fluid
     one cellular vortex from the stream function sin^2 * sin^2, vanishing on
     the whole boundary.  Velocity presets go through the no-slip flux
     initializer, so the discrete field is exactly in the constrained space.
+    The parameter ranges are checked when the config is read (``CONFIG_KEYS``).
     """
-    if name not in PRESETS:
-        raise ConfigError(
-            f"config key 'initial.preset': unknown preset '{name}' "
-            f"(expected one of: {', '.join(PRESETS)})"
-        )
+    _check_preset("initial.preset", name, PRESETS)
     mesh = geom.mesh
     lo, extent = _bbox(mesh)
     density = float(params.get("density", 1.0))
-    if density <= 0:
-        raise ConfigError("config key 'initial.density': must be positive")
     entropy = float(params.get("entropy", 0.0))
     d = np.full(geom.n, density)
     s = np.full(geom.n, entropy)
@@ -364,8 +297,6 @@ def initial_condition_presets(name, params, geom, gas: ph.GasParams) -> ph.Fluid
     if name == "hot-spot":
         amplitude = float(params.get("amplitude", 0.5))
         width = float(params.get("width", min(extent) / 6.0))
-        if width <= 0:
-            raise ConfigError("config key 'initial.width': must be positive")
         cx = float(params.get("center_x", lo[0] + 0.5 * extent[0]))
         cy = float(params.get("center_y", lo[1] + 0.5 * extent[1]))
         centers = _cell_centers(mesh)
@@ -412,8 +343,6 @@ def heat_source_from_config(cfg: RunConfig, geom: msh.MeshGeometry):
         lo, extent = _bbox(geom.mesh)
         amplitude = float(cfg.heat_params.get("amplitude", 1.0))
         width = float(cfg.heat_params.get("width", min(extent) / 6.0))
-        if width <= 0:
-            raise ConfigError("config key 'heat.width': must be positive")
         cx = float(cfg.heat_params.get("center_x", lo[0] + 0.5 * extent[0]))
         cy = float(cfg.heat_params.get("center_y", lo[1] + 0.5 * extent[1]))
         centers = _cell_centers(geom.mesh)

@@ -134,6 +134,9 @@ def _build_mesh(nodes: np.ndarray, cells: np.ndarray) -> Mesh:
         raise MeshError("cell array must have shape (num_cells, 3)")
     if len(cells) == 0:
         raise MeshError("mesh has no cells")
+    unbounded = np.flatnonzero(~np.isfinite(nodes).all(axis=1))
+    if unbounded.size:
+        raise MeshError(f"node {unbounded[0]} has a non-finite coordinate")
     if cells.min() < 0 or cells.max() >= len(nodes):
         raise MeshError("cell references a node index out of range")
     repeats = np.flatnonzero((cells == np.roll(cells, 1, axis=1)).any(axis=1))
@@ -172,6 +175,11 @@ def _build_mesh(nodes: np.ndarray, cells: np.ndarray) -> Mesh:
     adjacency = np.full(3 * len(cells), -1, dtype=np.int64)
     adjacency[r1], adjacency[r2] = row_cell[r2], row_cell[r1]
     adjacency = adjacency.reshape(-1, 3)
+    # A cell whose three neighbors are one cell lists the same triangle.
+    twin = np.where(adjacency.min(axis=1) == adjacency.max(axis=1), adjacency[:, 0], -1)
+    twice = np.flatnonzero(twin >= 0)
+    if twice.size:
+        raise MeshError(f"cell {twin[twice[0]]} repeats cell {twice[0]}")
 
     boundary_cells = (adjacency < 0).any(axis=1)
 

@@ -76,6 +76,111 @@ def test_config_errors_name_the_key(mutate, message):
         cli.parse_config(mutate(MINIMAL))
 
 
+def with_value(key, raw, text=MINIMAL):
+    """``text`` with ``key`` set to ``raw``, replacing the line that sets it."""
+    lines = [line for line in text.splitlines() if line.split("=")[0].strip() != key]
+    return "\n".join(lines + [f"{key} = {raw}"]) + "\n"
+
+
+FLOAT_KEYS = [key for key, (kind, _, _) in cli.CONFIG_KEYS.items() if kind is float]
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_numbers_are_rejected(key, raw):
+    with pytest.raises(cli.ConfigError) as err:
+        cli.parse_config(with_value(key, raw))
+    assert str(err.value) == f"config key '{key}': must be finite"
+
+
+@pytest.mark.parametrize(
+    "key", [key for key, (_, default, _) in cli.CONFIG_KEYS.items() if default is not None]
+)
+def test_an_explicit_default_is_the_omitted_one(key):
+    default = cli.CONFIG_KEYS[key][1]
+    assert cli.parse_config(with_value(key, default)) == cli.parse_config(MINIMAL)
+
+
+@pytest.mark.parametrize(
+    "key", [key for key, (_, _, check) in cli.CONFIG_KEYS.items() if check is not None]
+)
+def test_a_value_out_of_range_names_the_key(key):
+    kind, _, (admissible, message) = cli.CONFIG_KEYS[key]
+    bad = next(kind(v) for v in (1, 0, -1) if not admissible(kind(v)))
+    with pytest.raises(cli.ConfigError) as err:
+        cli.parse_config(with_value(key, bad))
+    assert str(err.value) == f"config key '{key}': {message}"
+
+
+def test_every_key_reaches_the_run_config():
+    text = """\
+mesh.nx = 7
+mesh.ny = 2
+mesh.lx = 3.5
+mesh.ly = 0.25
+run.h = 0.004
+run.steps = 12
+gas.gamma = 1.67
+gas.c_v = 2.5
+gas.K = 0.5
+phys.mu = 0.01
+phys.zeta = 0.02
+phys.lambda = 0.03
+phys.theta_env = 1.5
+phys.insulated = yes
+solver.tau = cayley
+solver.newton_tol = 1e-9
+solver.newton_max = 7
+solver.entropy_tol = 1e-12
+solver.entropy_max = 9
+initial.preset = hot-spot
+initial.density = 1.25
+initial.entropy = -0.5
+initial.amplitude = 0.75
+initial.center_x = 0.1
+initial.center_y = 0.2
+initial.width = 0.3
+heat.preset = gaussian
+heat.rate = 4
+heat.amplitude = 5
+heat.center_x = 0.6
+heat.center_y = 0.7
+heat.width = 0.8
+output.directory = elsewhere
+output.snapshot_stride = 3
+"""
+    given = {line.split(" = ")[0] for line in text.splitlines()}
+    assert given | {"mesh.file"} == set(cli.CONFIG_KEYS)
+    assert cli.parse_config(text) == cli.RunConfig(
+        mesh_file=None,
+        generator=(7, 2, 3.5, 0.25),
+        h=0.004,
+        steps=12,
+        gas=ph.GasParams(gamma=1.67, c_v=2.5, K=0.5),
+        phys=ph.PhysParams(mu=0.01, zeta=0.02, lam=0.03, theta_env=1.5, insulated=True),
+        tau_kind="cayley",
+        newton_tol=1e-9,
+        newton_max=7,
+        entropy_tol=1e-12,
+        entropy_max=9,
+        preset="hot-spot",
+        preset_params={
+            "density": 1.25,
+            "entropy": -0.5,
+            "amplitude": 0.75,
+            "center_x": 0.1,
+            "center_y": 0.2,
+            "width": 0.3,
+        },
+        heat_preset="gaussian",
+        heat_params={"rate": 4.0, "amplitude": 5.0, "center_x": 0.6, "center_y": 0.7, "width": 0.8},
+        outdir="elsewhere",
+        snapshot_stride=3,
+    )
+    cfg = cli.parse_config(with_value("mesh.file", "grid.txt", "\n".join(text.splitlines()[4:])))
+    assert (cfg.mesh_file, cfg.generator) == ("grid.txt", None)
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(cli.ConfigError, match="nowhere.cfg"):
         cli.load_config(str(tmp_path / "nowhere.cfg"))
@@ -140,13 +245,10 @@ def test_taylor_like_velocity_vanishes_on_the_boundary(gen65):
 
 
 def test_preset_validation(small43):
+    # The ranges of the preset parameters are checked by parse_config.
     gas = ph.GasParams()
     with pytest.raises(cli.ConfigError, match="unknown preset 'spiral'"):
         cli.initial_condition_presets("spiral", {}, small43, gas)
-    with pytest.raises(cli.ConfigError, match="initial.density"):
-        cli.initial_condition_presets("rest", {"density": -1.0}, small43, gas)
-    with pytest.raises(cli.ConfigError, match="initial.width"):
-        cli.initial_condition_presets("hot-spot", {"width": 0.0}, small43, gas)
 
 
 def test_heat_presets(small43):
@@ -264,6 +366,20 @@ def test_run_rest_produces_constant_diagnostics(tmp_path, capsys):
     for k in (0, 5, 10):
         assert (outdir / f"snapshot_{k:06d}.vtk").exists()
     assert not (outdir / "snapshot_000001.vtk").exists()
+
+
+@pytest.mark.parametrize(
+    "key, raw",
+    [("initial.amplitude", "nan"), ("gas.gamma", "inf"), ("phys.theta_env", "inf"), ("run.h", "inf")],
+)
+def test_run_rejects_a_non_finite_number_before_stepping(tmp_path, capsys, key, raw):
+    cfg, outdir = run_config(tmp_path)
+    cfg.write_text(with_value(key, raw, with_value("initial.preset", "shear", cfg.read_text())))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: config key '{key}': must be finite\n"
+    assert not outdir.exists()
 
 
 def test_run_is_deterministic(tmp_path):
@@ -494,3 +610,28 @@ def test_mesh_check_flags_problems(tmp_path, capsys):
 
     assert cli.main(["mesh", "check", str(tmp_path / "none.txt")]) == 1
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("4 2\n0 0\nnan 0\n0.5 0.9\n0.5 -0.9\n0 1 2\n1 0 3\n", "node 1 has a non-finite coordinate"),
+        ("3 2\n0 0\n1 0\n0.4 0.9\n0 1 2\n0 1 2\n", "cell 1 repeats cell 0"),
+    ],
+    ids=["nan-coordinate", "repeated-triangle"],
+)
+def test_mesh_errors_of_a_file(tmp_path, capsys, text, message):
+    mesh_file = tmp_path / "mesh.txt"
+    mesh_file.write_text(text)
+    assert cli.main(["mesh", "check", str(mesh_file)]) == 1
+    assert capsys.readouterr().err == f"invalid mesh: {message}\n"
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"mesh.file = {mesh_file}\nrun.h = 1e-3\nrun.steps = 3\n"
+        f"initial.preset = rest\noutput.directory = {tmp_path / 'out'}\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: config key 'mesh.file': {message}\n"

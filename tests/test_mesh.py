@@ -239,6 +239,15 @@ def test_right_triangle_pair_has_degenerate_dual_edge():
             "4 2\n0 0\n1 0\n0.5 0.9\n2 0\n0 1 2\n0 1 3\n",
             "cell 1 is degenerate (area 0.000e+00)",
         ),
+        (GOOD.replace("\n1 0\n", "\nnan 0\n"), "node 1 has a non-finite coordinate"),
+        (GOOD.replace("\n1 0\n", "\n1 inf\n"), "node 1 has a non-finite coordinate"),
+        (GOOD.replace("\n0 0\n", "\n-inf 0\n"), "node 0 has a non-finite coordinate"),
+        ("3 2\n0 0\n1 0\n0.4 0.9\n0 1 2\n0 1 2\n", "cell 1 repeats cell 0"),
+        ("3 2\n0 0\n1 0\n0.4 0.9\n0 1 2\n2 1 0\n", "cell 1 repeats cell 0"),
+        (  # reported before the mesh is found not to be edge-connected
+            "6 3\n0 0\n1 0\n0.4 0.9\n5 0\n6 0\n5.4 0.9\n0 1 2\n3 4 5\n4 5 3\n",
+            "cell 2 repeats cell 1",
+        ),
     ],
 )
 def test_broken_topology_is_rejected_on_load(text, message):
