@@ -274,6 +274,22 @@ def _bbox(mesh: msh.Mesh):
     return lo, hi - lo
 
 
+def _gaussian(mesh: msh.Mesh, params, amplitude: float) -> np.ndarray:
+    """``amplitude * exp(-r^2 / (2 width^2))`` per cell, ``r`` the distance
+    of the cell center from ``(center_x, center_y)``; ``params`` may override
+    the amplitude, and the bump is centered on the bounding box, a sixth of
+    its shorter side wide, by default."""
+    lo, extent = _bbox(mesh)
+    amplitude = float(params.get("amplitude", amplitude))
+    width = float(params.get("width", min(extent) / 6.0))
+    cx = float(params.get("center_x", lo[0] + 0.5 * extent[0]))
+    cy = float(params.get("center_y", lo[1] + 0.5 * extent[1]))
+    centers = _cell_centers(mesh)
+    r2 = (centers[:, 0] - cx) ** 2 + (centers[:, 1] - cy) ** 2
+    return amplitude * np.exp(-r2 / (2.0 * width * width))
+
+
+@np.errstate(all="ignore")  # values out of range are rejected at the end
 def initial_condition_presets(name, params, geom, gas: ph.GasParams) -> ph.FluidState:
     """Build the initial state for a named preset.
 
@@ -283,7 +299,9 @@ def initial_condition_presets(name, params, geom, gas: ph.GasParams) -> ph.Fluid
     one cellular vortex from the stream function sin^2 * sin^2, vanishing on
     the whole boundary.  Velocity presets go through the no-slip flux
     initializer, so the discrete field is exactly in the constrained space.
-    The parameter ranges are checked when the config is read (``CONFIG_KEYS``).
+    The parameter ranges are checked when the config is read (``CONFIG_KEYS``);
+    values that give a temperature that is not finite and positive, or a
+    kinetic density that is not finite, are rejected here.
     """
     _check_preset("initial.preset", name, PRESETS)
     mesh = geom.mesh
@@ -295,13 +313,7 @@ def initial_condition_presets(name, params, geom, gas: ph.GasParams) -> ph.Fluid
     a = np.zeros((geom.n, geom.n))
 
     if name == "hot-spot":
-        amplitude = float(params.get("amplitude", 0.5))
-        width = float(params.get("width", min(extent) / 6.0))
-        cx = float(params.get("center_x", lo[0] + 0.5 * extent[0]))
-        cy = float(params.get("center_y", lo[1] + 0.5 * extent[1]))
-        centers = _cell_centers(mesh)
-        r2 = (centers[:, 0] - cx) ** 2 + (centers[:, 1] - cy) ** 2
-        s = s + amplitude * np.exp(-r2 / (2.0 * width * width))
+        s = s + _gaussian(mesh, params, 0.5)
     elif name == "shear":
         amplitude = float(params.get("amplitude", 0.3))
 
@@ -325,11 +337,17 @@ def initial_condition_presets(name, params, geom, gas: ph.GasParams) -> ph.Fluid
 
         a = fd.init_from_velocity(geom, u, no_slip=True)
 
-    state = ph.FluidState(a, d, s)
-    theta = ph.temperature(state.d, state.s, gas)
-    if np.any(~np.isfinite(theta)) or np.any(theta <= 0):
-        raise ConfigError("config key 'initial.preset': parameters give a nonpositive temperature")
-    return state
+    theta = ph.temperature(d, s, gas)
+    if not np.all(np.isfinite(theta) & (theta > 0)):
+        keys = ("density", "entropy", "amplitude") if name == "hot-spot" else ("density", "entropy")
+        named = [f"'initial.{k}'" for k in keys if k in params] or ["'initial.preset'"]
+        raise ConfigError(
+            f"config key{'s' * (len(named) > 1)} {', '.join(named)}: "
+            "the initial temperature is not finite and positive"
+        )
+    if not np.all(np.isfinite(ph.kinetic_density(geom, a))):
+        raise ConfigError("config key 'initial.amplitude': the initial kinetic density is not finite")
+    return ph.FluidState(a, d, s)
 
 
 def heat_source_from_config(cfg: RunConfig, geom: msh.MeshGeometry):
@@ -340,14 +358,7 @@ def heat_source_from_config(cfg: RunConfig, geom: msh.MeshGeometry):
         rate = float(cfg.heat_params.get("rate", 0.0))
         values = np.full(geom.n, rate)
     else:  # gaussian
-        lo, extent = _bbox(geom.mesh)
-        amplitude = float(cfg.heat_params.get("amplitude", 1.0))
-        width = float(cfg.heat_params.get("width", min(extent) / 6.0))
-        cx = float(cfg.heat_params.get("center_x", lo[0] + 0.5 * extent[0]))
-        cy = float(cfg.heat_params.get("center_y", lo[1] + 0.5 * extent[1]))
-        centers = _cell_centers(geom.mesh)
-        r2 = (centers[:, 0] - cx) ** 2 + (centers[:, 1] - cy) ** 2
-        values = amplitude * np.exp(-r2 / (2.0 * width * width))
+        values = _gaussian(geom.mesh, cfg.heat_params, 1.0)
 
     def heat(t, _values=values):
         return _values

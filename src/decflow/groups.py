@@ -36,11 +36,11 @@ which the verification suite checks.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import expm
-from scipy.special import bernoulli
 
 __all__ = [
     "tau",
@@ -58,8 +58,19 @@ __all__ = [
 KINDS = ("exponential", "cayley")
 
 _SERIES_CAP = 24
-_BERNOULLI = bernoulli(_SERIES_CAP)  # B_1 = -1/2 convention
-_COEFF = [abs(float(b)) / math.factorial(n) for n, b in enumerate(_BERNOULLI)]  # |B_n| / n!
+
+
+def _bernoulli(cap: int) -> list:
+    """Bernoulli numbers ``B_0 .. B_cap`` (``B_1 = -1/2``), each correctly
+    rounded: ``B_n = -sum_{k<n} C(n+1, k) B_k / (n+1)`` in exact fractions."""
+    b = [Fraction(1)]
+    for n in range(1, cap + 1):
+        b.append(-sum(math.comb(n + 1, k) * b[k] for k in range(n)) / (n + 1))
+    return [float(x) for x in b]
+
+
+_BERNOULLI = _bernoulli(_SERIES_CAP)
+_COEFF = [abs(b) / math.factorial(n) for n, b in enumerate(_BERNOULLI)]  # |B_n| / n!
 
 
 class GroupMapError(ValueError):

@@ -43,45 +43,47 @@ Colored Jacobian
 ----------------
 The Jacobian is a central difference with the step ``1e-7 max(|f_p|, 1)``
 per flux ``p``, but columns are perturbed together (Curtis, Powell & Reid
-1974).  In the *flux graph* two fluxes are adjacent when they share a cell.
-Row ``q = (i, j)`` of the residual reads
+1974).  All index structure is built as sparse 0/1 patterns.  With ``C`` the
+incidence of the fluxes to their two cells, the *flux graph* is
+``G = pattern(C C^T)``: two fluxes are adjacent when they share a cell.  Row
+``q = (i, j)`` of the residual reads
 
-* the fluxes of cells ``i`` and ``j`` (distance <= 1): the adjacent flat
-  entries and the diagonal ``A_ii``, ``A_jj`` at series order 0, the
-  kinetic density under ``d0`` in the gradient forces, ``d0(div A)`` in the
-  viscous force;
+* the fluxes of cells ``i`` and ``j`` (one step in ``G``): the adjacent flat
+  entries and ``A_ii``, ``A_jj`` at series order 0, the kinetic density
+  under ``d0`` in the gradient forces, ``d0(div A)`` in the viscous force;
 * every flux of the node fans at the two ends of the shared edge: ``Lambda``
-  in the viscous force reads their vorticities, and so do the flat's
-  two-away entries (kite values) that the order-1 series term reads.  The
-  *fan reach* ``F`` is the largest flux-graph distance between two fluxes
-  meeting at one node: 3 across a fan of six cells, more across a wider fan
-  or one that boundary cells break into a chain;
-* one more flux ring per further order of the ``dtau_inv`` series, since
-  each ``ad_{-hA^T}`` widens the support by one cell.
+  in the viscous force and the flat's two-away entries (read by the order-1
+  series term) take their vorticities.  With ``E`` the incidence of the
+  fluxes to those ends, the *fan reach* ``F`` is the least ``k`` with
+  ``pattern(E E^T)`` inside ``pattern(G^k)``: 3 across a fan of six cells,
+  more across a wider fan or one that boundary cells break into a chain;
+* one more step in ``G`` per further order of the ``dtau_inv`` series,
+  since each ``ad_{-hA^T}`` widens the support by one cell.
 
 Order ``n`` is bounded by ``|B_n|/n! (2 beta)^n`` with
 ``beta = sqrt(|hA|_1 |hA|_inf) >= |hA|_2`` at the flux where the Jacobian
 is built.  ``K`` is the highest order whose bound is at least the central
 difference's own roundoff level ``eps / 1e-7``; later orders change a
-column by less than the difference can resolve.  Column ``p`` is therefore
-taken to reach the rows within ``R = F + max(K - 1, 0)`` of ``p``, which is
-``2 + K`` when ``F = 3`` and ``K >= 1``.  Columns more than ``2R`` apart
-share no row, so a greedy coloring of that distance graph (most conflicts
-first) puts them in one color; each color costs one residual pair, and each
-row's quotient goes to the one column of the color that reaches it.  When ``R`` spans the graph
-every column gets its own color, which is the column-by-column difference.
-``R`` is computed at each build; the graph, ``F`` and the coloring for each
-``R`` are cached on the stepper.
+column by less than the difference can resolve.  Column ``p`` therefore
+reaches the rows of column ``p`` of ``near = pattern(G^R)``, with
+``R = F + max(K - 1, 0)``.  Two columns share a row iff they are adjacent
+in ``pattern(near near)``, so a greedy first-fit coloring of that graph
+(most conflicts first) gives the colors; each color costs one residual
+pair, and each row's quotient goes to the one column of the color that
+reaches it.  ``near`` is also the column structure of a sparse Jacobian.
+When ``R`` spans the graph every column gets its own color, which is the
+column-by-column difference.  ``R`` is computed at each build; ``G``, ``F``
+and the coloring for each ``R`` are cached on the stepper.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from . import fields as fd
@@ -254,64 +256,40 @@ def rk4_step(geom, state, h, gas, phys, layout=None, heat_source=None, t=0.0):
 _FD_STEP = 1e-7  # central-difference step relative to max(|f_p|, 1)
 
 
-def _gather(src, nodes, indptr, indices):
-    """Pairs ``(src[k], v)`` for every ``v`` listed for ``nodes[k]`` in the
-    compressed lists ``indptr``/``indices``."""
-    count = indptr[nodes + 1] - indptr[nodes]
-    first = np.repeat(indptr[nodes] - np.cumsum(count) + count, count)
-    return np.repeat(src, count), indices[first + np.arange(count.sum())]
+def _pattern(mat):
+    """``mat`` with every stored entry set to 1 and its indices sorted."""
+    mat.data[:] = 1
+    mat.sort_indices()
+    return mat
 
 
-def _compress(keys, m):
-    """Compressed neighbor lists of the sorted pair keys ``p * m + q``."""
-    indptr = np.searchsorted(keys, np.arange(m + 1) * m)
-    return indptr, keys % m
-
-
-def _sharing(flux, key, num_keys, m):
-    """Sorted pair keys ``p * m + q`` of the fluxes listed with a common
-    ``key`` (a cell or a node), each flux paired with itself too."""
-    order = np.argsort(key, kind="stable")
-    ptr = np.searchsorted(key[order], np.arange(num_keys + 1))
-    src, nbr = _gather(flux, key, ptr, flux[order])
-    return np.unique(src * m + nbr)
+def _incidence(a, b, width):
+    """Sparse 0/1 incidence of each row ``k`` to the columns ``a[k]`` and ``b[k]``."""
+    ones, ptr = np.ones(2 * len(a), dtype=np.int32), np.arange(0, 2 * len(a) + 1, 2)
+    return sparse.csr_array((ones, np.stack([a, b], axis=1).ravel(), ptr), shape=(len(a), width))
 
 
 def _flux_graph(layout):
-    """Neighbor lists (itself included) of the flux graph, in which two
-    fluxes are adjacent when they share a cell."""
-    m = layout.size
-    ends = np.concatenate([layout.rows, layout.cols])
-    return _compress(_sharing(np.tile(np.arange(m), 2), ends, layout.geom.n, m), m)
-
-
-def _rings(graph):
-    """Successive sorted key arrays ``p * m + q`` of the flux pairs at
-    flux-graph distance 0, 1, 2, ... (until every reachable pair is out)."""
-    indptr, indices = graph
-    m = len(indptr) - 1
-    ring, inner = np.arange(m) * (m + 1), np.empty(0, dtype=np.int64)
-    while ring.size:
-        yield ring
-        src, nbr = _gather(ring // m, ring % m, indptr, indices)
-        # a neighbor of ring k lies in ring k - 1, k or k + 1
-        ring, inner = np.setdiff1d(src * m + nbr, np.union1d(inner, ring)), ring
+    """Pattern ``G = pattern(C C^T)`` of the flux graph (diagonal included),
+    ``C`` being the incidence of the fluxes to their two cells."""
+    cells = _incidence(layout.rows, layout.cols, layout.geom.n)
+    return _pattern(cells @ cells.T)
 
 
 def _fan_reach(layout, graph):
-    """Largest flux-graph distance between two fluxes whose shared edges
-    meet at one node; unreachable pairs give the flux count."""
-    m = layout.size
-    cells = layout.geom.mesh.cells
-    shared = cells[layout.rows][:, :, None] == cells[layout.cols][:, None, :]
-    flux, corner, _ = np.nonzero(shared)  # each flux ends at two nodes
-    node = cells[layout.rows[flux], corner]
-    wanted = _sharing(flux, node, layout.geom.mesh.num_nodes, m)
-    for dist, ring in enumerate(_rings(graph)):
-        wanted = np.setdiff1d(wanted, ring, assume_unique=True)
-        if not wanted.size:
-            return dist
-    return m
+    """The least ``k`` with ``pattern(E E^T)`` inside ``pattern(G^k)``, ``E``
+    being the incidence of the fluxes to the two ends of their shared edges;
+    the flux count when the powers of ``G`` stop growing first."""
+    g = layout.geom
+    nodes = _incidence(g.adj_eplus[layout.pos], g.adj_eminus[layout.pos], g.mesh.num_nodes)
+    wanted = _pattern(nodes @ nodes.T)
+    reach, power = 0, sparse.eye_array(layout.size, dtype=np.int32, format="csr")
+    while wanted.multiply(power).nnz < wanted.nnz:
+        grown = _pattern(power @ graph)
+        if grown.nnz == power.nnz:  # some pair is unreachable
+            return layout.size
+        reach, power = reach + 1, grown
+    return reach
 
 
 def _coloring(graph, reach):
@@ -321,16 +299,17 @@ def _coloring(graph, reach):
     Returns ``(cols, rows, owners)`` per color: the columns to perturb
     together and, for every row one of them reaches, that column.
     """
-    m = len(graph[0]) - 1
-    rings = list(itertools.islice(_rings(graph), 2 * reach + 1))
-    near = np.sort(np.concatenate(rings[: reach + 1]))
-    # two columns share a row iff they are at most 2 * reach apart
-    indptr, indices = _compress(np.sort(np.concatenate(rings)), m)
+    m = graph.shape[0]
+    near = sparse.eye_array(m, dtype=np.int32, format="csr")
+    for _ in range(reach):
+        near = _pattern(near @ graph)  # G^reach: the rows of each column
+    conflicts = _pattern(near @ near)  # columns that share a row
+    indptr, indices = conflicts.indptr, conflicts.indices
     color = np.full(m, -1)
     for p in np.argsort(-np.diff(indptr), kind="stable"):  # most conflicts first
         used = color[indices[indptr[p] : indptr[p + 1]]]
         color[p] = np.setdiff1d(np.arange(len(used) + 1), used)[0]
-    owners, rows = near // m, near % m
+    owners, rows = np.repeat(np.arange(m), np.diff(near.indptr)), near.indices
     owner_color = color[owners]
     return [
         (np.flatnonzero(color == c), rows[owner_color == c], owners[owner_color == c])

@@ -382,6 +382,39 @@ def test_run_rejects_a_non_finite_number_before_stepping(tmp_path, capsys, key, 
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize(
+    "preset, extra, message",
+    [
+        ("rest", "initial.entropy = 1e5", "config key 'initial.entropy': the initial temperature"),
+        ("rest", "initial.entropy = -1e5", "config key 'initial.entropy': the initial temperature"),
+        ("rest", "initial.density = 1e300", "config key 'initial.density': the initial temperature"),
+        ("hot-spot", "initial.amplitude = 1e5", "config key 'initial.amplitude': the initial temperature"),
+        ("shear", "initial.amplitude = 1e300", "config key 'initial.amplitude': the initial kinetic density"),
+    ],
+)
+def test_run_names_the_key_of_absurd_initial_data(tmp_path, capsys, preset, extra, message):
+    cfg, outdir = run_config(tmp_path, extra + "\n")
+    cfg.write_text(with_value("initial.preset", preset, cfg.read_text()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["run", str(cfg)]) == 2
+    what = "is not finite" if "kinetic" in message else "is not finite and positive"
+    assert capsys.readouterr().err == f"config error: {message} {what}\n"
+    assert not outdir.exists()
+
+
+def test_initial_temperature_names_every_key_that_sets_it(small43):
+    params = {"density": 2.0, "entropy": 3.0, "amplitude": 1e5}
+    with pytest.raises(cli.ConfigError) as err:
+        cli.initial_condition_presets("hot-spot", params, small43, ph.GasParams())
+    assert str(err.value) == (
+        "config keys 'initial.density', 'initial.entropy', 'initial.amplitude': "
+        "the initial temperature is not finite and positive"
+    )
+    with pytest.raises(cli.ConfigError, match="^config key 'initial.preset': the initial"):
+        cli.initial_condition_presets("rest", {}, small43, ph.GasParams(c_v=1e-300, K=1e300))
+
+
 def test_run_is_deterministic(tmp_path):
     cfg, outdir = run_config(tmp_path, "initial.preset = shear\n".replace("initial.preset = shear\n", ""))
     cfg2 = tmp_path / "run2.cfg"

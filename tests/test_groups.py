@@ -1,5 +1,9 @@
 """Group difference maps and their trivialized tangents."""
 
+import subprocess
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,6 +124,37 @@ def test_series_order_counts_the_terms_above_the_level():
     assert gr.series_order(0.01, 2.2e-9) == 2
     assert gr.series_order(0.4, 2.2e-9) == 10
     assert gr.series_order(1e300, 2.2e-9) == 24  # every term up to the cap
+
+
+# Nonzero Bernoulli numbers B_0 .. B_24 (B_1 = -1/2); the odd ones past B_1 vanish.
+BERNOULLI = {
+    0: Fraction(1),
+    1: Fraction(-1, 2),
+    2: Fraction(1, 6),
+    4: Fraction(-1, 30),
+    6: Fraction(1, 42),
+    8: Fraction(-1, 30),
+    10: Fraction(5, 66),
+    12: Fraction(-691, 2730),
+    14: Fraction(7, 6),
+    16: Fraction(-3617, 510),
+    18: Fraction(43867, 798),
+    20: Fraction(-174611, 330),
+    22: Fraction(854513, 138),
+    24: Fraction(-236364091, 2730),
+}
+
+
+def test_bernoulli_numbers_are_correctly_rounded():
+    assert len(gr._BERNOULLI) == 25
+    for n, b in enumerate(gr._BERNOULLI):
+        assert b == float(BERNOULLI.get(n, 0))
+
+
+def test_importing_the_cli_skips_scipy_special():
+    code = "import sys, decflow.cli_io; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_cayley_singularity():

@@ -202,14 +202,17 @@ def test_one_group_action_per_direction_per_step(gen65, monkeypatch):
 
 
 def test_residuals_construct_no_sparse_arrays(jittered65, monkeypatch):
-    # The CSR index structure is built at the first residual; afterwards a
-    # residual, or a whole step, only refreshes the cached arrays' data.
+    # The CSR index structure is built at the first residual and the coloring
+    # patterns at the first Jacobian; afterwards a residual, a Jacobian at the
+    # same reach, or a whole step only refreshes the cached arrays' data.
     phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01, insulated=True)
     stepper = ig.VariationalStepper(jittered65, GAS, phys, h=1e-3)
     state = shear_state(jittered65)
     flux = stepper.layout.from_matrix(state.a)
     prev_term = stepper._transport_term(state.a, state.d, -1.0)
     first = stepper._momentum_residual(flux, state.d, state.s, prev_term)
+    # the first Jacobian builds the sparse patterns of its coloring
+    jac, _ = stepper._jacobian(flux, state.d, state.s, prev_term)
 
     built = []
     for cls in (sparse.csr_array, sparse.csc_array, sparse.coo_array):
@@ -219,6 +222,10 @@ def test_residuals_construct_no_sparse_arrays(jittered65, monkeypatch):
         )
     again = stepper._momentum_residual(flux, state.d, state.s, prev_term)
     np.testing.assert_array_equal(again, first)
+    assert built == []
+    # a second Jacobian at the same reach reuses the cached coloring
+    np.testing.assert_array_equal(stepper._jacobian(flux, state.d, state.s, prev_term)[0], jac)
+    assert built == []
     stepper.step(state)
     assert built == []
 
@@ -305,9 +312,46 @@ def flux_distances(layout):
     return dist
 
 
-@pytest.mark.parametrize("reach", [1, 3, 4])
-def test_coloring_keeps_colors_apart(jittered65, reach):
-    layout = ig.FluxLayout.build(jittered65)
+@pytest.fixture(scope="module")
+def degree8():
+    """One interior node of degree 8 (24 cells, 16 fluxes): a center, eight
+    ring nodes at radius 1 and eight outer nodes at radius 2 rotated by
+    pi/8, with cells (0, a, b), (a, o_a, b) and (b, o_a, o_next)."""
+    turn = 2 * np.pi * np.arange(8) / 8
+    circle = lambda angle: np.c_[np.cos(angle), np.sin(angle)]
+    nodes = np.concatenate([[[0.0, 0.0]], circle(turn), 2 * circle(turn + np.pi / 8)])
+    ring, outer = 1 + np.arange(8), 9 + np.arange(8)
+    nxt = np.roll(np.arange(8), -1)
+    cells = np.concatenate(
+        [
+            np.c_[np.zeros(8, int), ring, ring[nxt]],
+            np.c_[ring, outer, ring[nxt]],
+            np.c_[ring[nxt], outer, outer[nxt]],
+        ]
+    )
+    text = "\n".join(
+        [f"{len(nodes)} {len(cells)}"]
+        + [f"{x!r} {y!r}" for x, y in nodes.tolist()]
+        + [f"{i} {j} {k}" for i, j, k in cells.tolist()]
+    )
+    return msh.compute_geometry(msh.load_mesh(text))
+
+
+@pytest.fixture(scope="module")
+def strip8x2():
+    """Two rows of eight: its interior fluxes form a disconnected graph."""
+    return msh.compute_geometry(msh.generate_rect_mesh(8, 2, 1.0, 1.0))
+
+
+# jittered65 cases are identified by the reach alone, the others by mesh and reach.
+COLORING_CASES = [pytest.param("jittered65", r, id=str(r)) for r in (1, 3, 4)] + [
+    pytest.param(mesh, r, id=f"{mesh}-{r}") for mesh in ("degree8", "strip8x2") for r in (1, 4)
+]
+
+
+@pytest.mark.parametrize("mesh, reach", COLORING_CASES)
+def test_coloring_keeps_colors_apart(mesh, reach, request):
+    layout = ig.FluxLayout.build(request.getfixturevalue(mesh))
     dist = flux_distances(layout)
     colors = ig._coloring(ig._flux_graph(layout), reach)
     seen_cols = np.concatenate([cols for cols, _, _ in colors])
@@ -319,9 +363,23 @@ def test_coloring_keeps_colors_apart(jittered65, reach):
         assert np.all(np.isin(owners, cols))
         pattern[rows, owners] = True
     np.testing.assert_array_equal(pattern, dist <= reach)
-    assert len(colors) < layout.size
+    # columns can share a color only if some pair is over 2 * reach apart
+    apart = (dist > 2 * reach) | (dist == layout.size)  # the flux count: unreachable
+    assert (len(colors) < layout.size) == bool(np.any(apart))
 
 
 def test_fan_reach_on_degree_six_meshes(jittered65):
     layout = ig.FluxLayout.build(jittered65)
     assert ig._fan_reach(layout, ig._flux_graph(layout)) == 3
+
+
+@pytest.mark.parametrize("mesh, reach", [("degree8", 4), ("strip8x2", 7)])
+def test_fan_reach_is_the_largest_distance_at_a_node(mesh, reach, request):
+    # Across the degree-8 fan the reach exceeds 3; the strip has fluxes that
+    # meet at a node but are not connected, which gives the flux count.
+    layout = ig.FluxLayout.build(request.getfixturevalue(mesh))
+    cells = layout.geom.mesh.cells
+    edges = [set(cells[i]) & set(cells[j]) for i, j in zip(layout.rows, layout.cols)]
+    dist = flux_distances(layout)
+    meet = np.array([[bool(e & f) for f in edges] for e in edges])
+    assert ig._fan_reach(layout, ig._flux_graph(layout)) == dist[meet].max() == reach
