@@ -174,14 +174,13 @@ def flux_matrix(omega, rows, cols, flux) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def flat(geom: MeshGeometry, a, two_away: bool = True) -> np.ndarray:
+def flat(geom: MeshGeometry, a) -> np.ndarray:
     """Lower a vector field to a one-form.
 
-    Adjacent entries are ``2 Omega_ii A_ij |*h_ij| / |h_ij|``.  With
-    ``two_away=True`` the entries between cells that share only a node are
-    materialized from the kite relation: around node ``e``, for the triplet
-    with middle cell ``i`` and fan neighbors ``j`` (ccw next), ``k`` (ccw
-    previous),
+    Adjacent entries are ``2 Omega_ii A_ij |*h_ij| / |h_ij|``.  The entries
+    between cells that share only a node are materialized from the kite
+    relation: around node ``e``, for the triplet with middle cell ``i`` and
+    fan neighbors ``j`` (ccw next), ``k`` (ccw previous),
 
         Z_ij + Z_jk + Z_ki = K_(e,i) * omega_A(e),
 
@@ -192,7 +191,7 @@ def flat(geom: MeshGeometry, a, two_away: bool = True) -> np.ndarray:
     """
     zp = flat_pairs(geom, on_pairs(geom, a))
     z = from_pairs(geom, zp)
-    if not two_away or len(geom.ta_row) == 0:
+    if len(geom.ta_row) == 0:
         return z
     om = fan_vorticity(geom, zp)
     ti, tj, tk = geom.tri_i, geom.tri_j, geom.tri_k

@@ -210,7 +210,7 @@ def _series_guard(xi) -> None:
     norm = float(np.linalg.norm(_dense(xi), 2))
     if norm >= 1.0:
         raise GroupMapError(
-            f"tangent-map series needs |xi| < 1, got {norm:.3f}; "
+            f"tangent-map series needs |xi| < 1, got {norm:.3e}; "
             "reduce the time step"
         )
 

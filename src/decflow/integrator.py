@@ -308,7 +308,9 @@ def _coloring(graph, reach):
     color = np.full(m, -1)
     for p in np.argsort(-np.diff(indptr), kind="stable"):  # most conflicts first
         used = color[indices[indptr[p] : indptr[p + 1]]]
-        color[p] = np.setdiff1d(np.arange(len(used) + 1), used)[0]
+        taken = np.zeros(len(used) + 1, dtype=bool)
+        taken[used[(used >= 0) & (used <= len(used))]] = True
+        color[p] = np.argmin(taken)  # the first free color
     owners, rows = np.repeat(np.arange(m), np.diff(near.indptr)), near.indices
     owner_color = color[owners]
     return [

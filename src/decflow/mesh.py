@@ -16,7 +16,8 @@ precomputes every dual-geometry quantity the discrete operators need:
 * the shared-edge endpoint labels ``e+_ij`` / ``e-_ij`` per adjacent pair.
 
 Everything is computed by array operations over two flat tables: one row per
-(cell, local edge), and one row per (node, position in its fan).  Pairwise
+(cell, local edge), and one row per (node, position in its fan).  The fans
+are walked in lockstep over the (cell, local vertex) incidences.  Pairwise
 quantities are indexed only by the row-major directed adjacency list
 ``(adj_i, adj_j)``; no ``(N, N)`` array is formed.
 
@@ -352,9 +353,12 @@ class MeshGeometry:
     ``|h_ij|`` and ``star_h_len`` = ``|*h_ij|``, ``flat_coef`` =
     ``2 Omega_ii |*h_ij|/|h_ij|`` and ``sharp_coef`` = ``|h_ij|/|*h_ij| /
     (2 Omega_ii)``.  The list is the only index of cell pairs.
-    Per-node fan data is stored both as ragged lists (``rings``, ``kappa``)
-    and as flattened index tables for vectorized operator assembly:
+    Per-node fan data is stored as flat tables for vectorized operator
+    assembly:
 
+    * ``fan_*``: one row per (node, position in its ccw fan), node by node,
+      with the cell and its kite area; ``ring_cyclic`` flags the nodes whose
+      fan wraps (interior nodes), and a non-manifold node has no rows,
     * ``pair_*``: one row per consecutive ccw fan pair ``(i, j)`` at a node
       (the dual-polygon boundary segments; this is the support of the total
       vorticity sums), with ``pair_adj`` its row on the adjacency list,
@@ -373,13 +377,12 @@ class MeshGeometry:
     star_h_len: np.ndarray
     flat_coef: np.ndarray
     sharp_coef: np.ndarray
-    rings: list
+    fan_node: np.ndarray
+    fan_cell: np.ndarray
+    fan_kite: np.ndarray
     ring_cyclic: np.ndarray
-    kappa: list
     star_e: np.ndarray
     pair_node: np.ndarray
-    pair_i: np.ndarray
-    pair_j: np.ndarray
     pair_adj: np.ndarray
     tri_node: np.ndarray
     tri_i: np.ndarray
@@ -468,71 +471,6 @@ def _circumcenters(nodes: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return a + np.stack([ux, uy], axis=1)
 
 
-def _node_fans(mesh: Mesh, issues: list) -> tuple:
-    """Counterclockwise fan of cells around every node.
-
-    Returns ``(rings, cyclic)``.  ``rings[v]`` lists the incident cells in
-    ccw order; ``cyclic[v]`` is True for interior nodes (the list wraps).
-    Appends a message to ``issues`` for non-manifold nodes (their fans are
-    left empty, which disables the associated operators' stencils there).
-    """
-    cells = mesh.cells
-    adjacency = mesh.cell_adjacency
-    incident: list = [[] for _ in range(mesh.num_nodes)]
-    for c in range(mesh.num_cells):
-        for p in range(3):
-            incident[int(cells[c, p])].append((c, p))
-
-    rings: list = []
-    cyclic = np.zeros(mesh.num_nodes, dtype=bool)
-    for v in range(mesh.num_nodes):
-        items = incident[v]
-        if not items:
-            rings.append(np.empty(0, dtype=np.int64))
-            continue
-        # Walking ccw around v from cell (v, a, b) crosses the edge (v, b),
-        # which is the edge opposite local vertex p+1.
-        nxt = {}
-        prv = {}
-        for c, p in items:
-            nxt[c] = int(adjacency[c, (p + 1) % 3])
-            prv[c] = int(adjacency[c, (p + 2) % 3])
-        starts = [c for c, _ in items if prv[c] < 0]
-        if len(starts) == 0:  # interior node: cyclic fan
-            ring = [items[0][0]]
-            while True:
-                nc = nxt[ring[-1]]
-                if nc == ring[0]:
-                    break
-                if nc < 0 or nc in ring or len(ring) > len(items):
-                    ring = None
-                    break
-                ring.append(nc)
-            if ring is None or len(ring) != len(items):
-                issues.append(f"node {v}: non-manifold interior fan")
-                rings.append(np.empty(0, dtype=np.int64))
-                continue
-            cyclic[v] = True
-            rings.append(np.array(ring, dtype=np.int64))
-        elif len(starts) == 1:  # boundary node: open chain
-            ring = [starts[0]]
-            while nxt[ring[-1]] >= 0:
-                nc = nxt[ring[-1]]
-                if nc in ring or len(ring) > len(items):
-                    ring = None
-                    break
-                ring.append(nc)
-            if ring is None or len(ring) != len(items):
-                issues.append(f"node {v}: non-manifold boundary fan")
-                rings.append(np.empty(0, dtype=np.int64))
-                continue
-            rings.append(np.array(ring, dtype=np.int64))
-        else:
-            issues.append(f"node {v}: {len(starts)} fans meet (pinched node)")
-            rings.append(np.empty(0, dtype=np.int64))
-    return rings, cyclic
-
-
 def _last_row(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Row of the last occurrence of each query in ``keys``, ``-1`` where it
     does not occur."""
@@ -541,6 +479,51 @@ def _last_row(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     order = np.argsort(keys, kind="stable")
     rows = order[np.maximum(np.searchsorted(keys[order], queries, side="right") - 1, 0)]
     return np.where(keys[rows] == queries, rows, -1)
+
+
+def _node_fans(mesh: Mesh, issues: list) -> tuple:
+    """Counterclockwise fan of cells around every node, as incidence rows
+    ``3 c + p`` (cell ``c``, local vertex ``p``) in (node, ccw position)
+    order: returns ``(fan_node, fan_pos, fan_row, cyclic)``, ``cyclic``
+    flagging the interior nodes (whose fans wrap).  A non-manifold node gets
+    a message in ``issues`` and no rows, which disables the operators'
+    stencils there.
+    """
+    num_nodes, node = mesh.num_nodes, mesh.cells.ravel()
+    rows = np.arange(len(node))
+    # Walking ccw around v from cell (v, a, b) crosses the edge (v, b), which
+    # is the edge opposite local vertex p+1; the edge (v, a) leads back.
+    nxt = mesh.cell_adjacency[:, [1, 2, 0]].ravel()
+    opened = mesh.cell_adjacency[:, [2, 0, 1]].ravel() < 0
+    # A row's successor is the row of (ccw-next cell, same node), or -1; the
+    # appended -1 is the successor of -1.
+    succ = np.append(_last_row(rows // 3 * num_nodes + node, nxt * num_nodes + node), -1)
+    degree = np.bincount(node, minlength=num_nodes)
+    opens = np.bincount(node[opened], minlength=num_nodes)
+    # An open chain starts at its open row, a closed fan at the node's
+    # lowest cell.  Every fan is walked in lockstep.
+    walk = np.full((num_nodes, degree.max() + 1), -1)
+    used, lowest = np.unique(node, return_index=True)
+    walk[used, 0] = lowest
+    walk[node[opened], 0] = rows[opened]
+    for t in range(1, walk.shape[1]):
+        walk[:, t] = succ[walk[:, t - 1]]
+    # A fan is whole when its walk visits every row of the node and then
+    # closes on its start (interior) or leaves the mesh (boundary).  A walk
+    # through a second open row turns back, so a pinched fan is never whole.
+    inside = np.arange(walk.shape[1] - 1) < degree[:, None]
+    seen = np.zeros(len(rows) + 1, dtype=bool)
+    seen[walk[:, :-1][inside]] = True
+    whole = np.bincount(node[seen[:-1]], minlength=num_nodes) == degree
+    end = walk[np.arange(num_nodes), degree]
+    whole &= (degree > 0) & (end == np.where(opens == 0, walk[:, 0], -1))
+    for v in np.flatnonzero((degree > 0) & ~whole):
+        if opens[v] > 1:
+            issues.append(f"node {v}: {opens[v]} fans meet (pinched node)")
+        else:
+            issues.append(f"node {v}: non-manifold {'boundary' if opens[v] else 'interior'} fan")
+    fan_node, fan_pos = np.nonzero(inside & whole[:, None])
+    return fan_node, fan_pos, walk[fan_node, fan_pos], whole & (opens == 0)
 
 
 def _geometry(mesh: Mesh, issues: list) -> MeshGeometry:
@@ -580,12 +563,10 @@ def _geometry(mesh: Mesh, issues: list) -> MeshGeometry:
     adj_row = np.flatnonzero(inner)[adj_row]
 
     # Fan table: one row per (node, position in its ccw fan), node by node.
-    rings, cyclic = _node_fans(mesh, issues)
-    size = np.array([len(ring) for ring in rings])
-    fan_cell = np.concatenate(rings)
-    fan_node = np.repeat(np.arange(mesh.num_nodes), size)
-    first = np.cumsum(size)[fan_node] - size[fan_node]
-    pos, m = np.arange(len(fan_cell)) - first, size[fan_node]
+    fan_node, pos, fan_row, cyclic = _node_fans(mesh, issues)
+    fan_cell, local = fan_row // 3, fan_row % 3
+    size = np.bincount(fan_node, minlength=mesh.num_nodes)
+    first, m = np.arange(len(fan_row)) - pos, size[fan_node]
     nxt, prv = first + (pos + 1) % m, first + (pos - 1) % m
     closed = cyclic[fan_node]
 
@@ -593,7 +574,6 @@ def _geometry(mesh: Mesh, issues: list) -> MeshGeometry:
     # midpoint to b) for the cell (v, a, b), by the shoelace formula.  Its two
     # dot products are 1x4 by 4x1 matmuls, which NumPy hands to BLAS ``ddot``
     # (the x coordinates at stride 2); an elementwise sum rounds differently.
-    local = np.nonzero(cells[fan_cell] == fan_node[:, None])[1]  # one match per row
     pv = nodes[fan_node]
     na, nb = nodes[cells[fan_cell, (local + 1) % 3]], nodes[cells[fan_cell, (local + 2) % 3]]
     quad = np.stack([pv, 0.5 * (pv + na), cc[fan_cell], 0.5 * (pv + nb)], axis=1)
@@ -603,7 +583,6 @@ def _geometry(mesh: Mesh, issues: list) -> MeshGeometry:
         issues.append(
             f"non-positive kite at node {fan_node[r]}, cell {fan_cell[r]} (area {kites[r]:.3e})"
         )
-    kappa = np.split(kites, np.cumsum(size)[:-1])
 
     # Consecutive ccw pairs (dual-polygon boundary) and the kite triplets of
     # the chain-interior cells (both fan neighbors present).
@@ -671,13 +650,12 @@ def _geometry(mesh: Mesh, issues: list) -> MeshGeometry:
         star_h_len=star_h,
         flat_coef=flat_coef,
         sharp_coef=sharp_coef,
-        rings=rings,
+        fan_node=fan_node,
+        fan_cell=fan_cell,
+        fan_kite=kites,
         ring_cyclic=cyclic,
-        kappa=kappa,
         star_e=star_e,
         pair_node=pair_node,
-        pair_i=pair_i,
-        pair_j=pair_j,
         pair_adj=pair_adj,
         tri_node=tri_node,
         tri_i=tri_i,

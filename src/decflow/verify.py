@@ -259,7 +259,7 @@ def check_covariant_tangency(geom, rng) -> float:
 def check_flat_sharp(geom, rng) -> float:
     """Lowering then raising an index is the identity on tangent fields."""
     a = random_tangent(geom, rng)
-    back = fd.sharp(geom, fd.flat(geom, a, two_away=False))
+    back = fd.sharp(geom, fd.flat(geom, a))
     return _rel(np.max(np.abs(back - a)), np.max(np.abs(a)))
 
 

@@ -489,6 +489,21 @@ def test_run_reports_a_series_out_of_range(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_a_huge_series_argument_prints_in_exponent_form(tmp_path, capsys):
+    # The kinetic density of this shear is finite, so it passes the
+    # initial-data check and fails at the first group action.
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(
+        MINIMAL.replace("initial.preset = rest", "initial.preset = shear\ninitial.amplitude = 1e150")
+        + f"output.directory = {tmp_path / 'out'}\n"
+    )
+    assert cli.main(["run", str(cfg)]) == 3
+    assert capsys.readouterr().err.strip() == (
+        "run failed: step 1: tangent-map series needs |xi| < 1, got 9.552e+131; "
+        "reduce the time step (config key 'run.h' = 0.001)"
+    )
+
+
 def test_run_reports_a_nonpositive_density(tmp_path, capsys):
     assert cli.main(["run", str(taylor_config(tmp_path, 0.02))]) == 3
     err = capsys.readouterr().err.strip()

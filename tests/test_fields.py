@@ -13,6 +13,12 @@ def adjacent(geom):
     return fd.from_pairs(geom, 1.0) > 0
 
 
+def flat_adjacent(geom, a):
+    """The flat's adjacent entries alone, zero between cells that share only
+    a node."""
+    return fd.from_pairs(geom, fd.flat_pairs(geom, fd.on_pairs(geom, a)))
+
+
 # ---------------------------------------------------------------------------
 # Pairings and elementary operators (frozen on the rhombus)
 # ---------------------------------------------------------------------------
@@ -81,7 +87,7 @@ def test_flat_adjacent_coefficient(rhombus):
 def test_flat_two_away_extends_adjacent_entries(jittered, rng):
     a = vf.random_tangent(jittered, rng, velocity_scale=True)
     full = fd.flat(jittered, a)
-    adj_only = fd.flat(jittered, a, two_away=False)
+    adj_only = flat_adjacent(jittered, a)
     assert np.array_equal(full[adjacent(jittered)], adj_only[adjacent(jittered)])
     # The completed entries live strictly off the adjacency pattern.
     off = ~adjacent(jittered) & ~np.eye(jittered.n, dtype=bool)
@@ -98,7 +104,7 @@ def test_sharp_inverts_flat(jittered, rng):
 def test_lambda_ignores_two_away_entries(jittered, rng):
     a = vf.random_tangent(jittered, rng)
     z_full = fd.flat(jittered, a)
-    z_adj = fd.flat(jittered, a, two_away=False)
+    z_adj = flat_adjacent(jittered, a)
     np.testing.assert_allclose(
         fd.lambda_op(jittered, z_full), fd.lambda_op(jittered, z_adj), atol=0
     )
@@ -221,7 +227,7 @@ def test_lie_derivative_on_pairs_is_the_dense_one(mesh, request, rng):
     # L_A(A^flat) that the friction power reads.
     geom = request.getfixturevalue(mesh)
     a = vf.random_tangent(geom, rng)
-    z = fd.flat(geom, a, two_away=False)
+    z = flat_adjacent(geom, a)
     got = fd.lie_deriv_pairs(geom, a, fd.on_pairs(geom, z))
     for ref in (lie_deriv_oneform(a, z), lie_deriv_oneform_cartan(a, z)):
         ref = fd.on_pairs(geom, ref)

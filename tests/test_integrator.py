@@ -53,7 +53,7 @@ def test_momentum_vector_values(gen65, rng):
     a = layout.to_matrix(rng.normal(size=layout.size))
     d = 0.5 + rng.random(gen65.n)
     m = ig.momentum_vector(gen65, layout, a, d)
-    z = fd.flat(gen65, a, two_away=False)
+    z = fd.flat(gen65, a)
     np.testing.assert_array_equal(m, (fd.pair_mean(d) * z)[layout.rows, layout.cols])
 
 

@@ -67,19 +67,15 @@ def test_generator_tiles_the_rectangle():
 
 
 def test_generator_interior_fans_are_hexagonal(gen65):
-    degrees = {
-        len(gen65.rings[v])
-        for v in range(gen65.mesh.num_nodes)
-        if gen65.ring_cyclic[v]
-    }
-    assert degrees == {6}
+    degrees = np.bincount(gen65.fan_node, minlength=gen65.mesh.num_nodes)
+    assert set(degrees[gen65.ring_cyclic]) == {6}
 
 
 def test_frozen_fan_ring(gen65):
     # Node 8 is the first interior node of the 6x5 strip; its counter-
     # clockwise fan was checked by hand once and is pinned here.
     assert gen65.ring_cyclic[8]
-    np.testing.assert_array_equal(gen65.rings[8], [0, 1, 7, 14, 19, 13])
+    np.testing.assert_array_equal(gen65.fan_cell[gen65.fan_node == 8], [0, 1, 7, 14, 19, 13])
 
 
 def test_generator_rejects_bad_arguments():
@@ -96,8 +92,7 @@ def test_generator_rejects_bad_arguments():
 
 def kite_sums(geom):
     total = np.zeros(geom.n)
-    for v in range(geom.mesh.num_nodes):
-        np.add.at(total, geom.rings[v], geom.kappa[v])
+    np.add.at(total, geom.fan_cell, geom.fan_kite)
     return total
 
 
@@ -107,7 +102,7 @@ def test_kites_partition_cells(gen65, jittered):
 
 
 def test_kites_are_positive(jittered):
-    assert min(k.min() for k in jittered.kappa if len(k)) > 0
+    assert jittered.fan_kite.min() > 0
 
 
 def test_dual_edge_measure_matches_kite_triplets(gen65, jittered):
@@ -120,9 +115,8 @@ def test_dual_edge_measure_matches_kite_triplets(gen65, jittered):
 
 
 def test_triplets_walk_the_fan(gen65):
-    rings = gen65.rings
     for t in range(len(gen65.tri_node)):
-        ring = list(rings[gen65.tri_node[t]])
+        ring = list(gen65.fan_cell[gen65.fan_node == gen65.tri_node[t]])
         pos = ring.index(gen65.tri_i[t])
         assert gen65.tri_j[t] == ring[(pos + 1) % len(ring)]
         assert gen65.tri_k[t] == ring[(pos - 1) % len(ring)]
@@ -264,6 +258,13 @@ PINCHED = (
 )
 # Both cells lie on the same side of their shared edge.
 FOLDED = "4 2\n0 0\n1 0\n0.5 1\n0.5 0.4\n0 1 2\n0 1 3\n"
+# A closed hexagon fan around node 0, and cell 6 = (0, 9, 8), which touches
+# node 0 only at that node and is joined to the hexagon through cells 7 to 9.
+# Cells 6 and 7 are folded over their shared edge (8, 9).
+SPLIT_FAN = (
+    "10 10\n0 0\n2 0\n1 2\n-1 2\n-2 0\n-1 -2\n1 -2\n3 0\n-1 0\n3 1\n"
+    "0 1 2\n0 2 3\n0 3 4\n0 4 5\n0 5 6\n0 6 1\n0 9 8\n9 8 7\n2 8 7\n2 1 7\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -297,6 +298,32 @@ FOLDED = "4 2\n0 0\n1 0\n0.5 1\n0.5 0.4\n0 1 2\n0 1 3\n"
             "4 2\n0 0\n1 0\n1 1\n0 1\n0 1 2\n0 2 3\n",
             ["degenerate dual edge between cells 0 and 1 (|*h| = 0.000e+00)"],
         ),
+        (
+            SPLIT_FAN,
+            [
+                "node 0: non-manifold boundary fan",
+                "node 2: 2 fans meet (pinched node)",
+                "node 7: non-manifold boundary fan",
+                "node 8: non-manifold boundary fan",
+                "node 9: non-manifold interior fan",
+                "kites of cell 0 sum to 0.6875, area is 2",
+                "kites of cell 1 sum to 0.6875, area is 2",
+                "kites of cell 2 sum to 1.3125, area is 2",
+                "kites of cell 3 sum to 1.3125, area is 2",
+                "kites of cell 4 sum to 1.375, area is 2",
+                "kites of cell 5 sum to 1.3125, area is 2",
+                "kites of cell 6 sum to 0, area is 0.5",
+                "kites of cell 7 sum to 0, area is 2",
+                "kites of cell 8 sum to 0, area is 4",
+                *(
+                    f"adjacent pair ({i},{j}) missing a fan endpoint"
+                    for i, j in [
+                        (0, 1), (0, 5), (0, 9), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3),
+                        (4, 5), (5, 0), (5, 4), (6, 7), (7, 6), (7, 8), (8, 7), (8, 9), (9, 0), (9, 8),
+                    ]
+                ),
+            ],
+        ),
     ],
 )
 def test_degenerate_geometry_lists_every_issue(text, issues):
@@ -323,6 +350,106 @@ def test_low_degree_warning_is_advisory():
     with pytest.raises(msh.MeshError) as err:
         msh.compute_geometry(mesh)
     assert str(err.value) == "; ".join(kites)
+
+
+# ---------------------------------------------------------------------------
+# The array fan walk against a per-node reference walk
+# ---------------------------------------------------------------------------
+
+
+def reference_fans(mesh):
+    """Counterclockwise fan of cells around every node, walked node by node.
+
+    Returns ``(rings, cyclic, issues)``: ``rings[v]`` lists the incident cells
+    in ccw order, ``cyclic[v]`` is True for interior nodes, and ``issues``
+    names every non-manifold node (whose fan is left empty).
+    """
+    cells = mesh.cells
+    adjacency = mesh.cell_adjacency
+    issues = []
+    incident = [[] for _ in range(mesh.num_nodes)]
+    for c in range(mesh.num_cells):
+        for p in range(3):
+            incident[int(cells[c, p])].append((c, p))
+
+    rings = []
+    cyclic = np.zeros(mesh.num_nodes, dtype=bool)
+    for v in range(mesh.num_nodes):
+        items = incident[v]
+        if not items:
+            rings.append(np.empty(0, dtype=np.int64))
+            continue
+        # Walking ccw around v from cell (v, a, b) crosses the edge (v, b),
+        # which is the edge opposite local vertex p+1.
+        nxt = {}
+        prv = {}
+        for c, p in items:
+            nxt[c] = int(adjacency[c, (p + 1) % 3])
+            prv[c] = int(adjacency[c, (p + 2) % 3])
+        starts = [c for c, _ in items if prv[c] < 0]
+        if len(starts) == 0:  # interior node: cyclic fan
+            ring = [items[0][0]]
+            while True:
+                nc = nxt[ring[-1]]
+                if nc == ring[0]:
+                    break
+                if nc < 0 or nc in ring or len(ring) > len(items):
+                    ring = None
+                    break
+                ring.append(nc)
+            if ring is None or len(ring) != len(items):
+                issues.append(f"node {v}: non-manifold interior fan")
+                rings.append(np.empty(0, dtype=np.int64))
+                continue
+            cyclic[v] = True
+            rings.append(np.array(ring, dtype=np.int64))
+        elif len(starts) == 1:  # boundary node: open chain
+            ring = [starts[0]]
+            while nxt[ring[-1]] >= 0:
+                nc = nxt[ring[-1]]
+                if nc in ring or len(ring) > len(items):
+                    ring = None
+                    break
+                ring.append(nc)
+            if ring is None or len(ring) != len(items):
+                issues.append(f"node {v}: non-manifold boundary fan")
+                rings.append(np.empty(0, dtype=np.int64))
+                continue
+            rings.append(np.array(ring, dtype=np.int64))
+        else:
+            issues.append(f"node {v}: {len(starts)} fans meet (pinched node)")
+            rings.append(np.empty(0, dtype=np.int64))
+    return rings, cyclic, issues
+
+
+# Cell 2 covers cells 0 and 1: the walk around node 0 visits its three cells
+# and then turns back to cell 1 instead of closing on cell 0.
+STACKED = "4 3\n0 0\n2 0\n1.53 1.29\n0.35 1.97\n0 1 2\n0 2 3\n0 1 3\n"
+DEGREE_FOUR = "5 4\n1 0\n0 1\n-1 0\n0 -1\n0.2 0.1\n0 1 4\n1 2 4\n2 3 4\n3 0 4\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        None,  # the jittered 65-cell mesh
+        DEGREE_FOUR,
+        PINCHED,
+        FOLDED,
+        SPLIT_FAN,
+        STACKED,
+        "3 1\n0 0\n1 0\n0 1\n0 1 2\n",
+        "4 2\n0 0\n1 0\n1 1\n0 1\n0 1 2\n0 2 3\n",
+        "5 4\n1 0\n0 1\n-1 0\n0 -1\n0.3 0.2\n4 1 0\n1 2 4\n2 3 4\n3 0 4\n",
+    ],
+)
+def test_fan_table_matches_the_reference_walk(text, jittered65):
+    mesh = jittered65.mesh if text is None else msh.load_mesh(text)
+    rings, cyclic, fan_issues = reference_fans(mesh)
+    geom, issues = msh.inspect_geometry(mesh)
+    np.testing.assert_array_equal(geom.fan_cell, np.concatenate(rings))
+    np.testing.assert_array_equal(geom.fan_node, np.repeat(np.arange(mesh.num_nodes), [len(r) for r in rings]))
+    np.testing.assert_array_equal(geom.ring_cyclic, cyclic)
+    assert [s for s in issues if s.startswith("node ")] == fan_issues
 
 
 def test_validate_clean_meshes(gen65, jittered):
@@ -378,6 +505,16 @@ def test_no_geometry_member_is_square(jittered65):
             assert list(value.shape).count(jittered65.n) < 2, name
 
 
+def fan_pairs(geom):
+    """Every consecutive ccw pair ``(node, i, j)`` of the fan table."""
+    pairs = []
+    for v in range(geom.mesh.num_nodes):
+        ring = geom.fan_cell[geom.fan_node == v].tolist()
+        m = len(ring)
+        pairs += [(v, ring[t], ring[(t + 1) % m]) for t in range(m if geom.ring_cyclic[v] else m - 1)]
+    return pairs
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     nx=st.integers(2, 8),
@@ -397,10 +534,10 @@ def test_geometry_tables_are_consistent(nx, ny, amount, seed):
     np.testing.assert_array_equal(key[reverse], g.adj_j * g.n + g.adj_i)
     np.testing.assert_array_equal(g.h_len[reverse], g.h_len)
     np.testing.assert_array_equal(g.star_h_len[reverse], g.star_h_len)
-    np.testing.assert_array_equal(g.adj_i[g.pair_adj], g.pair_i)
-    np.testing.assert_array_equal(g.adj_j[g.pair_adj], g.pair_j)
+    pairs = zip(g.pair_node.tolist(), g.adj_i[g.pair_adj].tolist(), g.adj_j[g.pair_adj].tolist())
+    assert list(pairs) == fan_pairs(g)
     assert not np.isin(g.ta_row * g.n + g.ta_col, key).any()
-    kites = np.bincount(np.concatenate(g.rings), np.concatenate(g.kappa), minlength=g.n)
+    kites = np.bincount(g.fan_cell, g.fan_kite, minlength=g.n)
     np.testing.assert_allclose(kites, g.omega, rtol=0, atol=1e-14)
 
 
@@ -410,7 +547,7 @@ def test_tables_match_loops_over_edges_and_fans(jittered65, degree_four):
     # arithmetic in the same order, so the results are equal, not close.
     g = jittered65
     if degree_four:  # a mesh with duplicate two-away entries
-        g = msh.compute_geometry(msh.load_mesh("5 4\n1 0\n0 1\n-1 0\n0 -1\n0.2 0.1\n0 1 4\n1 2 4\n2 3 4\n3 0 4\n"))
+        g = msh.compute_geometry(msh.load_mesh(DEGREE_FOUR))
         assert len(g.dup_row)
     nodes, cells, cc = g.mesh.nodes, g.mesh.cells, g.circumcenters
     for p, (i, j) in enumerate(zip(g.adj_i, g.adj_j)):
@@ -419,17 +556,18 @@ def test_tables_match_loops_over_edges_and_fans(jittered65, degree_four):
         assert g.h_len[p] == float(np.hypot(*(b - a)))
         assert g.star_h_len[p] == float(np.hypot(*(cc[j] - cc[i])))
     eplus = {}
-    for v, ring in enumerate(g.rings):
+    for v in range(g.mesh.num_nodes):
+        ring, kappa = g.fan_cell[g.fan_node == v], g.fan_kite[g.fan_node == v]
         m, pv = len(ring), nodes[v]
         for t, c in enumerate(ring):
             k = list(cells[c]).index(v)
             a, b = nodes[cells[c, (k + 1) % 3]], nodes[cells[c, (k + 2) % 3]]
             quad = np.array([pv, 0.5 * (pv + a), cc[c], 0.5 * (pv + b)])
             x, y = quad[:, 0], quad[:, 1]
-            assert g.kappa[v][t] == 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+            assert kappa[t] == 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
         star = 0.0
         for t in range(m) if g.ring_cyclic[v] else range(1, m - 1):
-            star += g.kappa[v][t]
+            star += kappa[t]
         assert g.star_e[v] == star
         for t in range(m if g.ring_cyclic[v] else m - 1):
             eplus[(ring[t], ring[(t + 1) % m])] = v

@@ -57,7 +57,7 @@ def dense_gradient_forces(geom, a, d, s):
 def dense_viscous_force(geom, a, phys):
     z = fd.from_pairs(geom, geom.flat_coef) * a
     om = np.zeros(geom.mesh.num_nodes)
-    np.add.at(om, geom.pair_node, z[geom.pair_i, geom.pair_j])
+    np.add.at(om, geom.pair_node, z[geom.adj_i[geom.pair_adj], geom.adj_j[geom.pair_adj]])
     w = om * geom.star_e
     i, j = geom.adj_i, geom.adj_j
     h_len, star_h_len = fd.from_pairs(geom, geom.h_len), fd.from_pairs(geom, geom.star_h_len)
