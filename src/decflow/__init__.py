@@ -16,7 +16,7 @@ mesh        meshes, circumcentric dual geometry, generation and validation
 fields      discrete tensor calculus: the operator dictionary
 groups      matrix group maps: exponential/Cayley, trivialized tangents
 physics     state, perfect gas thermodynamics, Lagrangian, forces
-integrator  variational and RK4 time steppers
+integrator  the variational time stepper
 diagnostics probes: mass, entropy, energy budget
 verify      randomized checks of every discrete identity
 cli_io      configs, presets, CSV/VTK output, command line entry point

@@ -18,12 +18,13 @@ Two kinds are provided:
   not preserve the row-sum-zero structure of transported quantities the way
   the exponential does, so the exponential is the default everywhere.
 
-The tangents and the series guard take ``xi`` as a dense array or as a
-SciPy sparse array whose ``.T`` is kept ready, such as the CSR form of a
-velocity matrix from :class:`decflow.mesh.AdjacencyCSR`; the series code is
-the same for both.  Each term ``T xi - xi T`` is then two sparse-times-dense
-products, ``xi T`` and ``(xi^T T^T)^T``, instead of two dense ``N^3``
-products.  The Cayley tangents and the guard's SVD use the dense form.
+Every function except :func:`tau` takes ``xi`` as a SciPy CSR array, such
+as the CSR form of a velocity matrix from
+:class:`decflow.mesh.AdjacencyCSR`, whose ``.T`` is kept ready.  Each series
+term ``T xi - xi T`` is two sparse-times-dense products, ``xi T`` and
+``(xi^T T^T)^T``, and the exponential's action applies ``xi^T`` from the
+stored entries.  :func:`tau` is the dense reference element; the Cayley
+branches and the guard's SVD densify ``xi`` with ``xi.toarray()``.
 
 Both kinds satisfy, for any square ``xi`` and ``delta``,
 
@@ -39,7 +40,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import expm
 
 __all__ = [
@@ -84,24 +84,17 @@ def _check_kind(kind: str) -> None:
 
 
 def commutator(a: np.ndarray, b) -> np.ndarray:
-    """``[a, b] = a b - b a``.  A sparse ``b`` multiplies from the right
-    as ``a b = (b^T a^T)^T``, a sparse-times-dense product."""
-    if sparse.issparse(b):
-        return (b.T @ a.T).T - b @ a
-    return a @ b - b @ a
+    """``[a, b] = a b - b a`` for a sparse ``b``, which multiplies from the
+    right as ``a b = (b^T a^T)^T``, a sparse-times-dense product."""
+    return (b.T @ a.T).T - b @ a
 
 
-def _operand(xi):
-    """A series argument as given if sparse, else as a float array."""
-    return xi if sparse.issparse(xi) else np.asarray(xi, dtype=float)
-
-
-def _dense(xi) -> np.ndarray:
-    return xi.toarray() if sparse.issparse(xi) else np.asarray(xi, dtype=float)
+def _rows(x) -> np.ndarray:
+    """The row of every stored entry of a CSR ``x``."""
+    return np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))
 
 
 def _cayley_factors(xi: np.ndarray):
-    xi = _dense(xi)
     n = xi.shape[0]
     eye = np.eye(n)
     p = eye - 0.5 * xi
@@ -112,7 +105,8 @@ def _cayley_factors(xi: np.ndarray):
 
 
 def tau(xi: np.ndarray, kind: str = "exponential") -> np.ndarray:
-    """Group difference map: matrix exponential or Cayley transform."""
+    """Group difference map: matrix exponential or Cayley transform, of a
+    dense ``xi``."""
     _check_kind(kind)
     xi = np.asarray(xi, dtype=float)
     if kind == "exponential":
@@ -132,27 +126,30 @@ def _taylor_terms(norm: float) -> int:
     return order
 
 
-def tau_action(xi: np.ndarray, kind: str = "exponential"):
-    """The map ``w -> tau(xi)^T w``, for applying one group element to
-    several vectors without forming it.
+def tau_action(xi, kind: str = "exponential"):
+    """The map ``w -> tau(xi)^T w`` of a CSR ``xi``, for applying one group
+    element to several vectors without forming it.
 
     For the exponential, ``exp(xi^T) w = (exp(xi^T / s))^s w`` with
     ``s = max(1, ceil(|xi|_1))``, and each factor is the Taylor series
     ``sum_k (xi^T / s)^k w / k!`` cut after the order ``K`` whose tail bound,
     from ``|xi^T|_inf = |xi|_1``, is at most ``2^-53 |w|_inf``.  ``s`` and
-    ``K`` are fixed per action, so every application costs ``s K``
-    matrix-vector products.  The Cayley element is formed once.
+    ``K`` are fixed per action, so every application costs ``s K`` products
+    of ``xi^T`` with a vector, each a gather and an ``np.bincount`` over the
+    stored entries.  The action keeps copies of those entries, not ``xi``,
+    so a later :meth:`decflow.mesh.AdjacencyCSR.load` leaves it unchanged.
+    The Cayley element is formed once, from ``xi.toarray()``.
     """
     _check_kind(kind)
-    xi = np.asarray(xi, dtype=float)
     if kind == "cayley":
-        qt = tau(xi, kind).T
+        qt = tau(xi.toarray(), kind).T
         return lambda w: qt @ w
-    norm = float(np.abs(xi).sum(axis=0).max())
+    n, rows, cols = xi.shape[0], _rows(xi), xi.indices.copy()
+    norm = float(np.bincount(cols, np.abs(xi.data), minlength=n).max())
     if not math.isfinite(norm):
         raise GroupMapError("group map argument is not finite")
     steps = max(1, math.ceil(norm))
-    xt = xi.T / steps
+    vals = xi.data / steps
     terms = _taylor_terms(norm / steps)
 
     def act(w):
@@ -160,7 +157,7 @@ def tau_action(xi: np.ndarray, kind: str = "exponential"):
         for _ in range(steps):
             term = total = w
             for k in range(1, terms + 1):
-                term = (xt @ term) / k
+                term = np.bincount(cols, vals * term[rows], minlength=n) / k
                 total = total + term
             w = total
         return w
@@ -170,16 +167,11 @@ def tau_action(xi: np.ndarray, kind: str = "exponential"):
 
 def norm_bound(x) -> float:
     """``sqrt(|x|_1 |x|_inf)``, an upper bound on the spectral norm
-    ``|x|_2`` that costs two absolute sums instead of an SVD.  A sparse
-    ``x`` is summed over its stored entries."""
-    if sparse.issparse(x):
-        ax = np.abs(x.data)
-        rows = np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))
-        cols_sum = np.bincount(x.indices, ax, minlength=x.shape[1])
-        rows_sum = np.bincount(rows, ax, minlength=x.shape[0])
-    else:
-        ax = np.abs(x)
-        cols_sum, rows_sum = ax.sum(axis=0), ax.sum(axis=1)
+    ``|x|_2`` that costs two absolute sums over the stored entries of a
+    CSR ``x`` instead of an SVD."""
+    ax = np.abs(x.data)
+    cols_sum = np.bincount(x.indices, ax, minlength=x.shape[1])
+    rows_sum = np.bincount(_rows(x), ax, minlength=x.shape[0])
     return float(np.sqrt(cols_sum.max() * rows_sum.max()))
 
 
@@ -207,7 +199,7 @@ def _series_guard(xi) -> None:
         return
     if not math.isfinite(bound):  # the SVD would not converge
         raise GroupMapError("tangent-map series argument is not finite; reduce the time step")
-    norm = float(np.linalg.norm(_dense(xi), 2))
+    norm = float(np.linalg.norm(xi.toarray(), 2))
     if norm >= 1.0:
         raise GroupMapError(
             f"tangent-map series needs |xi| < 1, got {norm:.3e}; "
@@ -219,10 +211,9 @@ def dtau(xi, delta: np.ndarray, kind: str = "exponential") -> np.ndarray:
     """Left-trivialized tangent of ``tau`` at ``xi`` applied to ``delta``:
     ``tau(xi)^-1 d/dt tau(xi + t delta)``."""
     _check_kind(kind)
-    xi = _operand(xi)
     delta = np.asarray(delta, dtype=float)
     if kind == "cayley":
-        p, q = _cayley_factors(xi)
+        p, q = _cayley_factors(xi.toarray())
         # Q^-1 delta P^-1, computed as solve(Q, delta) then right-divide by P
         return np.linalg.solve(q, np.linalg.solve(p.T, delta.T).T)
     _series_guard(xi)
@@ -241,10 +232,9 @@ def dtau_inv(xi, eta: np.ndarray, kind: str = "exponential") -> np.ndarray:
     """Inverse trivialized tangent; for the exponential the Bernoulli series
     ``eta + [xi, eta]/2 + [xi, [xi, eta]]/12 - ...``."""
     _check_kind(kind)
-    xi = _operand(xi)
     eta = np.asarray(eta, dtype=float)
     if kind == "cayley":
-        p, q = _cayley_factors(xi)
+        p, q = _cayley_factors(xi.toarray())
         return q @ eta @ p
     _series_guard(xi)
     scale = float(np.max(np.abs(eta))) or 1.0
@@ -272,5 +262,5 @@ def dtau_inv_star(
     row division by ``Omega`` to a caller that needs only some entries.
     """
     wl = omega[:, None] * np.asarray(lmat, dtype=float)
-    out = dtau_inv(_operand(xi).T, wl, kind)
+    out = dtau_inv(xi.T, wl, kind)
     return out / omega[:, None] if divide else out

@@ -1,10 +1,10 @@
-"""Time integration: the discrete variational step and an RK4 reference.
+"""Time integration: the discrete variational step.
 
-Both integrators advance the same unknowns -- one momentum flux per pair of
-adjacent *interior* cells (cells not touching the boundary; no-slip), plus
-density and entropy per cell -- and both are consistent with the same
-semi-discrete equations, so one variational step differs from one RK4 step
-by O(h^2).
+The step advances one momentum flux per pair of adjacent *interior* cells
+(cells not touching the boundary; no-slip), plus density and entropy per
+cell.  It is consistent with the semi-discrete equations, so it differs
+from one step of a classical RK4 on them (the reference the tests keep) by
+O(h^2).
 
 The variational step solves, in order:
 
@@ -20,11 +20,12 @@ The variational step solves, in order:
    operand (``A``, its flat and the momentum ``D A^flat``) is dense,
 2. exact density transport ``D^{k+1} = D^k bullet tau(-h A^k)``.  The
    group element is never formed: :func:`decflow.groups.tau_action` applies
-   ``tau(-h A^k)^T`` to ``Omega D^k`` as a Taylor series of matrix-vector
-   products whose term count is fixed from ``|h A^k|_1`` so the remainder
-   is at most ``2^-53`` of the vector.  Mass stays exact to round-off:
-   the rows of ``A^k`` sum to zero, so every term after the first has zero
-   sum,
+   ``tau(-h A^k)^T`` to ``Omega D^k`` as a Taylor series of products with
+   the stored entries of the CSR form of ``-h A^k``, whose term count is
+   fixed from ``|h A^k|_1`` so the remainder is at most ``2^-53`` of the
+   vector; the action builds no ``(N, N)`` array.  Mass stays exact to
+   round-off: the rows of ``A^k`` sum to zero, so every term after the
+   first has zero sum,
 3. a fixed point for the new entropy ``S^{k+1}`` balancing transport,
    friction heating, conduction and sources against the old temperature,
    followed by the boundary temperature condition (unless insulated).  It
@@ -95,9 +96,6 @@ __all__ = [
     "FluxLayout",
     "StepReport",
     "VariationalStepper",
-    "rk4_step",
-    "semi_discrete_rhs",
-    "momentum_vector",
     "IntegratorError",
     "SeriesRangeError",
     "StateRangeError",
@@ -187,66 +185,6 @@ def _gradient_forces(geom, layout, a, d, s, gas):
     i, j = layout.rows, layout.cols
     gd, gs = fd.pair_diff(dl_dd, i, j), fd.pair_diff(dl_ds, i, j)
     return fd.pair_avg(d, i, j) * gd + fd.pair_avg(s, i, j) * gs
-
-
-def semi_discrete_rhs(geom, state, gas, phys, layout, heat=None):
-    """Right-hand side of the semi-discrete system as ``(mdot, Ddot, Sdot)``
-    with the momentum one-form ``m_ij = Dbar_ij A^flat_ij`` carried on the
-    flux layout."""
-    a, d, s = state.a, state.d, state.s
-    z = fd.flat(geom, a)
-    lie = layout.pick(fd.lie_deriv_oneform_density(geom, a, d[:, None] * z))
-    visc = ph.viscous_pairs(geom, a, phys)[layout.pos]
-    mdot = -lie - _gradient_forces(geom, layout, a, d, s, gas) + visc
-
-    ddot = -fd.act_den(geom, d, a)
-
-    theta = ph.temperature(d, s, gas)
-    div_j, theta_j, _ = ph.conduction(geom, theta, phys)
-    fric = ph.friction_power(geom, a, phys)
-    source = fric.copy()
-    if heat is not None:
-        source = source + d * heat
-    sdot = -fd.act_den(geom, s, a) - div_j + (source - theta_j) / theta
-    return mdot, ddot, sdot
-
-
-def momentum_vector(geom, layout, a, d):
-    """Edge momenta ``m_ij = Dbar_ij A^flat_ij`` on the flux layout."""
-    zp = fd.flat_pairs(geom, fd.on_pairs(geom, a))[layout.pos]
-    return fd.pair_avg(d, layout.rows, layout.cols) * zp
-
-
-def _state_from_momentum(geom, layout, mvec, d, s):
-    dbar = fd.pair_avg(d, layout.rows, layout.cols)
-    z = np.zeros((geom.n, geom.n))
-    z[layout.rows, layout.cols] = mvec / dbar
-    z[layout.cols, layout.rows] = -mvec / dbar
-    return ph.FluidState(fd.sharp(geom, z), d, s)
-
-
-def rk4_step(geom, state, h, gas, phys, layout=None, heat_source=None, t=0.0):
-    """Classical RK4 on ``(m, D, S)`` with the velocity reassembled from the
-    momentum one-form at every stage (``A^flat_ij = m_ij / Dbar_ij``)."""
-    if layout is None:
-        layout = FluxLayout.build(geom)
-    m0 = momentum_vector(geom, layout, state.a, state.d)
-    d0_, s0 = state.d, state.s
-
-    def rhs(mvec, d, s, tt):
-        st = _state_from_momentum(geom, layout, mvec, d, s)
-        heat = heat_source(tt) if heat_source is not None else None
-        return semi_discrete_rhs(geom, st, gas, phys, layout, heat)
-
-    k1 = rhs(m0, d0_, s0, t)
-    k2 = rhs(m0 + 0.5 * h * k1[0], d0_ + 0.5 * h * k1[1], s0 + 0.5 * h * k1[2], t + 0.5 * h)
-    k3 = rhs(m0 + 0.5 * h * k2[0], d0_ + 0.5 * h * k2[1], s0 + 0.5 * h * k2[2], t + 0.5 * h)
-    k4 = rhs(m0 + h * k3[0], d0_ + h * k3[1], s0 + h * k3[2], t + h)
-
-    mvec = m0 + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    d = d0_ + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    s = s0 + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-    return _state_from_momentum(geom, layout, mvec, d, s)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +341,7 @@ class VariationalStepper:
         the module docstring): the fan reach plus one flux step per series
         order past the first whose bound clears the central difference's
         roundoff level ``eps / _FD_STEP``."""
-        beta = gr.norm_bound(self.h * self.layout.to_matrix(flux))
+        beta = gr.norm_bound(self.geom.adjacency_csr.load(self.layout.to_matrix(flux), self.h))
         order = gr.series_order(beta, np.finfo(float).eps / _FD_STEP)
         return self._graph[1] + max(order - 1, 0)
 
@@ -467,7 +405,7 @@ class VariationalStepper:
         """Fixed point for ``S^{k+1}`` (before boundary enforcement);
         ``back`` is the step's action of ``tau(-h A^k)``."""
         geom, phys, gas, h = self.geom, self.phys, self.gas, self.h
-        fwd = gr.tau_action(h * a_new, self.kind)
+        fwd = gr.tau_action(geom.adjacency_csr.load(a_new, h), self.kind)
         rhs_const = h * fric - h * ph.conduction(geom, theta_old, phys)[1]
         if heat is not None:
             rhs_const = rhs_const + h * d_old * heat
@@ -514,7 +452,7 @@ class VariationalStepper:
             prev_term = self._transport_term(state.a, self._d_prev, -1.0)
             flux, report = self._solve_momentum(flux0, state.d, state.s, prev_term)
             a_new = self.layout.to_matrix(flux)
-            back = gr.tau_action(-h * a_new, self.kind)
+            back = gr.tau_action(geom.adjacency_csr.load(a_new, -h), self.kind)
         except gr.GroupMapError as exc:
             raise SeriesRangeError(str(exc)) from exc
 

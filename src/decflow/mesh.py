@@ -361,7 +361,8 @@ class MeshGeometry:
       fan wraps (interior nodes), and a non-manifold node has no rows,
     * ``pair_*``: one row per consecutive ccw fan pair ``(i, j)`` at a node
       (the dual-polygon boundary segments; this is the support of the total
-      vorticity sums), with ``pair_adj`` its row on the adjacency list,
+      vorticity sums), with ``pair_adj`` its row on the adjacency list (a
+      pair missing from the list, on a mesh with issues, has no row),
     * ``tri_*``: one row per kite triplet -- middle cell ``i`` with fan
       neighbors ``j`` (ccw next) and ``k`` (ccw previous) at node ``e`` --
       with the kite area, ``W_ijk`` and signed ``K_ijk``,
@@ -438,7 +439,8 @@ class AdjacencyCSR:
     gathers the pattern entries of ``scale * X`` and of ``scale * X^T``
     from a dense ``X`` into ``.data`` of two cached arrays and returns the
     first, whose ``.T`` is the second.  Both are overwritten by the next
-    :meth:`load`.
+    :meth:`load`, so no caller holds a loaded array past it;
+    :func:`decflow.groups.tau_action` keeps copies of what it needs.
     """
 
     def __init__(self, n: int, adj_i: np.ndarray, adj_j: np.ndarray):
@@ -619,7 +621,9 @@ def _geometry(mesh: Mesh, issues: list) -> MeshGeometry:
     flat_coef = 2.0 * omega[adj_i] * (star_h / h_len)
     dual = star_h > eps_geom  # a degenerate dual edge gets no sharp
     sharp_coef = np.where(dual, h_len / np.where(dual, star_h, 1.0), 0.0) / (2.0 * omega[adj_i])
-    pair_adj = np.searchsorted(adj_i * n + adj_j, pair_i * n + pair_j)  # the keys are sorted
+    # A fan pair whose adjacent pair was dropped above has no row: drop it.
+    pair_adj = _last_row(adj_i * n + adj_j, fan_key)
+    on_list = pair_adj >= 0
 
     # Two-away one-form entry assignments.  Triplet (i, j, k) at node e fixes
     # the entries between the fan neighbors j and k of its middle cell:
@@ -655,8 +659,8 @@ def _geometry(mesh: Mesh, issues: list) -> MeshGeometry:
         fan_kite=kites,
         ring_cyclic=cyclic,
         star_e=star_e,
-        pair_node=pair_node,
-        pair_adj=pair_adj,
+        pair_node=pair_node[on_list],
+        pair_adj=pair_adj[on_list],
         tri_node=tri_node,
         tri_i=tri_i,
         tri_j=tri_j,

@@ -363,7 +363,7 @@ def check_commutator_nonclosure(geom, rng) -> float:
     i, j, k = triple
     a = random_tangent(geom, rng)
     b = random_tangent(geom, rng)
-    c = gr.commutator(a, b)
+    c = gr.commutator(a, geom.adjacency_csr.load(b))
     caption = a[i, j] * b[j, k] - b[i, j] * a[j, k]
     scale = np.max(np.abs(c)) + _FLOOR
     bad = abs(c[i, k] - caption) / scale
@@ -400,8 +400,8 @@ def check_tau_shift(geom, rng, kind) -> float:
     xi = _small_algebra(geom, rng)
     delta = random_algebra(geom, rng)
     q = gr.tau(xi, kind)
-    lhs = gr.dtau(-xi, delta, kind)
-    rhs = q @ gr.dtau(xi, delta, kind) @ np.linalg.inv(q)
+    lhs = gr.dtau(geom.adjacency_csr.load(xi, -1.0), delta, kind)
+    rhs = q @ gr.dtau(geom.adjacency_csr.load(xi), delta, kind) @ np.linalg.inv(q)
     return _rel(np.max(np.abs(lhs - rhs)), np.max(np.abs(lhs)))
 
 
@@ -410,13 +410,13 @@ def check_dtau_inv_shift(geom, rng, kind) -> float:
     xi = _small_algebra(geom, rng)
     delta = random_algebra(geom, rng)
     q = gr.tau(xi, kind)
-    lhs = gr.dtau_inv(-xi, q @ delta @ np.linalg.inv(q), kind)
-    rhs = gr.dtau_inv(xi, delta, kind)
+    lhs = gr.dtau_inv(geom.adjacency_csr.load(xi, -1.0), q @ delta @ np.linalg.inv(q), kind)
+    rhs = gr.dtau_inv(geom.adjacency_csr.load(xi), delta, kind)
     return _rel(np.max(np.abs(lhs - rhs)), np.max(np.abs(rhs)))
 
 
 def check_dtau_roundtrip(geom, rng, kind) -> float:
-    xi = _small_algebra(geom, rng)
+    xi = geom.adjacency_csr.load(_small_algebra(geom, rng))
     delta = random_algebra(geom, rng)
     back = gr.dtau_inv(xi, gr.dtau(xi, delta, kind), kind)
     return _rel(np.max(np.abs(back - delta)), np.max(np.abs(delta)))
@@ -432,14 +432,14 @@ def check_dtau_inv_fd(geom, rng, kind) -> float:
     d_fd = (
         qm @ gr.tau(xi + step * delta, kind) - qm @ gr.tau(xi - step * delta, kind)
     ) / (2.0 * step)
-    err = np.max(np.abs(gr.dtau_inv(xi, d_fd, kind) - delta))
+    err = np.max(np.abs(gr.dtau_inv(geom.adjacency_csr.load(xi), d_fd, kind) - delta))
     return _rel(err, np.max(np.abs(delta)))
 
 
 def check_transport_adjoint(geom, rng, kind) -> float:
     """dtau_inv_star is the exact adjoint of dtau_inv in the area-weighted
     matrix pairing."""
-    xi = _small_algebra(geom, rng)
+    xi = geom.adjacency_csr.load(_small_algebra(geom, rng))
     lmat = rng.standard_normal((geom.n, geom.n))
     b = random_algebra(geom, rng)
     push = gr.dtau_inv(xi, b, kind)

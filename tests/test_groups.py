@@ -2,16 +2,21 @@
 
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from decflow import fields as fd
 from decflow import groups as gr
+from decflow import mesh as msh
 from decflow import verify as vf
+
+import dense_groups as dense
 
 
 def small_matrix(seed, n=5, norm=0.3):
@@ -42,29 +47,28 @@ def test_tau_inverse(kind):
 @pytest.mark.parametrize("kind", gr.KINDS)
 def test_dtau_at_zero_is_identity_map(kind):
     delta = small_matrix(5)
-    np.testing.assert_allclose(gr.dtau(np.zeros((5, 5)), delta, kind), delta, atol=1e-15)
-    np.testing.assert_allclose(
-        gr.dtau_inv(np.zeros((5, 5)), delta, kind), delta, atol=1e-15
-    )
+    zero = sparse.csr_array((5, 5))
+    np.testing.assert_allclose(gr.dtau(zero, delta, kind), delta, atol=1e-15)
+    np.testing.assert_allclose(gr.dtau_inv(zero, delta, kind), delta, atol=1e-15)
 
 
 @pytest.mark.parametrize("kind", gr.KINDS)
 def test_dtau_roundtrip(kind):
-    xi, delta = small_matrix(7), small_matrix(8)
+    xi, delta = sparse.csr_array(small_matrix(7)), small_matrix(8)
     eta = gr.dtau(xi, delta, kind)
     np.testing.assert_allclose(gr.dtau_inv(xi, eta, kind), delta, atol=1e-13)
 
 
 def test_commutator():
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
-    b = np.array([[0.0, 0.0], [1.0, 0.0]])
+    b = sparse.csr_array([[0.0, 0.0], [1.0, 0.0]])
     np.testing.assert_array_equal(gr.commutator(a, b), [[1.0, 0.0], [0.0, -1.0]])
 
 
 def test_dtau_inv_star_is_the_pairing_adjoint():
     rng = np.random.default_rng(11)
     omega = 0.5 + rng.random(6)
-    xi = small_matrix(12, n=6)
+    xi = sparse.csr_array(small_matrix(12, n=6))
     lmat = rng.normal(size=(6, 6))
     bmat = rng.normal(size=(6, 6))
     for kind in gr.KINDS:
@@ -84,11 +88,12 @@ def test_unknown_kind_is_rejected():
 
 
 def test_series_guard_rejects_large_arguments():
-    xi = np.eye(3) * 1.5
+    x = np.eye(3) * 1.5
+    xi = sparse.csr_array(x)
     with pytest.raises(gr.GroupMapError, match="reduce the time step"):
-        gr.dtau(xi, xi, "exponential")
+        gr.dtau(xi, x, "exponential")
     with pytest.raises(gr.GroupMapError, match="reduce the time step"):
-        gr.dtau_inv(xi, xi, "exponential")
+        gr.dtau_inv(xi, x, "exponential")
 
 
 @settings(max_examples=200, deadline=None)
@@ -101,7 +106,7 @@ def test_series_guard_raises_iff_the_spectral_norm_reaches_one(seed, n, norm):
     xi = small_matrix(seed, n, norm)
     raised = False
     try:
-        gr.dtau_inv(xi, xi, "exponential")
+        gr.dtau_inv(sparse.csr_array(xi), xi, "exponential")
     except gr.GroupMapError:
         raised = True
     assert raised == (np.linalg.norm(xi, 2) >= 1.0)
@@ -110,11 +115,12 @@ def test_series_guard_raises_iff_the_spectral_norm_reaches_one(seed, n, norm):
 def test_series_guard_looks_past_a_loose_bound():
     # A scaled rotation: |xi|_1 = |xi|_inf = 0.9 sqrt(2) >= 1 > 0.9 = |xi|_2.
     c = 0.9 / np.sqrt(2.0)
-    xi = np.array([[c, -c], [c, c]])
+    x = np.array([[c, -c], [c, c]])
+    xi = sparse.csr_array(x)
     assert gr.norm_bound(xi) >= 1.0
-    gr.dtau_inv(xi, xi, "exponential")
+    gr.dtau_inv(xi, x, "exponential")
     with pytest.raises(gr.GroupMapError, match=r"got 1\.111e\+00; reduce the time step"):
-        gr.dtau_inv(xi / 0.81, xi, "exponential")
+        gr.dtau_inv(xi / 0.81, x, "exponential")
 
 
 def test_series_order_counts_the_terms_above_the_level():
@@ -186,17 +192,17 @@ def mesh_velocity(geom):
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_tau_action_matches_the_dense_transpose(jittered65, rng, h, sign):
     xi = sign * h * mesh_velocity(jittered65)
-    act = gr.tau_action(xi)
-    dense = gr.tau(xi).T
+    act = gr.tau_action(sparse.csr_array(xi))
+    qt = gr.tau(xi).T
     for _ in range(5):
         w = rng.normal(size=jittered65.n)
-        ref = dense @ w
+        ref = qt @ w
         assert np.max(np.abs(act(w) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("h", [1e-3, 1e-2, 1e-1])
 def test_tau_action_conserves_the_weighted_total(jittered65, rng, h):
-    act = gr.tau_action(-h * mesh_velocity(jittered65))
+    act = gr.tau_action(sparse.csr_array(-h * mesh_velocity(jittered65)))
     omega = jittered65.omega
     for _ in range(5):
         d = 0.5 + rng.random(jittered65.n)
@@ -210,36 +216,63 @@ def test_tau_action_past_unit_norm_is_split_into_steps(rng):
     xi *= 3.5 / np.abs(xi).sum(axis=0).max()
     w = rng.normal(size=6)
     ref = gr.tau(xi).T @ w
-    np.testing.assert_allclose(gr.tau_action(xi)(w), ref, rtol=0, atol=1e-14 * np.abs(ref).max())
+    act = gr.tau_action(sparse.csr_array(xi))
+    np.testing.assert_allclose(act(w), ref, rtol=0, atol=1e-14 * np.abs(ref).max())
 
 
 def test_tau_action_of_zero_is_identity(rng):
     w = rng.normal(size=4)
-    np.testing.assert_array_equal(gr.tau_action(np.zeros((4, 4)))(w), w)
+    np.testing.assert_array_equal(gr.tau_action(sparse.csr_array((4, 4)))(w), w)
 
 
 def test_cayley_action_is_the_dense_transpose(jittered65, rng):
     xi = 1e-2 * mesh_velocity(jittered65)
     w = rng.normal(size=jittered65.n)
     np.testing.assert_array_equal(
-        gr.tau_action(xi, "cayley")(w), gr.tau(xi, "cayley").T @ w
+        gr.tau_action(sparse.csr_array(xi), "cayley")(w), gr.tau(xi, "cayley").T @ w
     )
 
 
 def test_tau_action_rejects_bad_arguments():
     with pytest.raises(gr.GroupMapError, match="unknown group map kind"):
-        gr.tau_action(np.zeros((2, 2)), "pade")
+        gr.tau_action(sparse.csr_array((2, 2)), "pade")
     with pytest.raises(gr.GroupMapError, match="not finite"):
-        gr.tau_action(np.full((2, 2), np.nan))
+        gr.tau_action(sparse.csr_array(np.full((2, 2), np.nan)))
 
 
 def test_series_guard_rejects_non_finite_arguments():
     with pytest.raises(gr.GroupMapError, match="not finite"):
-        gr.dtau_inv(np.full((3, 3), np.nan), np.eye(3))
+        gr.dtau_inv(sparse.csr_array(np.full((3, 3), np.nan)), np.eye(3))
+
+
+def test_actions_of_successive_loads_keep_their_own_entries(jittered65, rng):
+    # The two actions of a step come from two loads of the same buffers.
+    a = mesh_velocity(jittered65)
+    acts = [gr.tau_action(jittered65.adjacency_csr.load(a, h)) for h in (-1e-2, 1e-2)]
+    for act, h in zip(acts, (-1e-2, 1e-2)):
+        w = rng.normal(size=jittered65.n)
+        ref = gr.tau(h * a).T @ w
+        assert np.max(np.abs(act(w) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_the_action_builds_no_dense_array(rng):
+    # 980 cells: the dense path's ``xi.T / steps`` alone took 8 N^2 bytes.
+    mesh = msh.jitter_mesh(msh.generate_rect_mesh(24, 20, 1.0, 1.0), 0.15, np.random.default_rng(7))
+    geom = msh.compute_geometry(mesh)
+    assert geom.n == 980
+    a, pattern = mesh_velocity(geom), geom.adjacency_csr
+    w = rng.normal(size=geom.n)
+    tracemalloc.start()
+    try:
+        gr.tau_action(pattern.load(a, -1e-3))(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < geom.n**2
 
 
 # ---------------------------------------------------------------------------
-# CSR form of the series argument
+# The CSR series against the dense one
 # ---------------------------------------------------------------------------
 
 
@@ -254,10 +287,11 @@ def test_csr_and_dense_arguments_agree(jittered65, rng, h, kind):
     csr = jittered65.adjacency_csr.load(xi)
     eta = rng.normal(size=xi.shape)
     omega = jittered65.omega
-    for fn in (gr.dtau_inv, gr.dtau):
-        assert rel_diff(fn(csr, eta, kind), fn(xi, eta, kind)) <= 1e-14
+    pairs = ((gr.dtau_inv, dense.dtau_inv), (gr.dtau, dense.dtau))
+    for fn, oracle in pairs:
+        assert rel_diff(fn(csr, eta, kind), oracle(xi, eta, kind)) <= 1e-14
     star = gr.dtau_inv_star(omega, csr, eta, kind)
-    assert rel_diff(star, gr.dtau_inv_star(omega, xi, eta, kind)) <= 1e-14
+    assert rel_diff(star, dense.dtau_inv_star(omega, xi, eta, kind)) <= 1e-14
     undivided = gr.dtau_inv_star(omega, csr, eta, kind, divide=False)
     np.testing.assert_array_equal(undivided / omega[:, None], star)
 
@@ -267,13 +301,13 @@ def test_the_guard_decides_alike_for_csr_and_dense(jittered65, c):
     a = mesh_velocity(jittered65)
     xi = c * a / np.linalg.norm(a, 2)
     csr = jittered65.adjacency_csr.load(xi)
-    assert gr.norm_bound(csr) == pytest.approx(gr.norm_bound(xi), rel=1e-15)
+    assert gr.norm_bound(csr) == pytest.approx(dense.norm_bound(xi), rel=1e-15)
     # the bound alone clears |xi|_2 = 0.5; from 0.9 on the SVD decides
-    assert (gr.norm_bound(xi) >= 1.0) == (c >= 0.9)
+    assert (dense.norm_bound(xi) >= 1.0) == (c >= 0.9)
     outcomes = []
-    for arg in (xi, csr):
+    for fn, arg in ((dense.dtau_inv, xi), (gr.dtau_inv, csr)):
         try:
-            gr.dtau_inv(arg, xi)
+            fn(arg, xi)
             outcomes.append(None)
         except gr.GroupMapError as exc:
             outcomes.append(str(exc))
@@ -306,7 +340,7 @@ def test_tau_inverse_property(seed, kind):
 @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(gr.KINDS))
 def test_dtau_roundtrip_property(seed, kind):
     rng = np.random.default_rng(seed)
-    xi = small_matrix(rng.integers(2**31), norm=float(0.5 * rng.random()))
+    xi = sparse.csr_array(small_matrix(rng.integers(2**31), norm=float(0.5 * rng.random())))
     delta = rng.normal(size=(5, 5))
     eta = gr.dtau(xi, delta, kind)
     np.testing.assert_allclose(

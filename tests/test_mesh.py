@@ -541,6 +541,20 @@ def test_geometry_tables_are_consistent(nx, ny, amount, seed):
     np.testing.assert_allclose(kites, g.omega, rtol=0, atol=1e-14)
 
 
+def test_fan_pairs_off_the_adjacency_list_are_dropped():
+    # Heavy jitter folds cells, so some adjacent pairs miss a fan endpoint
+    # and leave the list; the fan pairs that stood for them go too.
+    mesh = msh.jitter_mesh(msh.generate_rect_mesh(12, 10, 1.0, 1.0), 0.9, np.random.default_rng(3))
+    g, issues = msh.inspect_geometry(mesh)
+    assert any("missing a fan endpoint" in line for line in issues)
+    assert ((0 <= g.pair_adj) & (g.pair_adj < len(g.adj_i))).all()
+    listed = set(zip(g.adj_i.tolist(), g.adj_j.tolist()))
+    kept = [p for p in fan_pairs(g) if p[1:] in listed]
+    assert len(kept) < len(fan_pairs(g))
+    pairs = zip(g.pair_node.tolist(), g.adj_i[g.pair_adj].tolist(), g.adj_j[g.pair_adj].tolist())
+    assert list(pairs) == kept
+
+
 @pytest.mark.parametrize("degree_four", [False, True])
 def test_tables_match_loops_over_edges_and_fans(jittered65, degree_four):
     # The per-edge and per-fan loops the tables vectorize do the same
