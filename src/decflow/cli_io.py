@@ -597,8 +597,11 @@ def main(argv=None) -> int:
         except ValueError:
             print(f"bad --sizes value '{args.sizes}'", file=sys.stderr)
             return 2
-        if not sizes:
-            print("--sizes needs at least one cell count", file=sys.stderr)
+        if not sizes or min(sizes) < 1:
+            print(f"bad --sizes value '{args.sizes}': needs cell counts of at least 1", file=sys.stderr)
+            return 2
+        if args.seed < 0:
+            print(f"bad --seed value '{args.seed}': needs a non-negative integer", file=sys.stderr)
             return 2
         return cmd_verify(seed=args.seed, sizes=sizes)
     if args.mesh_command == "gen":

@@ -8,9 +8,10 @@ supported on the diagonal plus adjacent cell pairs, and a *one-form* is an
 One-forms and forces on adjacent pairs are evaluated *per pair*, on the
 directed adjacency list ``(geom.adj_i, geom.adj_j)`` where the geometry
 stores its lengths and flat/sharp coefficients, by NumPy gathers and
-``np.bincount`` (the ``*_pairs`` functions); the dense matrices of ``d0``,
-``lambda_op``, ``sharp`` and the adjacent part of ``flat`` are scatters of
-those values (:func:`from_pairs`).  The fundamental matrix spaces are
+``np.bincount``: ``d0``, ``pair_mean``, ``flat_pairs`` and ``lambda_op``
+return one value per pair, and ``total_vorticity`` reads one.  A dense
+matrix holding those values is their scatter (:func:`from_pairs`).  The
+fundamental matrix spaces are
 
 * ``S``: rows sum to zero (NB: the row convention -- transport matrices act
   on densities through their transpose),
@@ -33,7 +34,7 @@ __all__ = [
     "on_pairs",
     "from_pairs",
     "pair_diff",
-    "pair_avg",
+    "pair_mean",
     "pairing0",
     "pairing1",
     "d0",
@@ -42,16 +43,13 @@ __all__ = [
     "group_act_den",
     "div",
     "boundary_div",
-    "pair_mean",
     "flux_matrix",
     "flat",
     "flat_pairs",
     "sharp",
     "laplace_beltrami",
     "total_vorticity",
-    "fan_vorticity",
     "lambda_op",
-    "lambda_pairs",
     "wedge_star",
     "proj_Q",
     "proj_P",
@@ -93,7 +91,7 @@ def pair_diff(f, i, j) -> np.ndarray:
     return f[j] - f[i]
 
 
-def pair_avg(f, i, j) -> np.ndarray:
+def pair_mean(f, i, j) -> np.ndarray:
     """Two-point means ``(f_i + f_j)/2`` on the cell pairs ``(i[k], j[k])``."""
     f = np.asarray(f, dtype=float)
     return 0.5 * (f[i] + f[j])
@@ -117,8 +115,8 @@ def pairing1(geom: MeshGeometry, lmat, bmat) -> float:
 
 
 def d0(geom: MeshGeometry, f) -> np.ndarray:
-    """Differences ``f_j - f_i`` on adjacent cell pairs (a one-form)."""
-    return from_pairs(geom, pair_diff(f, geom.adj_i, geom.adj_j))
+    """Differences ``f_j - f_i`` on the adjacency list (a one-form)."""
+    return pair_diff(f, geom.adj_i, geom.adj_j)
 
 
 def act_fn(a, f) -> np.ndarray:
@@ -147,12 +145,6 @@ def boundary_div(j_env) -> np.ndarray:
     """Flux divergence into the environment: ``-2 J_{i,env}`` per cell, from
     the environment column ``J_{i,env}``."""
     return -2.0 * np.asarray(j_env)
-
-
-def pair_mean(f) -> np.ndarray:
-    """Arithmetic two-point mean ``(f_i + f_j)/2`` as a dense matrix."""
-    idx = np.arange(len(f))
-    return pair_avg(f, idx[:, None], idx[None, :])
 
 
 def flux_matrix(omega, rows, cols, flux) -> np.ndarray:
@@ -193,7 +185,7 @@ def flat(geom: MeshGeometry, a) -> np.ndarray:
     z = from_pairs(geom, zp)
     if len(geom.ta_row) == 0:
         return z
-    om = fan_vorticity(geom, zp)
+    om = total_vorticity(geom, zp)
     ti, tj, tk = geom.tri_i, geom.tri_j, geom.tri_k
     rhs = geom.tri_kconst * om[geom.tri_node]
     fwd = rhs - z[ti, tj] - z[tk, ti]   # solves for Z[j, k]
@@ -242,28 +234,18 @@ def laplace_beltrami(geom: MeshGeometry, f, env: float | None = None) -> np.ndar
     return out / geom.omega
 
 
-def total_vorticity(geom: MeshGeometry, z) -> np.ndarray:
+def total_vorticity(geom: MeshGeometry, zp) -> np.ndarray:
     """Sum of one-form entries around each node's ccw fan (one value per
-    node; interior fans wrap, boundary fans are open chains)."""
-    return fan_vorticity(geom, on_pairs(geom, z))
-
-
-def fan_vorticity(geom: MeshGeometry, zp) -> np.ndarray:
-    """:func:`total_vorticity` from the one-form's entries ``zp`` on the
-    adjacency list."""
+    node; interior fans wrap, boundary fans are open chains), from the
+    one-form's entries ``zp`` on the adjacency list."""
     return np.bincount(geom.pair_node, zp[geom.pair_adj], minlength=geom.mesh.num_nodes)
 
 
-def lambda_op(geom: MeshGeometry, z) -> np.ndarray:
-    """Rotated-gradient part of the one-form Laplacian: differences of
+def lambda_op(geom: MeshGeometry, zp) -> np.ndarray:
+    """Rotated-gradient part of the one-form Laplacian on the adjacency
+    list, from the one-form's entries ``zp`` there: differences of
     dual-area-weighted vorticities at the two shared-edge endpoints."""
-    return from_pairs(geom, lambda_pairs(geom, on_pairs(geom, z)))
-
-
-def lambda_pairs(geom: MeshGeometry, zp) -> np.ndarray:
-    """:func:`lambda_op` on the adjacency list, from the one-form's entries
-    ``zp`` there."""
-    w = fan_vorticity(geom, zp) * geom.star_e
+    w = total_vorticity(geom, zp) * geom.star_e
     return 0.5 * (w[geom.adj_eplus] - w[geom.adj_eminus]) * (geom.star_h_len / geom.h_len)
 
 
@@ -348,10 +330,7 @@ def lie_deriv_oneform_density_kite(geom: MeshGeometry, a, b, d) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     d = np.asarray(d, dtype=float)
     zb = flat(geom, b)
-    om = total_vorticity(geom, zb)
-    dbar = pair_mean(d)
-    da = act_den(geom, d, a)
-    dabar = pair_mean(da)
+    om = total_vorticity(geom, on_pairs(geom, zb))
     rowdot = np.einsum("ik,ik->i", a, zb * from_pairs(geom, 1.0))
 
     # A kite triplet (middle m, ccw next x, ccw previous v, node e) holds
@@ -359,14 +338,15 @@ def lie_deriv_oneform_density_kite(geom: MeshGeometry, a, b, d) -> np.ndarray:
     # e+ of (m, x) and (v, m) and the e- of (m, v) and (x, m).  A cell at the
     # end of an open fan is the middle of no triplet, so it adds nothing.
     m, x, v = geom.tri_i, geom.tri_j, geom.tri_k
-    w = geom.tri_kconst * om[geom.tri_node]
+    w = geom.tri_kconst * om[geom.tri_node] * pair_mean(d, x, v)
     out = np.zeros_like(a)
-    np.add.at(out, (m, x), w * dbar[x, v] * a[m, v])
-    np.add.at(out, (v, m), w * dbar[v, x] * a[m, x])
-    np.add.at(out, (m, v), -w * dbar[v, x] * a[m, x])
-    np.add.at(out, (x, m), -w * dbar[x, v] * a[m, v])
+    np.add.at(out, (m, x), w * a[m, v])
+    np.add.at(out, (v, m), w * a[m, x])
+    np.add.at(out, (m, v), -w * a[m, x])
+    np.add.at(out, (x, m), -w * a[m, v])
     i, j = geom.adj_i, geom.adj_j
-    out[i, j] += dbar[i, j] * (rowdot[i] - rowdot[j]) + dabar[i, j] * zb[i, j]
+    dabar = pair_mean(act_den(geom, d, a), i, j)
+    out[i, j] += pair_mean(d, i, j) * (rowdot[i] - rowdot[j]) + dabar * zb[i, j]
     return out
 
 

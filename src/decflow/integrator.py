@@ -184,7 +184,7 @@ def _gradient_forces(geom, layout, a, d, s, gas):
     dl_dd, dl_ds = ph.scalar_derivatives(geom, a, d, s, gas)
     i, j = layout.rows, layout.cols
     gd, gs = fd.pair_diff(dl_dd, i, j), fd.pair_diff(dl_ds, i, j)
-    return fd.pair_avg(d, i, j) * gd + fd.pair_avg(s, i, j) * gs
+    return fd.pair_mean(d, i, j) * gd + fd.pair_mean(s, i, j) * gs
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +327,7 @@ class VariationalStepper:
         a = self.layout.to_matrix(flux)
         cur = self._transport_term(a, d, 1.0)
         grad = _gradient_forces(self.geom, self.layout, a, d, s, self.gas)
-        visc = ph.viscous_pairs(self.geom, a, self.phys)[self.layout.pos]
+        visc = ph.viscous_force(self.geom, a, self.phys)[self.layout.pos]
         return cur - prev_term + grad - visc
 
     @functools.cached_property

@@ -12,10 +12,9 @@ through the Euler relation ``p = D eps_D + S eps_S - eps``, the pressure
 ``p = (gamma - 1) eps``.
 
 The force and heating terms live on adjacent cell pairs and are evaluated
-there, on the directed adjacency list (see :mod:`decflow.fields`): the
-``*_pairs`` functions return those values, :func:`conduction` sums the
-entropy flux per cell, and :func:`viscous_force`, :func:`nabla_aa` and
-:func:`entropy_flux` scatter them into the dense matrices verify reads.
+there, on the directed adjacency list (see :mod:`decflow.fields`):
+:func:`viscous_force`, :func:`nabla_pairs` and :func:`entropy_flux` return
+one value per pair, and :func:`conduction` sums the entropy flux per cell.
 """
 
 from __future__ import annotations
@@ -40,13 +39,10 @@ __all__ = [
     "scalar_derivatives",
     "variational_derivatives",
     "entropy_flux",
-    "entropy_flux_pairs",
     "conduction",
-    "nabla_aa",
     "nabla_pairs",
     "friction_power",
     "viscous_force",
-    "viscous_pairs",
 ]
 
 
@@ -157,21 +153,7 @@ def variational_derivatives(geom: MeshGeometry, a, d, s, gas: GasParams):
 # ---------------------------------------------------------------------------
 
 
-def entropy_flux(geom: MeshGeometry, theta, phys: PhysParams) -> np.ndarray:
-    """Entropy-flux matrix on the environment-extended index set: the
-    scatter of :func:`entropy_flux_pairs`, the environment row weighted by
-    the total area (weighted antisymmetry), rows summing to zero."""
-    n = geom.n
-    jp, col = entropy_flux_pairs(geom, theta, phys)
-    j = np.zeros((n + 1, n + 1))
-    j[geom.adj_i, geom.adj_j] = jp
-    j[:n, n] = col
-    j[n, :n] = -geom.omega * col / geom.omega_env
-    np.fill_diagonal(j, -j.sum(axis=1))
-    return j
-
-
-def entropy_flux_pairs(geom: MeshGeometry, theta, phys: PhysParams):
+def entropy_flux(geom: MeshGeometry, theta, phys: PhysParams):
     """Entropy flux ``J_ij = -lam (Th_i - Th_j)/(Th_i + Th_j) |h_ij| /
     (Omega_ii |*h_ij|)`` on the adjacency list, and the environment column:
     the same with ``theta_env`` and the aggregate factor of the boundary
@@ -192,12 +174,12 @@ def entropy_flux_pairs(geom: MeshGeometry, theta, phys: PhysParams):
 
 def conduction(geom: MeshGeometry, theta, phys: PhysParams):
     """Per-cell terms of the entropy flux at ``theta``, summed from
-    :func:`entropy_flux_pairs`: ``div J = 2 J_ii``, ``(Theta.J)_i =
+    :func:`entropy_flux`: ``div J = 2 J_ii``, ``(Theta.J)_i =
     -(J Theta)_i = -sum_j J_ij (Theta_j - Theta_i)`` (``Theta_env`` in the
     environment slot) and the divergence into the environment."""
     theta = np.asarray(theta, dtype=float)
     i, k = geom.adj_i, geom.adj_j
-    jp, col = entropy_flux_pairs(geom, theta, phys)
+    jp, col = entropy_flux(geom, theta, phys)
     div_j = -2.0 * (np.bincount(i, jp, minlength=geom.n) + col)
     drop = np.bincount(i, jp * fd.pair_diff(theta, i, k), minlength=geom.n)
     theta_j = -(drop + col * (phys.theta_env - theta))
@@ -209,18 +191,13 @@ def conduction(geom: MeshGeometry, theta, phys: PhysParams):
 # ---------------------------------------------------------------------------
 
 
-def nabla_aa(geom: MeshGeometry, a) -> np.ndarray:
-    """Self-advection ``(nabla_A A)``: :func:`nabla_pairs` raised back with
-    sharp.  Lands in S and V by construction."""
-    return fd.sharp(geom, fd.from_pairs(geom, nabla_pairs(geom, a)))
-
-
 def nabla_pairs(geom: MeshGeometry, a) -> np.ndarray:
-    """The one-form ``(nabla_A A)^flat = L_A(A^flat) - d0(K)/2`` on the
-    adjacency list (all that sharp reads of it)."""
+    """The one-form ``(nabla_A A)^flat = L_A(A^flat) - d0(K)/2`` of the
+    self-advection on the adjacency list (all that sharp reads of it; raised
+    back, it lands in S and V by construction)."""
     zp = fd.flat_pairs(geom, fd.on_pairs(geom, a))
     k = kinetic_density(geom, a)
-    return fd.lie_deriv_pairs(geom, a, zp) - 0.5 * fd.pair_diff(k, geom.adj_i, geom.adj_j)
+    return fd.lie_deriv_pairs(geom, a, zp) - 0.5 * fd.d0(geom, k)
 
 
 def friction_power(geom: MeshGeometry, a, phys: PhysParams) -> np.ndarray:
@@ -243,7 +220,7 @@ def friction_power(geom: MeshGeometry, a, phys: PhysParams) -> np.ndarray:
 
 
 def viscous_force(geom: MeshGeometry, a, phys: PhysParams) -> np.ndarray:
-    """One-form of the viscous force on adjacent pairs,
+    """One-form of the viscous force on the adjacency list,
 
         -mu_tilde d0(div A) - 2 mu Lambda(A^flat),
 
@@ -253,16 +230,10 @@ def viscous_force(geom: MeshGeometry, a, phys: PhysParams) -> np.ndarray:
     (dA^flat ^ * dB^flat)_i, so the kinetic energy drained here reappears,
     cell by cell, as the heating entering the entropy equation.  Without
     that duality the time integrator would create or destroy total energy
-    at order one.  The scatter of :func:`viscous_pairs`.
+    at order one.
     """
-    return fd.from_pairs(geom, viscous_pairs(geom, a, phys))
-
-
-def viscous_pairs(geom: MeshGeometry, a, phys: PhysParams) -> np.ndarray:
-    """:func:`viscous_force` on the adjacency list,
-    ``-mu_tilde (div_j - div_i) - 2 mu Lambda_ij``."""
-    out = -phys.mu_tilde * fd.pair_diff(fd.div(a), geom.adj_i, geom.adj_j)
+    out = -phys.mu_tilde * fd.d0(geom, fd.div(a))
     if phys.mu != 0.0:
         zp = fd.flat_pairs(geom, fd.on_pairs(geom, a))
-        out = out - 2.0 * phys.mu * fd.lambda_pairs(geom, zp)
+        out = out - 2.0 * phys.mu * fd.lambda_op(geom, zp)
     return out

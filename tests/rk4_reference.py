@@ -21,7 +21,7 @@ def semi_discrete_rhs(geom, state, gas, phys, layout, heat=None):
     a, d, s = state.a, state.d, state.s
     z = fd.flat(geom, a)
     lie = layout.pick(fd.lie_deriv_oneform_density(geom, a, d[:, None] * z))
-    visc = ph.viscous_pairs(geom, a, phys)[layout.pos]
+    visc = ph.viscous_force(geom, a, phys)[layout.pos]
     mdot = -lie - _gradient_forces(geom, layout, a, d, s, gas) + visc
 
     ddot = -fd.act_den(geom, d, a)
@@ -39,11 +39,11 @@ def semi_discrete_rhs(geom, state, gas, phys, layout, heat=None):
 def momentum_vector(geom, layout, a, d):
     """Edge momenta ``m_ij = Dbar_ij A^flat_ij`` on the flux layout."""
     zp = fd.flat_pairs(geom, fd.on_pairs(geom, a))[layout.pos]
-    return fd.pair_avg(d, layout.rows, layout.cols) * zp
+    return fd.pair_mean(d, layout.rows, layout.cols) * zp
 
 
 def _state_from_momentum(geom, layout, mvec, d, s):
-    dbar = fd.pair_avg(d, layout.rows, layout.cols)
+    dbar = fd.pair_mean(d, layout.rows, layout.cols)
     z = np.zeros((geom.n, geom.n))
     z[layout.rows, layout.cols] = mvec / dbar
     z[layout.cols, layout.rows] = -mvec / dbar

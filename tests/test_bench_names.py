@@ -9,6 +9,8 @@ import importlib
 import importlib.util
 import pathlib
 
+from decflow import cli_io, integrator, physics
+
 INSTRUMENTS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "instruments.py"
 
 
@@ -33,3 +35,26 @@ def test_every_traced_name_resolves():
     verify = importlib.import_module("decflow.verify")
     missing += [f"decflow.verify.{name}" for name in inst.CHECK_REGISTRIES if not hasattr(verify, name)]
     assert not missing
+
+
+def test_the_traced_kernel_names_are_called_by_the_step(jittered65, monkeypatch):
+    # Wrap each module attribute as the tracer does, then take one step with
+    # viscosity and conduction on.
+    traced = {"fields": ("d0", "pair_mean", "total_vorticity"), "physics": ("viscous_force", "entropy_flux")}
+    calls = {}
+    for layer, names in traced.items():
+        module = importlib.import_module(f"decflow.{layer}")
+        for name in names:
+            key = f"{layer}.{name}"
+            calls[key] = 0
+
+            def wrapper(*args, _fn=getattr(module, name), _key=key, **kwargs):
+                calls[_key] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+    gas = physics.GasParams()
+    phys = physics.PhysParams(mu=0.01, zeta=0.0, lam=0.01)
+    state = cli_io.initial_condition_presets("taylor-like", {"amplitude": "0.3"}, jittered65, gas)
+    integrator.VariationalStepper(jittered65, gas, phys, 1e-3).step(state)
+    assert all(calls.values()), calls

@@ -621,6 +621,23 @@ def test_verify_cli_catches_an_injected_sign_error(monkeypatch, capsys):
     assert any("div-adjoint" in line for line in failed)
 
 
+@pytest.mark.parametrize(
+    "flags, flag",
+    [
+        (["--seed", "-1"], "--seed"),
+        (["--sizes=-5"], "--sizes"),
+        (["--sizes=0,-3"], "--sizes"),
+        (["--sizes=0"], "--sizes"),
+        (["--sizes", ","], "--sizes"),
+        (["--sizes", "a,b"], "--sizes"),
+    ],
+)
+def test_verify_rejects_out_of_range_flags(flags, flag, capsys):
+    assert cli.main(["verify", *flags]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and len(err.strip().splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # decflow mesh
 # ---------------------------------------------------------------------------

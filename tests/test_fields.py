@@ -39,13 +39,17 @@ def test_pairing1_single_entry(rhombus):
 
 
 def test_d0_is_pair_difference(rhombus):
-    z = fd.d0(rhombus, [2.0, 5.0])
+    z = fd.from_pairs(rhombus, fd.d0(rhombus, [2.0, 5.0]))
     np.testing.assert_allclose(z, [[0.0, 3.0], [-3.0, 0.0]], atol=0)
 
 
 def test_d0_vanishes_off_adjacency(small43):
+    # One value per directed adjacent pair: nothing off the pattern to hold.
     z = fd.d0(small43, np.arange(small43.n, dtype=float))
-    assert (z[~adjacent(small43)] == 0).all()
+    assert z.shape == small43.adj_i.shape
+    dense = fd.from_pairs(small43, z)
+    np.testing.assert_array_equal(dense, -dense.T)
+    assert (dense[adjacent(small43)] != 0).all()
 
 
 def test_divergence_is_twice_diagonal():
@@ -67,8 +71,8 @@ def test_act_den_is_weighted_transpose(small43, rng):
 
 
 def test_pair_mean():
-    m = fd.pair_mean([1.0, 3.0])
-    np.testing.assert_allclose(m, [[1.0, 2.0], [2.0, 3.0]], atol=0)
+    m = fd.pair_mean([1.0, 3.0], [0, 0, 1, 1], [0, 1, 0, 1])
+    np.testing.assert_allclose(m, [1.0, 2.0, 2.0, 3.0], atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +106,14 @@ def test_sharp_inverts_flat(jittered, rng):
 
 
 def test_lambda_ignores_two_away_entries(jittered, rng):
+    # Lambda takes the one-form on the adjacency list only: read from the
+    # full flat (two-away entries included) it equals the step's, from the
+    # adjacent entries alone.
     a = vf.random_tangent(jittered, rng)
     z_full = fd.flat(jittered, a)
-    z_adj = flat_adjacent(jittered, a)
-    np.testing.assert_allclose(
-        fd.lambda_op(jittered, z_full), fd.lambda_op(jittered, z_adj), atol=0
+    np.testing.assert_array_equal(
+        fd.lambda_op(jittered, fd.on_pairs(jittered, z_full)),
+        fd.lambda_op(jittered, fd.flat_pairs(jittered, fd.on_pairs(jittered, a))),
     )
 
 
@@ -149,7 +156,7 @@ def test_total_vorticity_frozen_ring(gen65):
         j = ring[(t + 1) % len(ring)]
         z[i, j] = float(t + 1)
         expected += float(t + 1)
-    assert fd.total_vorticity(gen65, z)[8] == pytest.approx(expected, rel=1e-15)
+    assert fd.total_vorticity(gen65, fd.on_pairs(gen65, z))[8] == pytest.approx(expected, rel=1e-15)
 
 
 def test_gradients_have_no_interior_vorticity(jittered, rng):

@@ -56,7 +56,7 @@ def test_momentum_vector_values(gen65, rng):
     d = 0.5 + rng.random(gen65.n)
     m = rk4.momentum_vector(gen65, layout, a, d)
     z = fd.flat(gen65, a)
-    np.testing.assert_array_equal(m, (fd.pair_mean(d) * z)[layout.rows, layout.cols])
+    np.testing.assert_array_equal(m, fd.pair_mean(d, layout.rows, layout.cols) * layout.pick(z))
 
 
 def test_pick_P_reads_four_entries_per_flux(jittered65, rng):

@@ -5,6 +5,7 @@ The step evaluates these terms per pair of adjacent cells.  The dense
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,11 +20,17 @@ GAS = ph.GasParams()
 PHYS = ph.PhysParams(mu=0.02, zeta=0.01, lam=0.05, theta_env=1.2, insulated=False)
 
 
+def jittered_strip(nx, ny):
+    """The ``nx`` by ``ny`` strip on the unit square with moved interior
+    nodes."""
+    rng = np.random.default_rng(7)
+    return msh.compute_geometry(msh.jitter_mesh(msh.generate_rect_mesh(nx, ny, 1.0, 1.0), 0.15, rng))
+
+
 @pytest.fixture(scope="module")
 def jittered250():
-    """Irregular 250-cell mesh (the 12x10 strip with moved interior nodes)."""
-    rng = np.random.default_rng(7)
-    return msh.compute_geometry(msh.jitter_mesh(msh.generate_rect_mesh(12, 10, 1.0, 1.0), 0.15, rng))
+    """Irregular 250-cell mesh (the 12x10 strip)."""
+    return jittered_strip(12, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -102,16 +109,21 @@ def dense_friction_power(geom, a, phys):
 # ---------------------------------------------------------------------------
 
 
-def stepped_state(geom, h):
-    """One variational step at ``h`` from a vortex with uneven density and
-    temperature, or the uneven rest state for ``h = 0``.  The step leaves
-    conduction out: its fixed point stalls at ``h = 0.1``."""
-    amp = 0.0 if h == 0.0 else 0.3
+def uneven_state(geom, amp):
+    """A vortex of amplitude ``amp`` with uneven density and temperature."""
     state = cli.initial_condition_presets("taylor-like", {"amplitude": str(amp)}, geom, GAS)
     x = geom.circumcenters
     state.d = 1.0 + 0.2 * np.sin(3.0 * x[:, 0]) * np.cos(2.0 * x[:, 1])
     theta = 1.0 + 0.3 * np.cos(4.0 * x[:, 0] + x[:, 1])
     state.s = ph.entropy_from_temperature(state.d, theta, GAS)
+    return state
+
+
+def stepped_state(geom, h):
+    """One variational step at ``h`` from :func:`uneven_state`, or the
+    uneven rest state for ``h = 0``.  The step leaves conduction out: its
+    fixed point stalls at ``h = 0.1``."""
+    state = uneven_state(geom, 0.0 if h == 0.0 else 0.3)
     if h == 0.0:
         return state
     return ig.VariationalStepper(geom, GAS, dataclasses.replace(PHYS, lam=0.0), h).step(state)[0]
@@ -132,7 +144,7 @@ def test_per_pair_terms_equal_the_dense_formulas(mesh, h, request):
 
     grad = ig._gradient_forces(geom, layout, a, d, s, GAS)
     assert_close(grad, pick(dense_gradient_forces(geom, a, d, s)))
-    visc = ph.viscous_pairs(geom, a, PHYS)[layout.pos]
+    visc = ph.viscous_force(geom, a, PHYS)[layout.pos]
     if h == 0.0:
         assert np.all(visc == 0.0)
     else:
@@ -149,13 +161,17 @@ def test_per_pair_terms_equal_the_dense_formulas(mesh, h, request):
 
 def test_dense_operators_are_scatters_of_the_pairs(jittered65, rng):
     geom = jittered65
+    i, j = geom.adj_i, geom.adj_j
     st = stepped_state(geom, 1e-2)
     theta = ph.temperature(st.d, st.s, GAS)
-    np.testing.assert_array_equal(ph.entropy_flux(geom, theta, PHYS), dense_entropy_flux(geom, theta, PHYS))
-    np.testing.assert_array_equal(ph.viscous_force(geom, st.a, PHYS), dense_viscous_force(geom, st.a, PHYS))
+    jp, col = ph.entropy_flux(geom, theta, PHYS)
+    jmat = dense_entropy_flux(geom, theta, PHYS)
+    np.testing.assert_array_equal(jp, jmat[i, j])
+    np.testing.assert_array_equal(col, jmat[: geom.n, geom.n])
+    np.testing.assert_array_equal(ph.viscous_force(geom, st.a, PHYS), dense_viscous_force(geom, st.a, PHYS)[i, j])
     f = rng.normal(size=geom.n)
-    np.testing.assert_array_equal(fd.d0(geom, f), dense_d0(geom, f))
-    np.testing.assert_array_equal(fd.pair_mean(f), dense_mean(f))
+    np.testing.assert_array_equal(fd.d0(geom, f), dense_d0(geom, f)[i, j])
+    np.testing.assert_array_equal(fd.pair_mean(f, i, j), dense_mean(f)[i, j])
 
 
 # ---------------------------------------------------------------------------
@@ -163,27 +179,40 @@ def test_dense_operators_are_scatters_of_the_pairs(jittered65, rng):
 # ---------------------------------------------------------------------------
 
 
-def test_the_step_builds_no_dense_force(jittered65, monkeypatch):
+def test_the_step_builds_no_dense_force():
+    # Each force and heating kernel the step runs peaks below N^2 bytes on
+    # 980 cells; one dense (N, N) float array takes 8 N^2.
+    geom = jittered_strip(24, 20)
+    assert geom.n == 980
+    state = uneven_state(geom, 0.3)
+    layout = ig.FluxLayout.build(geom)
+    theta = ph.temperature(state.d, state.s, GAS)
+    for fn, args in (
+        (ph.viscous_force, (geom, state.a, PHYS)),
+        (ig._gradient_forces, (geom, layout, state.a, state.d, state.s, GAS)),
+        (ph.conduction, (geom, theta, PHYS)),
+        (ph.entropy_flux, (geom, theta, PHYS)),
+    ):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < geom.n**2, (fn.__name__, peak)
+
+
+def test_the_step_takes_no_variational_derivatives(jittered65, monkeypatch):
     state = stepped_state(jittered65, 1e-3)
     stepper = ig.VariationalStepper(jittered65, GAS, dataclasses.replace(PHYS, lam=0.01), 1e-3)
     prev = stepper._transport_term(state.a, state.d, -1.0)
     flux = stepper.layout.from_matrix(state.a)
     stepper._momentum_residual(flux, state.d, state.s, prev)
 
-    def forbidden(name):
-        def call(*args, **kwargs):
-            raise AssertionError(f"{name} called")
+    def forbidden(*args, **kwargs):
+        raise AssertionError("variational_derivatives called")
 
-        return call
-
-    for module, name in (
-        (fd, "d0"),
-        (fd, "pair_mean"),
-        (ph, "variational_derivatives"),
-        (ph, "viscous_force"),
-        (ph, "entropy_flux"),
-    ):
-        monkeypatch.setattr(module, name, forbidden(name))
+    monkeypatch.setattr(ph, "variational_derivatives", forbidden)
     stepper._momentum_residual(flux, state.d, state.s, prev)
     _, report = stepper.step(state)  # residuals, a Jacobian and the entropy iterations
     assert report.jacobian_builds == 1 and report.entropy_iters > 1

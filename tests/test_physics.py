@@ -144,8 +144,9 @@ def test_conduction_moves_entropy_from_hot_to_cold(rhombus):
 
 def test_uniform_temperature_has_no_flux(small43):
     phys = ph.PhysParams(mu=0.0, zeta=0.0, lam=0.7, insulated=True)
-    j = ph.entropy_flux(small43, np.full(small43.n, 1.3), phys)
-    np.testing.assert_array_equal(j, 0.0)
+    jp, col = ph.entropy_flux(small43, np.full(small43.n, 1.3), phys)
+    np.testing.assert_array_equal(jp, 0.0)
+    np.testing.assert_array_equal(col, 0.0)
 
 
 def test_environment_cools_a_hot_body(rhombus):
