@@ -310,7 +310,7 @@ def initial_condition_presets(name, params, geom, gas: ph.GasParams) -> ph.Fluid
     entropy = float(params.get("entropy", 0.0))
     d = np.full(geom.n, density)
     s = np.full(geom.n, entropy)
-    a = np.zeros((geom.n, geom.n))
+    a = np.zeros(len(geom.adj_i))
 
     if name == "hot-spot":
         s = s + _gaussian(mesh, params, 0.5)
@@ -383,7 +383,7 @@ def export_vtk(geom, state: ph.FluidState, gas, phys, path) -> None:
     """Legacy-ASCII VTK unstructured grid with per-cell state fields."""
     mesh = geom.mesh
     theta = ph.temperature(state.d, state.s, gas)
-    diva = fd.div(state.a)
+    diva = fd.div(geom, state.a)
     fric = ph.friction_power(geom, state.a, phys)
     vel = fd.reconstruct_velocity(geom, state.a)
 
@@ -449,57 +449,60 @@ def cmd_run(config_path: str) -> int:
         heat_source=heat,
     )
 
-    os.makedirs(cfg.outdir, exist_ok=True)
     csv_path = os.path.join(cfg.outdir, "diagnostics.csv")
     prev_sample = [None]
+    try:
+        os.makedirs(cfg.outdir, exist_ok=True)
+        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(CSV_HEADER.split(","))
 
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER.split(","))
-
-        def observer(k, t, st, report):
-            rk = heat(t) if heat is not None else None
-            sample = dg.sample(geom, st, cfg.gas, cfg.phys, t=t, heat=rk)
-            resid = dg.energy_residual(prev_sample[0], sample) if prev_sample[0] else 0.0
-            prev_sample[0] = sample
-            writer.writerow(
-                [
-                    k,
-                    f"{sample.time:.17g}",
-                    f"{sample.total_mass:.17g}",
-                    f"{sample.total_entropy:.17g}",
-                    f"{sample.total_energy:.17g}",
-                    f"{sample.boundary_heat:.17g}",
-                    f"{sample.heat_source:.17g}",
-                    f"{resid:.17g}",
-                    f"{sample.entropy_production:.17g}",
-                    report.newton_iters,
-                    report.entropy_iters,
-                ]
-            )
-            if cfg.snapshot_stride > 0 and k % cfg.snapshot_stride == 0:
-                export_vtk(
-                    geom,
-                    st,
-                    cfg.gas,
-                    cfg.phys,
-                    os.path.join(cfg.outdir, f"snapshot_{k:06d}.vtk"),
+            def observer(k, t, st, report):
+                rk = heat(t) if heat is not None else None
+                sample = dg.sample(geom, st, cfg.gas, cfg.phys, t=t, heat=rk)
+                resid = dg.energy_residual(prev_sample[0], sample) if prev_sample[0] else 0.0
+                prev_sample[0] = sample
+                writer.writerow(
+                    [
+                        k,
+                        f"{sample.time:.17g}",
+                        f"{sample.total_mass:.17g}",
+                        f"{sample.total_entropy:.17g}",
+                        f"{sample.total_energy:.17g}",
+                        f"{sample.boundary_heat:.17g}",
+                        f"{sample.heat_source:.17g}",
+                        f"{resid:.17g}",
+                        f"{sample.entropy_production:.17g}",
+                        report.newton_iters,
+                        report.entropy_iters,
+                    ]
                 )
+                if cfg.snapshot_stride > 0 and k % cfg.snapshot_stride == 0:
+                    export_vtk(
+                        geom,
+                        st,
+                        cfg.gas,
+                        cfg.phys,
+                        os.path.join(cfg.outdir, f"snapshot_{k:06d}.vtk"),
+                    )
 
-        try:
-            stepper.run(state, cfg.steps, observer=observer)
-        except it.IntegratorError as exc:
-            print(f"run failed: {exc} (config key 'run.h' = {cfg.h:g})", file=sys.stderr)
-            return 3
-        except fd.FlatAmbiguityError as exc:
-            # only meshes with interior nodes of degree < 5, which the
-            # generator never makes, can get here
-            print(
-                f"config error: config key 'mesh.file': {exc}; "
-                "see 'decflow mesh check'",
-                file=sys.stderr,
-            )
-            return 2
+            try:
+                stepper.run(state, cfg.steps, observer=observer)
+            except it.IntegratorError as exc:
+                print(f"run failed: {exc} (config key 'run.h' = {cfg.h:g})", file=sys.stderr)
+                return 3
+            except fd.FlatAmbiguityError as exc:
+                # only meshes with interior nodes of degree < 5, which the
+                # generator never makes, can get here
+                print(
+                    f"config error: config key 'mesh.file': {exc}; "
+                    "see 'decflow mesh check'",
+                    file=sys.stderr,
+                )
+                return 2
+    except OSError as exc:  # the directory, the CSV or a snapshot
+        print(f"config error: config key 'output.directory': {exc}", file=sys.stderr)
+        return 2
 
     print(f"{cfg.steps} steps, wrote {csv_path}")
     return 0
@@ -519,8 +522,12 @@ def cmd_mesh_gen(nx: int, ny: int, lx: float, ly: float, out: str) -> int:
     except msh.MeshError as exc:
         print(f"mesh error: {exc}", file=sys.stderr)
         return 1
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(format_mesh(mesh))
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(format_mesh(mesh))
+    except OSError as exc:
+        print(f"cannot write '{out}': {exc}", file=sys.stderr)
+        return 1
     boundary = int(mesh.boundary_cells.sum())
     print(
         f"wrote {out}: {mesh.num_nodes} nodes, {mesh.num_cells} cells "

@@ -1,17 +1,18 @@
 """Discrete tensor calculus on cell pairs.
 
 Fields live on cells: a *function* is a vector of cell values (optionally
-extended by one environment slot), a *vector field* is an ``(N, N)`` matrix
-supported on the diagonal plus adjacent cell pairs, and a *one-form* is an
-``(N, N)`` matrix supported on adjacent and two-away pairs.
+extended by one environment slot), a *vector field* is held as its values on
+the directed adjacency list ``(geom.adj_i, geom.adj_j)``, its diagonal
+implied by zero row sums (:meth:`decflow.mesh.MeshGeometry.diagonal`), and a
+*one-form* is an ``(N, N)`` matrix supported on adjacent and two-away pairs.
 
-One-forms and forces on adjacent pairs are evaluated *per pair*, on the
-directed adjacency list ``(geom.adj_i, geom.adj_j)`` where the geometry
-stores its lengths and flat/sharp coefficients, by NumPy gathers and
-``np.bincount``: ``d0``, ``pair_mean``, ``flat_pairs`` and ``lambda_op``
-return one value per pair, and ``total_vorticity`` reads one.  A dense
-matrix holding those values is their scatter (:func:`from_pairs`).  The
-fundamental matrix spaces are
+One-forms and forces on adjacent pairs are evaluated *per pair*, on that
+list, where the geometry stores its lengths and flat/sharp coefficients, by
+NumPy gathers and ``np.bincount``: ``d0``, ``pair_mean``, ``flat_pairs`` and
+``lambda_op`` return one value per pair, and ``total_vorticity`` reads one.
+A dense matrix holding those values is their scatter (:func:`from_pairs`;
+:func:`velocity_matrix` for a vector field).  The fundamental matrix spaces
+are
 
 * ``S``: rows sum to zero (NB: the row convention -- transport matrices act
   on densities through their transpose),
@@ -33,6 +34,7 @@ from .mesh import MeshGeometry
 __all__ = [
     "on_pairs",
     "from_pairs",
+    "velocity_matrix",
     "pair_diff",
     "pair_mean",
     "pairing0",
@@ -43,7 +45,7 @@ __all__ = [
     "group_act_den",
     "div",
     "boundary_div",
-    "flux_matrix",
+    "from_fluxes",
     "flat",
     "flat_pairs",
     "sharp",
@@ -85,6 +87,14 @@ def from_pairs(geom: MeshGeometry, xp) -> np.ndarray:
     return out
 
 
+def velocity_matrix(geom: MeshGeometry, a) -> np.ndarray:
+    """The dense ``(N, N)`` matrix of a vector field held on the adjacency
+    list, its implied diagonal included."""
+    out = from_pairs(geom, a)
+    np.fill_diagonal(out, geom.diagonal(a))
+    return out
+
+
 def pair_diff(f, i, j) -> np.ndarray:
     """Differences ``f_j - f_i`` on the cell pairs ``(i[k], j[k])``."""
     f = np.asarray(f, dtype=float)
@@ -119,14 +129,16 @@ def d0(geom: MeshGeometry, f) -> np.ndarray:
     return pair_diff(f, geom.adj_i, geom.adj_j)
 
 
-def act_fn(a, f) -> np.ndarray:
-    """Vector field acting on a function (directional derivative): ``-A f``."""
-    return -np.asarray(a) @ np.asarray(f, dtype=float)
+def act_fn(geom: MeshGeometry, a, f) -> np.ndarray:
+    """Vector field acting on a function (directional derivative):
+    ``-A f = -sum_j A_ij (f_j - f_i)``, the rows of ``A`` summing to zero."""
+    return -np.bincount(geom.adj_i, a * d0(geom, f), minlength=geom.n)
 
 
 def act_den(geom: MeshGeometry, d, a) -> np.ndarray:
     """Vector field acting on a density: ``Omega^-1 A^T Omega d``."""
-    return (np.asarray(a).T @ (geom.omega * np.asarray(d, dtype=float))) / geom.omega
+    w = geom.omega * np.asarray(d, dtype=float)
+    return (np.bincount(geom.adj_j, a * w[geom.adj_i], minlength=geom.n) + geom.diagonal(a) * w) / geom.omega
 
 
 def group_act_den(geom: MeshGeometry, d, act) -> np.ndarray:
@@ -136,9 +148,9 @@ def group_act_den(geom: MeshGeometry, d, act) -> np.ndarray:
     return act(geom.omega * np.asarray(d, dtype=float)) / geom.omega
 
 
-def div(a) -> np.ndarray:
+def div(geom: MeshGeometry, a) -> np.ndarray:
     """Divergence of a vector field: twice the diagonal."""
-    return 2.0 * np.diagonal(np.asarray(a)).copy()
+    return 2.0 * geom.diagonal(a)
 
 
 def boundary_div(j_env) -> np.ndarray:
@@ -147,17 +159,14 @@ def boundary_div(j_env) -> np.ndarray:
     return -2.0 * np.asarray(j_env)
 
 
-def flux_matrix(omega, rows, cols, flux) -> np.ndarray:
-    """Vector field carrying ``flux[k]`` from cell ``rows[k]`` to cell
-    ``cols[k]``: ``A_rc = f / (2 omega_r)``, ``A_cr = -f / (2 omega_c)``, and
-    the diagonal completing every row to zero, so the result lies in S and
-    V.  Its size is ``len(omega)`` (pass an environment-extended ``omega``
-    for exchange fluxes)."""
-    n = len(omega)
-    a = np.zeros((n, n))
-    a[rows, cols] = flux / (2.0 * omega[rows])
-    a[cols, rows] = -flux / (2.0 * omega[cols])
-    np.fill_diagonal(a, -a.sum(axis=1))
+def from_fluxes(geom: MeshGeometry, rows, cols, flux) -> np.ndarray:
+    """Vector field carrying ``flux[k]`` from cell ``rows[k]`` to the
+    adjacent cell ``cols[k]``: ``A_rc = f / (2 omega_r)`` and
+    ``A_cr = -f / (2 omega_c)`` on the adjacency list, so the result lies in
+    S and V."""
+    a = np.zeros(len(geom.adj_i))
+    a[geom.pair_index(rows, cols)] = flux / (2.0 * geom.omega[rows])
+    a[geom.pair_index(cols, rows)] = -flux / (2.0 * geom.omega[cols])
     return a
 
 
@@ -181,7 +190,7 @@ def flat(geom: MeshGeometry, a) -> np.ndarray:
     values must agree to ``1e-9`` relative or :class:`FlatAmbiguityError` is
     raised (only meshes with interior nodes of degree < 5 can disagree).
     """
-    zp = flat_pairs(geom, on_pairs(geom, a))
+    zp = flat_pairs(geom, a)
     z = from_pairs(geom, zp)
     if len(geom.ta_row) == 0:
         return z
@@ -205,18 +214,15 @@ def flat(geom: MeshGeometry, a) -> np.ndarray:
     return z
 
 
-def flat_pairs(geom: MeshGeometry, ap) -> np.ndarray:
-    """Adjacent entries ``2 Omega_ii A_ij |*h_ij| / |h_ij|`` of the flat, from
-    the vector field's entries ``ap`` on the adjacency list."""
-    return geom.flat_coef * ap
+def flat_pairs(geom: MeshGeometry, a) -> np.ndarray:
+    """Adjacent entries ``2 Omega_ii A_ij |*h_ij| / |h_ij|`` of the flat, on
+    the adjacency list."""
+    return geom.flat_coef * a
 
 
 def sharp(geom: MeshGeometry, z) -> np.ndarray:
-    """Raise a one-form to a vector field (adjacent entries only, diagonal
-    completed so rows sum to zero)."""
-    a = from_pairs(geom, geom.sharp_coef * on_pairs(geom, z))
-    np.fill_diagonal(a, -a.sum(axis=1))
-    return a
+    """Raise a one-form to a vector field, from its adjacent entries."""
+    return geom.sharp_coef * on_pairs(geom, z)
 
 
 def laplace_beltrami(geom: MeshGeometry, f, env: float | None = None) -> np.ndarray:
@@ -292,20 +298,16 @@ def lie_deriv_pairs(geom: MeshGeometry, a, zp) -> np.ndarray:
     ``-(A_ii + A_jj) Z_ij``.  No cell ``k`` is adjacent to both ``i`` and
     ``j``, which would add ``A_ik Z_kj + A_jk Z_ik``: that takes an interior
     node of degree 3, whose widest cell has a non-positive kite."""
-    diag = np.diagonal(np.asarray(a, dtype=float))
+    diag = geom.diagonal(a)
     return -(diag[geom.adj_i] + diag[geom.adj_j]) * zp
 
 
 def lie_deriv_oneform_density(geom: MeshGeometry, a, lmat) -> np.ndarray:
-    """Lie derivative of a one-form density: ``P(Omega^-1 [A^T, Omega L])``."""
-    return proj_P(_weighted_commutator(geom, a, lmat))
-
-
-def _weighted_commutator(geom: MeshGeometry, a, lmat) -> np.ndarray:
+    """Lie derivative of a one-form density: ``P(Omega^-1 [A^T, Omega L])``,
+    for a dense ``A`` (:func:`velocity_matrix`)."""
     a = np.asarray(a, dtype=float)
-    lmat = np.asarray(lmat, dtype=float)
-    wl = geom.omega[:, None] * lmat
-    return (a.T @ wl - wl @ a.T) / geom.omega[:, None]
+    wl = geom.omega[:, None] * np.asarray(lmat, dtype=float)
+    return proj_P((a.T @ wl - wl @ a.T) / geom.omega[:, None])
 
 
 def lie_deriv_oneform_density_kite(geom: MeshGeometry, a, b, d) -> np.ndarray:
@@ -327,11 +329,10 @@ def lie_deriv_oneform_density_kite(geom: MeshGeometry, a, b, d) -> np.ndarray:
     rows summing to zero); the weighted antisymmetry of ``A`` collapses the
     vorticity groups and that of ``B`` the final term.
     """
-    a = np.asarray(a, dtype=float)
     d = np.asarray(d, dtype=float)
-    zb = flat(geom, b)
-    om = total_vorticity(geom, on_pairs(geom, zb))
-    rowdot = np.einsum("ik,ik->i", a, zb * from_pairs(geom, 1.0))
+    zb = flat_pairs(geom, b)
+    om = total_vorticity(geom, zb)
+    rowdot = np.bincount(geom.adj_i, a * zb, minlength=geom.n)
 
     # A kite triplet (middle m, ccw next x, ccw previous v, node e) holds
     # the fan-neighbor terms at e of the four pairs meeting at m: e is the
@@ -339,14 +340,15 @@ def lie_deriv_oneform_density_kite(geom: MeshGeometry, a, b, d) -> np.ndarray:
     # end of an open fan is the middle of no triplet, so it adds nothing.
     m, x, v = geom.tri_i, geom.tri_j, geom.tri_k
     w = geom.tri_kconst * om[geom.tri_node] * pair_mean(d, x, v)
-    out = np.zeros_like(a)
-    np.add.at(out, (m, x), w * a[m, v])
-    np.add.at(out, (v, m), w * a[m, x])
-    np.add.at(out, (m, v), -w * a[m, x])
-    np.add.at(out, (x, m), -w * a[m, v])
+    a_mx, a_mv = a[geom.pair_index(m, x)], a[geom.pair_index(m, v)]
+    out = np.zeros((geom.n, geom.n))
+    np.add.at(out, (m, x), w * a_mv)
+    np.add.at(out, (v, m), w * a_mx)
+    np.add.at(out, (m, v), -w * a_mx)
+    np.add.at(out, (x, m), -w * a_mv)
     i, j = geom.adj_i, geom.adj_j
     dabar = pair_mean(act_den(geom, d, a), i, j)
-    out[i, j] += pair_mean(d, i, j) * (rowdot[i] - rowdot[j]) + dabar * zb[i, j]
+    out[i, j] += pair_mean(d, i, j) * (rowdot[i] - rowdot[j]) + dabar * zb
     return out
 
 
@@ -357,13 +359,13 @@ def lie_deriv_oneform_density_kite(geom: MeshGeometry, a, b, d) -> np.ndarray:
 
 def init_from_velocity(geom: MeshGeometry, u, no_slip: bool = True) -> np.ndarray:
     """Sample a pointwise velocity ``u(x) -> (2,)`` into a discrete vector
-    field: ``A_ij = -|h_ij| (u(midpoint_ij) . n_ij) / (2 Omega_ii)`` with
-    ``n_ij`` the unit normal of the shared edge pointing out of cell ``i``.
+    field on the adjacency list: ``A_ij = -|h_ij| (u(midpoint_ij) . n_ij) /
+    (2 Omega_ii)`` with ``n_ij`` the unit normal of the shared edge pointing
+    out of cell ``i``.
 
     With ``no_slip`` the entries of boundary-adjacent cells are zeroed (in
-    flux pairs, so the result stays weighted-antisymmetric) before the
-    diagonal is completed; the result then lies in S, V and the no-slip
-    subspace simultaneously.
+    flux pairs, so the result stays weighted-antisymmetric); the result then
+    lies in S, V and the no-slip subspace simultaneously.
     """
     mesh = geom.mesh
     c, t = np.nonzero(mesh.cell_adjacency > np.arange(geom.n)[:, None])  # once per edge
@@ -374,7 +376,7 @@ def init_from_velocity(geom: MeshGeometry, u, no_slip: bool = True) -> np.ndarra
     flux = np.array([np.asarray(u(0.5 * (x + y))) @ nv for x, y, nv in zip(p, q, normal)])
     if no_slip:
         flux[mesh.boundary_cells[c] | mesh.boundary_cells[d]] = 0.0
-    return flux_matrix(geom.omega, c, d, -flux)
+    return from_fluxes(geom, c, d, -flux)
 
 
 def reconstruct_velocity(geom: MeshGeometry, a) -> np.ndarray:
@@ -386,14 +388,12 @@ def reconstruct_velocity(geom: MeshGeometry, a) -> np.ndarray:
     ``u_ij = -2 Omega_ii A_ij / |h_ij|``; so at the circumcenter
     ``u_i = -sum_j A_ij (cc_i - x_opposite)``.
     """
-    a = np.asarray(a, dtype=float)
     mesh = geom.mesh
-    cells = np.arange(geom.n)
     out = np.zeros((geom.n, 2))
-    for t in range(3):  # in this order per cell; a boundary edge adds +0.0
-        nbr = mesh.cell_adjacency[:, t]
-        term = a[cells, nbr, None] * (geom.circumcenters - mesh.nodes[mesh.cells[:, t]])
-        out -= np.where(nbr[:, None] >= 0, term, 0.0)
+    for t in range(3):  # in this order per cell
+        c = np.flatnonzero(mesh.cell_adjacency[:, t] >= 0)
+        a_ct = a[geom.pair_index(c, mesh.cell_adjacency[c, t]), None]
+        out[c] -= a_ct * (geom.circumcenters[c] - mesh.nodes[mesh.cells[c, t]])
     return out
 
 
@@ -403,7 +403,7 @@ def reconstruct_velocity(geom: MeshGeometry, a) -> np.ndarray:
 
 
 def membership_residuals(geom: MeshGeometry, a) -> dict:
-    """How far a matrix is from each structural subspace (sup norms)."""
+    """How far a dense matrix is from each structural subspace (sup norms)."""
     a = np.asarray(a, dtype=float)
     weighted = geom.omega[:, None] * a
     off = ~np.eye(geom.n, dtype=bool)

@@ -16,8 +16,9 @@ The variational step solves, in order:
    building a sparse array, and reads four entries per flux of the result
    (:meth:`FluxLayout.pick_P`).  The pressure/temperature gradient and the
    viscous force are evaluated on the flux pairs only, from cell values and
-   from the per-pair kernels of :mod:`decflow.physics`; only the series
-   operand (``A``, its flat and the momentum ``D A^flat``) is dense,
+   from the per-pair kernels of :mod:`decflow.physics`.  ``A`` is held on
+   the adjacency list; only the series operand (its flat with the two-away
+   entries and the momentum ``D A^flat``) is dense,
 2. exact density transport ``D^{k+1} = D^k bullet tau(-h A^k)``.  The
    group element is never formed: :func:`decflow.groups.tau_action` applies
    ``tau(-h A^k)^T`` to ``Omega D^k`` as a Taylor series of products with
@@ -128,11 +129,11 @@ class StateRangeError(IntegratorError):
 class FluxLayout:
     """One scalar unknown per unordered adjacent pair of interior cells.
 
-    A flux vector ``f`` assembles into the velocity matrix with
-    ``A_ij = f / (2 Omega_ii)``, ``A_ji = -f / (2 Omega_jj)`` and diagonal
-    completing the rows to zero, which lands exactly in S, V and the no-slip
-    subspace.  Flux ``k`` is the pair ``(rows[k], cols[k])``, ``rows < cols``,
-    at position ``pos[k]`` of the directed adjacency list.
+    A flux vector ``f`` assembles into the velocity on the adjacency list
+    with ``A_ij = f / (2 Omega_ii)`` and ``A_ji = -f / (2 Omega_jj)``
+    (:func:`decflow.fields.from_fluxes`), which lands exactly in S, V and
+    the no-slip subspace.  Flux ``k`` is the pair ``(rows[k], cols[k])``,
+    ``rows < cols``, at position ``pos[k]`` of the directed adjacency list.
     """
 
     geom: MeshGeometry
@@ -152,21 +153,18 @@ class FluxLayout:
         return len(self.rows)
 
     def to_matrix(self, flux: np.ndarray) -> np.ndarray:
-        return fd.flux_matrix(self.geom.omega, self.rows, self.cols, flux)
+        """The velocity of ``flux`` on the adjacency list."""
+        return fd.from_fluxes(self.geom, self.rows, self.cols, flux)
 
     def from_matrix(self, a: np.ndarray) -> np.ndarray:
+        """The fluxes of a velocity ``a`` on the adjacency list."""
         g = self.geom
-        return g.omega[self.rows] * a[self.rows, self.cols] - g.omega[
-            self.cols
-        ] * a[self.cols, self.rows]
-
-    def pick(self, mat: np.ndarray) -> np.ndarray:
-        return mat[self.rows, self.cols]
+        return g.omega[self.rows] * a[self.pos] - g.omega[self.cols] * a[g.pair_index(self.cols, self.rows)]
 
     def pick_P(self, mat: np.ndarray, omega: np.ndarray) -> np.ndarray:
-        """``pick(proj_P(mat / omega[:, None]))``, read from the four entries
-        ``(r, c)``, ``(c, r)``, ``(r, r)`` and ``(c, c)`` of each flux
-        instead of the whole matrix."""
+        """``proj_P(mat / omega[:, None])`` at ``(rows, cols)``, read from
+        the four entries ``(r, c)``, ``(c, r)``, ``(r, r)`` and ``(c, c)`` of
+        each flux instead of the whole matrix."""
         r, c = self.rows, self.cols
         m_rc, m_rr = mat[r, c] / omega[r], mat[r, r] / omega[r]
         m_cr, m_cc = mat[c, r] / omega[c], mat[c, c] / omega[c]
@@ -484,10 +482,11 @@ class VariationalStepper:
         self._d_prev = state.d.copy()
         return ph.FluidState(a_new, d_new, s_new), report
 
-    def run(self, state: ph.FluidState, steps: int, observer=None, t0: float = 0.0):
-        """Advance ``steps`` steps, invoking ``observer(k, t, state, report)``
-        after each; solver failures are re-raised annotated with the step."""
-        t = t0
+    def run(self, state: ph.FluidState, steps: int, observer=None):
+        """Advance ``steps`` steps from ``t = 0``, invoking
+        ``observer(k, t, state, report)`` after each; solver failures are
+        re-raised annotated with the step."""
+        t = 0.0
         if observer is not None:
             observer(0, t, state, StepReport())
         for k in range(1, steps + 1):
@@ -495,7 +494,7 @@ class VariationalStepper:
                 state, report = self.step(state, t)
             except IntegratorError as exc:
                 raise type(exc)(f"step {k}: {exc}") from exc
-            t = t0 + k * self.h
+            t = k * self.h
             if observer is not None:
                 observer(k, t, state, report)
         return state

@@ -411,11 +411,21 @@ class MeshGeometry:
     def n(self) -> int:
         return len(self.omega)
 
+    def pair_index(self, i, j) -> np.ndarray:
+        """Rows of the cell pairs ``(i[k], j[k])`` on the adjacency list,
+        which must hold them."""
+        return np.searchsorted(self.adj_i * self.n + self.adj_j, np.asarray(i) * self.n + j)
+
+    def diagonal(self, a) -> np.ndarray:
+        """Diagonal ``A_ii = -sum_j A_ij`` of a vector field held as its
+        values ``a`` on the adjacency list: its rows sum to zero."""
+        return -np.bincount(self.adj_i, a, minlength=self.n)
+
     @functools.cached_property
     def adjacency_csr(self) -> "AdjacencyCSR":
         """CSR form of matrices on the diagonal and the adjacent pairs,
         built at its first use."""
-        return AdjacencyCSR(self.n, self.adj_i, self.adj_j)
+        return AdjacencyCSR(self)
 
 
 class _PairedCSR(csr_array):
@@ -436,18 +446,25 @@ class AdjacencyCSR:
 
     The index structure is built once.  The pattern is symmetric, so the
     same structure serves a matrix ``X`` and its transpose: :meth:`load`
-    gathers the pattern entries of ``scale * X`` and of ``scale * X^T``
-    from a dense ``X`` into ``.data`` of two cached arrays and returns the
-    first, whose ``.T`` is the second.  Both are overwritten by the next
-    :meth:`load`, so no caller holds a loaded array past it;
+    takes ``X`` as its values on the adjacency list, completes the implied
+    diagonal, and fills ``.data`` of two cached arrays with ``scale * X``
+    and ``scale * X^T`` through two index arrays into those values.  It
+    returns the first, whose ``.T`` is the second.  Both are overwritten by
+    the next :meth:`load`, so no caller holds a loaded array past it;
     :func:`decflow.groups.tau_action` keeps copies of what it needs.
     """
 
-    def __init__(self, n: int, adj_i: np.ndarray, adj_j: np.ndarray):
-        rows = np.concatenate([adj_i, np.arange(n)])
-        cols = np.concatenate([adj_j, np.arange(n)])
+    def __init__(self, geom: MeshGeometry):
+        n, m = geom.n, len(geom.adj_i)
+        rows = np.concatenate([geom.adj_i, np.arange(n)])
+        cols = np.concatenate([geom.adj_j, np.arange(n)])
         order = np.lexsort((cols, rows))  # row major
         self.rows, self.cols = rows[order], cols[order]
+        # Each stored entry's position in [pair values, diagonal], for X
+        # and for X^T (whose pair (i, j) holds the value of (j, i)).
+        swapped = np.concatenate([geom.pair_index(geom.adj_j, geom.adj_i), np.arange(m, m + n)])
+        self._take, self._take_t = order, swapped[order]
+        self._diagonal = geom.diagonal
         indptr = np.searchsorted(self.rows, np.arange(n + 1))
         pair = [
             _PairedCSR((np.zeros(len(self.rows)), self.cols, indptr), shape=(n, n))
@@ -456,9 +473,10 @@ class AdjacencyCSR:
         pair[0].transposed, pair[1].transposed = pair[1], pair[0]
         self._mat = pair[0]
 
-    def load(self, x: np.ndarray, scale: float = 1.0) -> csr_array:
-        np.multiply(x[self.rows, self.cols], scale, out=self._mat.data)
-        np.multiply(x[self.cols, self.rows], scale, out=self._mat.T.data)
+    def load(self, a: np.ndarray, scale: float = 1.0) -> csr_array:
+        values = np.concatenate([a, self._diagonal(a)])
+        np.multiply(values[self._take], scale, out=self._mat.data)
+        np.multiply(values[self._take_t], scale, out=self._mat.T.data)
         return self._mat
 
 

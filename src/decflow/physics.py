@@ -1,9 +1,9 @@
 """State, perfect-gas thermodynamics, Lagrangian, and force terms.
 
-The per-cell state is ``(A, D, S)``: a discrete velocity matrix, mass
-density, and entropy density.  The internal energy density of the perfect
-gas with adiabatic index ``gamma``, heat capacity ``c_v`` and reference
-constant ``K`` is
+The per-cell state is ``(A, D, S)``: a discrete velocity (its values on the
+adjacency list), mass density, and entropy density.  The internal energy
+density of the perfect gas with adiabatic index ``gamma``, heat capacity
+``c_v`` and reference constant ``K`` is
 
     eps(D, S) = K * D**gamma * exp(S / (c_v * D))
 
@@ -74,6 +74,8 @@ class PhysParams:
 
 @dataclass
 class FluidState:
+    """Velocity ``a`` on the adjacency list, density ``d`` and entropy ``s``."""
+
     a: np.ndarray
     d: np.ndarray
     s: np.ndarray
@@ -122,8 +124,7 @@ def entropy_from_temperature(d, theta, gas: GasParams) -> np.ndarray:
 
 def kinetic_density(geom: MeshGeometry, a) -> np.ndarray:
     """Pointwise squared speed ``K_i = sum_j (A^flat)_ij A_ij`` (adjacent)."""
-    ap = fd.on_pairs(geom, a)
-    return np.bincount(geom.adj_i, fd.flat_pairs(geom, ap) * ap, minlength=geom.n)
+    return np.bincount(geom.adj_i, fd.flat_pairs(geom, a) * a, minlength=geom.n)
 
 
 def lagrangian(geom: MeshGeometry, a, d, s, gas: GasParams) -> float:
@@ -195,7 +196,7 @@ def nabla_pairs(geom: MeshGeometry, a) -> np.ndarray:
     """The one-form ``(nabla_A A)^flat = L_A(A^flat) - d0(K)/2`` of the
     self-advection on the adjacency list (all that sharp reads of it; raised
     back, it lands in S and V by construction)."""
-    zp = fd.flat_pairs(geom, fd.on_pairs(geom, a))
+    zp = fd.flat_pairs(geom, a)
     k = kinetic_density(geom, a)
     return fd.lie_deriv_pairs(geom, a, zp) - 0.5 * fd.d0(geom, k)
 
@@ -207,7 +208,7 @@ def friction_power(geom: MeshGeometry, a, phys: PhysParams) -> np.ndarray:
         mu_tilde (div A)^2 + mu (dA^flat ^ * dA^flat)
         + 2 mu div(nabla_A A) - 2 mu (div(A) bullet A)
     """
-    diva = fd.div(a)
+    diva = fd.div(geom, a)
     out = phys.mu_tilde * diva * diva
     if phys.mu != 0.0:
         z = fd.flat(geom, a)
@@ -232,8 +233,7 @@ def viscous_force(geom: MeshGeometry, a, phys: PhysParams) -> np.ndarray:
     that duality the time integrator would create or destroy total energy
     at order one.
     """
-    out = -phys.mu_tilde * fd.d0(geom, fd.div(a))
+    out = -phys.mu_tilde * fd.d0(geom, fd.div(geom, a))
     if phys.mu != 0.0:
-        zp = fd.flat_pairs(geom, fd.on_pairs(geom, a))
-        out = out - 2.0 * phys.mu * fd.lambda_op(geom, zp)
+        out = out - 2.0 * phys.mu * fd.lambda_op(geom, fd.flat_pairs(geom, a))
     return out

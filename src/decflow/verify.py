@@ -60,12 +60,9 @@ def random_density(geom, rng) -> np.ndarray:
 
 
 def random_algebra(geom, rng) -> np.ndarray:
-    """Adjacency-supported matrix with rows summing to zero (no flux
-    antisymmetry imposed)."""
-    a = np.where(fd.from_pairs(geom, 1.0) > 0, rng.standard_normal((geom.n, geom.n)), 0.0)
-    np.fill_diagonal(a, 0.0)
-    np.fill_diagonal(a, -a.sum(axis=1))
-    return a
+    """Vector field on the adjacency list: an ``(N, N)`` standard normal
+    draw read at the adjacent pairs (no flux antisymmetry imposed)."""
+    return rng.standard_normal((geom.n, geom.n))[geom.adj_i, geom.adj_j]
 
 
 def random_tangent(
@@ -90,24 +87,25 @@ def random_tangent(
     if no_slip:
         bc = geom.mesh.boundary_cells
         flux = np.where(bc[iu] | bc[ju], 0.0, flux)
-    return fd.flux_matrix(geom.omega, iu, ju, flux)
+    return fd.from_fluxes(geom, iu, ju, flux)
 
 
 def random_exchange(geom, rng) -> np.ndarray:
-    """Extended ``(N+1)`` field: random edge fluxes plus a random exchange
-    flux between every boundary cell and the environment column, all rows
+    """Extended dense ``(N+1)`` field: random edge fluxes plus a random
+    exchange flux between every boundary cell and the environment column
+    (``A_rc = f / (2 omega_r)``, ``A_cr = -f / (2 omega_c)``), all rows
     (environment row included) summing to zero."""
     up = geom.adj_i < geom.adj_j
     iu, ju = geom.adj_i[up], geom.adj_j[up]
-    flux = rng.standard_normal(iu.size)
-    bc = np.nonzero(geom.mesh.boundary_cells)[0]
-    bflux = rng.standard_normal(bc.size)
-    return fd.flux_matrix(
-        np.append(geom.omega, geom.omega_env),
-        np.concatenate([iu, bc]),
-        np.concatenate([ju, np.full(bc.size, geom.n)]),
-        np.concatenate([flux, bflux]),
-    )
+    bc = np.flatnonzero(geom.mesh.boundary_cells)
+    flux = np.concatenate([rng.standard_normal(iu.size), rng.standard_normal(bc.size)])
+    rows, cols = np.concatenate([iu, bc]), np.concatenate([ju, np.full(bc.size, geom.n)])
+    omega = np.append(geom.omega, geom.omega_env)
+    a = np.zeros((geom.n + 1, geom.n + 1))
+    a[rows, cols] = flux / (2.0 * omega[rows])
+    a[cols, rows] = -flux / (2.0 * omega[cols])
+    np.fill_diagonal(a, -a.sum(axis=1))
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +116,7 @@ def random_exchange(geom, rng) -> np.ndarray:
 def check_divergence_theorem(geom, rng) -> float:
     """Total weighted divergence of a tangent field vanishes."""
     a = random_tangent(geom, rng)
-    weighted = geom.omega * fd.div(a)
+    weighted = geom.omega * fd.div(geom, a)
     return _rel(abs(weighted.sum()), np.abs(weighted).sum())
 
 
@@ -126,7 +124,7 @@ def check_divergence_theorem_flux(geom, rng) -> float:
     """With environment exchange the total divergence equals the total
     boundary flux."""
     a = random_exchange(geom, rng)
-    lhs = geom.omega * fd.div(a)[: geom.n]
+    lhs = geom.omega * 2.0 * np.diagonal(a)[: geom.n]
     rhs = geom.omega * fd.boundary_div(a[: geom.n, geom.n])
     return _rel(abs(lhs.sum() - rhs.sum()), np.abs(lhs).sum() + np.abs(rhs).sum())
 
@@ -135,11 +133,11 @@ def check_div_adjoint(geom, rng) -> float:
     """<F, div A>_0 = <<d0 F, A>> = -sum_i Omega_ii (F . A)_i for tangent A."""
     a = random_tangent(geom, rng)
     f = random_function(geom, rng)
-    lhs = fd.pairing0(geom, f, fd.div(a))
-    grad = fd.from_pairs(geom, fd.d0(geom, f))
-    mid = fd.pairing1(geom, grad, a)
-    rhs = -float(np.sum(geom.omega * fd.act_fn(a, f)))
-    scale = float(np.sum(np.abs(geom.omega[:, None] * grad * a)))
+    lhs = fd.pairing0(geom, f, fd.div(geom, a))
+    grad, dense = fd.from_pairs(geom, fd.d0(geom, f)), fd.velocity_matrix(geom, a)
+    mid = fd.pairing1(geom, grad, dense)
+    rhs = -float(np.sum(geom.omega * fd.act_fn(geom, a, f)))
+    scale = float(np.sum(np.abs(geom.omega[:, None] * grad * dense)))
     return _rel(max(abs(lhs - mid), abs(lhs - rhs)), scale)
 
 
@@ -149,7 +147,7 @@ def check_div_adjoint_flux(geom, rng) -> float:
     n = geom.n
     a = random_exchange(geom, rng)
     f = rng.standard_normal(n + 1)
-    lhs = float(np.sum(geom.omega * fd.div(a)[:n] * f[:n]))
+    lhs = float(np.sum(geom.omega * 2.0 * np.diagonal(a)[:n] * f[:n]))
     vol = float(np.sum(geom.omega * (a @ f)[:n]))
     bnd = float(np.sum(geom.omega * 0.5 * (f[:n] + f[n]) * fd.boundary_div(a[:n, n])))
     scale = float(np.sum(np.abs(geom.omega[:, None] * a[:n] * f[None, :]))) + abs(bnd)
@@ -170,8 +168,8 @@ def check_action_product_rule(geom, rng) -> float:
     a = random_tangent(geom, rng)
     d = random_density(geom, rng)
     lhs = fd.act_den(geom, d, a)
-    diva = fd.div(a) * d
-    rhs = diva + fd.act_fn(a, d)
+    diva = fd.div(geom, a) * d
+    rhs = diva + fd.act_fn(geom, a, d)
     scale = np.max(np.abs(lhs)) + np.max(np.abs(diva))
     return _rel(np.max(np.abs(lhs - rhs)), scale)
 
@@ -182,8 +180,9 @@ def check_pairing_change(geom, rng) -> float:
     d = random_density(geom, rng)
     f = random_function(geom, rng)
     lhs = fd.pairing0(geom, f, fd.act_den(geom, d, a))
-    rhs = fd.pairing1(geom, np.outer(d, f), a)
-    scale = float(np.sum(np.abs(np.outer(geom.omega * d, f) * a)))
+    dense = fd.velocity_matrix(geom, a)
+    rhs = fd.pairing1(geom, np.outer(d, f), dense)
+    scale = float(np.sum(np.abs(np.outer(geom.omega * d, f) * dense)))
     return _rel(abs(lhs - rhs), scale)
 
 
@@ -191,7 +190,7 @@ def check_projection_momentum(geom, rng) -> float:
     """Dropping the diagonal of a momentum does not change its pairing with
     row-sum-zero fields."""
     lmat = rng.standard_normal((geom.n, geom.n))
-    b = random_algebra(geom, rng)
+    b = fd.velocity_matrix(geom, random_algebra(geom, rng))
     lhs = fd.pairing1(geom, fd.proj_Q(lmat), b)
     rhs = fd.pairing1(geom, lmat, b)
     scale = float(np.sum(np.abs(geom.omega[:, None] * lmat * b)))
@@ -201,7 +200,7 @@ def check_projection_momentum(geom, rng) -> float:
 def check_projection_oneform(geom, rng) -> float:
     """The one-form projection is invisible to constraint-satisfying fields."""
     lmat = rng.standard_normal((geom.n, geom.n))
-    b = random_tangent(geom, rng)
+    b = fd.velocity_matrix(geom, random_tangent(geom, rng))
     lhs = fd.pairing1(geom, fd.proj_P(lmat), b)
     rhs = fd.pairing1(geom, lmat, b)
     scale = float(np.sum(np.abs(geom.omega[:, None] * lmat * b)))
@@ -216,10 +215,10 @@ def check_curl_curl(geom, rng) -> float:
     b = random_tangent(geom, rng)
     za = fd.flat(geom, a)
     zb = fd.flat(geom, b)
-    zpa = fd.on_pairs(geom, za)
-    e1 = fd.pairing1(geom, fd.from_pairs(geom, fd.lambda_op(geom, zpa)), b)
+    zpa = fd.flat_pairs(geom, a)
+    e1 = fd.pairing1(geom, fd.from_pairs(geom, fd.lambda_op(geom, zpa)), fd.velocity_matrix(geom, b))
     wa = fd.total_vorticity(geom, zpa)
-    wb = fd.total_vorticity(geom, fd.on_pairs(geom, zb))
+    wb = fd.total_vorticity(geom, fd.flat_pairs(geom, b))
     e2 = 0.5 * float(np.sum(wa * wb * geom.star_e))
     e3 = 0.5 * float(np.sum(geom.omega * fd.wedge_star(geom, za, zb)))
     scale = 0.5 * float(np.sum(np.abs(wa * wb) * geom.star_e))
@@ -232,7 +231,7 @@ def check_advection_kite(geom, rng) -> float:
     a = random_tangent(geom, rng)
     b = random_tangent(geom, rng)
     d = random_density(geom, rng)
-    direct = fd.lie_deriv_oneform_density(geom, a, d[:, None] * fd.flat(geom, b))
+    direct = fd.lie_deriv_oneform_density(geom, fd.velocity_matrix(geom, a), d[:, None] * fd.flat(geom, b))
     kite = fd.lie_deriv_oneform_density_kite(geom, a, b, d)
     err = np.max(np.abs(fd.on_pairs(geom, direct - kite)))
     scale = np.max(np.abs(fd.on_pairs(geom, direct)))
@@ -244,7 +243,7 @@ def check_covariant_tangency(geom, rng) -> float:
     worst = 0.0
     for _ in range(2):
         a = random_tangent(geom, rng, velocity_scale=True)
-        out = fd.sharp(geom, fd.from_pairs(geom, ph.nabla_pairs(geom, a)))
+        out = fd.velocity_matrix(geom, fd.sharp(geom, fd.from_pairs(geom, ph.nabla_pairs(geom, a))))
         res = fd.membership_residuals(geom, out)
         weighted = np.max(np.abs(geom.omega[:, None] * out)) + _FLOOR
         plain = np.max(np.abs(out)) + _FLOOR
@@ -313,7 +312,7 @@ def check_friction_decomposition(geom, rng) -> float:
     power = ph.friction_power(geom, a, phys)
     total = float(np.sum(geom.omega * power))
     za = fd.flat(geom, a)
-    diva = fd.div(a)
+    diva = fd.div(geom, a)
     expected = phys.mu_tilde * fd.pairing0(geom, diva, diva) + phys.mu * float(
         np.sum(geom.omega * fd.wedge_star(geom, za, za))
     )
@@ -328,10 +327,10 @@ def check_viscous_duality(geom, rng) -> float:
     a = random_tangent(geom, rng, velocity_scale=True)
     b = random_tangent(geom, rng, velocity_scale=True)
     phys = ph.PhysParams(mu=0.2 + rng.random(), zeta=rng.random(), lam=0.0)
-    lhs = fd.pairing1(geom, fd.from_pairs(geom, ph.viscous_force(geom, a, phys)), b)
+    lhs = fd.pairing1(geom, fd.from_pairs(geom, ph.viscous_force(geom, a, phys)), fd.velocity_matrix(geom, b))
     za = fd.flat(geom, a)
     zb = fd.flat(geom, b)
-    div_part = phys.mu_tilde * fd.pairing0(geom, fd.div(a), fd.div(b))
+    div_part = phys.mu_tilde * fd.pairing0(geom, fd.div(geom, a), fd.div(geom, b))
     rot_part = phys.mu * float(np.sum(geom.omega * fd.wedge_star(geom, za, zb)))
     rhs = -div_part - rot_part
     scale = abs(div_part) + abs(rot_part) + abs(lhs)
@@ -361,9 +360,10 @@ def check_commutator_nonclosure(geom, rng) -> float:
     if triple is None:
         return 1.0
     i, j, k = triple
-    a = random_tangent(geom, rng)
-    b = random_tangent(geom, rng)
-    c = gr.commutator(a, geom.adjacency_csr.load(b))
+    a = fd.velocity_matrix(geom, random_tangent(geom, rng))
+    bp = random_tangent(geom, rng)
+    c = gr.commutator(a, geom.adjacency_csr.load(bp))
+    b = fd.velocity_matrix(geom, bp)
     caption = a[i, j] * b[j, k] - b[i, j] * a[j, k]
     scale = np.max(np.abs(c)) + _FLOOR
     bad = abs(c[i, k] - caption) / scale
@@ -381,7 +381,7 @@ def check_commutator_nonclosure(geom, rng) -> float:
 
 def _small_algebra(geom, rng, norm: float = 0.08) -> np.ndarray:
     xi = random_algebra(geom, rng)
-    return xi * (norm / (np.linalg.norm(xi, 2) + _FLOOR))
+    return xi * (norm / (np.linalg.norm(fd.velocity_matrix(geom, xi), 2) + _FLOOR))
 
 
 def check_tau_identity(geom, rng, kind) -> float:
@@ -390,7 +390,7 @@ def check_tau_identity(geom, rng, kind) -> float:
 
 
 def check_tau_inverse(geom, rng, kind) -> float:
-    xi = _small_algebra(geom, rng)
+    xi = fd.velocity_matrix(geom, _small_algebra(geom, rng))
     err = gr.tau(xi, kind) @ gr.tau(-xi, kind) - np.eye(geom.n)
     return float(np.max(np.abs(err)))
 
@@ -398,8 +398,8 @@ def check_tau_inverse(geom, rng, kind) -> float:
 def check_tau_shift(geom, rng, kind) -> float:
     """dtau at -xi equals the tau(xi)-conjugate of dtau at xi."""
     xi = _small_algebra(geom, rng)
-    delta = random_algebra(geom, rng)
-    q = gr.tau(xi, kind)
+    delta = fd.velocity_matrix(geom, random_algebra(geom, rng))
+    q = gr.tau(fd.velocity_matrix(geom, xi), kind)
     lhs = gr.dtau(geom.adjacency_csr.load(xi, -1.0), delta, kind)
     rhs = q @ gr.dtau(geom.adjacency_csr.load(xi), delta, kind) @ np.linalg.inv(q)
     return _rel(np.max(np.abs(lhs - rhs)), np.max(np.abs(lhs)))
@@ -408,8 +408,8 @@ def check_tau_shift(geom, rng, kind) -> float:
 def check_dtau_inv_shift(geom, rng, kind) -> float:
     """dtau_inv at -xi of the conjugated argument equals dtau_inv at xi."""
     xi = _small_algebra(geom, rng)
-    delta = random_algebra(geom, rng)
-    q = gr.tau(xi, kind)
+    delta = fd.velocity_matrix(geom, random_algebra(geom, rng))
+    q = gr.tau(fd.velocity_matrix(geom, xi), kind)
     lhs = gr.dtau_inv(geom.adjacency_csr.load(xi, -1.0), q @ delta @ np.linalg.inv(q), kind)
     rhs = gr.dtau_inv(geom.adjacency_csr.load(xi), delta, kind)
     return _rel(np.max(np.abs(lhs - rhs)), np.max(np.abs(rhs)))
@@ -417,7 +417,7 @@ def check_dtau_inv_shift(geom, rng, kind) -> float:
 
 def check_dtau_roundtrip(geom, rng, kind) -> float:
     xi = geom.adjacency_csr.load(_small_algebra(geom, rng))
-    delta = random_algebra(geom, rng)
+    delta = fd.velocity_matrix(geom, random_algebra(geom, rng))
     back = gr.dtau_inv(xi, gr.dtau(xi, delta, kind), kind)
     return _rel(np.max(np.abs(back - delta)), np.max(np.abs(delta)))
 
@@ -426,11 +426,12 @@ def check_dtau_inv_fd(geom, rng, kind) -> float:
     """dtau_inv undoes a centered finite-difference directional derivative
     of tau (left-trivialized)."""
     xi = _small_algebra(geom, rng)
-    delta = random_algebra(geom, rng)
+    delta = fd.velocity_matrix(geom, random_algebra(geom, rng))
     step = 1e-6 / (np.max(np.abs(delta)) + _FLOOR)
-    qm = gr.tau(-xi, kind)
+    dense = fd.velocity_matrix(geom, xi)
+    qm = gr.tau(-dense, kind)
     d_fd = (
-        qm @ gr.tau(xi + step * delta, kind) - qm @ gr.tau(xi - step * delta, kind)
+        qm @ gr.tau(dense + step * delta, kind) - qm @ gr.tau(dense - step * delta, kind)
     ) / (2.0 * step)
     err = np.max(np.abs(gr.dtau_inv(geom.adjacency_csr.load(xi), d_fd, kind) - delta))
     return _rel(err, np.max(np.abs(delta)))
@@ -441,7 +442,7 @@ def check_transport_adjoint(geom, rng, kind) -> float:
     matrix pairing."""
     xi = geom.adjacency_csr.load(_small_algebra(geom, rng))
     lmat = rng.standard_normal((geom.n, geom.n))
-    b = random_algebra(geom, rng)
+    b = fd.velocity_matrix(geom, random_algebra(geom, rng))
     push = gr.dtau_inv(xi, b, kind)
     lhs = fd.pairing1(geom, gr.dtau_inv_star(geom.omega, xi, lmat, kind), b)
     rhs = fd.pairing1(geom, lmat, push)

@@ -20,7 +20,8 @@ def semi_discrete_rhs(geom, state, gas, phys, layout, heat=None):
     flux layout."""
     a, d, s = state.a, state.d, state.s
     z = fd.flat(geom, a)
-    lie = layout.pick(fd.lie_deriv_oneform_density(geom, a, d[:, None] * z))
+    lie = fd.lie_deriv_oneform_density(geom, fd.velocity_matrix(geom, a), d[:, None] * z)
+    lie = lie[layout.rows, layout.cols]
     visc = ph.viscous_force(geom, a, phys)[layout.pos]
     mdot = -lie - _gradient_forces(geom, layout, a, d, s, gas) + visc
 
@@ -38,7 +39,7 @@ def semi_discrete_rhs(geom, state, gas, phys, layout, heat=None):
 
 def momentum_vector(geom, layout, a, d):
     """Edge momenta ``m_ij = Dbar_ij A^flat_ij`` on the flux layout."""
-    zp = fd.flat_pairs(geom, fd.on_pairs(geom, a))[layout.pos]
+    zp = fd.flat_pairs(geom, a)[layout.pos]
     return fd.pair_mean(d, layout.rows, layout.cols) * zp
 
 

@@ -275,8 +275,8 @@ def test_c12_nonholonomy_witness(suite, gen65, rng):
     # Direct demonstration on one mesh: two fields supported on the
     # adjacency pattern whose bracket has a two-away entry.
     i, j, k = vf._two_away_triple(gen65)
-    a = vf.random_algebra(gen65, rng)
-    b = vf.random_algebra(gen65, rng)
+    a = fd.velocity_matrix(gen65, vf.random_algebra(gen65, rng))
+    b = fd.velocity_matrix(gen65, vf.random_algebra(gen65, rng))
     bracket = a @ b - b @ a
     leaves_s = bracket[i, k] != 0.0 and k not in gen65.adj_j[gen65.adj_i == i]
     ok = r.residual < 1e-10 and leaves_s

@@ -1,5 +1,7 @@
 """Config parsing, presets, exporters, and the command-line entry points."""
 
+import errno
+import os
 import warnings
 
 import numpy as np
@@ -229,7 +231,7 @@ def test_hot_spot_peaks_at_the_center(gen65):
 @pytest.mark.parametrize("name", ["shear", "taylor-like"])
 def test_velocity_presets_live_in_the_constraint_space(gen65, name):
     state = cli.initial_condition_presets(name, {}, gen65, ph.GasParams())
-    res = fd.membership_residuals(gen65, state.a)
+    res = fd.membership_residuals(gen65, fd.velocity_matrix(gen65, state.a))
     assert res["S"] < 1e-12
     assert res["V"] < 1e-12
     assert res["support"] == 0.0
@@ -240,8 +242,9 @@ def test_velocity_presets_live_in_the_constraint_space(gen65, name):
 def test_taylor_like_velocity_vanishes_on_the_boundary(gen65):
     state = cli.initial_condition_presets("taylor-like", {}, gen65, ph.GasParams())
     bc = gen65.mesh.boundary_cells
-    np.testing.assert_array_equal(state.a[bc], 0.0)
-    np.testing.assert_array_equal(state.a[:, bc], 0.0)
+    dense = fd.velocity_matrix(gen65, state.a)
+    np.testing.assert_array_equal(dense[bc], 0.0)
+    np.testing.assert_array_equal(dense[:, bc], 0.0)
 
 
 def test_preset_validation(small43):
@@ -558,6 +561,34 @@ def test_run_reports_an_infinite_temperature(tmp_path, capsys, extra, cause):
     assert len(rows) == 2  # the header and step 0
 
 
+def output_error(code, path):
+    """The one line ``decflow run`` prints for an OS error on ``path``."""
+    return f"config error: config key 'output.directory': [Errno {code}] {os.strerror(code)}: '{path}'\n"
+
+
+@pytest.mark.parametrize("where", ["existing-file", "under-a-file", "proc", "snapshot-is-a-directory"])
+def test_run_reports_an_unwritable_output_as_a_config_error(tmp_path, capsys, where):
+    cfg, outdir = run_config(tmp_path, "output.snapshot_stride = 1\n")
+    if where == "existing-file":
+        outdir.write_text("")
+        expected = output_error(errno.EEXIST, outdir)
+    elif where == "under-a-file":
+        (tmp_path / "file").write_text("")
+        outdir = tmp_path / "file" / "out"
+        expected = output_error(errno.ENOTDIR, outdir)
+    elif where == "proc":
+        if not os.path.isdir("/proc"):
+            pytest.skip("needs a /proc file system")
+        outdir = "/proc/nope"
+        expected = output_error(errno.ENOENT, outdir)
+    else:
+        (outdir / "snapshot_000000.vtk").mkdir(parents=True)
+        expected = output_error(errno.EISDIR, outdir / "snapshot_000000.vtk")
+    cfg.write_text(with_value("output.directory", str(outdir), cfg.read_text()))
+    assert cli.main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == expected
+
+
 def ambiguous_mesh():
     """A Delaunay mesh of a jittered 5x5 grid with two interior points
     removed: node 10 is interior with only four cells."""
@@ -650,6 +681,13 @@ def test_mesh_gen_check_roundtrip(tmp_path, capsys):
 
     assert cli.main(["mesh", "check", str(path)]) == 0
     assert "ok" in capsys.readouterr().out
+
+
+def test_mesh_gen_reports_an_unwritable_file(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.txt"
+    assert cli.main(["mesh", "gen", "2", "2", "1", "1", str(out)]) == 1
+    reason = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{out}'"
+    assert capsys.readouterr().err == f"cannot write '{out}': {reason}\n"
 
 
 def test_mesh_check_builds_the_geometry_once(tmp_path, capsys, monkeypatch):

@@ -180,7 +180,7 @@ def test_cayley_singularity():
 
 
 def mesh_velocity(geom):
-    """A no-slip velocity matrix with rows summing to zero."""
+    """A no-slip velocity on the adjacency list."""
     return fd.init_from_velocity(
         geom,
         lambda p: np.array([0.3 * np.sin(2 * np.pi * p[1]), 0.2 * np.cos(2 * np.pi * p[0])]),
@@ -188,10 +188,15 @@ def mesh_velocity(geom):
     )
 
 
+def dense_velocity(geom):
+    """The dense matrix of :func:`mesh_velocity`, rows summing to zero."""
+    return fd.velocity_matrix(geom, mesh_velocity(geom))
+
+
 @pytest.mark.parametrize("h", [1e-3, 1e-2, 1e-1])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_tau_action_matches_the_dense_transpose(jittered65, rng, h, sign):
-    xi = sign * h * mesh_velocity(jittered65)
+    xi = sign * h * dense_velocity(jittered65)
     act = gr.tau_action(sparse.csr_array(xi))
     qt = gr.tau(xi).T
     for _ in range(5):
@@ -202,7 +207,7 @@ def test_tau_action_matches_the_dense_transpose(jittered65, rng, h, sign):
 
 @pytest.mark.parametrize("h", [1e-3, 1e-2, 1e-1])
 def test_tau_action_conserves_the_weighted_total(jittered65, rng, h):
-    act = gr.tau_action(sparse.csr_array(-h * mesh_velocity(jittered65)))
+    act = gr.tau_action(sparse.csr_array(-h * dense_velocity(jittered65)))
     omega = jittered65.omega
     for _ in range(5):
         d = 0.5 + rng.random(jittered65.n)
@@ -226,7 +231,7 @@ def test_tau_action_of_zero_is_identity(rng):
 
 
 def test_cayley_action_is_the_dense_transpose(jittered65, rng):
-    xi = 1e-2 * mesh_velocity(jittered65)
+    xi = 1e-2 * dense_velocity(jittered65)
     w = rng.normal(size=jittered65.n)
     np.testing.assert_array_equal(
         gr.tau_action(sparse.csr_array(xi), "cayley")(w), gr.tau(xi, "cayley").T @ w
@@ -251,7 +256,7 @@ def test_actions_of_successive_loads_keep_their_own_entries(jittered65, rng):
     acts = [gr.tau_action(jittered65.adjacency_csr.load(a, h)) for h in (-1e-2, 1e-2)]
     for act, h in zip(acts, (-1e-2, 1e-2)):
         w = rng.normal(size=jittered65.n)
-        ref = gr.tau(h * a).T @ w
+        ref = gr.tau(h * fd.velocity_matrix(jittered65, a)).T @ w
         assert np.max(np.abs(act(w) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -283,8 +288,9 @@ def rel_diff(x, ref):
 @pytest.mark.parametrize("h", [1e-3, 1e-2, 1e-1])
 @pytest.mark.parametrize("kind", gr.KINDS)
 def test_csr_and_dense_arguments_agree(jittered65, rng, h, kind):
-    xi = h * mesh_velocity(jittered65)
-    csr = jittered65.adjacency_csr.load(xi)
+    csr = jittered65.adjacency_csr.load(h * mesh_velocity(jittered65))
+    xi = fd.velocity_matrix(jittered65, h * mesh_velocity(jittered65))
+    np.testing.assert_array_equal(csr.toarray(), xi)
     eta = rng.normal(size=xi.shape)
     omega = jittered65.omega
     pairs = ((gr.dtau_inv, dense.dtau_inv), (gr.dtau, dense.dtau))
@@ -299,8 +305,9 @@ def test_csr_and_dense_arguments_agree(jittered65, rng, h, kind):
 @pytest.mark.parametrize("c", [0.5, 0.9, 0.999, 1.001, 1.5])
 def test_the_guard_decides_alike_for_csr_and_dense(jittered65, c):
     a = mesh_velocity(jittered65)
-    xi = c * a / np.linalg.norm(a, 2)
-    csr = jittered65.adjacency_csr.load(xi)
+    scaled = c * a / np.linalg.norm(fd.velocity_matrix(jittered65, a), 2)
+    csr = jittered65.adjacency_csr.load(scaled)
+    xi = fd.velocity_matrix(jittered65, scaled)
     assert gr.norm_bound(csr) == pytest.approx(dense.norm_bound(xi), rel=1e-15)
     # the bound alone clears |xi|_2 = 0.5; from 0.9 on the SVD decides
     assert (dense.norm_bound(xi) >= 1.0) == (c >= 0.9)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from decflow import fields as fd
 from decflow import mesh as msh
 
 ROOT3 = np.sqrt(3.0)
@@ -465,13 +466,14 @@ def test_adjacency_csr_holds_the_pattern_and_its_transpose(jittered65, rng):
     rows, cols = np.nonzero(support)  # row major
     np.testing.assert_array_equal(pattern.rows, rows)
     np.testing.assert_array_equal(pattern.cols, cols)
-    x = np.where(support, rng.normal(size=(65, 65)), 0.0)
-    mat = pattern.load(x, -2.0)
+    values = rng.normal(size=len(jittered65.adj_i))
+    x = fd.velocity_matrix(jittered65, values)  # the diagonal completes the rows
+    mat = pattern.load(values, -2.0)
     np.testing.assert_array_equal(mat.toarray(), -2.0 * x)
     np.testing.assert_array_equal(mat.T.toarray(), -2.0 * x.T)
     assert mat.T.T is mat and mat.T.format == "csr"
     np.testing.assert_array_equal(mat.T.indptr, mat.indptr)
-    assert pattern.load(x) is mat  # refreshed in place
+    assert pattern.load(values) is mat  # refreshed in place
     np.testing.assert_array_equal(mat.toarray(), x)
 
 

@@ -33,6 +33,12 @@ def jittered250():
     return jittered_strip(12, 10)
 
 
+@pytest.fixture(scope="module")
+def jittered980():
+    """Irregular 980-cell mesh (the 24x20 strip)."""
+    return jittered_strip(24, 20)
+
+
 # ---------------------------------------------------------------------------
 # The dense formulas
 # ---------------------------------------------------------------------------
@@ -95,7 +101,7 @@ def dense_friction_power(geom, a, phys):
     y = -(a @ z + z @ a.T) - 0.5 * dense_d0(geom, dense_kinetic(geom, a))
     nabla = fd.from_pairs(geom, geom.sharp_coef) * y * adjacent(geom)
     div_nabla = -2.0 * nabla.sum(axis=1)
-    two_away = fd.flat(geom, a)
+    two_away = fd.flat(geom, fd.on_pairs(geom, a))
     return (
         phys.mu_tilde * diva * diva
         + phys.mu * fd.wedge_star(geom, two_away, two_away)
@@ -139,17 +145,18 @@ def test_per_pair_terms_equal_the_dense_formulas(mesh, h, request):
     geom = request.getfixturevalue(mesh)
     st = stepped_state(geom, h)
     a, d, s = st.a, st.d, st.s
+    dense = fd.velocity_matrix(geom, a)
     layout = ig.FluxLayout.build(geom)
     pick = lambda m: m[layout.rows, layout.cols]
 
     grad = ig._gradient_forces(geom, layout, a, d, s, GAS)
-    assert_close(grad, pick(dense_gradient_forces(geom, a, d, s)))
+    assert_close(grad, pick(dense_gradient_forces(geom, dense, d, s)))
     visc = ph.viscous_force(geom, a, PHYS)[layout.pos]
     if h == 0.0:
         assert np.all(visc == 0.0)
     else:
-        assert_close(visc, pick(dense_viscous_force(geom, a, PHYS)))
-        assert_close(ph.friction_power(geom, a, PHYS), dense_friction_power(geom, a, PHYS))
+        assert_close(visc, pick(dense_viscous_force(geom, dense, PHYS)))
+        assert_close(ph.friction_power(geom, a, PHYS), dense_friction_power(geom, dense, PHYS))
 
     theta = ph.temperature(d, s, GAS)
     jmat = dense_entropy_flux(geom, theta, PHYS)
@@ -168,7 +175,8 @@ def test_dense_operators_are_scatters_of_the_pairs(jittered65, rng):
     jmat = dense_entropy_flux(geom, theta, PHYS)
     np.testing.assert_array_equal(jp, jmat[i, j])
     np.testing.assert_array_equal(col, jmat[: geom.n, geom.n])
-    np.testing.assert_array_equal(ph.viscous_force(geom, st.a, PHYS), dense_viscous_force(geom, st.a, PHYS)[i, j])
+    dense = fd.velocity_matrix(geom, st.a)
+    np.testing.assert_array_equal(ph.viscous_force(geom, st.a, PHYS), dense_viscous_force(geom, dense, PHYS)[i, j])
     f = rng.normal(size=geom.n)
     np.testing.assert_array_equal(fd.d0(geom, f), dense_d0(geom, f)[i, j])
     np.testing.assert_array_equal(fd.pair_mean(f, i, j), dense_mean(f)[i, j])
@@ -179,10 +187,20 @@ def test_dense_operators_are_scatters_of_the_pairs(jittered65, rng):
 # ---------------------------------------------------------------------------
 
 
-def test_the_step_builds_no_dense_force():
+def peak_bytes(fn, *args):
+    """The ``tracemalloc`` peak of one call."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_step_builds_no_dense_force(jittered980):
     # Each force and heating kernel the step runs peaks below N^2 bytes on
     # 980 cells; one dense (N, N) float array takes 8 N^2.
-    geom = jittered_strip(24, 20)
+    geom = jittered980
     assert geom.n == 980
     state = uneven_state(geom, 0.3)
     layout = ig.FluxLayout.build(geom)
@@ -193,13 +211,34 @@ def test_the_step_builds_no_dense_force():
         (ph.conduction, (geom, theta, PHYS)),
         (ph.entropy_flux, (geom, theta, PHYS)),
     ):
-        tracemalloc.start()
-        try:
-            fn(*args)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(fn, *args)
         assert peak < geom.n**2, (fn.__name__, peak)
+
+
+def test_no_velocity_is_dense(jittered980, jittered65):
+    # A velocity is one value per directed adjacent pair: building, loading
+    # and reading it peaks below N^2 bytes on 980 cells.
+    geom = jittered980
+    state = uneven_state(geom, 0.3)
+    layout = ig.FluxLayout.build(geom)
+    flux = layout.from_matrix(state.a)
+    geom.adjacency_csr  # its index structure is built once per geometry
+    u = lambda p: np.array([np.sin(3.0 * p[1]), np.cos(2.0 * p[0])])
+    for fn, args in (
+        (layout.to_matrix, (flux,)),
+        (layout.from_matrix, (state.a,)),
+        (geom.adjacency_csr.load, (state.a, -1e-3)),
+        (ph.kinetic_density, (geom, state.a)),
+        (ph.viscous_force, (geom, state.a, PHYS)),
+        (fd.act_den, (geom, state.d, state.a)),
+        (fd.init_from_velocity, (geom, u)),
+    ):
+        peak = peak_bytes(fn, *args)
+        assert peak < geom.n**2, (fn.__name__, peak)
+
+    for name in cli.PRESETS:
+        assert cli.initial_condition_presets(name, {}, geom, GAS).a.shape == geom.adj_i.shape
+    assert stepped_state(jittered65, 1e-3).a.shape == jittered65.adj_i.shape
 
 
 def test_the_step_takes_no_variational_derivatives(jittered65, monkeypatch):

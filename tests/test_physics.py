@@ -76,7 +76,7 @@ def test_gas_params_validation():
 
 def test_kinetic_density_of_rest_is_zero(small43):
     np.testing.assert_array_equal(
-        ph.kinetic_density(small43, np.zeros((small43.n,) * 2)), 0.0
+        ph.kinetic_density(small43, np.zeros(len(small43.adj_i))), 0.0
     )
 
 
@@ -93,7 +93,7 @@ def test_variational_derivatives_match_finite_differences(jittered, rng):
     t = 1e-6
     da = vf.random_tangent(geom, rng, velocity_scale=True)
     got = (l(a + t * da, d, s) - l(a - t * da, d, s)) / (2 * t)
-    assert got == pytest.approx(fd.pairing1(geom, dl_da, da), rel=1e-7)
+    assert got == pytest.approx(fd.pairing1(geom, dl_da, fd.velocity_matrix(geom, da)), rel=1e-7)
 
     dd = rng.normal(size=geom.n)
     got = (l(a, d + t * dd, s) - l(a, d - t * dd, s)) / (2 * t)
@@ -130,7 +130,7 @@ def test_conduction_moves_entropy_from_hot_to_cold(rhombus):
     phys = ph.PhysParams(mu=0.0, zeta=0.0, lam=0.3, insulated=True)
     d = np.ones(2)
     s = ph.entropy_from_temperature(d, np.array([2.0, 1.0]), GAS)
-    state = ph.FluidState(np.zeros((2, 2)), d, s)
+    state = ph.FluidState(np.zeros(2), d, s)
     layout = ig.FluxLayout.build(rhombus)
     _, ddot, sdot = rk4.semi_discrete_rhs(rhombus, state, GAS, phys, layout)
     np.testing.assert_array_equal(ddot, 0.0)
@@ -153,7 +153,7 @@ def test_environment_cools_a_hot_body(rhombus):
     phys = ph.PhysParams(mu=0.0, zeta=0.0, lam=0.3, theta_env=1.0, insulated=False)
     d = np.ones(2)
     s = ph.entropy_from_temperature(d, np.array([2.0, 2.0]), GAS)
-    state = ph.FluidState(np.zeros((2, 2)), d, s)
+    state = ph.FluidState(np.zeros(2), d, s)
     layout = ig.FluxLayout.build(rhombus)
     sdot = rk4.semi_discrete_rhs(rhombus, state, GAS, phys, layout)[2]
     assert (sdot < 0).all()
@@ -171,7 +171,7 @@ def test_conduction_exchange_identity(jittered, rng):
 def test_friction_power_vanishes_at_rest(small43):
     phys = ph.PhysParams(mu=0.03, zeta=0.01, lam=0.0)
     np.testing.assert_array_equal(
-        ph.friction_power(small43, np.zeros((small43.n,) * 2), phys), 0.0
+        ph.friction_power(small43, np.zeros(len(small43.adj_i)), phys), 0.0
     )
 
 
