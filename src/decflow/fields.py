@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import MeshGeometry
+from .mesh import MeshGeometry, sum_at
 
 __all__ = [
     "on_pairs",
@@ -132,13 +132,13 @@ def d0(geom: MeshGeometry, f) -> np.ndarray:
 def act_fn(geom: MeshGeometry, a, f) -> np.ndarray:
     """Vector field acting on a function (directional derivative):
     ``-A f = -sum_j A_ij (f_j - f_i)``, the rows of ``A`` summing to zero."""
-    return -np.bincount(geom.adj_i, a * d0(geom, f), minlength=geom.n)
+    return -geom.row_sums(a * d0(geom, f))
 
 
 def act_den(geom: MeshGeometry, d, a) -> np.ndarray:
     """Vector field acting on a density: ``Omega^-1 A^T Omega d``."""
     w = geom.omega * np.asarray(d, dtype=float)
-    return (np.bincount(geom.adj_j, a * w[geom.adj_i], minlength=geom.n) + geom.diagonal(a) * w) / geom.omega
+    return (sum_at(geom.adj_j, a * w[geom.adj_i], geom.n) + geom.diagonal(a) * w) / geom.omega
 
 
 def group_act_den(geom: MeshGeometry, d, act) -> np.ndarray:
@@ -234,7 +234,7 @@ def laplace_beltrami(geom: MeshGeometry, f, env: float | None = None) -> np.ndar
     """
     fv = np.asarray(f, dtype=float)[: geom.n]
     w = geom.h_len / geom.star_h_len
-    out = np.bincount(geom.adj_i, w * pair_diff(fv, geom.adj_j, geom.adj_i), minlength=geom.n)
+    out = geom.row_sums(w * pair_diff(fv, geom.adj_j, geom.adj_i))
     if env is not None:
         out += (fv - float(env)) * geom.boundary_factor
     return out / geom.omega
@@ -244,7 +244,7 @@ def total_vorticity(geom: MeshGeometry, zp) -> np.ndarray:
     """Sum of one-form entries around each node's ccw fan (one value per
     node; interior fans wrap, boundary fans are open chains), from the
     one-form's entries ``zp`` on the adjacency list."""
-    return np.bincount(geom.pair_node, zp[geom.pair_adj], minlength=geom.mesh.num_nodes)
+    return sum_at(geom.pair_node, zp[geom.pair_adj], geom.mesh.num_nodes)
 
 
 def lambda_op(geom: MeshGeometry, zp) -> np.ndarray:
@@ -332,7 +332,7 @@ def lie_deriv_oneform_density_kite(geom: MeshGeometry, a, b, d) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     zb = flat_pairs(geom, b)
     om = total_vorticity(geom, zb)
-    rowdot = np.bincount(geom.adj_i, a * zb, minlength=geom.n)
+    rowdot = geom.row_sums(a * zb)
 
     # A kite triplet (middle m, ccw next x, ccw previous v, node e) holds
     # the fan-neighbor terms at e of the four pairs meeting at m: e is the

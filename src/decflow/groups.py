@@ -50,7 +50,6 @@ __all__ = [
     "dtau_inv_star",
     "commutator",
     "norm_bound",
-    "series_order",
     "GroupMapError",
     "KINDS",
 ]
@@ -70,7 +69,6 @@ def _bernoulli(cap: int) -> list:
 
 
 _BERNOULLI = _bernoulli(_SERIES_CAP)
-_COEFF = [abs(b) / math.factorial(n) for n, b in enumerate(_BERNOULLI)]  # |B_n| / n!
 
 
 class GroupMapError(ValueError):
@@ -173,22 +171,6 @@ def norm_bound(x) -> float:
     cols_sum = np.bincount(x.indices, ax, minlength=x.shape[1])
     rows_sum = np.bincount(_rows(x), ax, minlength=x.shape[0])
     return float(np.sqrt(cols_sum.max() * rows_sum.max()))
-
-
-def series_order(beta: float, level: float) -> int:
-    """Highest order ``n`` of the ``dtau_inv`` series whose bound
-    ``|B_n|/n! (2 beta)^n`` is at least ``level``.
-
-    With ``beta >= |xi|_2`` and ``|ad_xi| <= 2 |xi|``, the order-``n`` term
-    is at most that bound times ``|eta|``, so terms past the returned order
-    stay below ``level`` relative to ``eta``.  Order 0 always counts.
-    """
-    order, power = 0, 1.0
-    for n, coeff in enumerate(_COEFF):
-        if coeff * power >= level:
-            order = n
-        power *= 2.0 * beta  # overflows to inf rather than raising
-    return order
 
 
 def _series_guard(xi) -> None:

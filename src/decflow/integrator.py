@@ -9,8 +9,9 @@ O(h^2).
 The variational step solves, in order:
 
 1. the discrete momentum balance for the new velocity ``A^k`` (Newton on
-   fluxes, finite-difference Jacobian, with LU reuse across iterations and
-   steps).  Each residual applies the adjoint tangent series
+   fluxes, with LU reuse across iterations and steps; the Newton matrix is
+   a finite-difference Jacobian of the residual cut after series order 1,
+   see below).  Each residual applies the adjoint tangent series
    :func:`decflow.groups.dtau_inv_star` at ``±h A`` in the CSR form of
    :class:`decflow.mesh.AdjacencyCSR`, whose ``.data`` it refreshes without
    building a sparse array, and reads four entries per flux of the result
@@ -43,39 +44,40 @@ positive, or the momentum residual or Newton update is not finite.
 
 Colored Jacobian
 ----------------
+Newton's matrix is the Jacobian of the momentum residual with the
+``dtau_inv`` series cut after order 1, where the transport is
+``eta - [eta, xi^T]/2`` with ``eta = Omega D A^flat`` and ``xi = h A``, the
+same for the exponential and the Cayley map.  The residual that Newton
+drives below ``newton_tol`` keeps the whole series, so the cut changes the
+rate of convergence, not the solution: the later orders add ``O(|hA|^2)``
+relative to the matrix (a chord method, Kelley 1995, ch. 5).
+
 The Jacobian is a central difference with the step ``1e-7 max(|f_p|, 1)``
 per flux ``p``, but columns are perturbed together (Curtis, Powell & Reid
 1974).  All index structure is built as sparse 0/1 patterns.  With ``C`` the
 incidence of the fluxes to their two cells, the *flux graph* is
 ``G = pattern(C C^T)``: two fluxes are adjacent when they share a cell.  Row
-``q = (i, j)`` of the residual reads
+``q = (i, j)`` of the first-order residual reads
 
 * the fluxes of cells ``i`` and ``j`` (one step in ``G``): the adjacent flat
-  entries and ``A_ii``, ``A_jj`` at series order 0, the kinetic density
-  under ``d0`` in the gradient forces, ``d0(div A)`` in the viscous force;
+  entries and ``A_ii``, ``A_jj``, the kinetic density under ``d0`` in the
+  gradient forces, ``d0(div A)`` in the viscous force;
 * every flux of the node fans at the two ends of the shared edge: ``Lambda``
   in the viscous force and the flat's two-away entries (read by the order-1
-  series term) take their vorticities.  With ``E`` the incidence of the
-  fluxes to those ends, the *fan reach* ``F`` is the least ``k`` with
+  term) take their vorticities.  With ``E`` the incidence of the fluxes to
+  those ends, the *fan reach* ``F`` is the least ``k`` with
   ``pattern(E E^T)`` inside ``pattern(G^k)``: 3 across a fan of six cells,
-  more across a wider fan or one that boundary cells break into a chain;
-* one more step in ``G`` per further order of the ``dtau_inv`` series,
-  since each ``ad_{-hA^T}`` widens the support by one cell.
+  more across a wider fan or one that boundary cells break into a chain.
 
-Order ``n`` is bounded by ``|B_n|/n! (2 beta)^n`` with
-``beta = sqrt(|hA|_1 |hA|_inf) >= |hA|_2`` at the flux where the Jacobian
-is built.  ``K`` is the highest order whose bound is at least the central
-difference's own roundoff level ``eps / 1e-7``; later orders change a
-column by less than the difference can resolve.  Column ``p`` therefore
-reaches the rows of column ``p`` of ``near = pattern(G^R)``, with
-``R = F + max(K - 1, 0)``.  Two columns share a row iff they are adjacent
-in ``pattern(near near)``, so a greedy first-fit coloring of that graph
-(most conflicts first) gives the colors; each color costs one residual
-pair, and each row's quotient goes to the one column of the color that
-reaches it.  ``near`` is also the column structure of a sparse Jacobian.
-When ``R`` spans the graph every column gets its own color, which is the
-column-by-column difference.  ``R`` is computed at each build; ``G``, ``F``
-and the coloring for each ``R`` are cached on the stepper.
+Column ``p`` therefore reaches the rows of column ``p`` of
+``near = pattern(G^F)`` at every ``h``.  Two columns share a row iff they
+are adjacent in ``pattern(near near)``, so a greedy first-fit coloring of
+that graph (most conflicts first) gives the colors; each color costs one
+residual pair, and each row's quotient goes to the one column of the color
+that reaches it.  ``near`` is also the column structure of a sparse
+Jacobian.  When ``F`` spans the graph every column gets its own color, which
+is the column-by-column difference.  The coloring is built at the first
+Jacobian and cached on the stepper.
 """
 
 from __future__ import annotations
@@ -263,7 +265,8 @@ def _coloring(graph, reach):
 @dataclass
 class StepReport:
     """Solver effort of one step; ``residual_evals`` counts every momentum
-    residual, the Newton ones and those of the Jacobian builds."""
+    residual: the full ones of Newton and the first-order ones of the
+    Jacobian builds."""
 
     newton_iters: int = 0
     entropy_iters: int = 0
@@ -304,63 +307,55 @@ class VariationalStepper:
         self.entropy_max = entropy_max
         self.heat_source = heat_source
         self.layout = FluxLayout.build(geom)
-        self._colorings = {}  # reach -> colored difference pattern
         self._lu = None
         self._d_prev = None  # density one step behind the incoming state
 
     # -- momentum ----------------------------------------------------------
 
-    def _transport_term(self, a, d, sign):
+    def _transport_term(self, a, d, sign, first_order=False):
         """``(1/h) P((dtau_inv_{sign*h*A})^* (D A^flat))`` on the layout,
         with ``sign*h*A`` in CSR form and the adjoint's division by
-        ``Omega`` applied to the entries that ``P`` reads."""
+        ``Omega`` applied to the entries that ``P`` reads; with
+        ``first_order`` the series is cut after ``eta - [eta, xi^T]/2``."""
         geom = self.geom
         z = fd.flat(geom, a)
         lmat = d[:, None] * z
         xi = geom.adjacency_csr.load(a, sign * self.h)
-        star = gr.dtau_inv_star(geom.omega, xi, lmat, self.kind, divide=False)
+        if first_order:
+            eta = geom.omega[:, None] * lmat
+            star = eta - 0.5 * gr.commutator(eta, xi.T)
+        else:
+            star = gr.dtau_inv_star(geom.omega, xi, lmat, self.kind, divide=False)
         return self.layout.pick_P(star, geom.omega) / self.h
 
-    def _momentum_residual(self, flux, d, s, prev_term):
+    def _momentum_residual(self, flux, d, s, prev_term, first_order=False):
         a = self.layout.to_matrix(flux)
-        cur = self._transport_term(a, d, 1.0)
+        cur = self._transport_term(a, d, 1.0, first_order)
         grad = _gradient_forces(self.geom, self.layout, a, d, s, self.gas)
         visc = ph.viscous_force(self.geom, a, self.phys)[self.layout.pos]
         return cur - prev_term + grad - visc
 
     @functools.cached_property
-    def _graph(self):
-        """The flux graph and its fan reach, built at the first Jacobian."""
+    def _colors(self):
+        """The coloring at the fan reach, built at the first Jacobian."""
         graph = _flux_graph(self.layout)
-        return graph, _fan_reach(self.layout, graph)
-
-    def _reach(self, flux):
-        """Flux-graph radius ``R`` of the Jacobian columns at ``flux`` (see
-        the module docstring): the fan reach plus one flux step per series
-        order past the first whose bound clears the central difference's
-        roundoff level ``eps / _FD_STEP``."""
-        beta = gr.norm_bound(self.geom.adjacency_csr.load(self.layout.to_matrix(flux), self.h))
-        order = gr.series_order(beta, np.finfo(float).eps / _FD_STEP)
-        return self._graph[1] + max(order - 1, 0)
+        return _coloring(graph, _fan_reach(self.layout, graph))
 
     def _jacobian(self, flux, d, s, prev_term):
-        """Colored central differences: one residual pair per color, each
-        row's quotient scattered to the one column of that color that
-        reaches it.  Returns the Jacobian and the residuals it took."""
-        reach = self._reach(flux)
-        if reach not in self._colorings:
-            self._colorings[reach] = _coloring(self._graph[0], reach)
-        colors = self._colorings[reach]
+        """Colored central differences of the first-order residual: one
+        residual pair per color, each row's quotient scattered to the one
+        column of that color that reaches it.  Returns the Jacobian and the
+        residuals it took."""
         jac = np.zeros((self.layout.size, self.layout.size))
         step = _FD_STEP * np.maximum(np.abs(flux), 1.0)
-        for cols, rows, owners in colors:
+        for cols, rows, owners in self._colors:
             fp = flux.copy()
             fp[cols] += step[cols]
-            rp = self._momentum_residual(fp, d, s, prev_term)
+            rp = self._momentum_residual(fp, d, s, prev_term, first_order=True)
             fp[cols] -= 2 * step[cols]
-            rm = self._momentum_residual(fp, d, s, prev_term)
+            rm = self._momentum_residual(fp, d, s, prev_term, first_order=True)
             jac[rows, owners] = (rp[rows] - rm[rows]) / (2 * step[owners])
-        return jac, 2 * len(colors)
+        return jac, 2 * len(self._colors)
 
     def _solve_momentum(self, flux0, d, s, prev_term):
         """Newton on the fluxes; returns the solution and a report of the

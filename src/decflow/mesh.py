@@ -57,6 +57,7 @@ __all__ = [
     "jitter_mesh",
     "compute_geometry",
     "inspect_geometry",
+    "sum_at",
     "validate",
 ]
 
@@ -108,6 +109,12 @@ class Mesh:
     def interior_cells(self) -> np.ndarray:
         """Cells with no boundary edge (the no-slip degrees of freedom)."""
         return ~self.boundary_cells
+
+
+def sum_at(index: np.ndarray, weights, size: int) -> np.ndarray:
+    """The sums of ``weights`` over equal ``index``, one per ``0 .. size-1``,
+    as floats (``np.bincount`` gives int64 zeros when it sums nothing)."""
+    return np.bincount(index, weights, minlength=size).astype(float, copy=False)
 
 
 def _cross2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -411,15 +418,24 @@ class MeshGeometry:
     def n(self) -> int:
         return len(self.omega)
 
+    @functools.cached_property
+    def _pair_keys(self) -> np.ndarray:
+        """``i * n + j`` per pair of the adjacency list, ascending."""
+        return self.adj_i * self.n + self.adj_j
+
     def pair_index(self, i, j) -> np.ndarray:
         """Rows of the cell pairs ``(i[k], j[k])`` on the adjacency list,
         which must hold them."""
-        return np.searchsorted(self.adj_i * self.n + self.adj_j, np.asarray(i) * self.n + j)
+        return np.searchsorted(self._pair_keys, np.asarray(i) * self.n + j)
+
+    def row_sums(self, w) -> np.ndarray:
+        """``sum_j w_ij`` per cell of values ``w`` on the adjacency list."""
+        return sum_at(self.adj_i, w, self.n)
 
     def diagonal(self, a) -> np.ndarray:
         """Diagonal ``A_ii = -sum_j A_ij`` of a vector field held as its
         values ``a`` on the adjacency list: its rows sum to zero."""
-        return -np.bincount(self.adj_i, a, minlength=self.n)
+        return -self.row_sums(a)
 
     @functools.cached_property
     def adjacency_csr(self) -> "AdjacencyCSR":
@@ -575,8 +591,7 @@ def _geometry(mesh: Mesh, issues: list) -> MeshGeometry:
         else:
             issues.append(f"degenerate boundary dual edge on cell {c[r]} (|*h| = {s[r]:.3e})")
     outer = ~inner & ~degenerate
-    # (np.bincount gives int64 zeros when it sums nothing)
-    boundary_factor = np.bincount(c[outer], h[outer] / s[outer], minlength=n).astype(float)
+    boundary_factor = sum_at(c[outer], h[outer] / s[outer], n)
     # Every adjacent pair, row major, with its edge row (a pair of cells
     # shares one edge, unless they are the same triangle twice).
     adj_key, adj_row = np.unique(c[inner] * n + d[inner], return_index=True)
@@ -611,7 +626,7 @@ def _geometry(mesh: Mesh, issues: list) -> MeshGeometry:
     mid = closed | ((pos > 0) & (pos < m - 1))
     tri_node, tri_i, tri_kappa = fan_node[mid], fan_cell[mid], kites[mid]
     tri_j, tri_k = fan_cell[nxt[mid]], fan_cell[prv[mid]]  # ccw next, ccw previous
-    star_e = np.bincount(tri_node, tri_kappa, minlength=mesh.num_nodes).astype(float)
+    star_e = sum_at(tri_node, tri_kappa, mesh.num_nodes)
     se_of_tri = star_e[tri_node]
     with np.errstate(divide="ignore", invalid="ignore"):
         tri_w = np.where(

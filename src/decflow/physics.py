@@ -124,7 +124,7 @@ def entropy_from_temperature(d, theta, gas: GasParams) -> np.ndarray:
 
 def kinetic_density(geom: MeshGeometry, a) -> np.ndarray:
     """Pointwise squared speed ``K_i = sum_j (A^flat)_ij A_ij`` (adjacent)."""
-    return np.bincount(geom.adj_i, fd.flat_pairs(geom, a) * a, minlength=geom.n)
+    return geom.row_sums(fd.flat_pairs(geom, a) * a)
 
 
 def lagrangian(geom: MeshGeometry, a, d, s, gas: GasParams) -> float:
@@ -181,8 +181,8 @@ def conduction(geom: MeshGeometry, theta, phys: PhysParams):
     theta = np.asarray(theta, dtype=float)
     i, k = geom.adj_i, geom.adj_j
     jp, col = entropy_flux(geom, theta, phys)
-    div_j = -2.0 * (np.bincount(i, jp, minlength=geom.n) + col)
-    drop = np.bincount(i, jp * fd.pair_diff(theta, i, k), minlength=geom.n)
+    div_j = -2.0 * (geom.row_sums(jp) + col)
+    drop = geom.row_sums(jp * fd.pair_diff(theta, i, k))
     theta_j = -(drop + col * (phys.theta_env - theta))
     return div_j, theta_j, fd.boundary_div(col)
 
@@ -215,7 +215,7 @@ def friction_power(geom: MeshGeometry, a, phys: PhysParams) -> np.ndarray:
         out = out + phys.mu * fd.wedge_star(geom, z, z)
         # div(nabla_A A) = 2 (nabla_A A)_ii, minus twice the raised row sums
         vp = geom.sharp_coef * nabla_pairs(geom, a)
-        out = out + 2.0 * phys.mu * (-2.0 * np.bincount(geom.adj_i, vp, minlength=geom.n))
+        out = out + 2.0 * phys.mu * (-2.0 * geom.row_sums(vp))
         out = out - 2.0 * phys.mu * fd.act_den(geom, diva, a)
     return out
 

@@ -39,8 +39,14 @@ def test_every_traced_name_resolves():
 
 def test_the_traced_kernel_names_are_called_by_the_step(jittered65, monkeypatch):
     # Wrap each module attribute as the tracer does, then take one step with
-    # viscosity and conduction on.
-    traced = {"fields": ("d0", "pair_mean", "total_vorticity"), "physics": ("viscous_force", "entropy_flux")}
+    # viscosity and conduction on.  The integrator's LU names are the SciPy
+    # functions bound in its module.
+    traced = {
+        "fields": ("d0", "pair_mean", "total_vorticity"),
+        "physics": ("viscous_force", "entropy_flux"),
+        "groups": ("dtau_inv_star", "commutator"),
+        "integrator": ("lu_factor", "lu_solve"),
+    }
     calls = {}
     for layer, names in traced.items():
         module = importlib.import_module(f"decflow.{layer}")

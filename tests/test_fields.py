@@ -5,6 +5,7 @@ import pytest
 
 from decflow import fields as fd
 from decflow import mesh as msh
+from decflow import physics as ph
 from decflow import verify as vf
 
 
@@ -372,3 +373,21 @@ def test_boundary_div_reads_environment_column():
     j = np.zeros((3, 3))
     j[0, 2], j[1, 2] = 0.5, -0.25
     np.testing.assert_allclose(fd.boundary_div(j[:2, 2]), [-1.0, 0.5], atol=0)
+
+
+def test_sums_over_no_pairs_are_floats():
+    # One triangle has no adjacent pairs; np.bincount over no entries gives
+    # int64 zeros, which an in-place float update cannot take.
+    geom = msh.compute_geometry(msh.load_mesh("3 1\n0 0\n1 0\n0.5 0.8\n0 1 2\n"))
+    assert len(geom.adj_i) == 0
+    none = np.zeros(0)
+    lap = fd.laplace_beltrami(geom, np.array([1.0]), env=0.5)
+    np.testing.assert_allclose(lap, 0.5 * geom.boundary_factor / geom.omega, rtol=1e-15)
+    for out in (
+        lap,
+        geom.diagonal(none),
+        ph.kinetic_density(geom, none),
+        fd.act_fn(geom, none, np.ones(1)),
+        fd.total_vorticity(geom, none),
+    ):
+        assert out.dtype == np.float64

@@ -123,15 +123,6 @@ def test_series_guard_looks_past_a_loose_bound():
         gr.dtau_inv(xi / 0.81, x, "exponential")
 
 
-def test_series_order_counts_the_terms_above_the_level():
-    assert gr.series_order(0.0, 1e-9) == 0
-    # |B_1|/1! (2 beta) = beta; B_3 = 0, so order 3 never counts
-    assert gr.series_order(2e-9, 1e-9) == 1
-    assert gr.series_order(0.01, 2.2e-9) == 2
-    assert gr.series_order(0.4, 2.2e-9) == 10
-    assert gr.series_order(1e300, 2.2e-9) == 24  # every term up to the cap
-
-
 # Nonzero Bernoulli numbers B_0 .. B_24 (B_1 = -1/2); the odd ones past B_1 vanish.
 BERNOULLI = {
     0: Fraction(1),

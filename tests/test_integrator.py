@@ -205,8 +205,8 @@ def test_one_group_action_per_direction_per_step(gen65, monkeypatch):
 
 def test_residuals_construct_no_sparse_arrays(jittered65, monkeypatch):
     # The CSR index structure is built at the first residual and the coloring
-    # patterns at the first Jacobian; afterwards a residual, a Jacobian at the
-    # same reach, or a whole step only refreshes the cached arrays' data.
+    # patterns at the first Jacobian; afterwards a residual, a Jacobian or a
+    # whole step only refreshes the cached arrays' data.
     phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01, insulated=True)
     stepper = ig.VariationalStepper(jittered65, GAS, phys, h=1e-3)
     state = shear_state(jittered65)
@@ -225,7 +225,7 @@ def test_residuals_construct_no_sparse_arrays(jittered65, monkeypatch):
     again = stepper._momentum_residual(flux, state.d, state.s, prev_term)
     np.testing.assert_array_equal(again, first)
     assert built == []
-    # a second Jacobian at the same reach reuses the cached coloring
+    # a second Jacobian reuses the cached coloring
     np.testing.assert_array_equal(stepper._jacobian(flux, state.d, state.s, prev_term)[0], jac)
     assert built == []
     stepper.step(state)
@@ -252,8 +252,10 @@ def test_range_failure_keeps_its_subclass_through_run(gen65):
 # ---------------------------------------------------------------------------
 
 
-def dense_jacobian(stepper, flux, d, s, prev_term):
-    """The column-by-column central difference the colored build replaces."""
+def dense_jacobian(stepper, flux, d, s, prev_term, first_order=True):
+    """The column-by-column central difference of the first-order residual,
+    which the colored build replaces (of the full one with ``first_order``
+    false)."""
     m = stepper.layout.size
     jac = np.empty((m, m))
     base = np.maximum(np.abs(flux), 1.0)
@@ -261,37 +263,55 @@ def dense_jacobian(stepper, flux, d, s, prev_term):
         dp = 1e-7 * base[p]
         fp = flux.copy()
         fp[p] += dp
-        rp = stepper._momentum_residual(fp, d, s, prev_term)
+        rp = stepper._momentum_residual(fp, d, s, prev_term, first_order)
         fp[p] -= 2 * dp
-        rm = stepper._momentum_residual(fp, d, s, prev_term)
+        rm = stepper._momentum_residual(fp, d, s, prev_term, first_order)
         jac[:, p] = (rp - rm) / (2 * dp)
     return jac
 
 
-def jacobian_pair(geom, h, amp):
+def jacobian_setup(geom, h, amp):
+    """A viscous, conducting stepper and the residual arguments at a shear
+    flow with varying density and entropy."""
     phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01, insulated=True)
     stepper = ig.VariationalStepper(geom, GAS, phys, h=h)
     state = shear_state(geom, amp)
     d = 1.0 + 0.1 * np.cos(np.arange(geom.n))
     s = 0.05 * np.sin(np.arange(geom.n))
     prev_term = stepper._transport_term(state.a, d, -1.0)
-    flux = stepper.layout.from_matrix(state.a)
-    colored, evals = stepper._jacobian(flux, d, s, prev_term)
-    return colored, dense_jacobian(stepper, flux, d, s, prev_term), evals
+    return stepper, (stepper.layout.from_matrix(state.a), d, s, prev_term)
 
 
 @pytest.mark.parametrize("h", [1e-3, 1e-2, 1e-1])
 def test_colored_jacobian_matches_the_dense_one(jittered65, h):
-    colored, dense, _ = jacobian_pair(jittered65, h, amp=0.3)
+    stepper, args = jacobian_setup(jittered65, h, amp=0.3)
+    colored, dense = stepper._jacobian(*args)[0], dense_jacobian(stepper, *args)
     assert np.max(np.abs(colored - dense)) <= 1e-9 * np.max(np.abs(dense))
 
 
 def test_colored_jacobian_at_rest_keeps_the_whole_fans(jittered65):
-    # No flow: no series order past 0 counts, but Lambda still couples the
-    # fluxes three apart around a degree-6 node.
-    colored, dense, evals = jacobian_pair(jittered65, 1e-3, amp=0.0)
+    # No flow: the order-1 term has no derivative, but Lambda still couples
+    # the fluxes three apart around a degree-6 node.
+    stepper, args = jacobian_setup(jittered65, 1e-3, amp=0.0)
+    colored, evals = stepper._jacobian(*args)
+    dense = dense_jacobian(stepper, *args)
     np.testing.assert_array_equal(colored, dense)
     assert evals < 2 * len(dense)
+
+
+def test_first_order_jacobian_is_close_to_the_full_one(jittered65):
+    # The series past order 1 adds O(|hA|^2) relative to the Newton matrix.
+    stepper, args = jacobian_setup(jittered65, 1e-3, amp=0.3)
+    colored, full = stepper._jacobian(*args)[0], dense_jacobian(stepper, *args, first_order=False)
+    assert np.max(np.abs(colored - full)) <= 1e-5 * np.max(np.abs(full))
+
+
+@pytest.mark.parametrize("h", [1e-3, 1e-1])
+def test_jacobian_build_takes_a_residual_pair_per_fan_reach_color(jittered65, h):
+    stepper, args = jacobian_setup(jittered65, h, amp=0.3)
+    graph = ig._flux_graph(stepper.layout)
+    colors = ig._coloring(graph, ig._fan_reach(stepper.layout, graph))
+    assert stepper._jacobian(*args)[1] == 2 * len(colors)
 
 
 def flux_distances(layout):
