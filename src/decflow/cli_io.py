@@ -379,12 +379,14 @@ def format_mesh(mesh: msh.Mesh) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_vtk(geom, state: ph.FluidState, gas, phys, path) -> None:
-    """Legacy-ASCII VTK unstructured grid with per-cell state fields."""
+def export_vtk(geom, state: ph.FluidState, gas, phys, path, fric=None) -> None:
+    """Legacy-ASCII VTK unstructured grid with per-cell state fields;
+    ``fric`` is the state's friction power if the caller has it."""
     mesh = geom.mesh
     theta = ph.temperature(state.d, state.s, gas)
     diva = fd.div(geom, state.a)
-    fric = ph.friction_power(geom, state.a, phys)
+    if fric is None:
+        fric = ph.friction_power(geom, state.a, phys)
     vel = fd.reconstruct_velocity(geom, state.a)
 
     out = [
@@ -459,7 +461,10 @@ def cmd_run(config_path: str) -> int:
 
             def observer(k, t, st, report):
                 rk = heat(t) if heat is not None else None
-                sample = dg.sample(geom, st, cfg.gas, cfg.phys, t=t, heat=rk)
+                fric = report.friction_power  # computed once per state
+                if fric is None:  # the initial state
+                    fric = ph.friction_power(geom, st.a, cfg.phys)
+                sample = dg.sample(geom, st, cfg.gas, cfg.phys, t=t, heat=rk, fric=fric)
                 resid = dg.energy_residual(prev_sample[0], sample) if prev_sample[0] else 0.0
                 prev_sample[0] = sample
                 writer.writerow(
@@ -484,6 +489,7 @@ def cmd_run(config_path: str) -> int:
                         cfg.gas,
                         cfg.phys,
                         os.path.join(cfg.outdir, f"snapshot_{k:06d}.vtk"),
+                        fric,
                     )
 
             try:

@@ -159,14 +159,15 @@ def boundary_div(j_env) -> np.ndarray:
     return -2.0 * np.asarray(j_env)
 
 
-def from_fluxes(geom: MeshGeometry, rows, cols, flux) -> np.ndarray:
-    """Vector field carrying ``flux[k]`` from cell ``rows[k]`` to the
-    adjacent cell ``cols[k]``: ``A_rc = f / (2 omega_r)`` and
-    ``A_cr = -f / (2 omega_c)`` on the adjacency list, so the result lies in
-    S and V."""
+def from_fluxes(geom: MeshGeometry, fwd, rev, flux) -> np.ndarray:
+    """Vector field carrying ``flux[k]`` from cell ``r`` to the adjacent
+    cell ``c``, where ``(r, c)`` is the pair at position ``fwd[k]`` of the
+    adjacency list and ``(c, r)`` the one at ``rev[k]``:
+    ``A_rc = f / (2 omega_r)`` and ``A_cr = -f / (2 omega_c)``, so the
+    result lies in S and V."""
     a = np.zeros(len(geom.adj_i))
-    a[geom.pair_index(rows, cols)] = flux / (2.0 * geom.omega[rows])
-    a[geom.pair_index(cols, rows)] = -flux / (2.0 * geom.omega[cols])
+    a[fwd] = flux / (2.0 * geom.omega[geom.adj_i[fwd]])
+    a[rev] = -flux / (2.0 * geom.omega[geom.adj_i[rev]])
     return a
 
 
@@ -376,7 +377,7 @@ def init_from_velocity(geom: MeshGeometry, u, no_slip: bool = True) -> np.ndarra
     flux = np.array([np.asarray(u(0.5 * (x + y))) @ nv for x, y, nv in zip(p, q, normal)])
     if no_slip:
         flux[mesh.boundary_cells[c] | mesh.boundary_cells[d]] = 0.0
-    return from_fluxes(geom, c, d, -flux)
+    return from_fluxes(geom, geom.pair_index(c, d), geom.pair_index(d, c), -flux)
 
 
 def reconstruct_velocity(geom: MeshGeometry, a) -> np.ndarray:

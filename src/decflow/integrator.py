@@ -9,13 +9,15 @@ O(h^2).
 The variational step solves, in order:
 
 1. the discrete momentum balance for the new velocity ``A^k`` (Newton on
-   fluxes, with LU reuse across iterations and steps; the Newton matrix is
-   a finite-difference Jacobian of the residual cut after series order 1,
-   see below).  Each residual applies the adjoint tangent series
-   :func:`decflow.groups.dtau_inv_star` at ``±h A`` in the CSR form of
-   :class:`decflow.mesh.AdjacencyCSR`, whose ``.data`` it refreshes without
-   building a sparse array, and reads four entries per flux of the result
-   (:meth:`FluxLayout.pick_P`).  The pressure/temperature gradient and the
+   fluxes, with LU reuse across iterations and steps until a step needs
+   more than twice the iterations of the first step solved wholly on the
+   LU; the Newton matrix is a finite-difference Jacobian of the residual
+   cut after series order 1, see below).  Each residual applies the
+   adjoint tangent series :func:`decflow.groups.dtau_inv_star` at ``±h A``
+   in the CSR form of :class:`decflow.mesh.AdjacencyCSR`, whose ``.data``
+   it refreshes without building a sparse array, and reads four entries
+   per flux of the result (:meth:`FluxLayout.pick_P`).  The
+   pressure/temperature gradient and the
    viscous force are evaluated on the flux pairs only, from cell values and
    from the per-pair kernels of :mod:`decflow.physics`.  ``A`` is held on
    the adjacency list; only the series operand (its flat with the two-away
@@ -51,6 +53,18 @@ same for the exponential and the Cayley map.  The residual that Newton
 drives below ``newton_tol`` keeps the whole series, so the cut changes the
 rate of convergence, not the solution: the later orders add ``O(|hA|^2)``
 relative to the matrix (a chord method, Kelley 1995, ch. 5).
+
+The matrix is built at the first Newton iteration of the first step and
+factored once; later iterations and steps reuse the LU.  It is rebuilt
+within a step when an iteration reduces the residual by less than half (at
+most 3 builds per step), and between steps by a Shamanskii-like refresh
+(Kelley 1995, ch. 5): the stepper keeps the Newton iterations of the first
+step solved wholly on the current LU (the *fresh count*, the step after
+the one that built it), and once a later step that made no build needs
+more than ``2 max(fresh count, 1)`` iterations, it drops the LU, so that
+the next step builds at its first iteration.  The fresh count and the LU
+are state carried across steps: a run resumed from a checkpoint must
+restore both to repeat the uninterrupted run.
 
 The Jacobian is a central difference with the step ``1e-7 max(|f_p|, 1)``
 per flux ``p``, but columns are perturbed together (Curtis, Powell & Reid
@@ -135,20 +149,24 @@ class FluxLayout:
     with ``A_ij = f / (2 Omega_ii)`` and ``A_ji = -f / (2 Omega_jj)``
     (:func:`decflow.fields.from_fluxes`), which lands exactly in S, V and
     the no-slip subspace.  Flux ``k`` is the pair ``(rows[k], cols[k])``,
-    ``rows < cols``, at position ``pos[k]`` of the directed adjacency list.
+    ``rows < cols``, at position ``pos[k]`` of the directed adjacency list;
+    the reversed pair ``(cols[k], rows[k])`` is at ``rev[k]``.  Both are
+    looked up once, so neither assembly searches the list.
     """
 
     geom: MeshGeometry
     rows: np.ndarray
     cols: np.ndarray
     pos: np.ndarray
+    rev: np.ndarray
 
     @classmethod
     def build(cls, geom: MeshGeometry) -> "FluxLayout":
         interior = geom.mesh.interior_cells
         i, j = geom.adj_i, geom.adj_j
         pos = np.flatnonzero((i < j) & interior[i] & interior[j])
-        return cls(geom=geom, rows=i[pos], cols=j[pos], pos=pos)
+        rows, cols = i[pos], j[pos]
+        return cls(geom=geom, rows=rows, cols=cols, pos=pos, rev=geom.pair_index(cols, rows))
 
     @property
     def size(self) -> int:
@@ -156,12 +174,12 @@ class FluxLayout:
 
     def to_matrix(self, flux: np.ndarray) -> np.ndarray:
         """The velocity of ``flux`` on the adjacency list."""
-        return fd.from_fluxes(self.geom, self.rows, self.cols, flux)
+        return fd.from_fluxes(self.geom, self.pos, self.rev, flux)
 
     def from_matrix(self, a: np.ndarray) -> np.ndarray:
         """The fluxes of a velocity ``a`` on the adjacency list."""
         g = self.geom
-        return g.omega[self.rows] * a[self.pos] - g.omega[self.cols] * a[g.pair_index(self.cols, self.rows)]
+        return g.omega[self.rows] * a[self.pos] - g.omega[self.cols] * a[self.rev]
 
     def pick_P(self, mat: np.ndarray, omega: np.ndarray) -> np.ndarray:
         """``proj_P(mat / omega[:, None])`` at ``(rows, cols)``, read from
@@ -266,12 +284,14 @@ def _coloring(graph, reach):
 class StepReport:
     """Solver effort of one step; ``residual_evals`` counts every momentum
     residual: the full ones of Newton and the first-order ones of the
-    Jacobian builds."""
+    Jacobian builds.  ``friction_power`` is the step's cell-wise friction
+    power of the new velocity, for the observer to reuse (None at step 0)."""
 
     newton_iters: int = 0
     entropy_iters: int = 0
     jacobian_builds: int = 0
     residual_evals: int = 0
+    friction_power: np.ndarray | None = None
 
 
 class VariationalStepper:
@@ -279,8 +299,12 @@ class VariationalStepper:
 
     Keeps the previous step's velocity and density (the momentum balance
     couples steps ``k-1`` and ``k``) and reuses the Newton LU factorization
-    until convergence degrades.  A cold start uses the initial state for the
-    missing previous step.
+    until convergence degrades: within a step when an iteration reduces the
+    residual by less than half, and across steps once a step needs more
+    than ``2 max(fresh, 1)`` iterations, ``fresh`` being those of the first
+    step solved wholly on the LU (see the module docstring).  ``fresh`` is
+    carried from step to step with the LU.  A cold start uses the initial
+    state for the missing previous step.
     """
 
     def __init__(
@@ -308,6 +332,7 @@ class VariationalStepper:
         self.heat_source = heat_source
         self.layout = FluxLayout.build(geom)
         self._lu = None
+        self._fresh_iters = None  # Newton iterations of the first step on _lu
         self._d_prev = None  # density one step behind the incoming state
 
     # -- momentum ----------------------------------------------------------
@@ -373,6 +398,7 @@ class VariationalStepper:
                 raise StateRangeError("momentum residual is not finite; reduce the time step")
             if norm <= self.newton_tol:
                 report.newton_iters = it - 1
+                self._refresh(report)
                 return flux, report
             if self._lu is None or (norm > 0.5 * prev_norm and report.jacobian_builds < 3):
                 jac, evals = self._jacobian(flux, d, s, prev_term)
@@ -391,6 +417,18 @@ class VariationalStepper:
             f"momentum solve stalled at residual {prev_norm:.3e} "
             f"(tolerance {self.newton_tol:.1e}); reduce the time step"
         )
+
+    def _refresh(self, report):
+        """Record the fresh count at the first step after a build; drop the
+        LU once a later step that made no build needs more than
+        ``2 max(fresh, 1)`` Newton iterations, so that the next step builds
+        at its first iteration."""
+        if report.jacobian_builds:
+            self._fresh_iters = None
+        elif self._fresh_iters is None:
+            self._fresh_iters = report.newton_iters
+        elif report.newton_iters > 2 * max(self._fresh_iters, 1):
+            self._lu = None
 
     # -- entropy -----------------------------------------------------------
 
@@ -457,7 +495,7 @@ class VariationalStepper:
             )
 
         theta_old = ph.temperature(state.d, state.s, gas)
-        fric = ph.friction_power(geom, a_new, phys)
+        fric = report.friction_power = ph.friction_power(geom, a_new, phys)
         heat = self.heat_source(t) if self.heat_source is not None else None
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             s_new, report.entropy_iters = self._solve_entropy(

@@ -428,6 +428,19 @@ def test_run_is_deterministic(tmp_path):
     assert (tmp_path / "out2" / "diagnostics.csv").read_bytes() == first
 
 
+def test_run_computes_the_friction_power_once_per_state(tmp_path, monkeypatch):
+    cfg, outdir = run_config(tmp_path, "output.snapshot_stride = 5\n")
+    cfg.write_text(with_value("initial.preset", "shear", cfg.read_text()))
+    calls = []
+    power = ph.friction_power
+    monkeypatch.setattr(ph, "friction_power", lambda *args: calls.append(1) or power(*args))
+    assert cli.main(["run", str(cfg)]) == 0
+    # the initial state and each of the 10 steps, though the diagnostics
+    # and the 3 snapshots read it too
+    assert len(calls) == 11
+    assert (outdir / "snapshot_000010.vtk").exists()
+
+
 def test_run_rejects_bad_configs(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(MINIMAL + "phys.mu = -1\n")

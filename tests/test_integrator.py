@@ -232,13 +232,68 @@ def test_residuals_construct_no_sparse_arrays(jittered65, monkeypatch):
     assert built == []
 
 
+def test_residuals_look_up_no_pairs(jittered65, monkeypatch):
+    # The layout holds both positions of every flux pair, so once it and the
+    # CSR structure are built, no assembly searches the adjacency list.
+    phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01, insulated=True)
+    stepper = ig.VariationalStepper(jittered65, GAS, phys, h=1e-3)
+    state = shear_state(jittered65)
+    flux = stepper.layout.from_matrix(state.a)
+    prev_term = stepper._transport_term(state.a, state.d, -1.0)
+    first = stepper._momentum_residual(flux, state.d, state.s, prev_term)
+
+    def refuse(self, i, j):
+        raise AssertionError("pair lookup after the build")
+
+    monkeypatch.setattr(msh.MeshGeometry, "pair_index", refuse)
+    np.testing.assert_array_equal(stepper.layout.from_matrix(state.a), flux)
+    np.testing.assert_array_equal(stepper._momentum_residual(flux, state.d, state.s, prev_term), first)
+    stepper.step(state)
+
+
 def test_step_reports_solver_effort(gen65):
     phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01, insulated=True)
     stepper = ig.VariationalStepper(gen65, GAS, phys, h=1e-3)
-    _, report = stepper.step(shear_state(gen65))
+    new, report = stepper.step(shear_state(gen65))
     assert report.jacobian_builds == 1
     fd_residuals = report.residual_evals - (report.newton_iters + 1)
     assert 0 < fd_residuals < 2 * stepper.layout.size
+    # the report carries the new state's friction power for the observer
+    np.testing.assert_array_equal(report.friction_power, ph.friction_power(gen65, new.a, phys))
+
+
+@pytest.mark.parametrize("kind", ["exponential", "cayley"])
+def test_a_stale_matrix_is_rebuilt_once_the_iterations_double(gen65, kind):
+    phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01, insulated=True)
+    stepper = ig.VariationalStepper(gen65, GAS, phys, h=1e-3, kind=kind)
+    state, reports = shear_state(gen65), []
+    for _ in range(120):
+        state, report = stepper.step(state)
+        reports.append(report)
+    builds = [k for k, r in enumerate(reports) if r.jacobian_builds]
+    assert builds[0] == 0 and len(builds) > 1
+    for start, end in zip(builds, builds[1:] + [len(reports)]):
+        fresh = reports[start + 1].newton_iters  # the first step wholly on the new matrix
+        over = [k for k in range(start + 2, end) if reports[k].newton_iters > 2 * max(fresh, 1)]
+        # the one step past twice the fresh count is the last before the next build
+        assert over == ([end - 1] if end < len(reports) else [])
+
+
+def test_a_fresh_count_of_zero_allows_two_iterations(gen65):
+    phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01, insulated=True)
+    stepper = ig.VariationalStepper(gen65, GAS, phys, h=1e-3)
+    _, first = stepper.step(shear_state(gen65))
+    # a state at rest converges at its first residual on the new matrix...
+    reports = [stepper.step(rest_state(gen65))[1] for _ in range(10)]
+    # ...and a faint shear then needs two iterations per step, which is not
+    # more than 2 * max(0, 1)
+    state = shear_state(gen65, amp=1e-6)
+    for _ in range(10):
+        state, report = stepper.step(state)
+        reports.append(report)
+    assert first.jacobian_builds == 1
+    assert [r.newton_iters for r in reports] == [0] * 10 + [2] * 10
+    assert sum(r.jacobian_builds for r in reports) == 0
 
 
 def test_range_failure_keeps_its_subclass_through_run(gen65):
