@@ -79,10 +79,13 @@ def on_pairs(geom: MeshGeometry, x) -> np.ndarray:
     return np.asarray(x, dtype=float)[geom.adj_i, geom.adj_j]
 
 
-def from_pairs(geom: MeshGeometry, xp) -> np.ndarray:
+def from_pairs(geom: MeshGeometry, xp, out: np.ndarray | None = None) -> np.ndarray:
     """The dense ``(N, N)`` matrix holding ``xp`` on the directed adjacency
-    list and zero elsewhere."""
-    out = np.zeros((geom.n, geom.n))
+    list and zero elsewhere, written into ``out`` when given."""
+    if out is None:
+        out = np.zeros((geom.n, geom.n))
+    else:
+        out.fill(0.0)
     out[geom.adj_i, geom.adj_j] = xp
     return out
 
@@ -176,7 +179,7 @@ def from_fluxes(geom: MeshGeometry, fwd, rev, flux) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def flat(geom: MeshGeometry, a) -> np.ndarray:
+def flat(geom: MeshGeometry, a, out: np.ndarray | None = None) -> np.ndarray:
     """Lower a vector field to a one-form.
 
     Adjacent entries are ``2 Omega_ii A_ij |*h_ij| / |h_ij|``.  The entries
@@ -190,9 +193,11 @@ def flat(geom: MeshGeometry, a) -> np.ndarray:
     orientation).  When several triplets determine the same entry, their
     values must agree to ``1e-9`` relative or :class:`FlatAmbiguityError` is
     raised (only meshes with interior nodes of degree < 5 can disagree).
+    The matrix is written into ``out`` when given, so that the series
+    operand of a step lands in its work arrays.
     """
     zp = flat_pairs(geom, a)
-    z = from_pairs(geom, zp)
+    z = from_pairs(geom, zp, out)
     if len(geom.ta_row) == 0:
         return z
     om = total_vorticity(geom, zp)

@@ -26,6 +26,16 @@ term ``T xi - xi T`` is two sparse-times-dense products, ``xi T`` and
 stored entries.  :func:`tau` is the dense reference element; the Cayley
 branches and the guard's SVD densify ``xi`` with ``xi.toarray()``.
 
+A series term runs the kernel that SciPy's ``x @ dense`` runs
+(``_sparsetools.<format>_matvecs``, chosen by ``x.format`` as SciPy does)
+straight into ``(N, N)`` arrays the caller owns: a :class:`SeriesWork`
+passed as ``work=`` to :func:`commutator`, :func:`dtau_inv` and
+:func:`dtau_inv_star`.  The order of operations is SciPy's, so the numbers
+are those of the ``@`` expressions.  A result backed by work arrays is one
+of them and is valid until the next call that uses them, as a loaded
+:class:`decflow.mesh.AdjacencyCSR` is valid until the next load.  Without
+``work`` each call makes its own arrays and returns a fresh result.
+
 Both kinds satisfy, for any square ``xi`` and ``delta``,
 
     dtau_{-xi}(delta)                  = Ad_{tau(xi)} dtau_{xi}(delta)
@@ -41,6 +51,7 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.sparse import _sparsetools
 
 __all__ = [
     "tau",
@@ -49,6 +60,7 @@ __all__ = [
     "dtau_inv",
     "dtau_inv_star",
     "commutator",
+    "SeriesWork",
     "norm_bound",
     "GroupMapError",
     "KINDS",
@@ -81,10 +93,54 @@ def _check_kind(kind: str) -> None:
         raise GroupMapError(f"unknown group map kind {kind!r}; use one of {KINDS}")
 
 
-def commutator(a: np.ndarray, b) -> np.ndarray:
+class SeriesWork:
+    """The ``(N, N)`` work arrays of the tangent series: the operand, the
+    current and the next term, the running total, a scratch array and the
+    transposed operand of a commutator.  A caller that evaluates many series
+    on one mesh keeps one and passes it as ``work=``.  ``terms`` counts the
+    ``ad`` terms that :func:`dtau_inv` has computed in it."""
+
+    def __init__(self, n: int):
+        self.operand, self.term, self.next, self.total, self.scratch, self.transposed = (
+            np.empty((n, n)) for _ in range(6)
+        )
+        self.terms = 0
+
+
+def _product(x, dense: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``x @ dense`` for a CSR or CSC ``x`` and a C-contiguous ``dense``,
+    written into ``out`` by the kernel SciPy's ``@`` runs for them.  The
+    kernel trusts the sizes it is given, so they are checked here."""
+    if dense.shape[0] != x.shape[1] or out.shape != (x.shape[0], dense.shape[1]):
+        raise ValueError(f"cannot multiply {x.shape} by {dense.shape} into {out.shape}")
+    if not (dense.flags.c_contiguous and out.flags.c_contiguous):
+        raise ValueError("the dense operand and the result must be C-contiguous")
+    out.fill(0.0)
+    kernel = getattr(_sparsetools, x.format + "_matvecs")
+    kernel(*x.shape, dense.shape[1], x.indptr, x.indices, x.data, dense.ravel(), out.ravel())
+    return out
+
+
+def commutator(a: np.ndarray, b, *, work: SeriesWork | None = None, out=None) -> np.ndarray:
     """``[a, b] = a b - b a`` for a sparse ``b``, which multiplies from the
-    right as ``a b = (b^T a^T)^T``, a sparse-times-dense product."""
-    return (b.T @ a.T).T - b @ a
+    right as ``a b = (b^T a^T)^T``: two sparse-times-dense products, run
+    by SciPy's kernel into the transposed and scratch arrays of ``work``
+    and into ``out`` (which must not be ``a``).  Returns ``out``; without
+    ``work`` or ``out``, fresh arrays take their place."""
+    a = np.ascontiguousarray(a, dtype=float)
+    if work is None:
+        work = SeriesWork(len(a))
+    if out is None:
+        out = np.empty(a.shape)
+    elif np.may_share_memory(out, a):
+        raise ValueError("the commutator cannot overwrite its dense operand")
+    np.copyto(work.transposed, a.T)
+    right = _product(b.T, work.transposed, work.scratch)
+    return np.subtract(right.T, _product(b, a, out), out=out)
+
+
+def _max_abs(x: np.ndarray, scratch: np.ndarray) -> float:
+    return float(np.max(np.abs(x, out=scratch)))
 
 
 def _rows(x) -> np.ndarray:
@@ -210,39 +266,62 @@ def dtau(xi, delta: np.ndarray, kind: str = "exponential") -> np.ndarray:
     return total
 
 
-def dtau_inv(xi, eta: np.ndarray, kind: str = "exponential") -> np.ndarray:
+def dtau_inv(
+    xi, eta: np.ndarray, kind: str = "exponential", *, work: SeriesWork | None = None
+) -> np.ndarray:
     """Inverse trivialized tangent; for the exponential the Bernoulli series
-    ``eta + [xi, eta]/2 + [xi, [xi, eta]]/12 - ...``."""
+    ``eta + [xi, eta]/2 + [xi, [xi, eta]]/12 - ...``.
+
+    The exponential's terms alternate between the term arrays of ``work``
+    and the result is its total, valid until the next call with ``work``;
+    ``eta`` may be its operand.  Without ``work`` the call makes its own.
+    The Cayley branch ignores ``work``.
+    """
     _check_kind(kind)
     eta = np.asarray(eta, dtype=float)
     if kind == "cayley":
         p, q = _cayley_factors(xi.toarray())
         return q @ eta @ p
     _series_guard(xi)
-    scale = float(np.max(np.abs(eta))) or 1.0
-    term = eta.copy()
-    total = term.copy()
+    if work is None:
+        work = SeriesWork(len(eta))
+    scale = _max_abs(eta, work.scratch) or 1.0
+    term, total = eta, work.total
+    np.copyto(total, eta)
     factorial = 1.0
     for n in range(1, _SERIES_CAP + 1):
-        term = commutator(term, xi)  # ad_{-xi}
+        nxt = work.next if term is work.term else work.term
+        term = commutator(term, xi, work=work, out=nxt)  # ad_{-xi}
+        work.terms += 1
         factorial *= n
         coeff = _BERNOULLI[n] / factorial
         if coeff != 0.0:
-            total += coeff * term
-        if float(np.max(np.abs(term))) / factorial <= 1e-14 * scale:
+            total += np.multiply(coeff, term, out=work.scratch)
+        if _max_abs(term, work.scratch) / factorial <= 1e-14 * scale:
             break
     return total
 
 
 def dtau_inv_star(
-    omega: np.ndarray, xi, lmat: np.ndarray, kind: str = "exponential", *, divide: bool = True
+    omega: np.ndarray,
+    xi,
+    lmat: np.ndarray,
+    kind: str = "exponential",
+    *,
+    divide: bool = True,
+    work: SeriesWork | None = None,
 ) -> np.ndarray:
     """Adjoint of ``dtau_inv`` in the area-weighted pairing
     ``<L, B> = Tr(L^T Omega B)``: equals ``Omega^-1 dtau_inv(xi^T, Omega L)``
     (the pairing turns each ``ad_{-xi}`` into ``Omega^-1 ad_{-xi^T} Omega``).
     With ``divide=False`` it returns ``dtau_inv(xi^T, Omega L)``, leaving the
     row division by ``Omega`` to a caller that needs only some entries.
+    ``Omega L`` goes to the operand of ``work``, which ``lmat`` may be, and
+    the series runs in ``work`` (see :func:`dtau_inv`).
     """
-    wl = omega[:, None] * np.asarray(lmat, dtype=float)
-    out = dtau_inv(xi.T, wl, kind)
-    return out / omega[:, None] if divide else out
+    out = None if work is None else work.operand
+    wl = np.multiply(omega[:, None], np.asarray(lmat, dtype=float), out=out)
+    star = dtau_inv(xi.T, wl, kind, work=work)
+    if divide:
+        star /= omega[:, None]
+    return star

@@ -21,7 +21,11 @@ The variational step solves, in order:
    viscous force are evaluated on the flux pairs only, from cell values and
    from the per-pair kernels of :mod:`decflow.physics`.  ``A`` is held on
    the adjacency list; only the series operand (its flat with the two-away
-   entries and the momentum ``D A^flat``) is dense,
+   entries and the momentum ``D A^flat``) is dense.  The operand and every
+   series term live in one :class:`decflow.groups.SeriesWork` that the
+   stepper owns: each term runs SciPy's sparse-times-dense kernel into
+   those arrays, and a result there is valid until the next residual, so a
+   warm residual, full or first-order, allocates no ``(N, N)`` array,
 2. exact density transport ``D^{k+1} = D^k bullet tau(-h A^k)``.  The
    group element is never formed: :func:`decflow.groups.tau_action` applies
    ``tau(-h A^k)^T`` to ``Omega D^k`` as a Taylor series of products with
@@ -284,13 +288,16 @@ def _coloring(graph, reach):
 class StepReport:
     """Solver effort of one step; ``residual_evals`` counts every momentum
     residual: the full ones of Newton and the first-order ones of the
-    Jacobian builds.  ``friction_power`` is the step's cell-wise friction
-    power of the new velocity, for the observer to reuse (None at step 0)."""
+    Jacobian builds.  ``series_terms`` counts the ``ad`` terms that the
+    step's full ``dtau_inv`` series computed (0 for the Cayley map).
+    ``friction_power`` is the step's cell-wise friction power of the new
+    velocity, for the observer to reuse (None at step 0)."""
 
     newton_iters: int = 0
     entropy_iters: int = 0
     jacobian_builds: int = 0
     residual_evals: int = 0
+    series_terms: int = 0
     friction_power: np.ndarray | None = None
 
 
@@ -331,6 +338,7 @@ class VariationalStepper:
         self.entropy_max = entropy_max
         self.heat_source = heat_source
         self.layout = FluxLayout.build(geom)
+        self._work = gr.SeriesWork(geom.n)  # every residual's series runs here
         self._lu = None
         self._fresh_iters = None  # Newton iterations of the first step on _lu
         self._d_prev = None  # density one step behind the incoming state
@@ -342,15 +350,17 @@ class VariationalStepper:
         with ``sign*h*A`` in CSR form and the adjoint's division by
         ``Omega`` applied to the entries that ``P`` reads; with
         ``first_order`` the series is cut after ``eta - [eta, xi^T]/2``."""
-        geom = self.geom
-        z = fd.flat(geom, a)
-        lmat = d[:, None] * z
+        geom, work = self.geom, self._work
+        lmat = fd.flat(geom, a, out=work.operand)
+        lmat *= d[:, None]
         xi = geom.adjacency_csr.load(a, sign * self.h)
         if first_order:
-            eta = geom.omega[:, None] * lmat
-            star = eta - 0.5 * gr.commutator(eta, xi.T)
+            eta = np.multiply(geom.omega[:, None], lmat, out=lmat)
+            star = gr.commutator(eta, xi.T, work=work, out=work.total)
+            star *= 0.5
+            np.subtract(eta, star, out=star)
         else:
-            star = gr.dtau_inv_star(geom.omega, xi, lmat, self.kind, divide=False)
+            star = gr.dtau_inv_star(geom.omega, xi, lmat, self.kind, divide=False, work=work)
         return self.layout.pick_P(star, geom.omega) / self.h
 
     def _momentum_residual(self, flux, d, s, prev_term, first_order=False):
@@ -479,9 +489,11 @@ class VariationalStepper:
             self._d_prev = state.d.copy()
 
         flux0 = self.layout.from_matrix(state.a)
+        terms = self._work.terms
         try:
             prev_term = self._transport_term(state.a, self._d_prev, -1.0)
             flux, report = self._solve_momentum(flux0, state.d, state.s, prev_term)
+            report.series_terms = self._work.terms - terms
             a_new = self.layout.to_matrix(flux)
             back = gr.tau_action(geom.adjacency_csr.load(a_new, -h), self.kind)
         except gr.GroupMapError as exc:

@@ -65,6 +65,81 @@ def test_commutator():
     np.testing.assert_array_equal(gr.commutator(a, b), [[1.0, 0.0], [0.0, -1.0]])
 
 
+def csr_pair(geom, rng):
+    """The same CSR ``xi`` twice: loaded by :class:`decflow.mesh.AdjacencyCSR`
+    (its ``.T`` is CSR) and as a plain ``csr_array`` (its ``.T`` is CSC)."""
+    a = rng.normal(size=len(geom.adj_i))
+    loaded = geom.adjacency_csr.load(a, 0.05 / np.max(np.abs(a)))
+    plain = sparse.csr_array(
+        (loaded.data.copy(), loaded.indices.copy(), loaded.indptr.copy()), shape=loaded.shape
+    )
+    assert (loaded.T.format, plain.T.format) == ("csr", "csc")
+    return loaded, plain
+
+
+def dirty_work(n):
+    """Work arrays filled with NaN, so that a value left unwritten shows."""
+    work = gr.SeriesWork(n)
+    for arr in (work.operand, work.term, work.next, work.total, work.scratch, work.transposed):
+        arr.fill(np.nan)
+    return work
+
+
+def test_the_commutator_runs_scipys_kernel(jittered65, rng):
+    # Bit for bit the two products SciPy's ``@`` makes, for either format of
+    # ``b.T``, with and without work arrays.
+    a = rng.normal(size=(jittered65.n, jittered65.n))
+    for b in csr_pair(jittered65, rng):
+        ref = (b.T @ a.T).T - b @ a
+        np.testing.assert_array_equal(gr.commutator(a, b), ref)
+        work = dirty_work(jittered65.n)
+        got = gr.commutator(a, b, work=work, out=work.total)
+        assert got is work.total
+        np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(gr.commutator(a, b.T), (b @ a.T).T - b.T @ a)
+    # the kernel trusts its sizes: a mismatch raises before it runs
+    with pytest.raises(ValueError):
+        gr.commutator(a[:-1, :-1], b)
+    with pytest.raises(ValueError):
+        gr.commutator(a, b, out=np.empty((jittered65.n, jittered65.n - 1)))
+    with pytest.raises(ValueError):
+        gr.commutator(a, b, out=a)
+
+
+@pytest.mark.parametrize("kind", gr.KINDS)
+def test_work_arrays_give_the_same_bits(jittered65, rng, kind):
+    omega = jittered65.omega
+    lmat = rng.normal(size=(jittered65.n, jittered65.n))
+    for xi in csr_pair(jittered65, rng):
+        ref = gr.dtau_inv_star(omega, xi, lmat, kind, divide=False)
+        work = dirty_work(jittered65.n)
+        for _ in range(2):  # the second call reuses what the first left
+            np.copyto(work.operand, lmat)
+            got = gr.dtau_inv_star(omega, xi, work.operand, kind, divide=False, work=work)
+            np.testing.assert_array_equal(got, ref)
+        if kind == "exponential":
+            assert got is work.total
+        ref = gr.dtau_inv(xi, lmat, kind)
+        np.testing.assert_array_equal(gr.dtau_inv(xi, lmat, kind, work=work), ref)
+        ref = gr.dtau_inv_star(omega, xi, lmat, kind)
+        np.testing.assert_array_equal(gr.dtau_inv_star(omega, xi, lmat, kind, work=work), ref)
+
+
+def test_calls_without_work_arrays_return_fresh_arrays(jittered65, rng):
+    # The verify checks compare two such results.
+    omega, (xi, _) = jittered65.omega, csr_pair(jittered65, rng)
+    eta = rng.normal(size=(jittered65.n, jittered65.n))
+    for call in (
+        lambda: gr.commutator(eta, xi),
+        lambda: gr.dtau_inv(xi, eta),
+        lambda: gr.dtau_inv_star(omega, xi, eta),
+        lambda: gr.dtau_inv_star(omega, xi, eta, divide=False),
+    ):
+        first, second = call(), call()
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, eta)
+
+
 def test_dtau_inv_star_is_the_pairing_adjoint():
     rng = np.random.default_rng(11)
     omega = 0.5 + rng.random(6)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from decflow import cli_io
 from decflow import diagnostics as dg
 from decflow import fields as fd
+from decflow import groups as gr
 from decflow import integrator as ig
 from decflow import mesh as msh
 from decflow import physics as ph
@@ -260,6 +262,37 @@ def test_step_reports_solver_effort(gen65):
     assert 0 < fd_residuals < 2 * stepper.layout.size
     # the report carries the new state's friction power for the observer
     np.testing.assert_array_equal(report.friction_power, ph.friction_power(gen65, new.a, phys))
+
+
+@pytest.mark.parametrize("kind", gr.KINDS)
+def test_the_report_counts_the_series_terms(gen65, monkeypatch, kind):
+    # series_terms equals the commutators called under dtau_inv, counted by
+    # wrapping the module attributes as the benchmark's tracer does; the
+    # first-order residuals of the Jacobian build call commutator directly.
+    count = {"depth": 0, "terms": 0}
+    dtau_inv, commutator = gr.dtau_inv, gr.commutator
+
+    def traced_dtau_inv(*args, **kwargs):
+        count["depth"] += 1
+        try:
+            return dtau_inv(*args, **kwargs)
+        finally:
+            count["depth"] -= 1
+
+    def traced_commutator(*args, **kwargs):
+        count["terms"] += count["depth"] > 0
+        return commutator(*args, **kwargs)
+
+    monkeypatch.setattr(gr, "dtau_inv", traced_dtau_inv)
+    monkeypatch.setattr(gr, "commutator", traced_commutator)
+    phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01)
+    state = cli_io.initial_condition_presets("taylor-like", {"amplitude": "0.3"}, gen65, GAS)
+    stepper = ig.VariationalStepper(gen65, GAS, phys, h=1e-3, kind=kind)
+    for _ in range(2):
+        count["terms"] = 0
+        state, report = stepper.step(state)
+        assert report.series_terms == count["terms"]
+    assert (report.series_terms > 0) == (kind == "exponential")
 
 
 @pytest.mark.parametrize("kind", ["exponential", "cayley"])
