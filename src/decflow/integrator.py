@@ -13,11 +13,20 @@ The variational step solves, in order:
    more than twice the iterations of the first step solved wholly on the
    LU; the Newton matrix is a finite-difference Jacobian of the residual
    cut after series order 1, see below).  Each residual applies the
-   adjoint tangent series :func:`decflow.groups.dtau_inv_star` at ``±h A``
+   adjoint tangent series :func:`decflow.groups.dtau_inv_star` at ``+h A``
    in the CSR form of :class:`decflow.mesh.AdjacencyCSR`, whose ``.data``
    it refreshes without building a sparse array, and reads four entries
-   per flux of the result (:meth:`FluxLayout.pick_P`).  The
-   pressure/temperature gradient and the
+   per flux of the result (:meth:`FluxLayout.pick_P`).  The old-side
+   term, the same series at ``-h A^{k-1}`` with ``D^{k-1}``, is fixed
+   within a step.  When the incoming velocity is the one the stepper last
+   returned, it is the previous step's converged transport at
+   ``+h A^{k-1}`` plus ``(1/h) P([eta, xi^T])``: for both group maps
+   ``dtau_inv_{-xi}(eta) - dtau_inv_{xi}(eta) = [eta, xi]`` (only the
+   exponential's ``B_1`` term is odd in ``xi``), so it costs one commutator,
+   not a series.  Newton then starts from the extrapolated fluxes
+   ``2 f_{k-1} - f_{k-2}``, a second-order predictor, instead of
+   ``f_{k-1}``; any other incoming state gets the series and ``f_{k-1}``.
+   The pressure/temperature gradient and the
    viscous force are evaluated on the flux pairs only, from cell values and
    from the per-pair kernels of :mod:`decflow.physics`.  ``A`` is held on
    the adjacency list; only the series operand (its flat with the two-away
@@ -66,9 +75,14 @@ most 3 builds per step), and between steps by a Shamanskii-like refresh
 step solved wholly on the current LU (the *fresh count*, the step after
 the one that built it), and once a later step that made no build needs
 more than ``2 max(fresh count, 1)`` iterations, it drops the LU, so that
-the next step builds at its first iteration.  The fresh count and the LU
-are state carried across steps: a run resumed from a checkpoint must
-restore both to repeat the uninterrupted run.
+the next step builds at its first iteration.
+
+State carried across steps: the fresh count, the LU, the old-side
+transport and the previous fluxes (with the last returned velocity, which
+decides whether they apply), and the density one step back.  Only a step
+that returns changes them; one that raises leaves them as they were.  A
+run resumed from a checkpoint must restore all of them to repeat the
+uninterrupted run.
 
 The Jacobian is a central difference with the step ``1e-7 max(|f_p|, 1)``
 per flux ``p``, but columns are perturbed together (Curtis, Powell & Reid
@@ -304,14 +318,18 @@ class StepReport:
 class VariationalStepper:
     """Advances the fully discrete system one step at a time.
 
-    Keeps the previous step's velocity and density (the momentum balance
-    couples steps ``k-1`` and ``k``) and reuses the Newton LU factorization
-    until convergence degrades: within a step when an iteration reduces the
+    Keeps the previous step's density (the momentum balance couples steps
+    ``k-1`` and ``k``) and reuses the Newton LU factorization until
+    convergence degrades: within a step when an iteration reduces the
     residual by less than half, and across steps once a step needs more
     than ``2 max(fresh, 1)`` iterations, ``fresh`` being those of the first
     step solved wholly on the LU (see the module docstring).  ``fresh`` is
-    carried from step to step with the LU.  A cold start uses the initial
-    state for the missing previous step.
+    carried from step to step with the LU.  It also keeps the velocity it
+    last returned, that step's converged transport and the fluxes it was
+    stepped from: fed its own output, the next step takes the old side
+    from them and starts Newton from the extrapolated fluxes.  A cold start
+    uses the initial state for the missing previous step.  Only a step that
+    returns changes this state.
     """
 
     def __init__(
@@ -342,6 +360,9 @@ class VariationalStepper:
         self._lu = None
         self._fresh_iters = None  # Newton iterations of the first step on _lu
         self._d_prev = None  # density one step behind the incoming state
+        # (last output velocity, its converged transport at +hA, the fluxes it
+        # was stepped from): the old side and the Newton start of the next step
+        self._carried = None
 
     # -- momentum ----------------------------------------------------------
 
@@ -350,25 +371,46 @@ class VariationalStepper:
         with ``sign*h*A`` in CSR form and the adjoint's division by
         ``Omega`` applied to the entries that ``P`` reads; with
         ``first_order`` the series is cut after ``eta - [eta, xi^T]/2``."""
-        geom, work = self.geom, self._work
-        lmat = fd.flat(geom, a, out=work.operand)
-        lmat *= d[:, None]
-        xi = geom.adjacency_csr.load(a, sign * self.h)
         if first_order:
-            eta = np.multiply(geom.omega[:, None], lmat, out=lmat)
-            star = gr.commutator(eta, xi.T, work=work, out=work.total)
+            eta, star = self._order_one(a, d, sign)
             star *= 0.5
             np.subtract(eta, star, out=star)
         else:
-            star = gr.dtau_inv_star(geom.omega, xi, lmat, self.kind, divide=False, work=work)
-        return self.layout.pick_P(star, geom.omega) / self.h
+            lmat, xi = self._operand(a, d, sign)
+            star = gr.dtau_inv_star(self.geom.omega, xi, lmat, self.kind, divide=False, work=self._work)
+        return self.layout.pick_P(star, self.geom.omega) / self.h
+
+    def _operand(self, a, d, sign):
+        """``D A^flat`` in the operand work array, and ``xi = sign*h*A`` in
+        CSR form."""
+        lmat = fd.flat(self.geom, a, out=self._work.operand)
+        lmat *= d[:, None]
+        return lmat, self.geom.adjacency_csr.load(a, sign * self.h)
+
+    def _order_one(self, a, d, sign):
+        """``eta = Omega D A^flat`` and ``[eta, xi^T]``, both in work arrays."""
+        lmat, xi = self._operand(a, d, sign)
+        eta = np.multiply(self.geom.omega[:, None], lmat, out=lmat)
+        return eta, gr.commutator(eta, xi.T, work=self._work, out=self._work.total)
+
+    def _old_side(self, a, d, transport):
+        """``_transport_term(a, d, -1.0)`` from ``transport``, the term at
+        ``+hA`` with the same ``d``: for both group maps the tangents at
+        ``-xi`` and ``xi`` differ by ``dtau_inv_{-xi}(eta) - dtau_inv_{xi}(eta)
+        = [eta, xi]``, so the old side costs one commutator, not a series."""
+        _, bracket = self._order_one(a, d, 1.0)
+        return transport + self.layout.pick_P(bracket, self.geom.omega) / self.h
 
     def _momentum_residual(self, flux, d, s, prev_term, first_order=False):
+        return self._residual_and_transport(flux, d, s, prev_term, first_order)[0]
+
+    def _residual_and_transport(self, flux, d, s, prev_term, first_order=False):
+        """The momentum residual and its transport term at ``+hA``."""
         a = self.layout.to_matrix(flux)
         cur = self._transport_term(a, d, 1.0, first_order)
         grad = _gradient_forces(self.geom, self.layout, a, d, s, self.gas)
         visc = ph.viscous_force(self.geom, a, self.phys)[self.layout.pos]
-        return cur - prev_term + grad - visc
+        return cur - prev_term + grad - visc, cur
 
     @functools.cached_property
     def _colors(self):
@@ -393,15 +435,16 @@ class VariationalStepper:
         return jac, 2 * len(self._colors)
 
     def _solve_momentum(self, flux0, d, s, prev_term):
-        """Newton on the fluxes; returns the solution and a report of the
-        effort (``entropy_iters`` left at 0)."""
+        """Newton on the fluxes; returns the solution, a report of the
+        effort (``entropy_iters`` left at 0) and the transport term of the
+        converged residual."""
         flux = flux0.copy()
         report = StepReport()
         if self.layout.size == 0:
-            return flux, report
+            return flux, report, np.zeros(0)
         prev_norm = np.inf
         for it in range(1, self.newton_max + 1):
-            r = self._momentum_residual(flux, d, s, prev_term)
+            r, transport = self._residual_and_transport(flux, d, s, prev_term)
             report.residual_evals += 1
             norm = float(np.max(np.abs(r)))
             if not np.isfinite(norm):
@@ -409,7 +452,7 @@ class VariationalStepper:
             if norm <= self.newton_tol:
                 report.newton_iters = it - 1
                 self._refresh(report)
-                return flux, report
+                return flux, report, transport
             if self._lu is None or (norm > 0.5 * prev_norm and report.jacobian_builds < 3):
                 jac, evals = self._jacobian(flux, d, s, prev_term)
                 with warnings.catch_warnings():  # a singular LU shows in the update
@@ -482,17 +525,36 @@ class VariationalStepper:
 
         The momentum balance couples the incoming velocity (paired with the
         density one step back -- cold start: the incoming density) to the new
-        one.
+        one.  When ``state.a`` is the velocity this stepper last returned,
+        the old-side transport comes from that step's converged residual and
+        Newton starts from the extrapolated fluxes; any other state, such
+        as a copy, takes the cold path.  The returned velocity is read-only,
+        so a caller that wants to change it passes a changed copy.  A step
+        that raises leaves the carried state as it was, so the same call
+        can be repeated.
         """
-        geom, gas, phys, h = self.geom, self.gas, self.phys, self.h
-        if self._d_prev is None:
-            self._d_prev = state.d.copy()
+        saved = self._lu, self._fresh_iters
+        try:
+            return self._advance(state, t)
+        except Exception:
+            self._lu, self._fresh_iters = saved
+            raise
 
-        flux0 = self.layout.from_matrix(state.a)
+    def _advance(self, state, t):
+        geom, gas, phys, h = self.geom, self.gas, self.phys, self.h
+        d_prev = state.d if self._d_prev is None else self._d_prev
+        flux_in = self.layout.from_matrix(state.a)
+        carried = self._carried is not None and state.a is self._carried[0]
         terms = self._work.terms
         try:
-            prev_term = self._transport_term(state.a, self._d_prev, -1.0)
-            flux, report = self._solve_momentum(flux0, state.d, state.s, prev_term)
+            if carried:
+                _, transport, flux_old = self._carried
+                prev_term = self._old_side(state.a, d_prev, transport)
+                flux0 = 2.0 * flux_in - flux_old
+            else:
+                prev_term = self._transport_term(state.a, d_prev, -1.0)
+                flux0 = flux_in
+            flux, report, transport = self._solve_momentum(flux0, state.d, state.s, prev_term)
             report.series_terms = self._work.terms - terms
             a_new = self.layout.to_matrix(flux)
             back = gr.tau_action(geom.adjacency_csr.load(a_new, -h), self.kind)
@@ -525,6 +587,8 @@ class VariationalStepper:
             )
 
         self._d_prev = state.d.copy()
+        a_new.flags.writeable = False  # the carried values describe it
+        self._carried = (a_new, transport, flux_in)
         return ph.FluidState(a_new, d_new, s_new), report
 
     def run(self, state: ph.FluidState, steps: int, observer=None):

@@ -368,6 +368,25 @@ def test_csr_and_dense_arguments_agree(jittered65, rng, h, kind):
     np.testing.assert_array_equal(undivided / omega[:, None], star)
 
 
+@pytest.mark.parametrize("h", [1e-3, 1e-1])
+@pytest.mark.parametrize("kind", gr.KINDS)
+def test_the_tangents_at_minus_xi_and_xi_differ_by_the_commutator(jittered65, rng, h, kind):
+    # dtau_inv_{-xi}(eta) - dtau_inv_{xi}(eta) = [eta, xi]: only the B_1 term
+    # of the exponential's series is odd in xi, and the Cayley tangent
+    # (I + xi/2) eta (I - xi/2) has one odd part, (xi eta - eta xi)/2.  The
+    # step takes its old-side transport from this identity.
+    a, pattern = mesh_velocity(jittered65), jittered65.adjacency_csr
+    eta = rng.normal(size=(jittered65.n, jittered65.n))
+    xi = pattern.load(a, -h)
+    minus = [gr.dtau_inv(x, eta, kind) for x in (xi, xi.T)]
+    xi = pattern.load(a, h)
+    for x, low in zip((xi, xi.T), minus):
+        bracket = gr.commutator(eta, x)
+        assert np.max(np.abs(bracket)) > 1e-3 * np.max(np.abs(eta))
+        gap = low - gr.dtau_inv(x, eta, kind) - bracket
+        assert np.max(np.abs(gap)) <= 1e-14 * np.max(np.abs(eta))
+
+
 @pytest.mark.parametrize("c", [0.5, 0.9, 0.999, 1.001, 1.5])
 def test_the_guard_decides_alike_for_csr_and_dense(jittered65, c):
     a = mesh_velocity(jittered65)

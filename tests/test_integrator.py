@@ -319,14 +319,104 @@ def test_a_fresh_count_of_zero_allows_two_iterations(gen65):
     # a state at rest converges at its first residual on the new matrix...
     reports = [stepper.step(rest_state(gen65))[1] for _ in range(10)]
     # ...and a faint shear then needs two iterations per step, which is not
-    # more than 2 * max(0, 1)
+    # more than 2 * max(0, 1).  Each step gets a copy, so that it starts
+    # from the incoming fluxes, not from the carried extrapolation.
     state = shear_state(gen65, amp=1e-6)
     for _ in range(10):
-        state, report = stepper.step(state)
+        state, report = stepper.step(ph.FluidState(state.a.copy(), state.d, state.s))
         reports.append(report)
     assert first.jacobian_builds == 1
     assert [r.newton_iters for r in reports] == [0] * 10 + [2] * 10
     assert sum(r.jacobian_builds for r in reports) == 0
+
+
+@pytest.mark.parametrize("kind", gr.KINDS)
+def test_the_carried_old_side_equals_the_series(jittered65, monkeypatch, kind):
+    # From step 2 on, the old-side transport is the previous step's converged
+    # transport plus one commutator, not a series at -hA.
+    phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01)
+    stepper = ig.VariationalStepper(jittered65, GAS, phys, h=1e-3, kind=kind)
+    state = cli_io.initial_condition_presets("taylor-like", {"amplitude": "0.3"}, jittered65, GAS)
+    prev_terms, carried = [], []
+    solve, old_side = stepper._solve_momentum, stepper._old_side
+    monkeypatch.setattr(stepper, "_solve_momentum", lambda *args: prev_terms.append(args[3]) or solve(*args))
+    monkeypatch.setattr(stepper, "_old_side", lambda *args: carried.append(1) or old_side(*args))
+    state, _ = stepper.step(state)
+    assert carried == []  # step 1 runs the series
+    for step in range(2, 7):
+        series = stepper._transport_term(state.a, stepper._d_prev, -1.0)
+        state, _ = stepper.step(state)
+        assert len(carried) == step - 1
+        assert np.max(np.abs(prev_terms[-1] - series)) <= 1e-13 * np.max(np.abs(series))
+
+
+def test_a_failed_step_leaves_the_carried_state(gen65, monkeypatch):
+    # The old side, the previous fluxes, the LU and the fresh count change
+    # only when a step returns, so repeating a failed call gives the bits of
+    # a stepper that never failed.  Step 3 fails after the momentum solve,
+    # and so does the step whose refresh drops the LU.
+    phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01, insulated=True)
+    stepper = ig.VariationalStepper(gen65, GAS, phys, h=1e-3)
+    state, expected = shear_state(gen65), []
+    for _ in range(120):
+        state, report = stepper.step(state)
+        expected.append((state, report))
+    # the second build comes at index k, i.e. step k + 1, because step k dropped the LU
+    drops = [k for k, (_, r) in enumerate(expected) if r.jacobian_builds][1]
+    assert drops > 3
+
+    stepper = ig.VariationalStepper(gen65, GAS, phys, h=1e-3)
+    solve, fail = stepper._solve_entropy, []
+
+    def flaky(*args):
+        if fail:
+            fail.pop()
+            raise ig.StateRangeError("injected")
+        return solve(*args)
+
+    monkeypatch.setattr(stepper, "_solve_entropy", flaky)
+    state = shear_state(gen65)
+    for k, (want, want_report) in enumerate(expected[: drops + 1], start=1):
+        if k in (3, drops):
+            fail.append(k)
+            with pytest.raises(ig.StateRangeError, match="injected"):
+                stepper.step(state)
+        state, report = stepper.step(state)
+        for field in ("a", "d", "s"):
+            np.testing.assert_array_equal(getattr(state, field), getattr(want, field))
+        np.testing.assert_array_equal(report.friction_power, want_report.friction_power)
+        report.friction_power = want_report.friction_power = None
+        assert report == want_report
+
+
+def test_the_carried_start_saves_newton_iterations(gen65):
+    # The same 30 shear steps, once on the stepper's own outputs and once on
+    # copies of them, which take the cold path: the extrapolated start saves
+    # iterations, and both runs solve the same equations.
+    phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01, insulated=True)
+    carried, cold = (ig.VariationalStepper(gen65, GAS, phys, h=1e-3) for _ in range(2))
+    mine = copied = shear_state(gen65)
+    iters = [0, 0]
+    for _ in range(30):
+        mine, report = carried.step(mine)
+        iters[0] += report.newton_iters
+        copied, report = cold.step(ph.FluidState(copied.a.copy(), copied.d, copied.s))
+        iters[1] += report.newton_iters
+    assert iters[0] < iters[1]
+    for field in ("a", "d", "s"):
+        want = getattr(copied, field)
+        assert np.max(np.abs(getattr(mine, field) - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_a_returned_velocity_is_read_only(gen65, monkeypatch):
+    # The carried values describe the returned velocity, so it cannot be
+    # changed in place; a changed copy takes the cold path.
+    stepper = ig.VariationalStepper(gen65, GAS, INVISCID, h=1e-3)
+    state, _ = stepper.step(shear_state(gen65))
+    with pytest.raises(ValueError, match="read-only"):
+        state.a *= 2.0
+    monkeypatch.setattr(stepper, "_old_side", None)  # the carried path would call it
+    stepper.step(ph.FluidState(2.0 * state.a, state.d, state.s))
 
 
 def test_range_failure_keeps_its_subclass_through_run(gen65):
