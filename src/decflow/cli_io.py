@@ -256,7 +256,10 @@ def build_geometry(cfg: RunConfig) -> msh.MeshGeometry:
         except msh.MeshError as exc:
             raise ConfigError(f"config key 'mesh.file': {exc}") from exc
     nx, ny, lx, ly = cfg.generator
-    return msh.compute_geometry(msh.generate_rect_mesh(nx, ny, lx, ly))
+    try:
+        return msh.compute_geometry(msh.generate_rect_mesh(nx, ny, lx, ly))
+    except msh.MeshError as exc:
+        raise ConfigError(f"config keys 'mesh.nx', 'mesh.ny', 'mesh.lx', 'mesh.ly': {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ Fields live on cells: a *function* is a vector of cell values (optionally
 extended by one environment slot), a *vector field* is held as its values on
 the directed adjacency list ``(geom.adj_i, geom.adj_j)``, its diagonal
 implied by zero row sums (:meth:`decflow.mesh.MeshGeometry.diagonal`), and a
-*one-form* is an ``(N, N)`` matrix supported on adjacent and two-away pairs.
+*one-form* is supported on adjacent and two-away pairs: it is held on *P2*,
+the adjacency list followed by the two-away list ``(geom.ta_row,
+geom.ta_col)`` (:func:`flat_p2`), or as its dense ``(N, N)`` scatter
+(:func:`flat`).
 
 One-forms and forces on adjacent pairs are evaluated *per pair*, on that
 list, where the geometry stores its lengths and flat/sharp coefficients, by
@@ -47,6 +50,7 @@ __all__ = [
     "boundary_div",
     "from_fluxes",
     "flat",
+    "flat_p2",
     "flat_pairs",
     "sharp",
     "laplace_beltrami",
@@ -180,44 +184,59 @@ def from_fluxes(geom: MeshGeometry, fwd, rev, flux) -> np.ndarray:
 
 
 def flat(geom: MeshGeometry, a, out: np.ndarray | None = None) -> np.ndarray:
-    """Lower a vector field to a one-form.
+    """Lower a vector field to a one-form: the dense ``(N, N)`` scatter of
+    :func:`flat_p2`, written into ``out`` when given."""
+    vals = flat_p2(geom, a)
+    z = from_pairs(geom, vals[: len(geom.adj_i)], out)
+    z[geom.ta_row, geom.ta_col] = vals[len(geom.adj_i) :]
+    return z
+
+
+def flat_p2(geom: MeshGeometry, a) -> np.ndarray:
+    """The flat of a vector field on *P2*: its entries on the adjacency list
+    followed by those at the two-away pairs ``(ta_row, ta_col)``; every
+    other entry of the one-form, the diagonal included, is zero.
 
     Adjacent entries are ``2 Omega_ii A_ij |*h_ij| / |h_ij|``.  The entries
-    between cells that share only a node are materialized from the kite
-    relation: around node ``e``, for the triplet with middle cell ``i`` and
-    fan neighbors ``j`` (ccw next), ``k`` (ccw previous),
+    between cells that share only a node come from the kite relation: around
+    node ``e``, for the triplet with middle cell ``i`` and fan neighbors
+    ``j`` (ccw next), ``k`` (ccw previous),
 
         Z_ij + Z_jk + Z_ki = K_(e,i) * omega_A(e),
 
     solved for the unknown ``Z_jk`` (and for ``Z_kj`` with the reversed fan
-    orientation).  When several triplets determine the same entry, their
-    values must agree to ``1e-9`` relative or :class:`FlatAmbiguityError` is
-    raised (only meshes with interior nodes of degree < 5 can disagree).
-    The matrix is written into ``out`` when given, so that the series
-    operand of a step lands in its work arrays.
+    orientation), reading ``Z_ij`` and ``Z_ki`` at rows of the adjacency
+    list fixed once (:attr:`decflow.mesh.MeshGeometry.kite_rows`).  When
+    several triplets determine the same entry, their values must agree to
+    ``1e-9`` of the largest entry or :class:`FlatAmbiguityError` is raised
+    (only meshes with interior nodes of degree < 5 can disagree).
     """
     zp = flat_pairs(geom, a)
-    z = from_pairs(geom, zp, out)
-    if len(geom.ta_row) == 0:
-        return z
+    t = len(geom.ta_row)
+    if t == 0:
+        return zp
     om = total_vorticity(geom, zp)
-    ti, tj, tk = geom.tri_i, geom.tri_j, geom.tri_k
-    rhs = geom.tri_kconst * om[geom.tri_node]
-    fwd = rhs - z[ti, tj] - z[tk, ti]   # solves for Z[j, k]
-    rev = -rhs - z[ti, tk] - z[tj, ti]  # solves for Z[k, j]
-    vals = np.where(geom.ta_sign > 0, fwd[geom.ta_tri], rev[geom.ta_tri])
-    z[geom.ta_row, geom.ta_col] = vals
+    zq = np.append(zp, 0.0)  # a missing pair, row -1, reads 0
+    rows = geom.kite_rows
+    vals = np.concatenate([zp, _kite_solve(geom, om, zq, geom.ta_tri, geom.ta_sign, rows[:, :t])])
     if len(geom.dup_row):
-        dvals = np.where(geom.dup_sign > 0, fwd[geom.dup_tri], rev[geom.dup_tri])
-        have = z[geom.dup_row, geom.dup_col]
-        scale = max(1e-300, float(np.max(np.abs(z))))
+        dvals = _kite_solve(geom, om, zq, geom.dup_tri, geom.dup_sign, rows[:, t:])
+        have = vals[len(zp) + geom.dup_ta]
+        scale = max(1e-300, float(np.max(np.abs(vals))))
         worst = float(np.max(np.abs(dvals - have))) / scale
         if worst > 1e-9:
             raise FlatAmbiguityError(
                 f"two-away one-form entries disagree (relative {worst:.3e}); "
                 "the mesh has interior nodes of degree < 5"
             )
-    return z
+    return vals
+
+
+def _kite_solve(geom, om, zq, tri, sign, rows):
+    """The kite relation of the triplets ``tri`` solved for the two-away
+    entry, ``sign K_(e,i) omega(e)`` minus the adjacent entries ``zq`` at
+    ``rows``."""
+    return sign * (geom.tri_kconst[tri] * om[geom.tri_node[tri]]) - zq[rows[0]] - zq[rows[1]]
 
 
 def flat_pairs(geom: MeshGeometry, a) -> np.ndarray:

@@ -22,19 +22,21 @@ The variational step solves, in order:
    returned, it is the previous step's converged transport at
    ``+h A^{k-1}`` plus ``(1/h) P([eta, xi^T])``: for both group maps
    ``dtau_inv_{-xi}(eta) - dtau_inv_{xi}(eta) = [eta, xi]`` (only the
-   exponential's ``B_1`` term is odd in ``xi``), so it costs one commutator,
-   not a series.  Newton then starts from the extrapolated fluxes
-   ``2 f_{k-1} - f_{k-2}``, a second-order predictor, instead of
-   ``f_{k-1}``; any other incoming state gets the series and ``f_{k-1}``.
+   exponential's ``B_1`` term is odd in ``xi``), so it costs one bracket at
+   four entries per flux (:class:`SampledBracket`), not a series.  Newton
+   then starts from the extrapolated fluxes ``2 f_{k-1} - f_{k-2}``, a
+   second-order predictor, instead of ``f_{k-1}``; any other incoming
+   state gets the series and ``f_{k-1}``.
    The pressure/temperature gradient and the
    viscous force are evaluated on the flux pairs only, from cell values and
    from the per-pair kernels of :mod:`decflow.physics`.  ``A`` is held on
-   the adjacency list; only the series operand (its flat with the two-away
-   entries and the momentum ``D A^flat``) is dense.  The operand and every
-   series term live in one :class:`decflow.groups.SeriesWork` that the
-   stepper owns: each term runs SciPy's sparse-times-dense kernel into
-   those arrays, and a result there is valid until the next residual, so a
-   warm residual, full or first-order, allocates no ``(N, N)`` array,
+   the adjacency list; only the full series is dense: its operand (the
+   flat, scattered from P2, and the momentum ``D A^flat``) and every term
+   live in one :class:`decflow.groups.SeriesWork` that the stepper owns.
+   Each term runs SciPy's sparse-times-dense kernel into those arrays, and
+   a result there is valid until the next residual, so a warm full
+   residual allocates no ``(N, N)`` array.  A first-order residual and the
+   carried old side use no ``(N, N)`` array at all (see below),
 2. exact density transport ``D^{k+1} = D^k bullet tau(-h A^k)``.  The
    group element is never formed: :func:`decflow.groups.tau_action` applies
    ``tau(-h A^k)^T`` to ``Omega D^k`` as a Taylor series of products with
@@ -66,6 +68,15 @@ same for the exponential and the Cayley map.  The residual that Newton
 drives below ``newton_tol`` keeps the whole series, so the cut changes the
 rate of convergence, not the solution: the later orders add ``O(|hA|^2)``
 relative to the matrix (a chord method, Kelley 1995, ch. 5).
+
+A first-order residual reads only what ``P`` needs: ``eta`` on P2 (the
+adjacent and two-away pairs, :func:`decflow.fields.flat_p2`), ``xi`` on the
+diagonal and the adjacent pairs, and ``[eta, xi^T]`` at the four entries
+``(r, c)``, ``(c, r)``, ``(r, r)``, ``(c, c)`` of each flux, from index
+triples fixed at the first use (:class:`SampledBracket`).  Its cost is
+``O(nnz)``, and its sums are those of the dense commutator, term for term.
+The Jacobian itself is still a dense ``(F, F)`` array factored by
+``lu_factor``.
 
 The matrix is built at the first Newton iteration of the first step and
 factored once; later iterations and steps reuse the LU.  It is rebuilt
@@ -121,6 +132,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.sparse import _sparsetools
 
 from . import fields as fd
 from . import groups as gr
@@ -204,8 +216,14 @@ class FluxLayout:
         the four entries ``(r, c)``, ``(c, r)``, ``(r, r)`` and ``(c, c)`` of
         each flux instead of the whole matrix."""
         r, c = self.rows, self.cols
-        m_rc, m_rr = mat[r, c] / omega[r], mat[r, r] / omega[r]
-        m_cr, m_cc = mat[c, r] / omega[c], mat[c, c] / omega[c]
+        return self.project(np.stack([mat[r, c], mat[c, r], mat[r, r], mat[c, c]]), omega)
+
+    def project(self, entries: np.ndarray, omega: np.ndarray) -> np.ndarray:
+        """:meth:`pick_P` from the four entries of each flux, the rows of
+        ``entries``."""
+        r, c = self.rows, self.cols
+        m_rc, m_rr = entries[0] / omega[r], entries[2] / omega[r]
+        m_cr, m_cc = entries[1] / omega[c], entries[3] / omega[c]
         return 0.5 * (m_rc - m_cr - m_rr + m_cc)
 
 
@@ -221,6 +239,69 @@ def _gradient_forces(geom, layout, a, d, s, gas):
     i, j = layout.rows, layout.cols
     gd, gs = fd.pair_diff(dl_dd, i, j), fd.pair_diff(dl_ds, i, j)
     return fd.pair_mean(d, i, j) * gd + fd.pair_mean(s, i, j) * gs
+
+
+# ---------------------------------------------------------------------------
+# The order-1 bracket at the picked entries
+# ---------------------------------------------------------------------------
+
+
+def _row_entries(indptr, rows):
+    """``(k, s)`` for every stored entry ``s`` of CSR row ``rows[k]``, row
+    by row and in stored order within a row."""
+    counts = indptr[rows + 1] - indptr[rows]
+    k = np.repeat(np.arange(len(rows)), counts)
+    start = np.repeat(indptr[rows] - (np.cumsum(counts) - counts), counts)
+    return k, start + np.arange(len(k))
+
+
+class SampledBracket:
+    """``[eta, xi^T]`` at the four entries :meth:`FluxLayout.pick_P` reads
+    per flux, for ``eta`` on P2 (:func:`decflow.fields.flat_p2`) and ``xi``
+    on the diagonal and the adjacent pairs.
+
+    Entry ``(i, j)`` is ``sum_k eta_ik xi_jk - sum_k xi_ki eta_kj``.  Both
+    sums are fixed once as index triples (pick entry, P2 position of the
+    ``eta`` entry, position of the ``xi`` entry in ``[pairs, diagonal]``):
+    ``k`` runs over row ``j`` of ``xi`` and row ``i`` of ``xi^T`` in the
+    stored order of :class:`decflow.mesh.AdjacencyCSR`, and a term whose
+    ``eta`` entry lies off P2, where ``eta`` is zero, is left out.  So each
+    sum adds the products that :func:`decflow.groups.commutator` adds, in
+    its order.  A call gathers ``xi`` into the data of a CSR matrix over P2
+    and runs SciPy's ``csr_matvec`` into buffers kept here; the result is
+    one of them, valid until the next call.
+    """
+
+    def __init__(self, layout: FluxLayout):
+        geom, csr = layout.geom, layout.geom.adjacency_csr
+        # pick entries (r, c), (c, r), (r, r), (c, c), in blocks of one per flux
+        ei = np.concatenate([layout.rows, layout.cols, layout.rows, layout.cols])
+        ej = np.concatenate([layout.cols, layout.rows, layout.rows, layout.cols])
+        k1, s1 = _row_entries(csr.indptr, ej)  # eta_ik xi_jk
+        k2, s2 = _row_entries(csr.indptr, ei)  # xi_ki eta_kj = (xi^T)_ik eta_kj
+        entry = np.concatenate([k1, k2 + len(ei)])
+        eta_at = np.concatenate([geom.p2_index(ei[k1], csr.cols[s1]), geom.p2_index(csr.cols[s2], ej[k2])])
+        on_p2 = eta_at >= 0
+        self.p2_rows = np.concatenate([geom.adj_i, geom.ta_row])
+        self._xi_at = np.concatenate([csr.take[s1], csr.take_t[s2]])[on_p2]
+        self._eta_at = eta_at[on_p2]
+        self._indptr = np.searchsorted(entry[on_p2], np.arange(2 * len(ei) + 1))
+        self._data = np.empty(len(self._eta_at))
+        self._sums = np.empty((2, 4, layout.size))
+        self._out = np.empty((4, layout.size))
+
+    def __call__(self, eta: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        """The ``(4, fluxes)`` entries of ``[eta, xi^T]``, from ``eta`` on P2
+        and ``xi`` as its values on ``[pairs, diagonal]``.  The kernel
+        trusts the length of ``eta``, so it is checked here."""
+        if eta.shape != self.p2_rows.shape:
+            raise ValueError(f"eta has {eta.shape} values, P2 has {len(self.p2_rows)}")
+        np.take(xi, self._xi_at, out=self._data)
+        self._sums.fill(0.0)
+        _sparsetools.csr_matvec(
+            len(self._indptr) - 1, len(eta), self._indptr, self._eta_at, self._data, eta, self._sums.ravel()
+        )
+        return np.subtract(self._sums[0], self._sums[1], out=self._out)
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +383,10 @@ def _coloring(graph, reach):
 class StepReport:
     """Solver effort of one step; ``residual_evals`` counts every momentum
     residual: the full ones of Newton and the first-order ones of the
-    Jacobian builds.  ``series_terms`` counts the ``ad`` terms that the
-    step's full ``dtau_inv`` series computed (0 for the Cayley map).
+    Jacobian builds, two per color of each build.  ``colors`` is the color
+    count of the step's builds (0 without a build).  ``series_terms``
+    counts the ``ad`` terms that the step's full ``dtau_inv`` series
+    computed (0 for the Cayley map).
     ``friction_power`` is the step's cell-wise friction power of the new
     velocity, for the observer to reuse (None at step 0)."""
 
@@ -311,6 +394,7 @@ class StepReport:
     entropy_iters: int = 0
     jacobian_builds: int = 0
     residual_evals: int = 0
+    colors: int = 0
     series_terms: int = 0
     friction_power: np.ndarray | None = None
 
@@ -368,38 +452,47 @@ class VariationalStepper:
 
     def _transport_term(self, a, d, sign, first_order=False):
         """``(1/h) P((dtau_inv_{sign*h*A})^* (D A^flat))`` on the layout,
-        with ``sign*h*A`` in CSR form and the adjoint's division by
-        ``Omega`` applied to the entries that ``P`` reads; with
-        ``first_order`` the series is cut after ``eta - [eta, xi^T]/2``."""
+        with the adjoint's division by ``Omega`` applied to the entries that
+        ``P`` reads.  The full series runs on the dense ``D A^flat`` in the
+        work arrays, with ``sign*h*A`` in CSR form.  With ``first_order``
+        the series is cut after ``eta - [eta, xi^T]/2``, computed at the
+        four entries per flux only (:class:`SampledBracket`)."""
         if first_order:
-            eta, star = self._order_one(a, d, sign)
-            star *= 0.5
-            np.subtract(eta, star, out=star)
-        else:
-            lmat, xi = self._operand(a, d, sign)
-            star = gr.dtau_inv_star(self.geom.omega, xi, lmat, self.kind, divide=False, work=self._work)
-        return self.layout.pick_P(star, self.geom.omega) / self.h
-
-    def _operand(self, a, d, sign):
-        """``D A^flat`` in the operand work array, and ``xi = sign*h*A`` in
-        CSR form."""
+            eta, star = self._eta_and_bracket(a, d, sign)
+            star *= -0.5
+            star[0] += eta[self.layout.pos]
+            star[1] += eta[self.layout.rev]  # eta is zero on the diagonal
+            return self.layout.project(star, self.geom.omega) / self.h
         lmat = fd.flat(self.geom, a, out=self._work.operand)
         lmat *= d[:, None]
-        return lmat, self.geom.adjacency_csr.load(a, sign * self.h)
+        xi = self.geom.adjacency_csr.load(a, sign * self.h)
+        star = gr.dtau_inv_star(self.geom.omega, xi, lmat, self.kind, divide=False, work=self._work)
+        return self.layout.pick_P(star, self.geom.omega) / self.h
 
-    def _order_one(self, a, d, sign):
-        """``eta = Omega D A^flat`` and ``[eta, xi^T]``, both in work arrays."""
-        lmat, xi = self._operand(a, d, sign)
-        eta = np.multiply(self.geom.omega[:, None], lmat, out=lmat)
-        return eta, gr.commutator(eta, xi.T, work=self._work, out=self._work.total)
+    @functools.cached_property
+    def _sampled(self):
+        """The order-1 bracket's index triples, built at the first use."""
+        return SampledBracket(self.layout)
+
+    def _eta_and_bracket(self, a, d, sign):
+        """``eta = Omega D A^flat`` on P2 and ``[eta, xi^T]`` at the four
+        entries per flux, with ``xi = sign*h*A``."""
+        geom, rows = self.geom, self._sampled.p2_rows
+        eta = fd.flat_p2(geom, a)
+        eta *= d[rows]
+        eta *= geom.omega[rows]
+        xi = np.concatenate([a, geom.diagonal(a)])
+        xi *= sign * self.h
+        return eta, self._sampled(eta, xi)
 
     def _old_side(self, a, d, transport):
         """``_transport_term(a, d, -1.0)`` from ``transport``, the term at
         ``+hA`` with the same ``d``: for both group maps the tangents at
         ``-xi`` and ``xi`` differ by ``dtau_inv_{-xi}(eta) - dtau_inv_{xi}(eta)
-        = [eta, xi]``, so the old side costs one commutator, not a series."""
-        _, bracket = self._order_one(a, d, 1.0)
-        return transport + self.layout.pick_P(bracket, self.geom.omega) / self.h
+        = [eta, xi]``, so the old side costs one bracket at four entries per
+        flux, not a series."""
+        _, bracket = self._eta_and_bracket(a, d, 1.0)
+        return transport + self.layout.project(bracket, self.geom.omega) / self.h
 
     def _momentum_residual(self, flux, d, s, prev_term, first_order=False):
         return self._residual_and_transport(flux, d, s, prev_term, first_order)[0]
@@ -460,6 +553,7 @@ class VariationalStepper:
                     self._lu = lu_factor(jac)
                 report.jacobian_builds += 1
                 report.residual_evals += evals
+                report.colors = len(self._colors)
             flux = flux - lu_solve(self._lu, r)
             if not np.all(np.isfinite(flux)):
                 raise StateRangeError(

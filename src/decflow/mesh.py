@@ -374,7 +374,15 @@ class MeshGeometry:
       neighbors ``j`` (ccw next) and ``k`` (ccw previous) at node ``e`` --
       with the kite area, ``W_ijk`` and signed ``K_ijk``,
     * ``adj_*``: one row per ordered adjacent cell pair with its ``e+``/``e-``
-      endpoint node indices.
+      endpoint node indices,
+    * ``ta_*``/``dup_*``: one row per two-away one-form entry ``(ta_row,
+      ta_col)`` and per repeated assignment of one (``dup_row``,
+      ``dup_col``), with the kite triplet and the orientation (``+1``:
+      ``Z_jk``, ``-1``: ``Z_kj``) that determine it; ``kite_rows`` holds,
+      for the ``ta`` then the ``dup`` rows, the rows on the adjacency list
+      of the two adjacent entries the kite relation reads (``(i, j)`` and
+      ``(k, i)``, or ``(i, k)`` and ``(j, i)``; ``-1`` for a pair the list
+      lacks), and ``dup_ta`` the ``ta`` row of each repeated entry.
     """
 
     mesh: Mesh
@@ -411,6 +419,8 @@ class MeshGeometry:
     dup_col: np.ndarray
     dup_tri: np.ndarray
     dup_sign: np.ndarray
+    kite_rows: np.ndarray
+    dup_ta: np.ndarray
     boundary_factor: np.ndarray
     diameter: float
 
@@ -438,6 +448,16 @@ class MeshGeometry:
         return -self.row_sums(a)
 
     @functools.cached_property
+    def _p2_keys(self) -> np.ndarray:
+        return np.concatenate([self._pair_keys, self.ta_row * self.n + self.ta_col])
+
+    def p2_index(self, i, j) -> np.ndarray:
+        """Positions of the cell pairs ``(i[k], j[k])`` on *P2*, the
+        adjacency list followed by the two-away list ``(ta_row, ta_col)``;
+        ``-1`` for a pair off it, such as ``(i, i)``."""
+        return _last_row(self._p2_keys, np.asarray(i) * self.n + j)
+
+    @functools.cached_property
     def adjacency_csr(self) -> "AdjacencyCSR":
         """CSR form of matrices on the diagonal and the adjacent pairs,
         built at its first use."""
@@ -460,14 +480,17 @@ class AdjacencyCSR:
     """SciPy CSR arrays on the fixed pattern of the diagonal and the
     adjacent cell pairs, which supports every velocity matrix.
 
-    The index structure is built once.  The pattern is symmetric, so the
-    same structure serves a matrix ``X`` and its transpose: :meth:`load`
-    takes ``X`` as its values on the adjacency list, completes the implied
-    diagonal, and fills ``.data`` of two cached arrays with ``scale * X``
-    and ``scale * X^T`` through two index arrays into those values.  It
-    returns the first, whose ``.T`` is the second.  Both are overwritten by
-    the next :meth:`load`, so no caller holds a loaded array past it;
-    :func:`decflow.groups.tau_action` keeps copies of what it needs.
+    The index structure is built once: ``rows``, ``cols`` and ``indptr``
+    of the stored entries (row major), and ``take`` and ``take_t``, each
+    entry's position in ``[pair values, diagonal]`` for ``X`` and ``X^T``.
+    The pattern is symmetric, so the same structure serves a matrix ``X``
+    and its transpose: :meth:`load` takes ``X`` as its values on the
+    adjacency list, completes the implied diagonal, and fills ``.data`` of
+    two cached arrays with ``scale * X`` and ``scale * X^T`` through
+    ``take`` and ``take_t``.  It returns the first, whose ``.T`` is the
+    second.  Both are overwritten by the next :meth:`load`, so no caller
+    holds a loaded array past it; :func:`decflow.groups.tau_action` keeps
+    copies of what it needs.
     """
 
     def __init__(self, geom: MeshGeometry):
@@ -479,9 +502,9 @@ class AdjacencyCSR:
         # Each stored entry's position in [pair values, diagonal], for X
         # and for X^T (whose pair (i, j) holds the value of (j, i)).
         swapped = np.concatenate([geom.pair_index(geom.adj_j, geom.adj_i), np.arange(m, m + n)])
-        self._take, self._take_t = order, swapped[order]
+        self.take, self.take_t = order, swapped[order]
         self._diagonal = geom.diagonal
-        indptr = np.searchsorted(self.rows, np.arange(n + 1))
+        self.indptr = indptr = np.searchsorted(self.rows, np.arange(n + 1))
         pair = [
             _PairedCSR((np.zeros(len(self.rows)), self.cols, indptr), shape=(n, n))
             for _ in range(2)
@@ -491,8 +514,8 @@ class AdjacencyCSR:
 
     def load(self, a: np.ndarray, scale: float = 1.0) -> csr_array:
         values = np.concatenate([a, self._diagonal(a)])
-        np.multiply(values[self._take], scale, out=self._mat.data)
-        np.multiply(values[self._take_t], scale, out=self._mat.T.data)
+        np.multiply(values[self.take], scale, out=self._mat.data)
+        np.multiply(values[self.take_t], scale, out=self._mat.T.data)
         return self._mat
 
 
@@ -510,8 +533,8 @@ def _circumcenters(nodes: np.ndarray, cells: np.ndarray) -> np.ndarray:
 def _last_row(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Row of the last occurrence of each query in ``keys``, ``-1`` where it
     does not occur."""
-    if len(keys) == 0:
-        return np.full(len(queries), -1)
+    if len(keys) == 0 or np.size(queries) == 0:
+        return np.full(np.shape(queries), -1)
     order = np.argsort(keys, kind="stable")
     rows = order[np.maximum(np.searchsorted(keys[order], queries, side="right") - 1, 0)]
     return np.where(keys[rows] == queries, rows, -1)
@@ -669,8 +692,21 @@ def _geometry(mesh: Mesh, issues: list) -> MeshGeometry:
     ta_row = np.stack([tri_j[t], tri_k[t]], axis=1).ravel()
     ta_col = np.stack([tri_k[t], tri_j[t]], axis=1).ravel()
     ta_tri, ta_sign = np.repeat(t, 2), np.tile([1.0, -1.0], len(t))
+    ta_key = ta_row * n + ta_col
     new = np.zeros(len(ta_row), dtype=bool)
-    new[np.unique(ta_row * n + ta_col, return_index=True)[1]] = True
+    new[np.unique(ta_key, return_index=True)[1]] = True
+    # The rows of the two adjacent entries that each assignment reads:
+    # Z[i, j] and Z[k, i] forward, Z[i, k] and Z[j, i] reversed.  (i, j)
+    # and (k, i) are the fan pairs at the triplet's fan row and the one
+    # before it; the reverse of an adjacent pair is its fan pair ``em``.
+    # -1 marks a pair off the list.
+    fan_adj = np.full(len(fan_row) + 1, -1)
+    fan_adj[np.flatnonzero(link)] = pair_adj
+    rev = np.append(pair_adj[em[found]], -1)
+    mid_row = np.flatnonzero(mid)[t]
+    r_ij, r_ki = fan_adj[mid_row], fan_adj[prv[mid_row]]
+    kite_first = np.stack([r_ij, rev[r_ki]], axis=1).ravel()
+    kite_second = np.stack([r_ki, rev[r_ij]], axis=1).ravel()
 
     for v in np.flatnonzero(cyclic & (size < 5)):
         issues.append(
@@ -713,6 +749,8 @@ def _geometry(mesh: Mesh, issues: list) -> MeshGeometry:
         dup_col=ta_col[~new],
         dup_tri=ta_tri[~new],
         dup_sign=ta_sign[~new],
+        kite_rows=np.stack([np.concatenate([x[new], x[~new]]) for x in (kite_first, kite_second)]).astype(np.int32),
+        dup_ta=_last_row(ta_key[new], ta_key[~new]),
         boundary_factor=boundary_factor,
         diameter=diameter,
     )

@@ -3,13 +3,16 @@ the area-weighted adjoint with dense matrix products.
 
 :mod:`decflow.groups` takes ``xi`` in CSR form only.  This is the dense
 path it replaced, kept as the oracle that the CSR series is checked
-against; it shares the Bernoulli numbers and the Cayley factors.
+against; it shares the Bernoulli numbers and the Cayley factors.  The
+first-order transport on a dense ``eta`` (:func:`first_order_transport`)
+is the oracle of the stepper's sampled one.
 """
 
 import math
 
 import numpy as np
 
+from decflow import fields as fd
 from decflow import groups as gr
 
 
@@ -78,3 +81,26 @@ def dtau_inv(xi, eta, kind="exponential"):
 def dtau_inv_star(omega, xi, lmat, kind="exponential"):
     wl = omega[:, None] * np.asarray(lmat, dtype=float)
     return dtau_inv(np.asarray(xi, dtype=float).T, wl, kind) / omega[:, None]
+
+
+def order_one(geom, a, d, xi_scale):
+    """The dense ``eta = Omega D A^flat`` and ``[eta, xi^T]`` for
+    ``xi = xi_scale * A``, by :func:`decflow.groups.commutator`."""
+    eta = geom.omega[:, None] * (fd.flat(geom, a) * d[:, None])
+    return eta, gr.commutator(eta, geom.adjacency_csr.load(a, xi_scale).T)
+
+
+def first_order_transport(layout, a, d, h, sign):
+    """``(1/h) P(eta - [eta, xi^T]/2)`` at the fluxes, ``xi = sign*h*A``:
+    the transport with the ``dtau_inv`` series cut after order 1, picked by
+    :meth:`decflow.integrator.FluxLayout.pick_P` from dense matrices."""
+    geom = layout.geom
+    eta, bracket = order_one(geom, a, d, sign * h)
+    return layout.pick_P(eta - 0.5 * bracket, geom.omega) / h
+
+
+def old_side(layout, a, d, h, transport):
+    """The transport at ``-hA`` from ``transport``, the one at ``+hA``:
+    ``transport + (1/h) P([eta, xi^T])`` with ``xi = h A``."""
+    _, bracket = order_one(layout.geom, a, d, h)
+    return transport + layout.pick_P(bracket, layout.geom.omega) / h

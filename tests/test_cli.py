@@ -199,6 +199,30 @@ def test_build_geometry_reports_mesh_file_problems(tmp_path):
         cli.build_geometry(cfg)
 
 
+@pytest.mark.parametrize(
+    "nx, ny, lx, issue",
+    [
+        (3, 2, 3.0, "degenerate boundary dual edge"),
+        (3, 2, 10.0, "non-positive kite"),
+        (2, 8, 1.0, "non-positive kite"),
+        (3, 2, 1e-8, "degenerate boundary dual edge"),
+    ],
+)
+def test_run_reports_a_degenerate_generated_mesh_as_a_config_error(tmp_path, capsys, nx, ny, lx, issue):
+    # The generator accepts any positive sizes, and compute_geometry rejects
+    # some of them: the run exits 2 with one line naming the generator keys.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"mesh.nx = {nx}\nmesh.ny = {ny}\nmesh.lx = {lx!r}\nmesh.ly = 1\nrun.h = 1e-3\n"
+        f"run.steps = 3\ninitial.preset = rest\noutput.directory = {tmp_path / 'out'}\n"
+    )
+    assert cli.main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config keys 'mesh.nx', 'mesh.ny', 'mesh.lx', 'mesh.ly': ")
+    assert issue in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # Presets
 # ---------------------------------------------------------------------------

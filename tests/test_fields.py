@@ -143,6 +143,34 @@ def test_lambda_ignores_two_away_entries(jittered, rng):
     )
 
 
+def dense_flat(geom, a):
+    """The flat solved from the kite relation on a dense matrix: each kite
+    triplet reads ``Z_ij`` and ``Z_ki`` there and writes ``Z_jk`` and
+    ``Z_kj`` at the first triplet that determines them."""
+    z = flat_adjacent(geom, a)
+    om = fd.total_vorticity(geom, fd.flat_pairs(geom, a))
+    ti, tj, tk = geom.tri_i, geom.tri_j, geom.tri_k
+    rhs = geom.tri_kconst * om[geom.tri_node]
+    fwd = rhs - z[ti, tj] - z[tk, ti]
+    rev = -rhs - z[ti, tk] - z[tj, ti]
+    z[geom.ta_row, geom.ta_col] = np.where(geom.ta_sign > 0, fwd[geom.ta_tri], rev[geom.ta_tri])
+    return z
+
+
+@pytest.mark.parametrize("mesh", ["jittered", "gen65", "jittered65"])
+def test_the_p2_flat_is_the_dense_flat(mesh, request, rng):
+    # On P2 -- the adjacency list, then the two-away list -- the flat holds
+    # the bits of the dense kite solve, and the dense flat is their scatter.
+    geom = request.getfixturevalue(mesh)
+    a = vf.random_tangent(geom, rng, velocity_scale=True)
+    want = dense_flat(geom, a)
+    rows, cols = np.concatenate([geom.adj_i, geom.ta_row]), np.concatenate([geom.adj_j, geom.ta_col])
+    np.testing.assert_array_equal(fd.flat_p2(geom, a), want[rows, cols])
+    np.testing.assert_array_equal(fd.flat(geom, a), want)
+    np.testing.assert_array_equal(geom.p2_index(rows, cols), np.arange(len(rows)))
+    assert np.all(geom.p2_index(np.arange(geom.n), np.arange(geom.n)) == -1)
+
+
 def _degree_four_geometry():
     # Four triangles around one interior node of degree 4: the smallest
     # configuration where a two-away entry is determined by two different
@@ -162,6 +190,8 @@ def test_flat_ambiguity_is_detected():
     a = vf.random_tangent(geom, np.random.default_rng(1))
     with pytest.raises(fd.FlatAmbiguityError, match="two-away"):
         fd.flat(geom, a)
+    with pytest.raises(fd.FlatAmbiguityError, match="two-away"):
+        fd.flat_p2(geom, a)
 
 
 def test_degree_six_fans_are_unambiguous(gen65, jittered):

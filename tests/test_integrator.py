@@ -12,6 +12,7 @@ from decflow import integrator as ig
 from decflow import mesh as msh
 from decflow import physics as ph
 
+import dense_groups as dense
 import rk4_reference as rk4
 
 GAS = ph.GasParams()
@@ -70,6 +71,31 @@ def test_pick_P_reads_four_entries_per_flux(jittered65, rng):
     r, c = layout.rows, layout.cols
     np.testing.assert_array_equal(layout.pick_P(m, ones), fd.proj_P(m)[r, c])
     np.testing.assert_array_equal(layout.pick_P(m, omega), fd.proj_P(m / omega[:, None])[r, c])
+
+
+@pytest.mark.parametrize("h", [1e-3, 1e-1])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("mesh", ["jittered65", "gen65"])
+def test_the_sampled_first_order_transport_equals_the_dense_one(mesh, sign, h, request):
+    # eta on P2 and the bracket at four entries per flux give what the dense
+    # eta - [eta, xi^T]/2 gives at those entries, and the old side's bracket.
+    geom = request.getfixturevalue(mesh)
+    stepper = ig.VariationalStepper(geom, GAS, INVISCID, h)
+    a = cli_io.initial_condition_presets("taylor-like", {"amplitude": "0.3"}, geom, GAS).a
+    d = 1.0 + 0.2 * np.sin(3.0 * geom.circumcenters[:, 0]) * np.cos(2.0 * geom.circumcenters[:, 1])
+    zero = np.zeros(stepper.layout.size)
+    want = dense.first_order_transport(stepper.layout, a, d, h, sign)
+    got = stepper._transport_term(a, d, sign, first_order=True)
+    assert np.max(np.abs(want)) > 0
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    want = dense.old_side(stepper.layout, a, d, h, zero)
+    got = stepper._old_side(a, d, zero)
+    assert np.max(np.abs(want)) > 0
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # at rest both vanish exactly
+    rest = np.zeros_like(a)
+    assert np.all(stepper._transport_term(rest, d, sign, first_order=True) == 0.0)
+    assert np.all(stepper._old_side(rest, d, zero) == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +290,25 @@ def test_step_reports_solver_effort(gen65):
     np.testing.assert_array_equal(report.friction_power, ph.friction_power(gen65, new.a, phys))
 
 
+def test_the_report_counts_the_colors(gen65):
+    # A build costs one residual pair per color, on top of Newton's residuals.
+    phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01, insulated=True)
+    stepper = ig.VariationalStepper(gen65, GAS, phys, h=1e-3)
+    state, report = stepper.step(shear_state(gen65))
+    assert report.jacobian_builds == 1
+    assert report.colors == len(stepper._colors) > 0
+    assert report.residual_evals == report.newton_iters + 1 + 2 * report.colors * report.jacobian_builds
+    _, report = stepper.step(state)
+    assert (report.jacobian_builds, report.colors) == (0, 0)
+    assert report.residual_evals == report.newton_iters + 1
+
+
 @pytest.mark.parametrize("kind", gr.KINDS)
 def test_the_report_counts_the_series_terms(gen65, monkeypatch, kind):
     # series_terms equals the commutators called under dtau_inv, counted by
     # wrapping the module attributes as the benchmark's tracer does; the
-    # first-order residuals of the Jacobian build call commutator directly.
+    # carried old side and the first-order residuals of the Jacobian build call no
+    # commutator.
     count = {"depth": 0, "terms": 0}
     dtau_inv, commutator = gr.dtau_inv, gr.commutator
 

@@ -260,6 +260,28 @@ def test_a_warm_residual_builds_no_dense_array(jittered980):
         assert peak < geom.n**2, (first_order, peak)
 
 
+def test_a_first_order_residual_reads_no_series_work_array(jittered65):
+    # The first-order residual runs on P2 and four entries per flux: with
+    # every array of the stepper's SeriesWork NaN, it leaves them NaN and
+    # gives the residual of a fresh stepper.
+    state = uneven_state(jittered65, 0.3)
+    stepper = ig.VariationalStepper(jittered65, GAS, PHYS, 1e-3)
+    flux = stepper.layout.from_matrix(state.a)
+    prev_term = stepper._transport_term(state.a, state.d, -1.0)
+    want = ig.VariationalStepper(jittered65, GAS, PHYS, 1e-3)._momentum_residual(
+        flux, state.d, state.s, prev_term, first_order=True
+    )
+    work = stepper._work
+    terms = work.terms
+    arrays = [work.operand, work.term, work.next, work.total, work.scratch, work.transposed]
+    for x in arrays:
+        x.fill(np.nan)
+    got = stepper._momentum_residual(flux, state.d, state.s, prev_term, first_order=True)
+    np.testing.assert_array_equal(got, want)
+    assert all(np.isnan(x).all() for x in arrays)
+    assert work.terms == terms
+
+
 def test_the_step_takes_no_variational_derivatives(jittered65, monkeypatch):
     state = stepped_state(jittered65, 1e-3)
     stepper = ig.VariationalStepper(jittered65, GAS, dataclasses.replace(PHYS, lam=0.01), 1e-3)
