@@ -281,19 +281,20 @@ def lambda_op(geom: MeshGeometry, zp) -> np.ndarray:
 
 
 def wedge_star(geom: MeshGeometry, za, zb) -> np.ndarray:
-    """Cell values of ``(dZa ^ * dZb)``: the curl-curl quadrature.
+    """Cell values of ``(dZa ^ * dZb)``: the curl-curl quadrature, from two
+    one-forms on P2 (:func:`flat_p2`).
 
     Sums ``W_ijk (dZa)_ijk (dZb)_ijk`` over ordered fan-neighbor pairs of
     each cell, where ``(dZ)_ijk = Z_ij + Z_jk + Z_ki`` needs the two-away
-    entries of the one-forms.
+    entries of the one-forms, read at the P2 positions
+    :attr:`decflow.mesh.MeshGeometry.wedge_rows`.
     """
-    za = np.asarray(za, dtype=float)
-    zb = np.asarray(zb, dtype=float)
-    ti, tj, tk = geom.tri_i, geom.tri_j, geom.tri_k
-    dza = za[ti, tj] + za[tj, tk] + za[tk, ti]
-    dzb = zb[ti, tj] + zb[tj, tk] + zb[tk, ti]
+    rows = geom.wedge_rows
+    za, zb = np.append(za, 0.0), np.append(zb, 0.0)  # an entry off P2, row -1, reads 0
+    dza = za[rows[0]] + za[rows[1]] + za[rows[2]]
+    dzb = zb[rows[0]] + zb[rows[1]] + zb[rows[2]]
     out = np.zeros(geom.n)
-    np.add.at(out, ti, 2.0 * geom.tri_w * dza * dzb)
+    np.add.at(out, geom.tri_i, 2.0 * geom.tri_w * dza * dzb)
     return out
 
 

@@ -97,30 +97,25 @@ uninterrupted run.
 
 The Jacobian is a central difference with the step ``1e-7 max(|f_p|, 1)``
 per flux ``p``, but columns are perturbed together (Curtis, Powell & Reid
-1974).  All index structure is built as sparse 0/1 patterns.  With ``C`` the
-incidence of the fluxes to their two cells, the *flux graph* is
-``G = pattern(C C^T)``: two fluxes are adjacent when they share a cell.  Row
-``q = (i, j)`` of the first-order residual reads
+1974).  With ``C`` the incidence of the fluxes to their two cells and ``E``
+that to the two ends of their shared edges, row ``q = (i, j)`` of the
+first-order residual reads exactly the fluxes of
+``near = pattern(C C^T + E E^T)`` (:func:`_stencil`):
 
-* the fluxes of cells ``i`` and ``j`` (one step in ``G``): the adjacent flat
-  entries and ``A_ii``, ``A_jj``, the kinetic density under ``d0`` in the
-  gradient forces, ``d0(div A)`` in the viscous force;
-* every flux of the node fans at the two ends of the shared edge: ``Lambda``
-  in the viscous force and the flat's two-away entries (read by the order-1
-  term) take their vorticities.  With ``E`` the incidence of the fluxes to
-  those ends, the *fan reach* ``F`` is the least ``k`` with
-  ``pattern(E E^T)`` inside ``pattern(G^k)``: 3 across a fan of six cells,
-  more across a wider fan or one that boundary cells break into a chain.
+* ``C C^T``, the fluxes of cells ``i`` and ``j``: the adjacent flat entries
+  and ``A_ii``, ``A_jj``, the kinetic density under ``d0`` in the gradient
+  forces, ``d0(div A)`` in the viscous force;
+* ``E E^T``, every flux of the node fans at the two ends of the shared
+  edge: ``Lambda`` in the viscous force and the flat's two-away entries
+  (read by the order-1 term) take their vorticities.
 
-Column ``p`` therefore reaches the rows of column ``p`` of
-``near = pattern(G^F)`` at every ``h``.  Two columns share a row iff they
-are adjacent in ``pattern(near near)``, so a greedy first-fit coloring of
-that graph (most conflicts first) gives the colors; each color costs one
-residual pair, and each row's quotient goes to the one column of the color
-that reaches it.  ``near`` is also the column structure of a sparse
-Jacobian.  When ``F`` spans the graph every column gets its own color, which
-is the column-by-column difference.  The coloring is built at the first
-Jacobian and cached on the stepper.
+``near`` is symmetric, so column ``p`` reaches the rows of column ``p`` of
+it, at every ``h``.  Two columns share a row iff they are adjacent in
+``pattern(near near)``; a greedy first-fit coloring of that graph (most
+conflicts first) gives the colors.  Each color costs one residual pair, and
+each row's quotient goes to the one column of the color that reaches it,
+so the Jacobian is the column-by-column one bit for bit.  The coloring is
+built at the first Jacobian and cached on the stepper.
 """
 
 from __future__ import annotations
@@ -324,40 +319,27 @@ def _incidence(a, b, width):
     return sparse.csr_array((ones, np.stack([a, b], axis=1).ravel(), ptr), shape=(len(a), width))
 
 
-def _flux_graph(layout):
-    """Pattern ``G = pattern(C C^T)`` of the flux graph (diagonal included),
-    ``C`` being the incidence of the fluxes to their two cells."""
-    cells = _incidence(layout.rows, layout.cols, layout.geom.n)
-    return _pattern(cells @ cells.T)
-
-
-def _fan_reach(layout, graph):
-    """The least ``k`` with ``pattern(E E^T)`` inside ``pattern(G^k)``, ``E``
-    being the incidence of the fluxes to the two ends of their shared edges;
-    the flux count when the powers of ``G`` stop growing first."""
+def _stencil(layout):
+    """``pattern(C C^T + E E^T)``: row ``q`` holds the fluxes that row ``q``
+    of the first-order residual reads, ``C`` being the incidence of the
+    fluxes to their two cells and ``E`` that to the two ends of their shared
+    edges.  The pattern is symmetric, so it also holds the rows each column
+    reaches."""
     g = layout.geom
+    cells = _incidence(layout.rows, layout.cols, g.n)
     nodes = _incidence(g.adj_eplus[layout.pos], g.adj_eminus[layout.pos], g.mesh.num_nodes)
-    wanted = _pattern(nodes @ nodes.T)
-    reach, power = 0, sparse.eye_array(layout.size, dtype=np.int32, format="csr")
-    while wanted.multiply(power).nnz < wanted.nnz:
-        grown = _pattern(power @ graph)
-        if grown.nnz == power.nnz:  # some pair is unreachable
-            return layout.size
-        reach, power = reach + 1, grown
-    return reach
+    return _pattern(cells @ cells.T + nodes @ nodes.T)
 
 
-def _coloring(graph, reach):
-    """Columns grouped so that no two of one color reach a common row when
-    column ``p`` reaches the rows within flux-graph distance ``reach``.
+def _coloring(near):
+    """Columns grouped so that no two of one color reach a common row, when
+    column ``p`` reaches the rows of column ``p`` of the symmetric pattern
+    ``near``.
 
     Returns ``(cols, rows, owners)`` per color: the columns to perturb
     together and, for every row one of them reaches, that column.
     """
-    m = graph.shape[0]
-    near = sparse.eye_array(m, dtype=np.int32, format="csr")
-    for _ in range(reach):
-        near = _pattern(near @ graph)  # G^reach: the rows of each column
+    m = near.shape[0]
     conflicts = _pattern(near @ near)  # columns that share a row
     indptr, indices = conflicts.indptr, conflicts.indices
     color = np.full(m, -1)
@@ -450,39 +432,41 @@ class VariationalStepper:
 
     # -- momentum ----------------------------------------------------------
 
-    def _transport_term(self, a, d, sign, first_order=False):
+    def _transport_term(self, a, d, sign=1.0):
         """``(1/h) P((dtau_inv_{sign*h*A})^* (D A^flat))`` on the layout,
         with the adjoint's division by ``Omega`` applied to the entries that
         ``P`` reads.  The full series runs on the dense ``D A^flat`` in the
-        work arrays, with ``sign*h*A`` in CSR form.  With ``first_order``
-        the series is cut after ``eta - [eta, xi^T]/2``, computed at the
-        four entries per flux only (:class:`SampledBracket`)."""
-        if first_order:
-            eta, star = self._eta_and_bracket(a, d, sign)
-            star *= -0.5
-            star[0] += eta[self.layout.pos]
-            star[1] += eta[self.layout.rev]  # eta is zero on the diagonal
-            return self.layout.project(star, self.geom.omega) / self.h
+        work arrays, with ``sign*h*A`` in CSR form."""
         lmat = fd.flat(self.geom, a, out=self._work.operand)
         lmat *= d[:, None]
         xi = self.geom.adjacency_csr.load(a, sign * self.h)
         star = gr.dtau_inv_star(self.geom.omega, xi, lmat, self.kind, divide=False, work=self._work)
         return self.layout.pick_P(star, self.geom.omega) / self.h
 
+    def _first_order_term(self, a, d):
+        """:meth:`_transport_term` at ``+hA`` with the series cut after
+        ``eta - [eta, xi^T]/2``, computed at the four entries per flux only
+        (:class:`SampledBracket`)."""
+        eta, star = self._eta_and_bracket(a, d)
+        star *= -0.5
+        star[0] += eta[self.layout.pos]
+        star[1] += eta[self.layout.rev]  # eta is zero on the diagonal
+        return self.layout.project(star, self.geom.omega) / self.h
+
     @functools.cached_property
     def _sampled(self):
         """The order-1 bracket's index triples, built at the first use."""
         return SampledBracket(self.layout)
 
-    def _eta_and_bracket(self, a, d, sign):
+    def _eta_and_bracket(self, a, d):
         """``eta = Omega D A^flat`` on P2 and ``[eta, xi^T]`` at the four
-        entries per flux, with ``xi = sign*h*A``."""
+        entries per flux, with ``xi = h A``."""
         geom, rows = self.geom, self._sampled.p2_rows
         eta = fd.flat_p2(geom, a)
         eta *= d[rows]
         eta *= geom.omega[rows]
         xi = np.concatenate([a, geom.diagonal(a)])
-        xi *= sign * self.h
+        xi *= self.h
         return eta, self._sampled(eta, xi)
 
     def _old_side(self, a, d, transport):
@@ -491,25 +475,24 @@ class VariationalStepper:
         ``-xi`` and ``xi`` differ by ``dtau_inv_{-xi}(eta) - dtau_inv_{xi}(eta)
         = [eta, xi]``, so the old side costs one bracket at four entries per
         flux, not a series."""
-        _, bracket = self._eta_and_bracket(a, d, 1.0)
+        _, bracket = self._eta_and_bracket(a, d)
         return transport + self.layout.project(bracket, self.geom.omega) / self.h
 
-    def _momentum_residual(self, flux, d, s, prev_term, first_order=False):
-        return self._residual_and_transport(flux, d, s, prev_term, first_order)[0]
-
-    def _residual_and_transport(self, flux, d, s, prev_term, first_order=False):
-        """The momentum residual and its transport term at ``+hA``."""
+    def _residual_and_transport(self, flux, d, s, prev_term, transport):
+        """The momentum residual on ``transport`` at ``+hA``, the full
+        :meth:`_transport_term` or the :meth:`_first_order_term`, and that
+        transport term."""
         a = self.layout.to_matrix(flux)
-        cur = self._transport_term(a, d, 1.0, first_order)
+        cur = transport(a, d)
         grad = _gradient_forces(self.geom, self.layout, a, d, s, self.gas)
         visc = ph.viscous_force(self.geom, a, self.phys)[self.layout.pos]
         return cur - prev_term + grad - visc, cur
 
     @functools.cached_property
     def _colors(self):
-        """The coloring at the fan reach, built at the first Jacobian."""
-        graph = _flux_graph(self.layout)
-        return _coloring(graph, _fan_reach(self.layout, graph))
+        """The coloring of the first-order residual's stencil, built at the
+        first Jacobian."""
+        return _coloring(_stencil(self.layout))
 
     def _jacobian(self, flux, d, s, prev_term):
         """Colored central differences of the first-order residual: one
@@ -518,12 +501,13 @@ class VariationalStepper:
         residuals it took."""
         jac = np.zeros((self.layout.size, self.layout.size))
         step = _FD_STEP * np.maximum(np.abs(flux), 1.0)
+        residual = lambda f: self._residual_and_transport(f, d, s, prev_term, self._first_order_term)[0]
         for cols, rows, owners in self._colors:
             fp = flux.copy()
             fp[cols] += step[cols]
-            rp = self._momentum_residual(fp, d, s, prev_term, first_order=True)
+            rp = residual(fp)
             fp[cols] -= 2 * step[cols]
-            rm = self._momentum_residual(fp, d, s, prev_term, first_order=True)
+            rm = residual(fp)
             jac[rows, owners] = (rp[rows] - rm[rows]) / (2 * step[owners])
         return jac, 2 * len(self._colors)
 
@@ -537,7 +521,7 @@ class VariationalStepper:
             return flux, report, np.zeros(0)
         prev_norm = np.inf
         for it in range(1, self.newton_max + 1):
-            r, transport = self._residual_and_transport(flux, d, s, prev_term)
+            r, transport = self._residual_and_transport(flux, d, s, prev_term, self._transport_term)
             report.residual_evals += 1
             norm = float(np.max(np.abs(r)))
             if not np.isfinite(norm):

@@ -458,6 +458,14 @@ class MeshGeometry:
         return _last_row(self._p2_keys, np.asarray(i) * self.n + j)
 
     @functools.cached_property
+    def wedge_rows(self) -> np.ndarray:
+        """P2 positions of the entries ``(i, j)``, ``(j, k)`` and ``(k, i)``
+        of each kite triplet, in three rows; ``-1`` for one off P2, such as
+        the diagonal ``(j, j)`` of a fan of two cells."""
+        i, j, k = self.tri_i, self.tri_j, self.tri_k
+        return self.p2_index(np.concatenate([i, j, k]), np.concatenate([j, k, i])).reshape(3, -1).astype(np.int32)
+
+    @functools.cached_property
     def adjacency_csr(self) -> "AdjacencyCSR":
         """CSR form of matrices on the diagonal and the adjacent pairs,
         built at its first use."""

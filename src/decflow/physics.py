@@ -35,7 +35,6 @@ __all__ = [
     "pressure",
     "entropy_from_temperature",
     "kinetic_density",
-    "lagrangian",
     "scalar_derivatives",
     "variational_derivatives",
     "entropy_flux",
@@ -127,13 +126,6 @@ def kinetic_density(geom: MeshGeometry, a) -> np.ndarray:
     return geom.row_sums(fd.flat_pairs(geom, a) * a)
 
 
-def lagrangian(geom: MeshGeometry, a, d, s, gas: GasParams) -> float:
-    """Kinetic minus internal energy: ``sum_i Omega_ii (D_i K_i / 2 - eps_i)``."""
-    eps = internal_energy(d, s, gas)[0]
-    k = kinetic_density(geom, a)
-    return float(np.sum(geom.omega * (0.5 * np.asarray(d) * k - eps)))
-
-
 def scalar_derivatives(geom: MeshGeometry, a, d, s, gas: GasParams):
     """Partial derivatives of the Lagrangian w.r.t. density,
     ``K_i / 2 - eps_D``, and w.r.t. entropy, ``-eps_S = -Theta_i``."""
@@ -211,7 +203,7 @@ def friction_power(geom: MeshGeometry, a, phys: PhysParams) -> np.ndarray:
     diva = fd.div(geom, a)
     out = phys.mu_tilde * diva * diva
     if phys.mu != 0.0:
-        z = fd.flat(geom, a)
+        z = fd.flat_p2(geom, a)
         out = out + phys.mu * fd.wedge_star(geom, z, z)
         # div(nabla_A A) = 2 (nabla_A A)_ii, minus twice the raised row sums
         vp = geom.sharp_coef * nabla_pairs(geom, a)

@@ -213,8 +213,8 @@ def check_curl_curl(geom, rng) -> float:
     (wedge) sum."""
     a = random_tangent(geom, rng)
     b = random_tangent(geom, rng)
-    za = fd.flat(geom, a)
-    zb = fd.flat(geom, b)
+    za = fd.flat_p2(geom, a)
+    zb = fd.flat_p2(geom, b)
     zpa = fd.flat_pairs(geom, a)
     e1 = fd.pairing1(geom, fd.from_pairs(geom, fd.lambda_op(geom, zpa)), fd.velocity_matrix(geom, b))
     wa = fd.total_vorticity(geom, zpa)
@@ -311,7 +311,7 @@ def check_friction_decomposition(geom, rng) -> float:
     phys = ph.PhysParams(mu=0.2 + rng.random(), zeta=rng.random(), lam=0.0)
     power = ph.friction_power(geom, a, phys)
     total = float(np.sum(geom.omega * power))
-    za = fd.flat(geom, a)
+    za = fd.flat_p2(geom, a)
     diva = fd.div(geom, a)
     expected = phys.mu_tilde * fd.pairing0(geom, diva, diva) + phys.mu * float(
         np.sum(geom.omega * fd.wedge_star(geom, za, za))
@@ -328,8 +328,8 @@ def check_viscous_duality(geom, rng) -> float:
     b = random_tangent(geom, rng, velocity_scale=True)
     phys = ph.PhysParams(mu=0.2 + rng.random(), zeta=rng.random(), lam=0.0)
     lhs = fd.pairing1(geom, fd.from_pairs(geom, ph.viscous_force(geom, a, phys)), fd.velocity_matrix(geom, b))
-    za = fd.flat(geom, a)
-    zb = fd.flat(geom, b)
+    za = fd.flat_p2(geom, a)
+    zb = fd.flat_p2(geom, b)
     div_part = phys.mu_tilde * fd.pairing0(geom, fd.div(geom, a), fd.div(geom, b))
     rot_part = phys.mu * float(np.sum(geom.omega * fd.wedge_star(geom, za, zb)))
     rhs = -div_part - rot_part

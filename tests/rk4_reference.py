@@ -5,6 +5,8 @@ per pair of adjacent interior cells, plus density and entropy per cell --
 and is consistent with the same semi-discrete equations, so one variational
 step differs from one RK4 step by O(h^2).  The acceptance gate and the
 integrator and physics tests use it as an oracle; the package does not.
+Its :func:`lagrangian` is the discrete Lagrangian the step's forces derive
+from, for the tests that difference it.
 """
 
 import numpy as np
@@ -12,6 +14,13 @@ import numpy as np
 from decflow import fields as fd
 from decflow import physics as ph
 from decflow.integrator import FluxLayout, _gradient_forces
+
+
+def lagrangian(geom, a, d, s, gas):
+    """Kinetic minus internal energy: ``sum_i Omega_ii (D_i K_i / 2 - eps_i)``."""
+    eps = ph.internal_energy(d, s, gas)[0]
+    k = ph.kinetic_density(geom, a)
+    return float(np.sum(geom.omega * (0.5 * np.asarray(d) * k - eps)))
 
 
 def semi_discrete_rhs(geom, state, gas, phys, layout, heat=None):

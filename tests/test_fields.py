@@ -224,8 +224,8 @@ def test_gradients_have_no_interior_vorticity(jittered, rng):
 
 
 def test_wedge_star_is_symmetric(jittered, rng):
-    za = fd.flat(jittered, vf.random_tangent(jittered, rng))
-    zb = fd.flat(jittered, vf.random_tangent(jittered, rng))
+    za = fd.flat_p2(jittered, vf.random_tangent(jittered, rng))
+    zb = fd.flat_p2(jittered, vf.random_tangent(jittered, rng))
     np.testing.assert_allclose(
         fd.wedge_star(jittered, za, zb), fd.wedge_star(jittered, zb, za), atol=0
     )

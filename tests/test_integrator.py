@@ -85,7 +85,8 @@ def test_the_sampled_first_order_transport_equals_the_dense_one(mesh, sign, h, r
     d = 1.0 + 0.2 * np.sin(3.0 * geom.circumcenters[:, 0]) * np.cos(2.0 * geom.circumcenters[:, 1])
     zero = np.zeros(stepper.layout.size)
     want = dense.first_order_transport(stepper.layout, a, d, h, sign)
-    got = stepper._transport_term(a, d, sign, first_order=True)
+    # eta and xi are both linear in a: the cut at -hA is minus the cut at +hA of -a
+    got = sign * stepper._first_order_term(sign * a, d)
     assert np.max(np.abs(want)) > 0
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     want = dense.old_side(stepper.layout, a, d, h, zero)
@@ -94,7 +95,7 @@ def test_the_sampled_first_order_transport_equals_the_dense_one(mesh, sign, h, r
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     # at rest both vanish exactly
     rest = np.zeros_like(a)
-    assert np.all(stepper._transport_term(rest, d, sign, first_order=True) == 0.0)
+    assert np.all(stepper._first_order_term(rest, d) == 0.0)
     assert np.all(stepper._old_side(rest, d, zero) == 0.0)
 
 
@@ -231,6 +232,11 @@ def test_one_group_action_per_direction_per_step(gen65, monkeypatch):
     np.testing.assert_array_equal(calls[0], -calls[1])
 
 
+def full_residual(stepper, flux, d, s, prev_term):
+    """The momentum residual that Newton drives down, on the full series."""
+    return stepper._residual_and_transport(flux, d, s, prev_term, stepper._transport_term)[0]
+
+
 def test_residuals_construct_no_sparse_arrays(jittered65, monkeypatch):
     # The CSR index structure is built at the first residual and the coloring
     # patterns at the first Jacobian; afterwards a residual, a Jacobian or a
@@ -240,7 +246,7 @@ def test_residuals_construct_no_sparse_arrays(jittered65, monkeypatch):
     state = shear_state(jittered65)
     flux = stepper.layout.from_matrix(state.a)
     prev_term = stepper._transport_term(state.a, state.d, -1.0)
-    first = stepper._momentum_residual(flux, state.d, state.s, prev_term)
+    first = full_residual(stepper, flux, state.d, state.s, prev_term)
     # the first Jacobian builds the sparse patterns of its coloring
     jac, _ = stepper._jacobian(flux, state.d, state.s, prev_term)
 
@@ -250,7 +256,7 @@ def test_residuals_construct_no_sparse_arrays(jittered65, monkeypatch):
         monkeypatch.setattr(
             cls, "__init__", lambda self, *args, _init=init, **kw: built.append(self) or _init(self, *args, **kw)
         )
-    again = stepper._momentum_residual(flux, state.d, state.s, prev_term)
+    again = full_residual(stepper, flux, state.d, state.s, prev_term)
     np.testing.assert_array_equal(again, first)
     assert built == []
     # a second Jacobian reuses the cached coloring
@@ -268,14 +274,14 @@ def test_residuals_look_up_no_pairs(jittered65, monkeypatch):
     state = shear_state(jittered65)
     flux = stepper.layout.from_matrix(state.a)
     prev_term = stepper._transport_term(state.a, state.d, -1.0)
-    first = stepper._momentum_residual(flux, state.d, state.s, prev_term)
+    first = full_residual(stepper, flux, state.d, state.s, prev_term)
 
     def refuse(self, i, j):
         raise AssertionError("pair lookup after the build")
 
     monkeypatch.setattr(msh.MeshGeometry, "pair_index", refuse)
     np.testing.assert_array_equal(stepper.layout.from_matrix(state.a), flux)
-    np.testing.assert_array_equal(stepper._momentum_residual(flux, state.d, state.s, prev_term), first)
+    np.testing.assert_array_equal(full_residual(stepper, flux, state.d, state.s, prev_term), first)
     stepper.step(state)
 
 
@@ -470,10 +476,12 @@ def test_range_failure_keeps_its_subclass_through_run(gen65):
 # ---------------------------------------------------------------------------
 
 
-def dense_jacobian(stepper, flux, d, s, prev_term, first_order=True):
-    """The column-by-column central difference of the first-order residual,
-    which the colored build replaces (of the full one with ``first_order``
-    false)."""
+def dense_jacobian(stepper, flux, d, s, prev_term, transport=None):
+    """The column-by-column central difference of the residual on
+    ``transport``; by default the first-order one, which the colored build
+    replaces."""
+    transport = transport or stepper._first_order_term
+    residual = lambda f: stepper._residual_and_transport(f, d, s, prev_term, transport)[0]
     m = stepper.layout.size
     jac = np.empty((m, m))
     base = np.maximum(np.abs(flux), 1.0)
@@ -481,9 +489,9 @@ def dense_jacobian(stepper, flux, d, s, prev_term, first_order=True):
         dp = 1e-7 * base[p]
         fp = flux.copy()
         fp[p] += dp
-        rp = stepper._momentum_residual(fp, d, s, prev_term, first_order)
+        rp = residual(fp)
         fp[p] -= 2 * dp
-        rm = stepper._momentum_residual(fp, d, s, prev_term, first_order)
+        rm = residual(fp)
         jac[:, p] = (rp - rm) / (2 * dp)
     return jac
 
@@ -520,16 +528,15 @@ def test_colored_jacobian_at_rest_keeps_the_whole_fans(jittered65):
 def test_first_order_jacobian_is_close_to_the_full_one(jittered65):
     # The series past order 1 adds O(|hA|^2) relative to the Newton matrix.
     stepper, args = jacobian_setup(jittered65, 1e-3, amp=0.3)
-    colored, full = stepper._jacobian(*args)[0], dense_jacobian(stepper, *args, first_order=False)
+    colored, full = stepper._jacobian(*args)[0], dense_jacobian(stepper, *args, stepper._transport_term)
     assert np.max(np.abs(colored - full)) <= 1e-5 * np.max(np.abs(full))
 
 
 @pytest.mark.parametrize("h", [1e-3, 1e-1])
-def test_jacobian_build_takes_a_residual_pair_per_fan_reach_color(jittered65, h):
+def test_jacobian_build_takes_a_residual_pair_per_color(jittered65, h):
     stepper, args = jacobian_setup(jittered65, h, amp=0.3)
-    graph = ig._flux_graph(stepper.layout)
-    colors = ig._coloring(graph, ig._fan_reach(stepper.layout, graph))
-    assert stepper._jacobian(*args)[1] == 2 * len(colors)
+    colors = ig._coloring(ig._stencil(stepper.layout))
+    assert stepper._jacobian(*args)[1] == 2 * len(colors) == 2 * 16
 
 
 def flux_distances(layout):
@@ -583,43 +590,80 @@ def strip8x2():
     return msh.compute_geometry(msh.generate_rect_mesh(8, 2, 1.0, 1.0))
 
 
-# jittered65 cases are identified by the reach alone, the others by mesh and reach.
-COLORING_CASES = [pytest.param("jittered65", r, id=str(r)) for r in (1, 3, 4)] + [
-    pytest.param(mesh, r, id=f"{mesh}-{r}") for mesh in ("degree8", "strip8x2") for r in (1, 4)
-]
+@pytest.fixture(scope="module")
+def rect3x2():
+    """Three columns of two rows: two interior fluxes."""
+    return msh.compute_geometry(msh.generate_rect_mesh(3, 2, 1.0, 1.0))
+
+
+def random_setup(geom):
+    """A viscous, conducting stepper and the residual arguments at a random
+    flow, density and entropy."""
+    phys = ph.PhysParams(mu=0.01, zeta=0.02, lam=0.01, insulated=True)
+    stepper = ig.VariationalStepper(geom, GAS, phys, h=1e-3)
+    rng = np.random.default_rng(3)
+    flux = 0.3 * rng.normal(size=stepper.layout.size)
+    d = 1.0 + 0.1 * rng.random(geom.n)
+    s = 0.05 * rng.normal(size=geom.n)
+    prev_term = stepper._transport_term(stepper.layout.to_matrix(flux), d, -1.0)
+    return stepper, (flux, d, s, prev_term)
+
+
+@pytest.mark.parametrize("mesh", ["jittered65", "degree8", "strip8x2"])
+def test_the_stencil_is_what_the_first_order_residual_reads(mesh, request):
+    # Equal, not a subset: a change to what the residual reads must change
+    # the stencil with it.
+    stepper, args = random_setup(request.getfixturevalue(mesh))
+    reads = dense_jacobian(stepper, *args) != 0
+    np.testing.assert_array_equal(ig._stencil(stepper.layout).toarray() > 0, reads)
+
+
+@pytest.mark.parametrize("mesh", ["jittered65", "degree8", "strip8x2", "rect3x2"])
+def test_colored_jacobian_is_the_column_by_column_one(mesh, request):
+    # The strips' flux graphs are disconnected, yet fluxes that only meet at
+    # a node still share rows.
+    stepper, args = random_setup(request.getfixturevalue(mesh))
+    colored, evals = stepper._jacobian(*args)
+    np.testing.assert_array_equal(colored, dense_jacobian(stepper, *args))
+    assert evals == 2 * len(stepper._colors)
+
+
+def test_a_strip_solves_in_one_newton_iteration_per_step(strip8x2):
+    state = cli_io.initial_condition_presets("taylor-like", {"amplitude": "1"}, strip8x2, GAS)
+    phys = ph.PhysParams(mu=0.05, lam=0.01, insulated=True)
+    stepper = ig.VariationalStepper(strip8x2, GAS, phys, h=1e-3)
+    iters = []
+    stepper.run(state, 50, observer=lambda k, t, st, report: k and iters.append(report.newton_iters))
+    assert iters == [1] * 50
+
+
+# jittered65 cases use the fluxes within flux-graph distance ``reach`` of
+# each column, identified by the reach alone; the others are named by mesh
+# and reach, or by mesh for the residual's stencil (reach None).
+COLORING_CASES = (
+    [pytest.param("jittered65", r, id=str(r)) for r in (1, 3, 4)]
+    + [pytest.param(mesh, r, id=f"{mesh}-{r}") for mesh in ("degree8", "strip8x2") for r in (1, 4)]
+    + [pytest.param(mesh, None, id=f"{mesh}-stencil") for mesh in ("jittered65", "degree8", "strip8x2")]
+)
 
 
 @pytest.mark.parametrize("mesh, reach", COLORING_CASES)
 def test_coloring_keeps_colors_apart(mesh, reach, request):
     layout = ig.FluxLayout.build(request.getfixturevalue(mesh))
-    dist = flux_distances(layout)
-    colors = ig._coloring(ig._flux_graph(layout), reach)
+    if reach is None:
+        near = ig._stencil(layout)
+    else:
+        near = sparse.csr_array((flux_distances(layout) <= reach).astype(np.int32))
+    colors = ig._coloring(near)
     seen_cols = np.concatenate([cols for cols, _, _ in colors])
     np.testing.assert_array_equal(np.sort(seen_cols), np.arange(layout.size))
-    pattern = np.zeros_like(dist, dtype=bool)
+    pattern = np.zeros((layout.size, layout.size), dtype=bool)
     for cols, rows, owners in colors:
         # no two columns of one color share a row of the pattern
         assert len(np.unique(rows)) == len(rows)
         assert np.all(np.isin(owners, cols))
         pattern[rows, owners] = True
-    np.testing.assert_array_equal(pattern, dist <= reach)
-    # columns can share a color only if some pair is over 2 * reach apart
-    apart = (dist > 2 * reach) | (dist == layout.size)  # the flux count: unreachable
+    np.testing.assert_array_equal(pattern, near.toarray() > 0)
+    # columns can share a color only if some pair shares no row
+    apart = (near @ near).toarray() == 0
     assert (len(colors) < layout.size) == bool(np.any(apart))
-
-
-def test_fan_reach_on_degree_six_meshes(jittered65):
-    layout = ig.FluxLayout.build(jittered65)
-    assert ig._fan_reach(layout, ig._flux_graph(layout)) == 3
-
-
-@pytest.mark.parametrize("mesh, reach", [("degree8", 4), ("strip8x2", 7)])
-def test_fan_reach_is_the_largest_distance_at_a_node(mesh, reach, request):
-    # Across the degree-8 fan the reach exceeds 3; the strip has fluxes that
-    # meet at a node but are not connected, which gives the flux count.
-    layout = ig.FluxLayout.build(request.getfixturevalue(mesh))
-    cells = layout.geom.mesh.cells
-    edges = [set(cells[i]) & set(cells[j]) for i, j in zip(layout.rows, layout.cols)]
-    dist = flux_distances(layout)
-    meet = np.array([[bool(e & f) for f in edges] for e in edges])
-    assert ig._fan_reach(layout, ig._flux_graph(layout)) == dist[meet].max() == reach

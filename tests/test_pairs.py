@@ -96,6 +96,17 @@ def dense_entropy_flux(geom, theta, phys):
     return j
 
 
+def dense_wedge_star(geom, za, zb):
+    """``(dZa ^ * dZb)`` per cell from dense one-forms, indexed by the kite
+    triplets' cells."""
+    ti, tj, tk = geom.tri_i, geom.tri_j, geom.tri_k
+    dza = za[ti, tj] + za[tj, tk] + za[tk, ti]
+    dzb = zb[ti, tj] + zb[tj, tk] + zb[tk, ti]
+    out = np.zeros(geom.n)
+    np.add.at(out, ti, 2.0 * geom.tri_w * dza * dzb)
+    return out
+
+
 def dense_friction_power(geom, a, phys):
     diva = 2.0 * np.diagonal(a)
     z = fd.from_pairs(geom, geom.flat_coef) * a
@@ -105,7 +116,7 @@ def dense_friction_power(geom, a, phys):
     two_away = fd.flat(geom, fd.on_pairs(geom, a))
     return (
         phys.mu_tilde * diva * diva
-        + phys.mu * fd.wedge_star(geom, two_away, two_away)
+        + phys.mu * dense_wedge_star(geom, two_away, two_away)
         + 2.0 * phys.mu * div_nabla
         - 2.0 * phys.mu * (a.T @ (geom.omega * diva)) / geom.omega
     )
@@ -211,6 +222,7 @@ def test_the_step_builds_no_dense_force(jittered980):
         (ig._gradient_forces, (geom, layout, state.a, state.d, state.s, GAS)),
         (ph.conduction, (geom, theta, PHYS)),
         (ph.entropy_flux, (geom, theta, PHYS)),
+        (ph.friction_power, (geom, state.a, PHYS)),
     ):
         peak = peak_bytes(fn, *args)
         assert peak < geom.n**2, (fn.__name__, peak)
@@ -251,13 +263,11 @@ def test_a_warm_residual_builds_no_dense_array(jittered980):
     stepper = ig.VariationalStepper(geom, GAS, PHYS, 1e-3)
     flux = stepper.layout.from_matrix(state.a)
     prev_term = stepper._transport_term(state.a, state.d, -1.0)
-    for first_order in (False, True):
-        residual = functools.partial(
-            stepper._momentum_residual, flux, state.d, state.s, prev_term, first_order=first_order
-        )
+    for transport in (stepper._transport_term, stepper._first_order_term):
+        residual = functools.partial(stepper._residual_and_transport, flux, state.d, state.s, prev_term, transport)
         residual()
         peak = peak_bytes(residual)
-        assert peak < geom.n**2, (first_order, peak)
+        assert peak < geom.n**2, (transport.__name__, peak)
 
 
 def test_a_first_order_residual_reads_no_series_work_array(jittered65):
@@ -268,15 +278,14 @@ def test_a_first_order_residual_reads_no_series_work_array(jittered65):
     stepper = ig.VariationalStepper(jittered65, GAS, PHYS, 1e-3)
     flux = stepper.layout.from_matrix(state.a)
     prev_term = stepper._transport_term(state.a, state.d, -1.0)
-    want = ig.VariationalStepper(jittered65, GAS, PHYS, 1e-3)._momentum_residual(
-        flux, state.d, state.s, prev_term, first_order=True
-    )
+    fresh = ig.VariationalStepper(jittered65, GAS, PHYS, 1e-3)
+    want = fresh._residual_and_transport(flux, state.d, state.s, prev_term, fresh._first_order_term)[0]
     work = stepper._work
     terms = work.terms
     arrays = [work.operand, work.term, work.next, work.total, work.scratch, work.transposed]
     for x in arrays:
         x.fill(np.nan)
-    got = stepper._momentum_residual(flux, state.d, state.s, prev_term, first_order=True)
+    got = stepper._residual_and_transport(flux, state.d, state.s, prev_term, stepper._first_order_term)[0]
     np.testing.assert_array_equal(got, want)
     assert all(np.isnan(x).all() for x in arrays)
     assert work.terms == terms
@@ -287,12 +296,12 @@ def test_the_step_takes_no_variational_derivatives(jittered65, monkeypatch):
     stepper = ig.VariationalStepper(jittered65, GAS, dataclasses.replace(PHYS, lam=0.01), 1e-3)
     prev = stepper._transport_term(state.a, state.d, -1.0)
     flux = stepper.layout.from_matrix(state.a)
-    stepper._momentum_residual(flux, state.d, state.s, prev)
+    stepper._residual_and_transport(flux, state.d, state.s, prev, stepper._transport_term)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("variational_derivatives called")
 
     monkeypatch.setattr(ph, "variational_derivatives", forbidden)
-    stepper._momentum_residual(flux, state.d, state.s, prev)
+    stepper._residual_and_transport(flux, state.d, state.s, prev, stepper._transport_term)
     _, report = stepper.step(state)  # residuals, a Jacobian and the entropy iterations
     assert report.jacobian_builds == 1 and report.entropy_iters > 1

@@ -88,7 +88,7 @@ def test_variational_derivatives_match_finite_differences(jittered, rng):
     dl_da, dl_dd, dl_ds = ph.variational_derivatives(geom, a, d, s, GAS)
 
     def l(aa, dd, ss):
-        return ph.lagrangian(geom, aa, dd, ss, GAS)
+        return rk4.lagrangian(geom, aa, dd, ss, GAS)
 
     t = 1e-6
     da = vf.random_tangent(geom, rng, velocity_scale=True)
