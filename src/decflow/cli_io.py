@@ -238,7 +238,7 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file '{path}': {exc}") from exc
     return parse_config(text)
 
@@ -248,7 +248,7 @@ def build_geometry(cfg: RunConfig) -> msh.MeshGeometry:
         try:
             with open(cfg.mesh_file, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config key 'mesh.file': cannot read '{cfg.mesh_file}': {exc}") from exc
         try:
             mesh = msh.load_mesh(text)
@@ -354,19 +354,12 @@ def initial_condition_presets(name, params, geom, gas: ph.GasParams) -> ph.Fluid
 
 
 def heat_source_from_config(cfg: RunConfig, geom: msh.MeshGeometry):
-    """Per-cell heating rate R as a (time-independent) callable, or None."""
+    """Per-cell heating rate R (constant in time), or None."""
     if cfg.heat_preset == "zero":
         return None
     if cfg.heat_preset == "constant":
-        rate = float(cfg.heat_params.get("rate", 0.0))
-        values = np.full(geom.n, rate)
-    else:  # gaussian
-        values = _gaussian(geom.mesh, cfg.heat_params, 1.0)
-
-    def heat(t, _values=values):
-        return _values
-
-    return heat
+        return np.full(geom.n, float(cfg.heat_params.get("rate", 0.0)))
+    return _gaussian(geom.mesh, cfg.heat_params, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +424,9 @@ CSV_HEADER = (
 )
 
 
+# NumPy's floating-point warnings are off: the mesh, the initial data, each
+# step's state and each diagnostics row are checked by value instead.
+@np.errstate(all="ignore")
 def cmd_run(config_path: str) -> int:
     try:
         cfg = load_config(config_path)
@@ -463,28 +459,19 @@ def cmd_run(config_path: str) -> int:
             writer.writerow(CSV_HEADER.split(","))
 
             def observer(k, t, st, report):
-                rk = heat(t) if heat is not None else None
                 fric = report.friction_power  # computed once per state
                 if fric is None:  # the initial state
                     fric = ph.friction_power(geom, st.a, cfg.phys)
-                sample = dg.sample(geom, st, cfg.gas, cfg.phys, t=t, heat=rk, fric=fric)
+                sample = dg.sample(geom, st, cfg.gas, cfg.phys, t=t, heat=heat, fric=fric)
                 resid = dg.energy_residual(prev_sample[0], sample) if prev_sample[0] else 0.0
                 prev_sample[0] = sample
-                writer.writerow(
-                    [
-                        k,
-                        f"{sample.time:.17g}",
-                        f"{sample.total_mass:.17g}",
-                        f"{sample.total_entropy:.17g}",
-                        f"{sample.total_energy:.17g}",
-                        f"{sample.boundary_heat:.17g}",
-                        f"{sample.heat_source:.17g}",
-                        f"{resid:.17g}",
-                        f"{sample.entropy_production:.17g}",
-                        report.newton_iters,
-                        report.entropy_iters,
-                    ]
-                )
+                row = [k, sample.time, sample.total_mass, sample.total_entropy, sample.total_energy]
+                row += [sample.boundary_heat, sample.heat_source, resid, sample.entropy_production]
+                row += [report.newton_iters, report.entropy_iters]
+                for name, value in zip(CSV_HEADER.split(","), row):
+                    if not math.isfinite(value):
+                        raise it.StateRangeError(f"step {k}: diagnostic '{name}' = {value} is not finite")
+                writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
                 if cfg.snapshot_stride > 0 and k % cfg.snapshot_stride == 0:
                     export_vtk(
                         geom,
@@ -549,7 +536,7 @@ def cmd_mesh_check(path: str) -> int:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read '{path}': {exc}", file=sys.stderr)
         return 1
     try:

@@ -55,8 +55,7 @@ def sample(
 ) -> DiagnosticsSample:
     """Evaluate all scalar diagnostics at one instant.
 
-    ``heat`` is the external heating field R (per unit mass) at time ``t``,
-    or None.  ``fric`` is the state's friction power when the caller has it
+    ``heat`` is the external heating field R (per unit mass), or None.  ``fric`` is the state's friction power when the caller has it
     (the step's :class:`~decflow.integrator.StepReport` carries it), or None
     to compute it here.
     """

@@ -11,11 +11,14 @@ geom.ta_col)`` (:func:`flat_p2`), or as its dense ``(N, N)`` scatter
 
 One-forms and forces on adjacent pairs are evaluated *per pair*, on that
 list, where the geometry stores its lengths and flat/sharp coefficients, by
-NumPy gathers and ``np.bincount``: ``d0``, ``pair_mean``, ``flat_pairs`` and
-``lambda_op`` return one value per pair, and ``total_vorticity`` reads one.
-A dense matrix holding those values is their scatter (:func:`from_pairs`;
-:func:`velocity_matrix` for a vector field).  The fundamental matrix spaces
-are
+NumPy gathers and ``np.bincount``: ``d0``, ``pair_mean``, ``flat_pairs``,
+``lambda_op``, ``sharp`` and the kite Lie derivative return one value per
+pair, ``total_vorticity`` reads one, and ``pairing1`` pairs a momentum on
+the list and the diagonal with a vector field on the list.  Dense
+``(N, N)`` matrices are left to :func:`from_pairs`, :func:`velocity_matrix`
+and :func:`flat` (scatters of those values), :func:`proj_P` and the matrix
+route :func:`lie_deriv_oneform_density`, which the identity suite and the
+tests use as references.  The fundamental matrix spaces are
 
 * ``S``: rows sum to zero (NB: the row convention -- transport matrices act
   on densities through their transpose),
@@ -24,18 +27,19 @@ are
 * ``d0``-compatible: rows/columns touching boundary-adjacent cells vanish
   (no-slip).
 
-Everything here is a plain numpy array; membership is a property of the
-values, checked by :func:`membership_residuals`, not a type tag.
+A vector field on the list lies in S, and has the adjacency support, by
+construction; V and no-slip are properties of its values, checked by
+:func:`membership_residuals`, not a type tag.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .groups import commutator
 from .mesh import MeshGeometry, sum_at
 
 __all__ = [
-    "on_pairs",
     "from_pairs",
     "velocity_matrix",
     "pair_diff",
@@ -57,7 +61,6 @@ __all__ = [
     "total_vorticity",
     "lambda_op",
     "wedge_star",
-    "proj_Q",
     "proj_P",
     "lie_deriv_pairs",
     "lie_deriv_oneform_density",
@@ -78,18 +81,10 @@ class FlatAmbiguityError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def on_pairs(geom: MeshGeometry, x) -> np.ndarray:
-    """Entries ``x_ij`` of a pairwise matrix on the directed adjacency list."""
-    return np.asarray(x, dtype=float)[geom.adj_i, geom.adj_j]
-
-
-def from_pairs(geom: MeshGeometry, xp, out: np.ndarray | None = None) -> np.ndarray:
+def from_pairs(geom: MeshGeometry, xp) -> np.ndarray:
     """The dense ``(N, N)`` matrix holding ``xp`` on the directed adjacency
-    list and zero elsewhere, written into ``out`` when given."""
-    if out is None:
-        out = np.zeros((geom.n, geom.n))
-    else:
-        out.fill(0.0)
+    list and zero elsewhere."""
+    out = np.zeros((geom.n, geom.n))
     out[geom.adj_i, geom.adj_j] = xp
     return out
 
@@ -125,10 +120,13 @@ def pairing0(geom: MeshGeometry, f, g) -> float:
     return float(np.sum(np.asarray(f)[:n] * geom.omega * np.asarray(g)[:n]))
 
 
-def pairing1(geom: MeshGeometry, lmat, bmat) -> float:
-    """Duality pairing of a momentum-like and a velocity-like matrix:
-    ``Tr(L^T Omega B) = sum_ij L_ij Omega_ii B_ij``."""
-    return float(np.sum(lmat * geom.omega[:, None] * bmat))
+def pairing1(geom: MeshGeometry, lp, ld, b) -> float:
+    """Duality pairing ``Tr(L^T Omega B) = sum_ij L_ij Omega_ii B_ij`` of a
+    momentum ``L``, given by its values ``lp`` on the adjacency list and
+    ``ld`` on the diagonal (``0`` for a one-form), and a vector field ``B``
+    on the list, whose support is the list and the implied diagonal."""
+    off = np.sum(lp * geom.omega[geom.adj_i] * b)
+    return float(off + np.sum(ld * geom.omega * geom.diagonal(b)))
 
 
 def d0(geom: MeshGeometry, f) -> np.ndarray:
@@ -183,11 +181,11 @@ def from_fluxes(geom: MeshGeometry, fwd, rev, flux) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def flat(geom: MeshGeometry, a, out: np.ndarray | None = None) -> np.ndarray:
+def flat(geom: MeshGeometry, a) -> np.ndarray:
     """Lower a vector field to a one-form: the dense ``(N, N)`` scatter of
-    :func:`flat_p2`, written into ``out`` when given."""
+    :func:`flat_p2`."""
     vals = flat_p2(geom, a)
-    z = from_pairs(geom, vals[: len(geom.adj_i)], out)
+    z = from_pairs(geom, vals[: len(geom.adj_i)])
     z[geom.ta_row, geom.ta_col] = vals[len(geom.adj_i) :]
     return z
 
@@ -245,9 +243,10 @@ def flat_pairs(geom: MeshGeometry, a) -> np.ndarray:
     return geom.flat_coef * a
 
 
-def sharp(geom: MeshGeometry, z) -> np.ndarray:
-    """Raise a one-form to a vector field, from its adjacent entries."""
-    return geom.sharp_coef * on_pairs(geom, z)
+def sharp(geom: MeshGeometry, zp) -> np.ndarray:
+    """Raise a one-form to a vector field, from its entries ``zp`` on the
+    adjacency list."""
+    return geom.sharp_coef * zp
 
 
 def laplace_beltrami(geom: MeshGeometry, f, env: float | None = None) -> np.ndarray:
@@ -303,13 +302,6 @@ def wedge_star(geom: MeshGeometry, za, zb) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def proj_Q(lmat) -> np.ndarray:
-    """Project onto row-sum-zero matrices along row-constant ones:
-    ``Q(L)_ij = L_ij - L_ii``."""
-    lmat = np.asarray(lmat, dtype=float)
-    return lmat - np.diagonal(lmat)[:, None]
-
-
 def proj_P(lmat) -> np.ndarray:
     """Project onto antisymmetric row-sum-zero matrices:
     ``P(L)_ij = (L_ij - L_ji - L_ii + L_jj)/2``."""
@@ -329,16 +321,18 @@ def lie_deriv_pairs(geom: MeshGeometry, a, zp) -> np.ndarray:
 
 
 def lie_deriv_oneform_density(geom: MeshGeometry, a, lmat) -> np.ndarray:
-    """Lie derivative of a one-form density: ``P(Omega^-1 [A^T, Omega L])``,
-    for a dense ``A`` (:func:`velocity_matrix`)."""
-    a = np.asarray(a, dtype=float)
+    """Lie derivative of a one-form density: ``P(Omega^-1 [A^T, Omega L])``
+    for ``A`` on the adjacency list and a dense ``L``.  The bracket is
+    :func:`decflow.groups.commutator` with the CSR form of ``-A^T``, loaded
+    into ``geom.adjacency_csr``: two sparse-times-dense products."""
     wl = geom.omega[:, None] * np.asarray(lmat, dtype=float)
-    return proj_P((a.T @ wl - wl @ a.T) / geom.omega[:, None])
+    minus_at = geom.adjacency_csr.load(a, -1.0).T
+    return proj_P(commutator(wl, minus_at) / geom.omega[:, None])
 
 
 def lie_deriv_oneform_density_kite(geom: MeshGeometry, a, b, d) -> np.ndarray:
-    """Adjacent entries of the Lie derivative of ``L_ij = D_i (B^flat)_ij``
-    along ``A``, assembled from kite geometry instead of matrix products.
+    """Lie derivative of ``L_ij = D_i (B^flat)_ij`` along ``A`` on the
+    adjacency list, assembled from kite geometry instead of matrix products.
 
     For each adjacent pair ``(i, j)`` with shared-edge endpoints ``e+``/``e-``
     and ``i+``/``j+`` the fan neighbors of ``i``/``j`` at ``e+`` other than
@@ -366,15 +360,16 @@ def lie_deriv_oneform_density_kite(geom: MeshGeometry, a, b, d) -> np.ndarray:
     # end of an open fan is the middle of no triplet, so it adds nothing.
     m, x, v = geom.tri_i, geom.tri_j, geom.tri_k
     w = geom.tri_kconst * om[geom.tri_node] * pair_mean(d, x, v)
-    a_mx, a_mv = a[geom.pair_index(m, x)], a[geom.pair_index(m, v)]
-    out = np.zeros((geom.n, geom.n))
-    np.add.at(out, (m, x), w * a_mv)
-    np.add.at(out, (v, m), w * a_mx)
-    np.add.at(out, (m, v), -w * a_mx)
-    np.add.at(out, (x, m), -w * a_mv)
+    mx, mv = geom.pair_index(m, x), geom.pair_index(m, v)
+    a_mx, a_mv = a[mx], a[mv]
+    out = np.zeros(len(a))
+    np.add.at(out, mx, w * a_mv)
+    np.add.at(out, geom.pair_index(v, m), w * a_mx)
+    np.add.at(out, mv, -w * a_mx)
+    np.add.at(out, geom.pair_index(x, m), -w * a_mv)
     i, j = geom.adj_i, geom.adj_j
     dabar = pair_mean(act_den(geom, d, a), i, j)
-    out[i, j] += pair_mean(d, i, j) * (rowdot[i] - rowdot[j]) + dabar * zb
+    out += pair_mean(d, i, j) * (rowdot[i] - rowdot[j]) + dabar * zb
     return out
 
 
@@ -429,16 +424,16 @@ def reconstruct_velocity(geom: MeshGeometry, a) -> np.ndarray:
 
 
 def membership_residuals(geom: MeshGeometry, a) -> dict:
-    """How far a dense matrix is from each structural subspace (sup norms)."""
-    a = np.asarray(a, dtype=float)
-    weighted = geom.omega[:, None] * a
-    off = ~np.eye(geom.n, dtype=bool)
-    support = off & (from_pairs(geom, 1.0) == 0.0)
+    """How far a vector field on the adjacency list is from V and from the
+    no-slip subspace (sup norms): ``Omega_ii A_ij + Omega_jj A_ji`` on the
+    list, and the entries of rows and columns of boundary-adjacent cells,
+    their implied diagonal included.  S and the support hold by
+    construction there."""
+    i, j = geom.adj_i, geom.adj_j
+    weighted = geom.omega[i] * a
     bc = geom.mesh.boundary_cells
-    d0_rows = bc[:, None] | bc[None, :]
+    touching = np.concatenate([a[bc[i] | bc[j]], geom.diagonal(a)[bc]])
     return {
-        "S": float(np.max(np.abs(a.sum(axis=1)))),
-        "V": float(np.max(np.abs((weighted + weighted.T)[off]))),
-        "support": float(np.max(np.abs(a[support]))) if support.any() else 0.0,
-        "no_slip": float(np.max(np.abs(np.where(d0_rows, a, 0.0)))),
+        "V": float(np.max(np.abs(weighted + weighted[geom.pair_index(j, i)]), initial=0.0)),
+        "no_slip": float(np.max(np.abs(touching), initial=0.0)),
     }

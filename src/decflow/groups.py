@@ -224,11 +224,13 @@ def tau_action(xi, kind: str = "exponential"):
 def norm_bound(x) -> float:
     """``sqrt(|x|_1 |x|_inf)``, an upper bound on the spectral norm
     ``|x|_2`` that costs two absolute sums over the stored entries of a
-    CSR ``x`` instead of an SVD."""
+    CSR ``x`` instead of an SVD.  It is ``inf`` once the product of the two
+    norms overflows."""
     ax = np.abs(x.data)
     cols_sum = np.bincount(x.indices, ax, minlength=x.shape[1])
     rows_sum = np.bincount(_rows(x), ax, minlength=x.shape[0])
-    return float(np.sqrt(cols_sum.max() * rows_sum.max()))
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(cols_sum.max() * rows_sum.max()))
 
 
 def _series_guard(xi) -> None:

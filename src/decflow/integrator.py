@@ -277,7 +277,7 @@ class SampledBracket:
         entry = np.concatenate([k1, k2 + len(ei)])
         eta_at = np.concatenate([geom.p2_index(ei[k1], csr.cols[s1]), geom.p2_index(csr.cols[s2], ej[k2])])
         on_p2 = eta_at >= 0
-        self.p2_rows = np.concatenate([geom.adj_i, geom.ta_row])
+        self._p2_size = len(geom.adj_i) + len(geom.ta_row)
         self._xi_at = np.concatenate([csr.take[s1], csr.take_t[s2]])[on_p2]
         self._eta_at = eta_at[on_p2]
         self._indptr = np.searchsorted(entry[on_p2], np.arange(2 * len(ei) + 1))
@@ -289,8 +289,8 @@ class SampledBracket:
         """The ``(4, fluxes)`` entries of ``[eta, xi^T]``, from ``eta`` on P2
         and ``xi`` as its values on ``[pairs, diagonal]``.  The kernel
         trusts the length of ``eta``, so it is checked here."""
-        if eta.shape != self.p2_rows.shape:
-            raise ValueError(f"eta has {eta.shape} values, P2 has {len(self.p2_rows)}")
+        if eta.shape != (self._p2_size,):
+            raise ValueError(f"eta has {eta.shape} values, P2 has {self._p2_size}")
         np.take(xi, self._xi_at, out=self._data)
         self._sums.fill(0.0)
         _sparsetools.csr_matvec(
@@ -395,7 +395,8 @@ class VariationalStepper:
     stepped from: fed its own output, the next step takes the old side
     from them and starts Newton from the extrapolated fluxes.  A cold start
     uses the initial state for the missing previous step.  Only a step that
-    returns changes this state.
+    returns changes this state.  ``heat_source`` is the per-cell heating
+    rate ``R``, constant in time, or None for no heating.
     """
 
     def __init__(
@@ -422,6 +423,7 @@ class VariationalStepper:
         self.entropy_max = entropy_max
         self.heat_source = heat_source
         self.layout = FluxLayout.build(geom)
+        self._p2 = np.concatenate([geom.adj_i, geom.ta_row]), np.concatenate([geom.adj_j, geom.ta_col])  # P2 pairs
         self._work = gr.SeriesWork(geom.n)  # every residual's series runs here
         self._lu = None
         self._fresh_iters = None  # Newton iterations of the first step on _lu
@@ -435,10 +437,13 @@ class VariationalStepper:
     def _transport_term(self, a, d, sign=1.0):
         """``(1/h) P((dtau_inv_{sign*h*A})^* (D A^flat))`` on the layout,
         with the adjoint's division by ``Omega`` applied to the entries that
-        ``P`` reads.  The full series runs on the dense ``D A^flat`` in the
-        work arrays, with ``sign*h*A`` in CSR form."""
-        lmat = fd.flat(self.geom, a, out=self._work.operand)
-        lmat *= d[:, None]
+        ``P`` reads.  The full series runs on the dense ``D A^flat``, written
+        from P2 into the work arrays' operand, with ``sign*h*A`` in CSR
+        form."""
+        rows, cols = self._p2
+        lmat = self._work.operand
+        lmat.fill(0.0)
+        lmat[rows, cols] = fd.flat_p2(self.geom, a) * d[rows]
         xi = self.geom.adjacency_csr.load(a, sign * self.h)
         star = gr.dtau_inv_star(self.geom.omega, xi, lmat, self.kind, divide=False, work=self._work)
         return self.layout.pick_P(star, self.geom.omega) / self.h
@@ -461,7 +466,7 @@ class VariationalStepper:
     def _eta_and_bracket(self, a, d):
         """``eta = Omega D A^flat`` on P2 and ``[eta, xi^T]`` at the four
         entries per flux, with ``xi = h A``."""
-        geom, rows = self.geom, self._sampled.p2_rows
+        geom, rows = self.geom, self._p2[0]
         eta = fd.flat_p2(geom, a)
         eta *= d[rows]
         eta *= geom.omega[rows]
@@ -563,14 +568,14 @@ class VariationalStepper:
 
     # -- entropy -----------------------------------------------------------
 
-    def _solve_entropy(self, a_new, back, d_old, s_old, d_new, theta_old, fric, heat):
+    def _solve_entropy(self, a_new, back, d_old, s_old, d_new, theta_old, fric):
         """Fixed point for ``S^{k+1}`` (before boundary enforcement);
         ``back`` is the step's action of ``tau(-h A^k)``."""
         geom, phys, gas, h = self.geom, self.phys, self.gas, self.h
         fwd = gr.tau_action(geom.adjacency_csr.load(a_new, h), self.kind)
         rhs_const = h * fric - h * ph.conduction(geom, theta_old, phys)[1]
-        if heat is not None:
-            rhs_const = rhs_const + h * d_old * heat
+        if self.heat_source is not None:
+            rhs_const = rhs_const + h * d_old * self.heat_source
         rhs_const = s_old + rhs_const / theta_old
 
         s = s_old.copy()
@@ -597,7 +602,7 @@ class VariationalStepper:
 
     # -- full step ----------------------------------------------------------
 
-    def step(self, state: ph.FluidState, t: float = 0.0):
+    def step(self, state: ph.FluidState):
         """One step: the incoming state carries the previous velocity and the
         current density/entropy; returns ``(new_state, StepReport)``.
 
@@ -613,12 +618,12 @@ class VariationalStepper:
         """
         saved = self._lu, self._fresh_iters
         try:
-            return self._advance(state, t)
+            return self._advance(state)
         except Exception:
             self._lu, self._fresh_iters = saved
             raise
 
-    def _advance(self, state, t):
+    def _advance(self, state):
         geom, gas, phys, h = self.geom, self.gas, self.phys, self.h
         d_prev = state.d if self._d_prev is None else self._d_prev
         flux_in = self.layout.from_matrix(state.a)
@@ -648,11 +653,8 @@ class VariationalStepper:
 
         theta_old = ph.temperature(state.d, state.s, gas)
         fric = report.friction_power = ph.friction_power(geom, a_new, phys)
-        heat = self.heat_source(t) if self.heat_source is not None else None
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            s_new, report.entropy_iters = self._solve_entropy(
-                a_new, back, state.d, state.s, d_new, theta_old, fric, heat
-            )
+            s_new, report.entropy_iters = self._solve_entropy(a_new, back, state.d, state.s, d_new, theta_old, fric)
             if not phys.insulated:
                 bc = geom.mesh.boundary_cells
                 s_new[bc] = ph.entropy_from_temperature(d_new[bc], phys.theta_env, gas)
@@ -678,7 +680,7 @@ class VariationalStepper:
             observer(0, t, state, StepReport())
         for k in range(1, steps + 1):
             try:
-                state, report = self.step(state, t)
+                state, report = self.step(state)
             except IntegratorError as exc:
                 raise type(exc)(f"step {k}: {exc}") from exc
             t = k * self.h

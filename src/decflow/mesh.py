@@ -145,6 +145,10 @@ def _build_mesh(nodes: np.ndarray, cells: np.ndarray) -> Mesh:
     unbounded = np.flatnonzero(~np.isfinite(nodes).all(axis=1))
     if unbounded.size:
         raise MeshError(f"node {unbounded[0]} has a non-finite coordinate")
+    # the kite weights square dual areas, fourth powers of lengths: past 1e77 they overflow
+    huge = np.flatnonzero((np.abs(nodes) > 1e75).any(axis=1))
+    if huge.size:
+        raise MeshError(f"node {huge[0]} has a coordinate beyond 1e75 in magnitude")
     if cells.min() < 0 or cells.max() >= len(nodes):
         raise MeshError("cell references a node index out of range")
     repeats = np.flatnonzero((cells == np.roll(cells, 1, axis=1)).any(axis=1))

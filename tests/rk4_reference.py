@@ -29,7 +29,7 @@ def semi_discrete_rhs(geom, state, gas, phys, layout, heat=None):
     flux layout."""
     a, d, s = state.a, state.d, state.s
     z = fd.flat(geom, a)
-    lie = fd.lie_deriv_oneform_density(geom, fd.velocity_matrix(geom, a), d[:, None] * z)
+    lie = fd.lie_deriv_oneform_density(geom, a, d[:, None] * z)
     lie = lie[layout.rows, layout.cols]
     visc = ph.viscous_force(geom, a, phys)[layout.pos]
     mdot = -lie - _gradient_forces(geom, layout, a, d, s, gas) + visc
@@ -54,29 +54,29 @@ def momentum_vector(geom, layout, a, d):
 
 def _state_from_momentum(geom, layout, mvec, d, s):
     dbar = fd.pair_mean(d, layout.rows, layout.cols)
-    z = np.zeros((geom.n, geom.n))
-    z[layout.rows, layout.cols] = mvec / dbar
-    z[layout.cols, layout.rows] = -mvec / dbar
-    return ph.FluidState(fd.sharp(geom, z), d, s)
+    zp = np.zeros(len(geom.adj_i))
+    zp[layout.pos] = mvec / dbar
+    zp[layout.rev] = -mvec / dbar
+    return ph.FluidState(fd.sharp(geom, zp), d, s)
 
 
-def rk4_step(geom, state, h, gas, phys, layout=None, heat_source=None, t=0.0):
+def rk4_step(geom, state, h, gas, phys, layout=None, heat_source=None):
     """Classical RK4 on ``(m, D, S)`` with the velocity reassembled from the
-    momentum one-form at every stage (``A^flat_ij = m_ij / Dbar_ij``)."""
+    momentum one-form at every stage (``A^flat_ij = m_ij / Dbar_ij``);
+    ``heat_source`` is the per-cell heating rate, constant in time, or None."""
     if layout is None:
         layout = FluxLayout.build(geom)
     m0 = momentum_vector(geom, layout, state.a, state.d)
     d0_, s0 = state.d, state.s
 
-    def rhs(mvec, d, s, tt):
+    def rhs(mvec, d, s):
         st = _state_from_momentum(geom, layout, mvec, d, s)
-        heat = heat_source(tt) if heat_source is not None else None
-        return semi_discrete_rhs(geom, st, gas, phys, layout, heat)
+        return semi_discrete_rhs(geom, st, gas, phys, layout, heat_source)
 
-    k1 = rhs(m0, d0_, s0, t)
-    k2 = rhs(m0 + 0.5 * h * k1[0], d0_ + 0.5 * h * k1[1], s0 + 0.5 * h * k1[2], t + 0.5 * h)
-    k3 = rhs(m0 + 0.5 * h * k2[0], d0_ + 0.5 * h * k2[1], s0 + 0.5 * h * k2[2], t + 0.5 * h)
-    k4 = rhs(m0 + h * k3[0], d0_ + h * k3[1], s0 + h * k3[2], t + h)
+    k1 = rhs(m0, d0_, s0)
+    k2 = rhs(m0 + 0.5 * h * k1[0], d0_ + 0.5 * h * k1[1], s0 + 0.5 * h * k1[2])
+    k3 = rhs(m0 + 0.5 * h * k2[0], d0_ + 0.5 * h * k2[1], s0 + 0.5 * h * k2[2])
+    k4 = rhs(m0 + h * k3[0], d0_ + h * k3[1], s0 + h * k3[2])
 
     mvec = m0 + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
     d = d0_ + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])

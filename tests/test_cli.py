@@ -199,6 +199,34 @@ def test_build_geometry_reports_mesh_file_problems(tmp_path):
         cli.build_geometry(cfg)
 
 
+def test_run_reports_a_config_that_is_not_utf8(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(MINIMAL.encode() + b"# \xff\n")
+    assert cli.main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config file '{cfg}': 'utf-8' codec can't decode byte 0xff")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_a_mesh_file_that_is_not_utf8_is_reported_in_one_line(tmp_path, capsys):
+    mesh_file = tmp_path / "mesh.txt"
+    mesh_file.write_bytes(b"3 1\n0 0\n1 0\n0.5 0.8\n0 1 2 \xfe\n")
+    assert cli.main(["mesh", "check", str(mesh_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read '{mesh_file}': 'utf-8' codec can't decode byte 0xfe")
+    assert len(err.strip().splitlines()) == 1
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"mesh.file = {mesh_file}\nrun.h = 1e-3\nrun.steps = 3\n"
+        f"initial.preset = rest\noutput.directory = {tmp_path / 'out'}\n"
+    )
+    assert cli.main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config key 'mesh.file': cannot read '{mesh_file}': 'utf-8' codec")
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "nx, ny, lx, issue",
     [
@@ -255,10 +283,9 @@ def test_hot_spot_peaks_at_the_center(gen65):
 @pytest.mark.parametrize("name", ["shear", "taylor-like"])
 def test_velocity_presets_live_in_the_constraint_space(gen65, name):
     state = cli.initial_condition_presets(name, {}, gen65, ph.GasParams())
-    res = fd.membership_residuals(gen65, fd.velocity_matrix(gen65, state.a))
-    assert res["S"] < 1e-12
+    assert state.a.shape == gen65.adj_i.shape  # S and the support by construction
+    res = fd.membership_residuals(gen65, state.a)
     assert res["V"] < 1e-12
-    assert res["support"] == 0.0
     assert res["no_slip"] == 0.0
     assert np.abs(state.a).max() > 0
 
@@ -284,11 +311,10 @@ def test_heat_presets(small43):
 
     cfg = cli.parse_config(MINIMAL + "heat.preset = constant\nheat.rate = 0.7\n")
     heat = cli.heat_source_from_config(cfg, small43)
-    np.testing.assert_array_equal(heat(0.0), np.full(small43.n, 0.7))
-    np.testing.assert_array_equal(heat(3.0), heat(0.0))
+    np.testing.assert_array_equal(heat, np.full(small43.n, 0.7))
 
     cfg = cli.parse_config(MINIMAL + "heat.preset = gaussian\nheat.amplitude = 2\n")
-    r = cli.heat_source_from_config(cfg, small43)(0.0)
+    r = cli.heat_source_from_config(cfg, small43)
     assert r.max() <= 2.0 and r.min() >= 0.0
     centers = cli._cell_centers(small43.mesh)
     r2 = (centers[:, 0] - 0.5) ** 2 + (centers[:, 1] - 0.5) ** 2
@@ -542,6 +568,42 @@ def test_a_huge_series_argument_prints_in_exponent_form(tmp_path, capsys):
         "run failed: step 1: tangent-map series needs |xi| < 1, got 9.552e+131; "
         "reduce the time step (config key 'run.h' = 0.001)"
     )
+
+
+def test_a_series_argument_past_the_float_range_warns_nothing(tmp_path, capsys):
+    # gas.K = 1e300 makes |xi|_1 |xi|_inf overflow at step 2; the norm
+    # bound is then inf, which the guard reports, without a warning.
+    cfg = tmp_path / "stiff.cfg"
+    cfg.write_text(
+        MINIMAL.replace("mesh.nx = 4", "mesh.nx = 6").replace("mesh.ny = 3", "mesh.ny = 5")
+        .replace("initial.preset = rest", "initial.preset = taylor-like\ngas.K = 1e300")
+        + f"output.directory = {tmp_path / 'out'}\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", str(cfg)]) == 3
+    assert capsys.readouterr().err == (
+        "run failed: step 2: tangent-map series argument is not finite; "
+        "reduce the time step (config key 'run.h' = 0.001)\n"
+    )
+
+
+def test_run_reports_a_diagnostic_that_is_not_finite(tmp_path, capsys):
+    # With c_v = 1e300 the boundary temperature condition raises the energy
+    # by about 7e299 in a step of 1e-300, so the energy residual overflows.
+    cfg = tmp_path / "hot.cfg"
+    cfg.write_text(
+        MINIMAL.replace("run.h = 1e-3", "run.h = 1e-300").replace("run.steps = 5", "run.steps = 2")
+        + f"gas.c_v = 1e300\noutput.directory = {tmp_path / 'out'}\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", str(cfg)]) == 3
+    assert capsys.readouterr().err == (
+        "run failed: step 1: diagnostic 'energy_residual' = inf is not finite (config key 'run.h' = 1e-300)\n"
+    )
+    rows = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+    assert len(rows) == 2  # the header and step 0
 
 
 def test_run_reports_a_nonpositive_density(tmp_path, capsys):

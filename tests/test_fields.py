@@ -31,12 +31,10 @@ def test_pairing0_is_area_weighted(rhombus):
 
 
 def test_pairing1_single_entry(rhombus):
-    z = np.zeros((2, 2))
-    b = np.zeros((2, 2))
-    z[0, 1], b[0, 1] = 3.0, 5.0
-    assert fd.pairing1(rhombus, z, b) == pytest.approx(
-        rhombus.omega[0] * 15.0, rel=1e-14
-    )
+    # L_01 = 3 and L_00 = 2 against B_01 = 5, whose implied B_00 is -5.
+    lp, ld, b = np.array([3.0, 0.0]), np.array([2.0, 0.0]), np.array([5.0, 0.0])
+    assert fd.pairing1(rhombus, lp, 0.0, b) == pytest.approx(rhombus.omega[0] * 15.0, rel=1e-14)
+    assert fd.pairing1(rhombus, lp, ld, b) == pytest.approx(rhombus.omega[0] * 5.0, rel=1e-14)
 
 
 def test_d0_is_pair_difference(rhombus):
@@ -127,7 +125,7 @@ def test_flat_two_away_extends_adjacent_entries(jittered, rng):
 
 def test_sharp_inverts_flat(jittered, rng):
     a = vf.random_tangent(jittered, rng, velocity_scale=True)
-    back = fd.sharp(jittered, fd.flat(jittered, a))
+    back = fd.sharp(jittered, fd.flat_p2(jittered, a)[: len(a)])
     np.testing.assert_allclose(back, a, atol=1e-13)
 
 
@@ -138,7 +136,7 @@ def test_lambda_ignores_two_away_entries(jittered, rng):
     a = vf.random_tangent(jittered, rng)
     z_full = fd.flat(jittered, a)
     np.testing.assert_array_equal(
-        fd.lambda_op(jittered, fd.on_pairs(jittered, z_full)),
+        fd.lambda_op(jittered, z_full[jittered.adj_i, jittered.adj_j]),
         fd.lambda_op(jittered, fd.flat_pairs(jittered, a)),
     )
 
@@ -212,7 +210,7 @@ def test_total_vorticity_frozen_ring(gen65):
         j = ring[(t + 1) % len(ring)]
         z[i, j] = float(t + 1)
         expected += float(t + 1)
-    assert fd.total_vorticity(gen65, fd.on_pairs(gen65, z))[8] == pytest.approx(expected, rel=1e-15)
+    assert fd.total_vorticity(gen65, z[gen65.adj_i, gen65.adj_j])[8] == pytest.approx(expected, rel=1e-15)
 
 
 def test_gradients_have_no_interior_vorticity(jittered, rng):
@@ -238,10 +236,8 @@ def test_wedge_star_is_symmetric(jittered, rng):
 
 def test_projections_are_idempotent(rng):
     lmat = rng.normal(size=(6, 6))
-    q = fd.proj_Q(lmat)
+    q = lmat - np.diagonal(lmat)[:, None]  # the row-sum-zero projection
     p = fd.proj_P(lmat)
-    assert (np.diagonal(q) == 0).all()
-    np.testing.assert_allclose(fd.proj_Q(q), q, atol=0)
     np.testing.assert_allclose(fd.proj_P(p), p, atol=1e-15)
     np.testing.assert_allclose(p, -p.T, atol=1e-15)
     # The antisymmetrizer factors through the row-sum-zero projection.
@@ -291,10 +287,11 @@ def test_lie_derivative_on_pairs_is_the_dense_one(mesh, request, rng):
     geom = request.getfixturevalue(mesh)
     a = vf.random_tangent(geom, rng)
     z = flat_adjacent(geom, a)
-    got = fd.lie_deriv_pairs(geom, a, fd.on_pairs(geom, z))
+    i, j = geom.adj_i, geom.adj_j
+    got = fd.lie_deriv_pairs(geom, a, z[i, j])
     dense = fd.velocity_matrix(geom, a)
     for ref in (lie_deriv_oneform(dense, z), lie_deriv_oneform_cartan(dense, z)):
-        ref = fd.on_pairs(geom, ref)
+        ref = ref[i, j]
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -314,11 +311,10 @@ def test_momentum_transport_routes_agree(jittered, rng):
     b = vf.random_tangent(jittered, rng)
     d = vf.random_density(jittered, rng)
     lmat = d[:, None] * fd.flat(jittered, b)
-    direct = fd.lie_deriv_oneform_density(jittered, fd.velocity_matrix(jittered, a), lmat)
+    direct = fd.lie_deriv_oneform_density(jittered, a, lmat)[jittered.adj_i, jittered.adj_j]
     kite = fd.lie_deriv_oneform_density_kite(jittered, a, b, d)
-    diff = np.where(adjacent(jittered), direct - kite, 0.0)
-    scale = np.abs(np.where(adjacent(jittered), direct, 0.0)).max()
-    assert np.abs(diff).max() <= 1e-12 * scale
+    assert kite.shape == jittered.adj_i.shape
+    assert np.abs(direct - kite).max() <= 1e-12 * np.abs(direct).max()
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +370,8 @@ def reconstruct_velocity_loop(geom, a):
 def test_velocity_transfer_equals_the_per_cell_loops(jittered65, no_slip):
     u = lambda p: np.array([np.sin(3.0 * p[1]) + 0.3, np.cos(2.0 * p[0]) * p[1]])
     a = fd.init_from_velocity(jittered65, u, no_slip=no_slip)
-    np.testing.assert_array_equal(a, fd.on_pairs(jittered65, init_from_velocity_loop(jittered65, u, no_slip)))
+    loop = init_from_velocity_loop(jittered65, u, no_slip)
+    np.testing.assert_array_equal(a, loop[jittered65.adj_i, jittered65.adj_j])
     # Same summation order per cell, so the VTK velocity is byte-identical.
     got = fd.reconstruct_velocity(jittered65, a)
     ref = reconstruct_velocity_loop(jittered65, fd.velocity_matrix(jittered65, a))
@@ -385,18 +382,15 @@ def test_velocity_transfer_equals_the_per_cell_loops(jittered65, no_slip):
 def test_init_from_velocity_membership(jittered):
     u = lambda p: np.array([np.sin(p[1]), np.cos(p[0])])
     free = fd.init_from_velocity(jittered, u, no_slip=False)
-    # S holds by construction: one value per directed pair, the diagonal
-    # implied by the zero row sums.  The dense matrix re-sums its rows in
-    # another order, so its S residual is round-off.
+    # S and the support hold by construction: one value per directed pair,
+    # the diagonal implied by the zero row sums.
     assert free.shape == jittered.adj_i.shape
-    res = fd.membership_residuals(jittered, fd.velocity_matrix(jittered, free))
-    assert res["S"] < 1e-14
+    res = fd.membership_residuals(jittered, free)
     assert res["V"] < 1e-14
-    assert res["support"] == 0.0
     assert res["no_slip"] > 1e-3
 
     clamped = fd.init_from_velocity(jittered, u, no_slip=True)
-    assert fd.membership_residuals(jittered, fd.velocity_matrix(jittered, clamped))["no_slip"] == 0.0
+    assert fd.membership_residuals(jittered, clamped)["no_slip"] == 0.0
 
 
 def test_boundary_div_reads_environment_column():

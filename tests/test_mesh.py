@@ -237,6 +237,7 @@ def test_right_triangle_pair_has_degenerate_dual_edge():
         (GOOD.replace("\n1 0\n", "\nnan 0\n"), "node 1 has a non-finite coordinate"),
         (GOOD.replace("\n1 0\n", "\n1 inf\n"), "node 1 has a non-finite coordinate"),
         (GOOD.replace("\n0 0\n", "\n-inf 0\n"), "node 0 has a non-finite coordinate"),
+        (GOOD.replace("\n0.5 -0.9\n", "\n0.5 -2e75\n"), "node 3 has a coordinate beyond 1e75 in magnitude"),
         ("3 2\n0 0\n1 0\n0.4 0.9\n0 1 2\n0 1 2\n", "cell 1 repeats cell 0"),
         ("3 2\n0 0\n1 0\n0.4 0.9\n0 1 2\n2 1 0\n", "cell 1 repeats cell 0"),
         (  # reported before the mesh is found not to be edge-connected

@@ -113,7 +113,7 @@ def dense_friction_power(geom, a, phys):
     y = -(a @ z + z @ a.T) - 0.5 * dense_d0(geom, dense_kinetic(geom, a))
     nabla = fd.from_pairs(geom, geom.sharp_coef) * y * adjacent(geom)
     div_nabla = -2.0 * nabla.sum(axis=1)
-    two_away = fd.flat(geom, fd.on_pairs(geom, a))
+    two_away = fd.flat(geom, a[geom.adj_i, geom.adj_j])
     return (
         phys.mu_tilde * diva * diva
         + phys.mu * dense_wedge_star(geom, two_away, two_away)
