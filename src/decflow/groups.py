@@ -99,8 +99,8 @@ class SeriesWork:
     transposed operand of a commutator.  A caller that evaluates many series
     on one mesh keeps one and passes it as ``work=``.  ``terms`` counts the
     ``ad`` terms that :func:`dtau_inv` has computed in it.  The integrator's
-    full residuals run here; its first-order residuals and its carried old
-    side read four entries per flux and leave these arrays alone."""
+    full series run here; its first-order residuals and its old side's
+    bracket read four entries per flux and leave these arrays alone."""
 
     def __init__(self, n: int):
         self.operand, self.term, self.next, self.total, self.scratch, self.transposed = (

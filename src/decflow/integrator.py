@@ -8,35 +8,27 @@ O(h^2).
 
 The variational step solves, in order:
 
-1. the discrete momentum balance for the new velocity ``A^k`` (Newton on
-   fluxes, with LU reuse across iterations and steps until a step needs
-   more than twice the iterations of the first step solved wholly on the
-   LU; the Newton matrix is a finite-difference Jacobian of the residual
-   cut after series order 1, see below).  Each residual applies the
-   adjoint tangent series :func:`decflow.groups.dtau_inv_star` at ``+h A``
-   in the CSR form of :class:`decflow.mesh.AdjacencyCSR`, whose ``.data``
-   it refreshes without building a sparse array, and reads four entries
-   per flux of the result (:meth:`FluxLayout.pick_P`).  The old-side
-   term, the same series at ``-h A^{k-1}`` with ``D^{k-1}``, is fixed
-   within a step.  When the incoming velocity is the one the stepper last
-   returned, it is the previous step's converged transport at
-   ``+h A^{k-1}`` plus ``(1/h) P([eta, xi^T])``: for both group maps
-   ``dtau_inv_{-xi}(eta) - dtau_inv_{xi}(eta) = [eta, xi]`` (only the
-   exponential's ``B_1`` term is odd in ``xi``), so it costs one bracket at
-   four entries per flux (:class:`SampledBracket`), not a series.  Newton
-   then starts from the extrapolated fluxes ``2 f_{k-1} - f_{k-2}``, a
-   second-order predictor, instead of ``f_{k-1}``; any other incoming
-   state gets the series and ``f_{k-1}``.
-   The pressure/temperature gradient and the
-   viscous force are evaluated on the flux pairs only, from cell values and
-   from the per-pair kernels of :mod:`decflow.physics`.  ``A`` is held on
-   the adjacency list; only the full series is dense: its operand (the
-   flat, scattered from P2, and the momentum ``D A^flat``) and every term
-   live in one :class:`decflow.groups.SeriesWork` that the stepper owns.
-   Each term runs SciPy's sparse-times-dense kernel into those arrays, and
-   a result there is valid until the next residual, so a warm full
-   residual allocates no ``(N, N)`` array.  A first-order residual and the
-   carried old side use no ``(N, N)`` array at all (see below),
+1. the discrete momentum balance for the new velocity ``A^k``, by Newton on
+   the fluxes (:meth:`VariationalStepper._solve_momentum`).  Each residual
+   applies the adjoint tangent series :func:`decflow.groups.dtau_inv_star`
+   at ``+h A`` in the CSR form of :class:`decflow.mesh.AdjacencyCSR`, whose
+   ``.data`` it refreshes without building a sparse array, and reads four
+   entries per flux of the result (:meth:`FluxLayout.pick_P`).  The
+   old-side term, the same transport at ``-h A^{k-1}`` with ``D^{k-1}``, is
+   fixed within a step (:meth:`VariationalStepper._old_side`).  The
+   pressure/temperature gradient and the viscous force are evaluated on the
+   flux pairs only, from cell values and from the per-pair kernels of
+   :mod:`decflow.physics`.  ``A`` is held on the adjacency list; only the
+   full series is dense: its operand (the flat, scattered from P2, and the
+   momentum ``D A^flat``) and every term live in one
+   :class:`decflow.groups.SeriesWork` that the stepper owns.  Each term runs
+   SciPy's sparse-times-dense kernel into those arrays, and a result there
+   is valid until the next residual, so a warm full residual allocates no
+   ``(N, N)`` array.  Newton's matrix is the colored finite-difference
+   Jacobian of the residual cut after series order 1
+   (:meth:`VariationalStepper._jacobian`), whose residuals use no
+   ``(N, N)`` array; it is a dense ``(F, F)`` array factored by
+   ``lu_factor``,
 2. exact density transport ``D^{k+1} = D^k bullet tau(-h A^k)``.  The
    group element is never formed: :func:`decflow.groups.tau_action` applies
    ``tau(-h A^k)^T`` to ``Omega D^k`` as a Taylor series of products with
@@ -58,64 +50,6 @@ group map is out of range, :class:`StateRangeError` when the transported
 density is not positive, the entropy update is not finite, the temperature
 after the entropy update and the boundary condition is not finite and
 positive, or the momentum residual or Newton update is not finite.
-
-Colored Jacobian
-----------------
-Newton's matrix is the Jacobian of the momentum residual with the
-``dtau_inv`` series cut after order 1, where the transport is
-``eta - [eta, xi^T]/2`` with ``eta = Omega D A^flat`` and ``xi = h A``, the
-same for the exponential and the Cayley map.  The residual that Newton
-drives below ``newton_tol`` keeps the whole series, so the cut changes the
-rate of convergence, not the solution: the later orders add ``O(|hA|^2)``
-relative to the matrix (a chord method, Kelley 1995, ch. 5).
-
-A first-order residual reads only what ``P`` needs: ``eta`` on P2 (the
-adjacent and two-away pairs, :func:`decflow.fields.flat_p2`), ``xi`` on the
-diagonal and the adjacent pairs, and ``[eta, xi^T]`` at the four entries
-``(r, c)``, ``(c, r)``, ``(r, r)``, ``(c, c)`` of each flux, from index
-triples fixed at the first use (:class:`SampledBracket`).  Its cost is
-``O(nnz)``, and its sums are those of the dense commutator, term for term.
-The Jacobian itself is still a dense ``(F, F)`` array factored by
-``lu_factor``.
-
-The matrix is built at the first Newton iteration of the first step and
-factored once; later iterations and steps reuse the LU.  It is rebuilt
-within a step when an iteration reduces the residual by less than half (at
-most 3 builds per step), and between steps by a Shamanskii-like refresh
-(Kelley 1995, ch. 5): the stepper keeps the Newton iterations of the first
-step solved wholly on the current LU (the *fresh count*, the step after
-the one that built it), and once a later step that made no build needs
-more than ``2 max(fresh count, 1)`` iterations, it drops the LU, so that
-the next step builds at its first iteration.
-
-State carried across steps: the fresh count, the LU, the old-side
-transport and the previous fluxes (with the last returned velocity, which
-decides whether they apply), and the density one step back.  Only a step
-that returns changes them; one that raises leaves them as they were.  A
-run resumed from a checkpoint must restore all of them to repeat the
-uninterrupted run.
-
-The Jacobian is a central difference with the step ``1e-7 max(|f_p|, 1)``
-per flux ``p``, but columns are perturbed together (Curtis, Powell & Reid
-1974).  With ``C`` the incidence of the fluxes to their two cells and ``E``
-that to the two ends of their shared edges, row ``q = (i, j)`` of the
-first-order residual reads exactly the fluxes of
-``near = pattern(C C^T + E E^T)`` (:func:`_stencil`):
-
-* ``C C^T``, the fluxes of cells ``i`` and ``j``: the adjacent flat entries
-  and ``A_ii``, ``A_jj``, the kinetic density under ``d0`` in the gradient
-  forces, ``d0(div A)`` in the viscous force;
-* ``E E^T``, every flux of the node fans at the two ends of the shared
-  edge: ``Lambda`` in the viscous force and the flat's two-away entries
-  (read by the order-1 term) take their vorticities.
-
-``near`` is symmetric, so column ``p`` reaches the rows of column ``p`` of
-it, at every ``h``.  Two columns share a row iff they are adjacent in
-``pattern(near near)``; a greedy first-fit coloring of that graph (most
-conflicts first) gives the colors.  Each color costs one residual pair, and
-each row's quotient goes to the one column of the color that reaches it,
-so the Jacobian is the column-by-column one bit for bit.  The coloring is
-built at the first Jacobian and cached on the stepper.
 """
 
 from __future__ import annotations
@@ -323,8 +257,18 @@ def _stencil(layout):
     """``pattern(C C^T + E E^T)``: row ``q`` holds the fluxes that row ``q``
     of the first-order residual reads, ``C`` being the incidence of the
     fluxes to their two cells and ``E`` that to the two ends of their shared
-    edges.  The pattern is symmetric, so it also holds the rows each column
-    reaches."""
+    edges:
+
+    * ``C C^T``, the fluxes of cells ``i`` and ``j`` of ``q = (i, j)``: the
+      adjacent flat entries and ``A_ii``, ``A_jj``, the kinetic density
+      under ``d0`` in the gradient forces, ``d0(div A)`` in the viscous
+      force;
+    * ``E E^T``, every flux of the node fans at the two ends of the shared
+      edge: ``Lambda`` in the viscous force and the flat's two-away entries
+      (read by the order-1 term) take their vorticities.
+
+    The pattern is symmetric, so it also holds the rows each column reaches,
+    at every ``h``."""
     g = layout.geom
     cells = _incidence(layout.rows, layout.cols, g.n)
     nodes = _incidence(g.adj_eplus[layout.pos], g.adj_eminus[layout.pos], g.mesh.num_nodes)
@@ -382,21 +326,9 @@ class StepReport:
 
 
 class VariationalStepper:
-    """Advances the fully discrete system one step at a time.
-
-    Keeps the previous step's density (the momentum balance couples steps
-    ``k-1`` and ``k``) and reuses the Newton LU factorization until
-    convergence degrades: within a step when an iteration reduces the
-    residual by less than half, and across steps once a step needs more
-    than ``2 max(fresh, 1)`` iterations, ``fresh`` being those of the first
-    step solved wholly on the LU (see the module docstring).  ``fresh`` is
-    carried from step to step with the LU.  It also keeps the velocity it
-    last returned, that step's converged transport and the fluxes it was
-    stepped from: fed its own output, the next step takes the old side
-    from them and starts Newton from the extrapolated fluxes.  A cold start
-    uses the initial state for the missing previous step.  Only a step that
-    returns changes this state.  ``heat_source`` is the per-cell heating
-    rate ``R``, constant in time, or None for no heating.
+    """Advances the fully discrete system one step at a time (:meth:`step`).
+    ``heat_source`` is the per-cell heating rate ``R``, constant in time,
+    or None for no heating.
     """
 
     def __init__(
@@ -425,31 +357,26 @@ class VariationalStepper:
         self.layout = FluxLayout.build(geom)
         self._p2 = np.concatenate([geom.adj_i, geom.ta_row]), np.concatenate([geom.adj_j, geom.ta_col])  # P2 pairs
         self._work = gr.SeriesWork(geom.n)  # every residual's series runs here
-        self._lu = None
-        self._fresh_iters = None  # Newton iterations of the first step on _lu
-        self._d_prev = None  # density one step behind the incoming state
-        # (last output velocity, its converged transport at +hA, the fluxes it
-        # was stepped from): the old side and the Newton start of the next step
-        self._carried = None
+        # carried across steps, see step
+        self._lu = self._fresh_iters = self._d_prev = self._carried = None
 
     # -- momentum ----------------------------------------------------------
 
-    def _transport_term(self, a, d, sign=1.0):
-        """``(1/h) P((dtau_inv_{sign*h*A})^* (D A^flat))`` on the layout,
-        with the adjoint's division by ``Omega`` applied to the entries that
-        ``P`` reads.  The full series runs on the dense ``D A^flat``, written
-        from P2 into the work arrays' operand, with ``sign*h*A`` in CSR
-        form."""
+    def _transport_term(self, a, d):
+        """``(1/h) P((dtau_inv_{hA})^* (D A^flat))`` on the layout, with the
+        adjoint's division by ``Omega`` applied to the entries that ``P``
+        reads.  The full series runs on the dense ``D A^flat``, written from
+        P2 into the work arrays' operand, with ``hA`` in CSR form."""
         rows, cols = self._p2
         lmat = self._work.operand
         lmat.fill(0.0)
         lmat[rows, cols] = fd.flat_p2(self.geom, a) * d[rows]
-        xi = self.geom.adjacency_csr.load(a, sign * self.h)
+        xi = self.geom.adjacency_csr.load(a, self.h)
         star = gr.dtau_inv_star(self.geom.omega, xi, lmat, self.kind, divide=False, work=self._work)
         return self.layout.pick_P(star, self.geom.omega) / self.h
 
     def _first_order_term(self, a, d):
-        """:meth:`_transport_term` at ``+hA`` with the series cut after
+        """:meth:`_transport_term` with the series cut after
         ``eta - [eta, xi^T]/2``, computed at the four entries per flux only
         (:class:`SampledBracket`)."""
         eta, star = self._eta_and_bracket(a, d)
@@ -475,11 +402,12 @@ class VariationalStepper:
         return eta, self._sampled(eta, xi)
 
     def _old_side(self, a, d, transport):
-        """``_transport_term(a, d, -1.0)`` from ``transport``, the term at
-        ``+hA`` with the same ``d``: for both group maps the tangents at
+        """The transport at ``-hA`` from ``transport``, :meth:`_transport_term`
+        at ``+hA`` with the same ``d``: for both group maps the tangents at
         ``-xi`` and ``xi`` differ by ``dtau_inv_{-xi}(eta) - dtau_inv_{xi}(eta)
-        = [eta, xi]``, so the old side costs one bracket at four entries per
-        flux, not a series."""
+        = [eta, xi]`` (only the exponential's ``B_1`` term is odd in ``xi``),
+        so the old side costs one bracket at four entries per flux, not a
+        series."""
         _, bracket = self._eta_and_bracket(a, d)
         return transport + self.layout.project(bracket, self.geom.omega) / self.h
 
@@ -500,10 +428,14 @@ class VariationalStepper:
         return _coloring(_stencil(self.layout))
 
     def _jacobian(self, flux, d, s, prev_term):
-        """Colored central differences of the first-order residual: one
-        residual pair per color, each row's quotient scattered to the one
-        column of that color that reaches it.  Returns the Jacobian and the
-        residuals it took."""
+        """Newton's matrix: the Jacobian of the first-order residual, whose
+        cut adds ``O(|hA|^2)`` relative to the full one, so Newton is a chord
+        method (Kelley 1995, ch. 5) that converges to the full residual's
+        solution.  A central difference with the step ``1e-7 max(|f_p|, 1)``
+        per flux ``p``, colored (Curtis, Powell & Reid 1974): one residual
+        pair per color, each row's quotient scattered to the one column of
+        that color that reaches it, so it is the column-by-column difference
+        bit for bit.  Returns the Jacobian and the residuals it took."""
         jac = np.zeros((self.layout.size, self.layout.size))
         step = _FD_STEP * np.maximum(np.abs(flux), 1.0)
         residual = lambda f: self._residual_and_transport(f, d, s, prev_term, self._first_order_term)[0]
@@ -516,14 +448,16 @@ class VariationalStepper:
             jac[rows, owners] = (rp[rows] - rm[rows]) / (2 * step[owners])
         return jac, 2 * len(self._colors)
 
-    def _solve_momentum(self, flux0, d, s, prev_term):
-        """Newton on the fluxes; returns the solution, a report of the
-        effort (``entropy_iters`` left at 0) and the transport term of the
-        converged residual."""
+    def _solve_momentum(self, flux0, d, s, prev_term, lu):
+        """Newton on the fluxes from ``flux0`` on the LU ``lu``, built at the
+        first iteration when None and rebuilt when an iteration reduces the
+        residual by less than half (at most 3 builds).  Returns the solution,
+        the LU it ended on, a report of the effort (``entropy_iters`` left at
+        0) and the transport term of the converged residual."""
         flux = flux0.copy()
         report = StepReport()
         if self.layout.size == 0:
-            return flux, report, np.zeros(0)
+            return flux, lu, report, np.zeros(0)
         prev_norm = np.inf
         for it in range(1, self.newton_max + 1):
             r, transport = self._residual_and_transport(flux, d, s, prev_term, self._transport_term)
@@ -533,17 +467,16 @@ class VariationalStepper:
                 raise StateRangeError("momentum residual is not finite; reduce the time step")
             if norm <= self.newton_tol:
                 report.newton_iters = it - 1
-                self._refresh(report)
-                return flux, report, transport
-            if self._lu is None or (norm > 0.5 * prev_norm and report.jacobian_builds < 3):
+                return flux, lu, report, transport
+            if lu is None or (norm > 0.5 * prev_norm and report.jacobian_builds < 3):
                 jac, evals = self._jacobian(flux, d, s, prev_term)
                 with warnings.catch_warnings():  # a singular LU shows in the update
                     warnings.simplefilter("ignore", LinAlgWarning)
-                    self._lu = lu_factor(jac)
+                    lu = lu_factor(jac)
                 report.jacobian_builds += 1
                 report.residual_evals += evals
                 report.colors = len(self._colors)
-            flux = flux - lu_solve(self._lu, r)
+            flux = flux - lu_solve(lu, r)
             if not np.all(np.isfinite(flux)):
                 raise StateRangeError(
                     "Newton update is not finite; reduce the time step"
@@ -554,17 +487,21 @@ class VariationalStepper:
             f"(tolerance {self.newton_tol:.1e}); reduce the time step"
         )
 
-    def _refresh(self, report):
-        """Record the fresh count at the first step after a build; drop the
-        LU once a later step that made no build needs more than
-        ``2 max(fresh, 1)`` Newton iterations, so that the next step builds
-        at its first iteration."""
+    def _refresh(self, report, lu):
+        """The LU and the fresh count to carry after a step that ended on
+        ``lu`` (Kelley's Shamanskii variant, 1995, ch. 5).  The fresh count is
+        the Newton iterations of the first step solved wholly on the LU, the
+        step after the one that built it.  Once a later step that made no
+        build needs more than ``2 max(fresh, 1)`` iterations, the LU is
+        dropped, so that the next step builds at its first iteration."""
+        fresh = self._fresh_iters
         if report.jacobian_builds:
-            self._fresh_iters = None
-        elif self._fresh_iters is None:
-            self._fresh_iters = report.newton_iters
-        elif report.newton_iters > 2 * max(self._fresh_iters, 1):
-            self._lu = None
+            return lu, None
+        if fresh is None:
+            return lu, report.newton_iters
+        if report.newton_iters > 2 * max(fresh, 1):
+            return None, fresh
+        return lu, fresh
 
     # -- entropy -----------------------------------------------------------
 
@@ -606,38 +543,34 @@ class VariationalStepper:
         """One step: the incoming state carries the previous velocity and the
         current density/entropy; returns ``(new_state, StepReport)``.
 
-        The momentum balance couples the incoming velocity (paired with the
-        density one step back -- cold start: the incoming density) to the new
-        one.  When ``state.a`` is the velocity this stepper last returned,
-        the old-side transport comes from that step's converged residual and
-        Newton starts from the extrapolated fluxes; any other state, such
-        as a copy, takes the cold path.  The returned velocity is read-only,
-        so a caller that wants to change it passes a changed copy.  A step
-        that raises leaves the carried state as it was, so the same call
-        can be repeated.
+        The momentum balance couples the incoming velocity, paired with the
+        density one step back (cold start: the incoming density), to the new
+        one.  Carried from step to step: the LU and its fresh count
+        (:meth:`_refresh`), that density, and the returned velocity with its
+        converged transport at ``+hA`` and the fluxes it was stepped from.
+        The carried transport is a cache keyed on the returned velocity:
+        when ``state.a`` is that velocity, the old side is taken from it and
+        Newton starts from the extrapolated fluxes ``2 f_{k-1} - f_{k-2}``;
+        any other velocity, such as a copy, recomputes the transport and
+        starts from its own fluxes.  The returned velocity is read-only, so
+        a caller that wants to change it passes a changed copy.  The carried
+        state is written once, after every check has passed, so a step that
+        raises leaves it as it was and the same call can be repeated.
         """
-        saved = self._lu, self._fresh_iters
-        try:
-            return self._advance(state)
-        except Exception:
-            self._lu, self._fresh_iters = saved
-            raise
-
-    def _advance(self, state):
         geom, gas, phys, h = self.geom, self.gas, self.phys, self.h
         d_prev = state.d if self._d_prev is None else self._d_prev
         flux_in = self.layout.from_matrix(state.a)
-        carried = self._carried is not None and state.a is self._carried[0]
+        transport, flux_old = None, flux_in
+        if self._carried is not None and state.a is self._carried[0]:
+            _, transport, flux_old = self._carried
         terms = self._work.terms
         try:
-            if carried:
-                _, transport, flux_old = self._carried
-                prev_term = self._old_side(state.a, d_prev, transport)
-                flux0 = 2.0 * flux_in - flux_old
-            else:
-                prev_term = self._transport_term(state.a, d_prev, -1.0)
-                flux0 = flux_in
-            flux, report, transport = self._solve_momentum(flux0, state.d, state.s, prev_term)
+            if transport is None:
+                transport = self._transport_term(state.a, d_prev)
+            prev_term = self._old_side(state.a, d_prev, transport)
+            flux, lu, report, transport = self._solve_momentum(
+                2.0 * flux_in - flux_old, state.d, state.s, prev_term, self._lu
+            )
             report.series_terms = self._work.terms - terms
             a_new = self.layout.to_matrix(flux)
             back = gr.tau_action(geom.adjacency_csr.load(a_new, -h), self.kind)
@@ -666,9 +599,9 @@ class VariationalStepper:
                 "reduce the time step"
             )
 
-        self._d_prev = state.d.copy()
         a_new.flags.writeable = False  # the carried values describe it
-        self._carried = (a_new, transport, flux_in)
+        self._lu, self._fresh_iters = self._refresh(report, lu)
+        self._d_prev, self._carried = state.d.copy(), (a_new, transport, flux_in)
         return ph.FluidState(a_new, d_new, s_new), report
 
     def run(self, state: ph.FluidState, steps: int, observer=None):

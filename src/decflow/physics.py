@@ -95,7 +95,7 @@ def internal_energy(d, s, gas: GasParams):
     if np.any(d <= 0.0):
         raise ValueError("density must be positive")
     eps = gas.K * d**gas.gamma * np.exp(s / (gas.c_v * d))
-    eps_d = eps * (gas.gamma / d - s / (gas.c_v * d * d))
+    eps_d = eps * (gas.gamma - s / (gas.c_v * d)) / d
     eps_s = eps / (gas.c_v * d)
     return eps, eps_d, eps_s
 

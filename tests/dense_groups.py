@@ -5,7 +5,8 @@ the area-weighted adjoint with dense matrix products.
 path it replaced, kept as the oracle that the CSR series is checked
 against; it shares the Bernoulli numbers and the Cayley factors.  The
 first-order transport on a dense ``eta`` (:func:`first_order_transport`)
-is the oracle of the stepper's sampled one.
+is the oracle of the stepper's sampled one, and the full series at
+``-hA`` (:func:`old_side_series`) that of its old side.
 """
 
 import math
@@ -104,3 +105,13 @@ def old_side(layout, a, d, h, transport):
     ``transport + (1/h) P([eta, xi^T])`` with ``xi = h A``."""
     _, bracket = order_one(layout.geom, a, d, h)
     return transport + layout.pick_P(bracket, layout.geom.omega) / h
+
+
+def old_side_series(layout, a, d, h, kind="exponential"):
+    """``(1/h) P((dtau_inv_{-hA})^* (D A^flat))`` at the fluxes: the old-side
+    transport by the dense series at ``-hA``, picked by
+    :meth:`decflow.integrator.FluxLayout.pick_P`."""
+    geom = layout.geom
+    lmat = fd.flat(geom, a) * d[:, None]
+    star = dtau_inv_star(geom.omega, geom.adjacency_csr.load(a, -h).toarray(), lmat, kind)
+    return layout.pick_P(star, np.ones(geom.n)) / h

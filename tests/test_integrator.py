@@ -235,6 +235,12 @@ def full_residual(stepper, flux, d, s, prev_term):
     return stepper._residual_and_transport(flux, d, s, prev_term, stepper._transport_term)[0]
 
 
+def old_side(stepper, a, d):
+    """The old-side transport of ``a`` with the density ``d``, as a step
+    takes it for a velocity the stepper did not return."""
+    return stepper._old_side(a, d, stepper._transport_term(a, d))
+
+
 def test_residuals_construct_no_sparse_arrays(jittered65, monkeypatch):
     # The CSR index structure is built at the first residual and the coloring
     # patterns at the first Jacobian; afterwards a residual, a Jacobian or a
@@ -243,7 +249,7 @@ def test_residuals_construct_no_sparse_arrays(jittered65, monkeypatch):
     stepper = ig.VariationalStepper(jittered65, GAS, phys, h=1e-3)
     state = shear_state(jittered65)
     flux = stepper.layout.from_matrix(state.a)
-    prev_term = stepper._transport_term(state.a, state.d, -1.0)
+    prev_term = old_side(stepper, state.a, state.d)
     first = full_residual(stepper, flux, state.d, state.s, prev_term)
     # the first Jacobian builds the sparse patterns of its coloring
     jac, _ = stepper._jacobian(flux, state.d, state.s, prev_term)
@@ -271,7 +277,7 @@ def test_residuals_look_up_no_pairs(jittered65, monkeypatch):
     stepper = ig.VariationalStepper(jittered65, GAS, phys, h=1e-3)
     state = shear_state(jittered65)
     flux = stepper.layout.from_matrix(state.a)
-    prev_term = stepper._transport_term(state.a, state.d, -1.0)
+    prev_term = old_side(stepper, state.a, state.d)
     first = full_residual(stepper, flux, state.d, state.s, prev_term)
 
     def refuse(self, i, j):
@@ -376,29 +382,53 @@ def test_a_fresh_count_of_zero_allows_two_iterations(gen65):
 
 @pytest.mark.parametrize("kind", gr.KINDS)
 def test_the_carried_old_side_equals_the_series(jittered65, monkeypatch, kind):
-    # From step 2 on, the old-side transport is the previous step's converged
-    # transport plus one commutator, not a series at -hA.
+    # Every step's old side, the cold first one included, is the transport at
+    # +hA plus one bracket: it equals the dense series at -hA.
     phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01)
     stepper = ig.VariationalStepper(jittered65, GAS, phys, h=1e-3, kind=kind)
     state = cli_io.initial_condition_presets("taylor-like", {"amplitude": "0.3"}, jittered65, GAS)
-    prev_terms, carried = [], []
-    solve, old_side = stepper._solve_momentum, stepper._old_side
+    prev_terms, solve = [], stepper._solve_momentum
     monkeypatch.setattr(stepper, "_solve_momentum", lambda *args: prev_terms.append(args[3]) or solve(*args))
-    monkeypatch.setattr(stepper, "_old_side", lambda *args: carried.append(1) or old_side(*args))
-    state, _ = stepper.step(state)
-    assert carried == []  # step 1 runs the series
-    for step in range(2, 7):
-        series = stepper._transport_term(state.a, stepper._d_prev, -1.0)
+    for step in range(1, 7):
+        d_prev = state.d if step == 1 else stepper._d_prev
+        series = dense.old_side_series(stepper.layout, state.a, d_prev, stepper.h, kind)
         state, _ = stepper.step(state)
-        assert len(carried) == step - 1
+        assert len(prev_terms) == step
         assert np.max(np.abs(prev_terms[-1] - series)) <= 1e-13 * np.max(np.abs(series))
+
+
+@pytest.mark.parametrize("kind", gr.KINDS)
+def test_a_copy_of_the_output_gets_the_carried_old_side(jittered65, monkeypatch, kind):
+    # The carried transport is a cache keyed on the returned velocity: a
+    # copy recomputes it, and its old side is the carried one bit for bit.
+    class Stop(Exception):
+        pass
+
+    phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01)
+    stepper = ig.VariationalStepper(jittered65, GAS, phys, h=1e-3, kind=kind)
+    state, _ = stepper.step(cli_io.initial_condition_presets("taylor-like", {"amplitude": "0.3"}, jittered65, GAS))
+    prev_terms, solve = [], stepper._solve_momentum
+
+    def record(*args):
+        prev_terms.append(args[3])
+        if len(prev_terms) % 2:  # the copy's step stops here and changes nothing
+            raise Stop
+        return solve(*args)
+
+    monkeypatch.setattr(stepper, "_solve_momentum", record)
+    for _ in range(5):
+        with pytest.raises(Stop):
+            stepper.step(ph.FluidState(state.a.copy(), state.d, state.s))
+        state, _ = stepper.step(state)
+        np.testing.assert_array_equal(prev_terms[-2], prev_terms[-1])
 
 
 def test_a_failed_step_leaves_the_carried_state(gen65, monkeypatch):
     # The old side, the previous fluxes, the LU and the fresh count change
     # only when a step returns, so repeating a failed call gives the bits of
     # a stepper that never failed.  Step 3 fails after the momentum solve,
-    # and so does the step whose refresh drops the LU.
+    # and so do the step whose refresh drops the LU and the two steps that
+    # build one (1 and drops + 1), whose LU must be thrown away.
     phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01, insulated=True)
     stepper = ig.VariationalStepper(gen65, GAS, phys, h=1e-3)
     state, expected = shear_state(gen65), []
@@ -420,8 +450,8 @@ def test_a_failed_step_leaves_the_carried_state(gen65, monkeypatch):
 
     monkeypatch.setattr(stepper, "_solve_entropy", flaky)
     state = shear_state(gen65)
-    for k, (want, want_report) in enumerate(expected[: drops + 1], start=1):
-        if k in (3, drops):
+    for k, (want, want_report) in enumerate(expected[: drops + 2], start=1):
+        if k in (1, 3, drops, drops + 1):
             fail.append(k)
             with pytest.raises(ig.StateRangeError, match="injected"):
                 stepper.step(state)
@@ -435,8 +465,9 @@ def test_a_failed_step_leaves_the_carried_state(gen65, monkeypatch):
 
 def test_the_carried_start_saves_newton_iterations(gen65):
     # The same 30 shear steps, once on the stepper's own outputs and once on
-    # copies of them, which take the cold path: the extrapolated start saves
-    # iterations, and both runs solve the same equations.
+    # copies of them, which start Newton from their own fluxes: the
+    # extrapolated start saves iterations, and both runs solve the same
+    # equations.
     phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01, insulated=True)
     carried, cold = (ig.VariationalStepper(gen65, GAS, phys, h=1e-3) for _ in range(2))
     mine = copied = shear_state(gen65)
@@ -454,13 +485,19 @@ def test_the_carried_start_saves_newton_iterations(gen65):
 
 def test_a_returned_velocity_is_read_only(gen65, monkeypatch):
     # The carried values describe the returned velocity, so it cannot be
-    # changed in place; a changed copy takes the cold path.
+    # changed in place; a changed copy recomputes its transport, and the
+    # velocity itself does not.
     stepper = ig.VariationalStepper(gen65, GAS, INVISCID, h=1e-3)
     state, _ = stepper.step(shear_state(gen65))
     with pytest.raises(ValueError, match="read-only"):
         state.a *= 2.0
-    monkeypatch.setattr(stepper, "_old_side", None)  # the carried path would call it
-    stepper.step(ph.FluidState(2.0 * state.a, state.d, state.s))
+    seen, transport = [], stepper._transport_term
+    monkeypatch.setattr(stepper, "_transport_term", lambda a, d: seen.append(a) or transport(a, d))
+    stepper.step(state)
+    assert not any(a is state.a for a in seen)  # Newton's residuals only
+    changed = 2.0 * state.a
+    stepper.step(ph.FluidState(changed, state.d, state.s))
+    assert any(a is changed for a in seen)
 
 
 def test_range_failure_keeps_its_subclass_through_run(gen65):
@@ -502,7 +539,7 @@ def jacobian_setup(geom, h, amp):
     state = shear_state(geom, amp)
     d = 1.0 + 0.1 * np.cos(np.arange(geom.n))
     s = 0.05 * np.sin(np.arange(geom.n))
-    prev_term = stepper._transport_term(state.a, d, -1.0)
+    prev_term = old_side(stepper, state.a, d)
     return stepper, (stepper.layout.from_matrix(state.a), d, s, prev_term)
 
 
@@ -603,7 +640,7 @@ def random_setup(geom):
     flux = 0.3 * rng.normal(size=stepper.layout.size)
     d = 1.0 + 0.1 * rng.random(geom.n)
     s = 0.05 * rng.normal(size=geom.n)
-    prev_term = stepper._transport_term(stepper.layout.to_matrix(flux), d, -1.0)
+    prev_term = old_side(stepper, stepper.layout.to_matrix(flux), d)
     return stepper, (flux, d, s, prev_term)
 
 

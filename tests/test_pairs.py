@@ -262,7 +262,7 @@ def test_a_warm_residual_builds_no_dense_array(jittered980):
     state = uneven_state(geom, 0.3)
     stepper = ig.VariationalStepper(geom, GAS, PHYS, 1e-3)
     flux = stepper.layout.from_matrix(state.a)
-    prev_term = stepper._transport_term(state.a, state.d, -1.0)
+    prev_term = stepper._old_side(state.a, state.d, stepper._transport_term(state.a, state.d))
     for transport in (stepper._transport_term, stepper._first_order_term):
         residual = functools.partial(stepper._residual_and_transport, flux, state.d, state.s, prev_term, transport)
         residual()
@@ -277,7 +277,7 @@ def test_a_first_order_residual_reads_no_series_work_array(jittered65):
     state = uneven_state(jittered65, 0.3)
     stepper = ig.VariationalStepper(jittered65, GAS, PHYS, 1e-3)
     flux = stepper.layout.from_matrix(state.a)
-    prev_term = stepper._transport_term(state.a, state.d, -1.0)
+    prev_term = stepper._old_side(state.a, state.d, stepper._transport_term(state.a, state.d))
     fresh = ig.VariationalStepper(jittered65, GAS, PHYS, 1e-3)
     want = fresh._residual_and_transport(flux, state.d, state.s, prev_term, fresh._first_order_term)[0]
     work = stepper._work
@@ -294,7 +294,7 @@ def test_a_first_order_residual_reads_no_series_work_array(jittered65):
 def test_the_step_takes_no_variational_derivatives(jittered65, monkeypatch):
     state = stepped_state(jittered65, 1e-3)
     stepper = ig.VariationalStepper(jittered65, GAS, dataclasses.replace(PHYS, lam=0.01), 1e-3)
-    prev = stepper._transport_term(state.a, state.d, -1.0)
+    prev = stepper._old_side(state.a, state.d, stepper._transport_term(state.a, state.d))
     flux = stepper.layout.from_matrix(state.a)
     stepper._residual_and_transport(flux, state.d, state.s, prev, stepper._transport_term)
 

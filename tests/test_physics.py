@@ -39,6 +39,16 @@ def test_euler_relation_pointwise(rng):
     np.testing.assert_allclose(eps_s, ph.temperature(d, s, GAS), atol=0)
 
 
+def test_eps_d_keeps_its_entropy_term_at_a_large_density():
+    # s / (c_v D^2) once overflowed in D^2 past D ~ 1.3e154 and read 0.
+    d = 1e160
+    s = -100.0 * GAS.c_v * d
+    eps, eps_d, _ = ph.internal_energy(d, s, GAS)
+    want = eps * (GAS.gamma + 100.0) / d
+    assert np.isfinite(eps) and eps > 0
+    assert eps_d == pytest.approx(want, rel=1e-14)
+
+
 def test_entropy_from_temperature_inverts_temperature(rng):
     d = 0.5 + rng.random(25)
     theta = 0.5 + rng.random(25)
