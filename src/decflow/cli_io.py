@@ -487,15 +487,6 @@ def cmd_run(config_path: str) -> int:
             except it.IntegratorError as exc:
                 print(f"run failed: {exc} (config key 'run.h' = {cfg.h:g})", file=sys.stderr)
                 return 3
-            except fd.FlatAmbiguityError as exc:
-                # only meshes with interior nodes of degree < 5, which the
-                # generator never makes, can get here
-                print(
-                    f"config error: config key 'mesh.file': {exc}; "
-                    "see 'decflow mesh check'",
-                    file=sys.stderr,
-                )
-                return 2
     except OSError as exc:  # the directory, the CSV or a snapshot
         print(f"config error: config key 'output.directory': {exc}", file=sys.stderr)
         return 2

@@ -7,7 +7,8 @@ implied by zero row sums (:meth:`decflow.mesh.MeshGeometry.diagonal`), and a
 *one-form* is supported on adjacent and two-away pairs: it is held on *P2*,
 the adjacency list followed by the two-away list ``(geom.ta_row,
 geom.ta_col)`` (:func:`flat_p2`), or as its dense ``(N, N)`` scatter
-(:func:`flat`).
+(:func:`flat`).  The flat's two-away entries are fixed by the kite relation,
+once each, because a valid mesh has no interior node of degree < 5.
 
 One-forms and forces on adjacent pairs are evaluated *per pair*, on that
 list, where the geometry stores its lengths and flat/sharp coefficients, by
@@ -68,12 +69,7 @@ __all__ = [
     "init_from_velocity",
     "reconstruct_velocity",
     "membership_residuals",
-    "FlatAmbiguityError",
 ]
-
-
-class FlatAmbiguityError(ValueError):
-    """Two kite triplets assign incompatible values to a two-away entry."""
 
 
 # ---------------------------------------------------------------------------
@@ -204,37 +200,16 @@ def flat_p2(geom: MeshGeometry, a) -> np.ndarray:
 
     solved for the unknown ``Z_jk`` (and for ``Z_kj`` with the reversed fan
     orientation), reading ``Z_ij`` and ``Z_ki`` at rows of the adjacency
-    list fixed once (:attr:`decflow.mesh.MeshGeometry.kite_rows`).  When
-    several triplets determine the same entry, their values must agree to
-    ``1e-9`` of the largest entry or :class:`FlatAmbiguityError` is raised
-    (only meshes with interior nodes of degree < 5 can disagree).
+    list fixed once (:attr:`decflow.mesh.MeshGeometry.kite_rows`).  On a
+    valid mesh, whose interior nodes have degree 5 or more, one triplet
+    determines each entry (:func:`decflow.mesh.compute_geometry`).
     """
     zp = flat_pairs(geom, a)
-    t = len(geom.ta_row)
-    if t == 0:
-        return zp
     om = total_vorticity(geom, zp)
     zq = np.append(zp, 0.0)  # a missing pair, row -1, reads 0
-    rows = geom.kite_rows
-    vals = np.concatenate([zp, _kite_solve(geom, om, zq, geom.ta_tri, geom.ta_sign, rows[:, :t])])
-    if len(geom.dup_row):
-        dvals = _kite_solve(geom, om, zq, geom.dup_tri, geom.dup_sign, rows[:, t:])
-        have = vals[len(zp) + geom.dup_ta]
-        scale = max(1e-300, float(np.max(np.abs(vals))))
-        worst = float(np.max(np.abs(dvals - have))) / scale
-        if worst > 1e-9:
-            raise FlatAmbiguityError(
-                f"two-away one-form entries disagree (relative {worst:.3e}); "
-                "the mesh has interior nodes of degree < 5"
-            )
-    return vals
-
-
-def _kite_solve(geom, om, zq, tri, sign, rows):
-    """The kite relation of the triplets ``tri`` solved for the two-away
-    entry, ``sign K_(e,i) omega(e)`` minus the adjacent entries ``zq`` at
-    ``rows``."""
-    return sign * (geom.tri_kconst[tri] * om[geom.tri_node[tri]]) - zq[rows[0]] - zq[rows[1]]
+    rows, tri = geom.kite_rows, geom.ta_tri
+    kite = geom.ta_sign * (geom.tri_kconst[tri] * om[geom.tri_node[tri]]) - zq[rows[0]] - zq[rows[1]]
+    return np.concatenate([zp, kite])
 
 
 def flat_pairs(geom: MeshGeometry, a) -> np.ndarray:

@@ -58,7 +58,6 @@ __all__ = [
     "compute_geometry",
     "inspect_geometry",
     "sum_at",
-    "validate",
 ]
 
 
@@ -379,14 +378,15 @@ class MeshGeometry:
       with the kite area, ``W_ijk`` and signed ``K_ijk``,
     * ``adj_*``: one row per ordered adjacent cell pair with its ``e+``/``e-``
       endpoint node indices,
-    * ``ta_*``/``dup_*``: one row per two-away one-form entry ``(ta_row,
-      ta_col)`` and per repeated assignment of one (``dup_row``,
-      ``dup_col``), with the kite triplet and the orientation (``+1``:
-      ``Z_jk``, ``-1``: ``Z_kj``) that determine it; ``kite_rows`` holds,
-      for the ``ta`` then the ``dup`` rows, the rows on the adjacency list
-      of the two adjacent entries the kite relation reads (``(i, j)`` and
-      ``(k, i)``, or ``(i, k)`` and ``(j, i)``; ``-1`` for a pair the list
-      lacks), and ``dup_ta`` the ``ta`` row of each repeated entry.
+    * ``ta_*``: one row per two-away one-form entry ``(ta_row, ta_col)``,
+      with the kite triplet and the orientation (``+1``: ``Z_jk``, ``-1``:
+      ``Z_kj``) that determine it; ``kite_rows`` holds, one column per
+      ``ta`` row, the rows on the adjacency list of the two adjacent
+      entries the kite relation reads (``(i, j)`` and ``(k, i)``, or
+      ``(i, k)`` and ``(j, i)``; ``-1`` for a pair the list lacks).  Each
+      entry is assigned once on a valid mesh; an interior node of degree
+      < 5 assigns one twice, which is an issue, and the table keeps the
+      first assignment.
     """
 
     mesh: Mesh
@@ -419,12 +419,7 @@ class MeshGeometry:
     ta_col: np.ndarray
     ta_tri: np.ndarray
     ta_sign: np.ndarray
-    dup_row: np.ndarray
-    dup_col: np.ndarray
-    dup_tri: np.ndarray
-    dup_sign: np.ndarray
     kite_rows: np.ndarray
-    dup_ta: np.ndarray
     boundary_factor: np.ndarray
     diameter: float
 
@@ -698,15 +693,14 @@ def _geometry(mesh: Mesh, issues: list) -> MeshGeometry:
     #   Z[j, k] = +K*omega(e) - Z[i, j]... (forward, sign +1)
     #   Z[k, j] = -K*omega(e) - ...        (reversed fan orientation, sign -1)
     # Entries are skipped when j, k happen to share an edge (their value is
-    # already the adjacent one).  Later triplets hitting an already-assigned
-    # entry go to the duplicate table, checked for consistency by ``flat``.
+    # already the adjacent one).  A later triplet hitting an assigned entry
+    # (at an interior node of degree < 5, an issue below) is dropped.
     t = np.flatnonzero((tri_j != tri_k) & (_last_row(adj_key, tri_j * n + tri_k) < 0))
     ta_row = np.stack([tri_j[t], tri_k[t]], axis=1).ravel()
     ta_col = np.stack([tri_k[t], tri_j[t]], axis=1).ravel()
     ta_tri, ta_sign = np.repeat(t, 2), np.tile([1.0, -1.0], len(t))
-    ta_key = ta_row * n + ta_col
     new = np.zeros(len(ta_row), dtype=bool)
-    new[np.unique(ta_key, return_index=True)[1]] = True
+    new[np.unique(ta_row * n + ta_col, return_index=True)[1]] = True
     # The rows of the two adjacent entries that each assignment reads:
     # Z[i, j] and Z[k, i] forward, Z[i, k] and Z[j, i] reversed.  (i, j)
     # and (k, i) are the fan pairs at the triplet's fan row and the one
@@ -722,8 +716,8 @@ def _geometry(mesh: Mesh, issues: list) -> MeshGeometry:
 
     for v in np.flatnonzero(cyclic & (size < 5)):
         issues.append(
-            f"interior node {v} has degree {size[v]} < 5 (two-away "
-            "one-form entries may be ambiguous)"
+            f"interior node {v} has degree {size[v]} < 5 (the flat's "
+            "two-away one-form entries need degree 5 or more)"
         )
 
     return MeshGeometry(
@@ -757,34 +751,28 @@ def _geometry(mesh: Mesh, issues: list) -> MeshGeometry:
         ta_col=ta_col[new],
         ta_tri=ta_tri[new],
         ta_sign=ta_sign[new],
-        dup_row=ta_row[~new],
-        dup_col=ta_col[~new],
-        dup_tri=ta_tri[~new],
-        dup_sign=ta_sign[~new],
-        kite_rows=np.stack([np.concatenate([x[new], x[~new]]) for x in (kite_first, kite_second)]).astype(np.int32),
-        dup_ta=_last_row(ta_key[new], ta_key[~new]),
+        kite_rows=np.stack([kite_first[new], kite_second[new]]).astype(np.int32),
         boundary_factor=boundary_factor,
         diameter=diameter,
     )
 
 
 def compute_geometry(mesh: Mesh) -> MeshGeometry:
-    """Compute the full dual geometry; raises on degenerate configurations.
+    """Compute the full dual geometry; raises :class:`MeshError` naming every
+    issue of the mesh.
 
-    Degenerate means: a dual edge (between adjacent cells, or circumcenter to
+    An issue is a dual edge (between adjacent cells, or circumcenter to
     boundary-edge midpoint) shorter than ``1e-12 * diameter``, a non-positive
-    kite, a broken kite partition, or a non-manifold node fan.  Loaded meshes
-    with obtuse triangles are fine as long as those quantities stay positive.
+    kite, a broken kite partition, a non-manifold node fan, or an interior
+    node of degree < 5, where the kite relation does not fix each two-away
+    entry of the flat once (at degree 4 two triplets assign the same entry).
+    Loaded meshes with obtuse triangles are fine as long as those quantities
+    stay positive.
     """
     issues: list = []
     geom = _geometry(mesh, issues)
-    hard = [
-        s
-        for s in issues
-        if not s.startswith("interior node")  # degree warnings are advisory
-    ]
-    if hard:
-        raise MeshError("; ".join(hard))
+    if issues:
+        raise MeshError("; ".join(issues))
     return geom
 
 
@@ -795,9 +783,3 @@ def inspect_geometry(mesh: Mesh) -> tuple:
     cell that had to be reoriented.  Returns ``(geometry, issues)``."""
     issues = [f"cell {c} was clockwise; reoriented" for c in mesh.reoriented]
     return _geometry(mesh, issues), issues
-
-
-def validate(mesh: Mesh) -> list:
-    """Every violated invariant (see :func:`inspect_geometry`); an empty
-    list when the mesh is valid."""
-    return inspect_geometry(mesh)[1]

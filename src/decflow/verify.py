@@ -498,9 +498,13 @@ GROUP_CHECKS = (
 )
 
 
-def all_check_names(kinds=gr.KINDS) -> tuple:
+#: How many of the corpus meshes of at most 100 cells run the group checks.
+GROUP_CAP = 8
+
+
+def all_check_names() -> tuple:
     names = [name for name, _, _ in FIELD_CHECKS]
-    names += [f"{base}-{kind}" for base, _, _ in GROUP_CHECKS for kind in kinds]
+    names += [f"{base}-{kind}" for base, _, _ in GROUP_CHECKS for kind in gr.KINDS]
     return tuple(names)
 
 
@@ -508,7 +512,10 @@ def mesh_corpus(seed: int = 0, sizes=(20, 50, 200), count: int = 51) -> list:
     """Structured meshes spanning the requested cell-count range, two thirds
     of them jittered.  A jitter amount that breaks geometric validation is
     halved until the mesh passes (dropping to the unperturbed mesh in the
-    worst case), so every returned geometry is valid by construction."""
+    worst case), and an unperturbed mesh that fails (right zigzag triangles,
+    ``ly/ny = lx/(2 nx)``, collapse dual edges) is rebuilt with ``nx`` one
+    larger until it passes, so every returned geometry is valid by
+    construction."""
     rng = np.random.default_rng([seed, 91])
     lo, hi = int(min(sizes)), int(max(sizes))
     targets = np.geomspace(max(lo, 8), max(hi, lo + 1), count)
@@ -531,26 +538,22 @@ def mesh_corpus(seed: int = 0, sizes=(20, 50, 200), count: int = 51) -> list:
                 mesh = base if amount == 0.0 else msh.jitter_mesh(base, amount, rng)
                 geom = msh.compute_geometry(mesh)
             except msh.MeshError:
+                if amount == 0.0:
+                    nx += 1
+                    base = msh.generate_rect_mesh(nx, ny, lx, ly)
                 amount = 0.0 if amount < 1e-3 else 0.5 * amount
         geoms.append(geom)
     return geoms
 
 
-def run_suite(
-    seed: int = 0,
-    sizes=(20, 50, 200),
-    count: int = 51,
-    names=None,
-    kinds=gr.KINDS,
-    group_cap: int = 8,
-) -> list:
+def run_suite(seed: int = 0, sizes=(20, 50, 200), count: int = 51, names=None) -> list:
     """Evaluate every requested check over the mesh corpus and return one
     :class:`CheckRecord` per check (worst residual seen).
 
     Each (mesh, check) pair gets its own deterministic random stream, so the
     report for a given seed does not depend on which other checks ran.
-    Group-map checks are dense-matrix-function heavy and run on a capped
-    subset of the smaller meshes; the field checks run everywhere.
+    Group-map checks are dense-matrix-function heavy and run on at most
+    :data:`GROUP_CAP` of the smaller meshes; the field checks run everywhere.
     """
     geoms = mesh_corpus(seed, sizes, count)
     wanted = None if names is None else set(names)
@@ -568,10 +571,10 @@ def run_suite(
             record(name, tol, fn(geom, rng))
 
     small = [(m_idx, g) for m_idx, g in enumerate(geoms) if g.n <= 100]
-    stride = max(1, len(small) // group_cap)
-    for m_idx, geom in small[::stride][:group_cap]:
+    stride = max(1, len(small) // GROUP_CAP)
+    for m_idx, geom in small[::stride][:GROUP_CAP]:
         for c_idx, (base, tol, fn) in enumerate(GROUP_CHECKS):
-            for k_idx, kind in enumerate(kinds):
+            for k_idx, kind in enumerate(gr.KINDS):
                 name = f"{base}-{kind}"
                 if wanted is not None and name not in wanted:
                     continue
@@ -580,7 +583,7 @@ def run_suite(
 
     return [
         CheckRecord(name, worst[name][0], worst[name][1])
-        for name in all_check_names(kinds)
+        for name in all_check_names()
         if name in worst
     ]
 

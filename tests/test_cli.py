@@ -706,24 +706,40 @@ def ambiguous_mesh():
     return msh.load_mesh("\n".join(lines) + "\n")
 
 
-def test_run_reports_an_ambiguous_mesh_as_a_config_error(tmp_path, capsys):
-    mesh = ambiguous_mesh()
-    assert any("degree 4 < 5" in issue for issue in msh.validate(mesh))
+def ambiguous_run(tmp_path, preset):
+    """A config on :func:`ambiguous_mesh` with ``preset``; returns its path."""
     mesh_file = tmp_path / "mesh.txt"
-    mesh_file.write_text(cli.format_mesh(mesh))
+    mesh_file.write_text(cli.format_mesh(ambiguous_mesh()))
     cfg = tmp_path / "ambiguous.cfg"
     cfg.write_text(
         f"mesh.file = {mesh_file}\nrun.h = 1e-3\nrun.steps = 3\n"
-        f"initial.preset = shear\noutput.directory = {tmp_path / 'out'}\n"
+        f"initial.preset = {preset}\noutput.directory = {tmp_path / 'out'}\n"
     )
-    assert cli.main(["run", str(cfg)]) == 2
-    err = capsys.readouterr().err.strip()
-    assert err.startswith("config error: config key 'mesh.file': two-away one-form entries disagree")
-    assert err.endswith("see 'decflow mesh check'")
-    assert len(err.splitlines()) == 1
+    return cfg
 
-    assert cli.main(["mesh", "check", str(mesh_file)]) == 1
-    assert "degree 4 < 5" in capsys.readouterr().err
+
+def test_run_reports_an_ambiguous_mesh_as_a_config_error(tmp_path, capsys):
+    # The mesh is rejected at load, before any step runs.
+    cfg = ambiguous_run(tmp_path, "shear")
+    assert cli.main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config key 'mesh.file': interior node 10 has degree 4 < 5 (")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+    assert cli.main(["mesh", "check", str(tmp_path / "mesh.txt")]) == 1
+    assert "issue: interior node 10 has degree 4 < 5 (" in capsys.readouterr().err
+
+
+def test_a_rest_state_on_an_ambiguous_mesh_is_rejected_at_load(tmp_path, capsys):
+    # A flow that never reaches the degree-4 node does not make the mesh
+    # valid: the run stops before its first step.
+    cfg = ambiguous_run(tmp_path, "rest")
+    assert cli.main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config key 'mesh.file': interior node 10 has degree 4 < 5 (")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out" / "diagnostics.csv").exists()
 
 
 # ---------------------------------------------------------------------------

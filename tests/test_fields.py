@@ -169,32 +169,28 @@ def test_the_p2_flat_is_the_dense_flat(mesh, request, rng):
     assert np.all(geom.p2_index(np.arange(geom.n), np.arange(geom.n)) == -1)
 
 
-def _degree_four_geometry():
+def test_flat_ambiguity_is_detected():
     # Four triangles around one interior node of degree 4: the smallest
-    # configuration where a two-away entry is determined by two different
-    # fan triplets.
+    # configuration where two fan triplets determine one two-away entry.
+    # The geometry is not built, so no flat of it is taken.
     text = (
         "5 4\n"
         "0 0\n1.1 -0.06\n1.04 1.03\n-0.07 0.96\n0.54 0.46\n"
         "0 1 4\n1 2 4\n2 3 4\n3 0 4\n"
     )
-    return msh.compute_geometry(msh.load_mesh(text))
-
-
-def test_flat_ambiguity_is_detected():
-    geom = _degree_four_geometry()
-    issues = msh.validate(geom.mesh)
-    assert any("degree 4 < 5" in s for s in issues)
-    a = vf.random_tangent(geom, np.random.default_rng(1))
-    with pytest.raises(fd.FlatAmbiguityError, match="two-away"):
-        fd.flat(geom, a)
-    with pytest.raises(fd.FlatAmbiguityError, match="two-away"):
-        fd.flat_p2(geom, a)
+    mesh = msh.load_mesh(text)
+    assert [s.split(" (")[0] for s in msh.inspect_geometry(mesh)[1]] == ["interior node 4 has degree 4 < 5"]
+    with pytest.raises(msh.MeshError, match="interior node 4 has degree 4 < 5"):
+        msh.compute_geometry(mesh)
 
 
 def test_degree_six_fans_are_unambiguous(gen65, jittered):
-    assert len(gen65.dup_row) == 0
-    assert len(jittered.dup_row) == 0
+    # P2 holds every pair once: no two-away entry repeats an adjacent one
+    # or another two-away one.
+    for geom in (gen65, jittered):
+        keys = np.concatenate([geom.adj_i, geom.ta_row]) * geom.n + np.concatenate([geom.adj_j, geom.ta_col])
+        assert len(np.unique(keys)) == len(keys)
+        assert geom.kite_rows.shape == (2, len(geom.ta_row))
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,7 @@ def test_jitter_moves_only_interior_nodes():
     )
     assert (delta[on_hull] == 0).all()
     assert (delta[~on_hull] > 0).any()
-    assert msh.validate(moved) == []
+    assert msh.inspect_geometry(moved)[1] == []
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +179,7 @@ def test_load_mesh_fixes_clockwise_cells():
     flipped = GOOD.replace("0 1 2", "0 2 1")
     mesh = msh.load_mesh(flipped)
     assert mesh.reoriented == (0,)
-    issues = msh.validate(mesh)
+    issues = msh.inspect_geometry(mesh)[1]
     assert "cell 0 was clockwise; reoriented" in issues
 
 
@@ -214,7 +214,7 @@ def test_right_triangle_pair_has_degenerate_dual_edge():
     mesh = msh.load_mesh(text)
     with pytest.raises(msh.MeshError, match="degenerate dual edge"):
         msh.compute_geometry(mesh)
-    issues = msh.validate(mesh)
+    issues = msh.inspect_geometry(mesh)[1]
     assert any("degenerate dual edge" in s for s in issues)
 
 
@@ -330,28 +330,31 @@ SPLIT_FAN = (
 )
 def test_degenerate_geometry_lists_every_issue(text, issues):
     mesh = msh.load_mesh(text)
-    assert msh.validate(mesh) == issues
+    assert msh.inspect_geometry(mesh)[1] == issues
     with pytest.raises(msh.MeshError) as err:
         msh.compute_geometry(mesh)
     assert str(err.value) == "; ".join(issues)
 
 
-def test_low_degree_warning_is_advisory():
-    # Node 4 is interior with four cells; cell 0 is given clockwise.
+def test_low_degree_is_a_hard_issue():
+    # Node 4 is interior with four cells; cell 0 is given clockwise, which
+    # is a note of inspect_geometry only.
     text = "5 4\n1 0\n0 1\n-1 0\n0 -1\n{}\n4 1 0\n1 2 4\n2 3 4\n3 0 4\n"
-    degree = "interior node 4 has degree 4 < 5 (two-away one-form entries may be ambiguous)"
+    degree = "interior node 4 has degree 4 < 5 (the flat's two-away one-form entries need degree 5 or more)"
     mesh = msh.load_mesh(text.format("0.2 0.1"))
-    assert msh.validate(mesh) == ["cell 0 was clockwise; reoriented", degree]
-    assert msh.compute_geometry(mesh).n == 4
+    assert msh.inspect_geometry(mesh)[1] == ["cell 0 was clockwise; reoriented", degree]
+    with pytest.raises(msh.MeshError) as err:
+        msh.compute_geometry(mesh)
+    assert str(err.value) == degree
     kites = [
         "non-positive kite at node 0, cell 0 (area -3.925e-02)",
         "non-positive kite at node 1, cell 0 (area -2.075e-02)",
     ]
     mesh = msh.load_mesh(text.format("0.3 0.2"))
-    assert msh.validate(mesh) == ["cell 0 was clockwise; reoriented", *kites, degree]
+    assert msh.inspect_geometry(mesh)[1] == ["cell 0 was clockwise; reoriented", *kites, degree]
     with pytest.raises(msh.MeshError) as err:
         msh.compute_geometry(mesh)
-    assert str(err.value) == "; ".join(kites)
+    assert str(err.value) == "; ".join([*kites, degree])
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +458,8 @@ def test_fan_table_matches_the_reference_walk(text, jittered65):
 
 
 def test_validate_clean_meshes(gen65, jittered):
-    assert msh.validate(gen65.mesh) == []
-    assert msh.validate(jittered.mesh) == []
+    assert msh.inspect_geometry(gen65.mesh)[1] == []
+    assert msh.inspect_geometry(jittered.mesh)[1] == []
 
 
 def test_adjacency_csr_holds_the_pattern_and_its_transpose(jittered65, rng):
@@ -563,9 +566,9 @@ def test_tables_match_loops_over_edges_and_fans(jittered65, degree_four):
     # The per-edge and per-fan loops the tables vectorize do the same
     # arithmetic in the same order, so the results are equal, not close.
     g = jittered65
-    if degree_four:  # a mesh with duplicate two-away entries
-        g = msh.compute_geometry(msh.load_mesh(DEGREE_FOUR))
-        assert len(g.dup_row)
+    if degree_four:  # a mesh whose triplets assign two-away entries twice
+        g, issues = msh.inspect_geometry(msh.load_mesh(DEGREE_FOUR))
+        assert [s.split(" (")[0] for s in issues] == ["interior node 4 has degree 4 < 5"]
     nodes, cells, cc = g.mesh.nodes, g.mesh.cells, g.circumcenters
     for p, (i, j) in enumerate(zip(g.adj_i, g.adj_j)):
         t = list(g.mesh.cell_adjacency[i]).index(j)
@@ -591,13 +594,21 @@ def test_tables_match_loops_over_edges_and_fans(jittered65, degree_four):
     assert g.adj_eplus.tolist() == [eplus[(i, j)] for i, j in zip(g.adj_i, g.adj_j)]
     assert g.adj_eminus.tolist() == [eplus[(j, i)] for i, j in zip(g.adj_i, g.adj_j)]
     adjacent = set(zip(g.adj_i.tolist(), g.adj_j.tolist()))
-    first, later, seen = [], [], set()
-    for t, (j, k) in enumerate(zip(g.tri_j.tolist(), g.tri_k.tolist())):
+    adj_row = {pair: p for p, pair in enumerate(zip(g.adj_i.tolist(), g.adj_j.tolist()))}
+    first, kite_rows, later, seen = [], [], [], set()
+    for t, (i, j, k) in enumerate(zip(g.tri_i.tolist(), g.tri_j.tolist(), g.tri_k.tolist())):
         if j == k or (j, k) in adjacent:
             continue
-        for row, col, sign in ((j, k, 1.0), (k, j, -1.0)):
-            (later if (row, col) in seen else first).append((row, col, t, sign))
+        # Z_jk reads Z_ij and Z_ki, Z_kj reads Z_ik and Z_ji; the first
+        # assignment of an entry wins.
+        for row, col, sign, reads in ((j, k, 1.0, ((i, j), (k, i))), (k, j, -1.0, ((i, k), (j, i)))):
+            if (row, col) in seen:
+                later.append((row, col))
+            else:
+                first.append((row, col, t, sign))
+                kite_rows.append([adj_row[pair] for pair in reads])
             seen.add((row, col))
-    for rows, table in ((first, "ta"), (later, "dup")):
-        got = zip(*(getattr(g, f"{table}_{x}").tolist() for x in ("row", "col", "tri", "sign")))
-        assert list(got) == rows
+    got = zip(*(getattr(g, f"ta_{x}").tolist() for x in ("row", "col", "tri", "sign")))
+    assert list(got) == first
+    assert g.kite_rows.T.tolist() == kite_rows
+    assert bool(later) == degree_four

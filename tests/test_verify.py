@@ -1,7 +1,12 @@
 """The randomized identity suite's own plumbing: corpus, records, report."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 
+import decflow
 from decflow import verify as vf
 
 
@@ -25,6 +30,18 @@ def test_corpus_is_deterministic_and_seed_sensitive():
         or not np.array_equal(ga.mesh.nodes, gc.mesh.nodes)
         for ga, gc in zip(a, c)
     )
+
+
+def test_a_corpus_whose_plain_mesh_has_right_triangles_ends():
+    # At sizes 15..26 the corpus picks the 2x4 unit square without jitter,
+    # whose zigzag triangles are right triangles (ly/ny = lx/(2 nx)) with
+    # collapsed dual edges; the suite takes under a second once it ends.
+    src = os.path.dirname(os.path.dirname(decflow.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, decflow.cli_io as cli; sys.exit(cli.main(['verify', '--sizes', '15,26']))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0
+    assert out.stdout.splitlines()[-1] == "33 checks, all passed"
 
 
 def test_check_record_pass_flag():
