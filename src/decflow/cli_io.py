@@ -535,6 +535,8 @@ def cmd_mesh_check(path: str) -> int:
     except msh.MeshError as exc:
         print(f"invalid mesh: {exc}", file=sys.stderr)
         return 1
+    for c in mesh.reoriented:
+        print(f"note: cell {c} was clockwise; reoriented")
     geom, issues = msh.inspect_geometry(mesh)
     if issues:
         for issue in issues:

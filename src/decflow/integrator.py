@@ -15,9 +15,10 @@ The variational step solves, in order:
    ``.data`` it refreshes without building a sparse array, and reads four
    entries per flux of the result (:meth:`FluxLayout.pick_P`).  The
    old-side term, the same transport at ``-h A^{k-1}`` with ``D^{k-1}``, is
-   fixed within a step (:meth:`VariationalStepper._old_side`).  The
-   pressure/temperature gradient and the viscous force are evaluated on the
-   flux pairs only, from cell values and from the per-pair kernels of
+   fixed within a step (:meth:`VariationalStepper._old_side`) and comes
+   from the converged transport the previous step carried (:class:`Carry`).
+   The pressure/temperature gradient and the viscous force are evaluated on
+   the flux pairs only, from cell values and the per-pair kernels of
    :mod:`decflow.physics`.  ``A`` is held on the adjacency list; only the
    full series is dense: its operand (the flat, scattered from P2, and the
    momentum ``D A^flat``) and every term live in one
@@ -26,9 +27,8 @@ The variational step solves, in order:
    is valid until the next residual, so a warm full residual allocates no
    ``(N, N)`` array.  Newton's matrix is the colored finite-difference
    Jacobian of the residual cut after series order 1
-   (:meth:`VariationalStepper._jacobian`), whose residuals use no
-   ``(N, N)`` array; it is a dense ``(F, F)`` array factored by
-   ``lu_factor``,
+   (:meth:`VariationalStepper._jacobian`), which uses no ``(N, N)`` array,
+   as a dense ``(F, F)`` array factored by ``lu_factor``,
 2. exact density transport ``D^{k+1} = D^k bullet tau(-h A^k)``.  The
    group element is never formed: :func:`decflow.groups.tau_action` applies
    ``tau(-h A^k)^T`` to ``Omega D^k`` as a Taylor series of products with
@@ -61,7 +61,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.sparse import _sparsetools
 
 from . import fields as fd
 from . import groups as gr
@@ -71,6 +70,7 @@ from .mesh import MeshGeometry
 __all__ = [
     "FluxLayout",
     "StepReport",
+    "Carry",
     "VariationalStepper",
     "IntegratorError",
     "SeriesRangeError",
@@ -196,9 +196,7 @@ class SampledBracket:
     stored order of :class:`decflow.mesh.AdjacencyCSR`, and a term whose
     ``eta`` entry lies off P2, where ``eta`` is zero, is left out.  So each
     sum adds the products that :func:`decflow.groups.commutator` adds, in
-    its order.  A call gathers ``xi`` into the data of a CSR matrix over P2
-    and runs SciPy's ``csr_matvec`` into buffers kept here; the result is
-    one of them, valid until the next call.
+    its order; ``np.bincount`` adds each entry's products in that order.
     """
 
     def __init__(self, layout: FluxLayout):
@@ -211,26 +209,17 @@ class SampledBracket:
         entry = np.concatenate([k1, k2 + len(ei)])
         eta_at = np.concatenate([geom.p2_index(ei[k1], csr.cols[s1]), geom.p2_index(csr.cols[s2], ej[k2])])
         on_p2 = eta_at >= 0
-        self._p2_size = len(geom.adj_i) + len(geom.ta_row)
+        self._entry = entry[on_p2]
         self._xi_at = np.concatenate([csr.take[s1], csr.take_t[s2]])[on_p2]
         self._eta_at = eta_at[on_p2]
-        self._indptr = np.searchsorted(entry[on_p2], np.arange(2 * len(ei) + 1))
-        self._data = np.empty(len(self._eta_at))
-        self._sums = np.empty((2, 4, layout.size))
-        self._out = np.empty((4, layout.size))
+        self._picks = len(ei)
 
     def __call__(self, eta: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """The ``(4, fluxes)`` entries of ``[eta, xi^T]``, from ``eta`` on P2
-        and ``xi`` as its values on ``[pairs, diagonal]``.  The kernel
-        trusts the length of ``eta``, so it is checked here."""
-        if eta.shape != (self._p2_size,):
-            raise ValueError(f"eta has {eta.shape} values, P2 has {self._p2_size}")
-        np.take(xi, self._xi_at, out=self._data)
-        self._sums.fill(0.0)
-        _sparsetools.csr_matvec(
-            len(self._indptr) - 1, len(eta), self._indptr, self._eta_at, self._data, eta, self._sums.ravel()
-        )
-        return np.subtract(self._sums[0], self._sums[1], out=self._out)
+        and ``xi`` as its values on ``[pairs, diagonal]``."""
+        n = self._picks
+        sums = np.bincount(self._entry, xi[self._xi_at] * eta[self._eta_at], minlength=2 * n)
+        return (sums[:n] - sums[n:]).reshape(4, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +314,46 @@ class StepReport:
     friction_power: np.ndarray | None = None
 
 
+@dataclass(frozen=True)
+class Carry:
+    """What a step passes to the next, keyed by the fluxes it returned:
+    ``flux``, ``layout.from_matrix`` of the returned velocity; the fluxes
+    ``flux_from`` and density ``d_prev`` the step started from; the
+    converged ``transport`` at ``+hA``; the Newton matrix's ``lu`` and its
+    ``fresh`` count (:func:`_refresh`).  The arrays are the carry's own.  A
+    cold start steps from ``Carry(f, f, transport, d, None, None)``."""
+
+    flux: np.ndarray
+    flux_from: np.ndarray
+    transport: np.ndarray
+    d_prev: np.ndarray
+    lu: tuple | None
+    fresh: int | None
+
+
+def _refresh(carry, report, lu):
+    """The LU and the fresh count to carry after a step that started from
+    ``carry`` and ended on ``lu`` (Kelley's Shamanskii variant, 1995, ch. 5).
+    The fresh count is the Newton iterations of the first step solved wholly
+    on the LU, the step after the one that built it.  Once a later step that
+    made no build needs more than ``2 max(fresh, 1)`` iterations, the LU is
+    dropped, so that the next step builds at its first iteration."""
+    fresh = carry.fresh
+    if report.jacobian_builds:
+        return lu, None
+    if fresh is None:
+        return lu, report.newton_iters
+    if report.newton_iters > 2 * max(fresh, 1):
+        return None, fresh
+    return lu, fresh
+
+
 class VariationalStepper:
     """Advances the fully discrete system one step at a time (:meth:`step`).
     ``heat_source`` is the per-cell heating rate ``R``, constant in time,
-    or None for no heating.
+    or None for no heating.  ``carry`` is what the last step passed on
+    (:class:`Carry`), None before the first step; setting it to None makes
+    the next step a cold start.
     """
 
     def __init__(
@@ -357,8 +382,7 @@ class VariationalStepper:
         self.layout = FluxLayout.build(geom)
         self._p2 = np.concatenate([geom.adj_i, geom.ta_row]), np.concatenate([geom.adj_j, geom.ta_col])  # P2 pairs
         self._work = gr.SeriesWork(geom.n)  # every residual's series runs here
-        # carried across steps, see step
-        self._lu = self._fresh_iters = self._d_prev = self._carried = None
+        self.carry: Carry | None = None
 
     # -- momentum ----------------------------------------------------------
 
@@ -487,22 +511,6 @@ class VariationalStepper:
             f"(tolerance {self.newton_tol:.1e}); reduce the time step"
         )
 
-    def _refresh(self, report, lu):
-        """The LU and the fresh count to carry after a step that ended on
-        ``lu`` (Kelley's Shamanskii variant, 1995, ch. 5).  The fresh count is
-        the Newton iterations of the first step solved wholly on the LU, the
-        step after the one that built it.  Once a later step that made no
-        build needs more than ``2 max(fresh, 1)`` iterations, the LU is
-        dropped, so that the next step builds at its first iteration."""
-        fresh = self._fresh_iters
-        if report.jacobian_builds:
-            return lu, None
-        if fresh is None:
-            return lu, report.newton_iters
-        if report.newton_iters > 2 * max(fresh, 1):
-            return None, fresh
-        return lu, fresh
-
     # -- entropy -----------------------------------------------------------
 
     def _solve_entropy(self, a_new, back, d_old, s_old, d_new, theta_old, fric):
@@ -544,32 +552,23 @@ class VariationalStepper:
         current density/entropy; returns ``(new_state, StepReport)``.
 
         The momentum balance couples the incoming velocity, paired with the
-        density one step back (cold start: the incoming density), to the new
-        one.  Carried from step to step: the LU and its fresh count
-        (:meth:`_refresh`), that density, and the returned velocity with its
-        converged transport at ``+hA`` and the fluxes it was stepped from.
-        The carried transport is a cache keyed on the returned velocity:
-        when ``state.a`` is that velocity, the old side is taken from it and
-        Newton starts from the extrapolated fluxes ``2 f_{k-1} - f_{k-2}``;
-        any other velocity, such as a copy, recomputes the transport and
-        starts from its own fluxes.  The returned velocity is read-only, so
-        a caller that wants to change it passes a changed copy.  The carried
-        state is written once, after every check has passed, so a step that
-        raises leaves it as it was and the same call can be repeated.
+        density one step back, to the new one.  When the fluxes of ``state.a``
+        equal the key of :attr:`carry`, as a returned velocity's and its
+        copies' do, that density, the old side's transport, the LU and Newton's
+        start ``2 f_{k-1} - f_{k-2}`` come from the carry.  Any other velocity
+        is a cold start, bit for bit a new stepper's.  The next carry is set
+        once, after every check has passed, so a step that raises leaves it.
         """
         geom, gas, phys, h = self.geom, self.gas, self.phys, self.h
-        d_prev = state.d if self._d_prev is None else self._d_prev
         flux_in = self.layout.from_matrix(state.a)
-        transport, flux_old = None, flux_in
-        if self._carried is not None and state.a is self._carried[0]:
-            _, transport, flux_old = self._carried
+        carry = self.carry
         terms = self._work.terms
         try:
-            if transport is None:
-                transport = self._transport_term(state.a, d_prev)
-            prev_term = self._old_side(state.a, d_prev, transport)
+            if carry is None or not np.array_equal(flux_in, carry.flux):  # a cold start
+                carry = Carry(flux_in, flux_in, self._transport_term(state.a, state.d), state.d, None, None)
+            prev_term = self._old_side(state.a, carry.d_prev, carry.transport)
             flux, lu, report, transport = self._solve_momentum(
-                2.0 * flux_in - flux_old, state.d, state.s, prev_term, self._lu
+                2.0 * flux_in - carry.flux_from, state.d, state.s, prev_term, carry.lu
             )
             report.series_terms = self._work.terms - terms
             a_new = self.layout.to_matrix(flux)
@@ -599,9 +598,8 @@ class VariationalStepper:
                 "reduce the time step"
             )
 
-        a_new.flags.writeable = False  # the carried values describe it
-        self._lu, self._fresh_iters = self._refresh(report, lu)
-        self._d_prev, self._carried = state.d.copy(), (a_new, transport, flux_in)
+        lu, fresh = _refresh(carry, report, lu)
+        self.carry = Carry(self.layout.from_matrix(a_new), flux_in, transport, state.d.copy(), lu, fresh)
         return ph.FluidState(a_new, d_new, s_new), report
 
     def run(self, state: ph.FluidState, steps: int, observer=None):

@@ -769,17 +769,15 @@ def compute_geometry(mesh: Mesh) -> MeshGeometry:
     Loaded meshes with obtuse triangles are fine as long as those quantities
     stay positive.
     """
-    issues: list = []
-    geom = _geometry(mesh, issues)
+    geom, issues = inspect_geometry(mesh)
     if issues:
         raise MeshError("; ".join(issues))
     return geom
 
 
 def inspect_geometry(mesh: Mesh) -> tuple:
-    """The dual geometry and every violated invariant, never raising:
-    degenerate dual edges, non-positive kites, kite partition failures,
-    non-manifold fans, low-degree interior nodes, and a note for each input
-    cell that had to be reoriented.  Returns ``(geometry, issues)``."""
-    issues = [f"cell {c} was clockwise; reoriented" for c in mesh.reoriented]
+    """The dual geometry and the issues :func:`compute_geometry` raises on,
+    never raising.  Returns ``(geometry, issues)``; a reoriented cell is not
+    an issue (see ``mesh.reoriented``)."""
+    issues: list = []
     return _geometry(mesh, issues), issues

@@ -9,7 +9,7 @@ import importlib
 import importlib.util
 import pathlib
 
-from decflow import cli_io, integrator, physics
+from decflow import cli_io, integrator, physics, verify
 
 INSTRUMENTS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "instruments.py"
 
@@ -64,3 +64,23 @@ def test_the_traced_kernel_names_are_called_by_the_step(jittered65, monkeypatch)
     state = cli_io.initial_condition_presets("taylor-like", {"amplitude": "0.3"}, jittered65, gas)
     integrator.VariationalStepper(jittered65, gas, phys, 1e-3).step(state)
     assert all(calls.values()), calls
+
+
+def test_the_step_timer_sees_each_step_once(tmp_path, monkeypatch):
+    # ``Stamps`` times each call of ``VariationalStepper.step`` for
+    # ``first_step_s`` and ``step_ms_*``, so ``run`` must call it once per
+    # step, through the class attribute.
+    inst = load_instruments()
+    for owner, name in [(integrator.VariationalStepper, "step"), (verify, "mesh_corpus")]:
+        monkeypatch.setattr(owner, name, getattr(owner, name))  # restored after the test
+    for registry in inst.CHECK_REGISTRIES:
+        monkeypatch.setattr(verify, registry, getattr(verify, registry))
+    stamps = inst.Stamps()
+    stamps.install()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "mesh.nx = 4\nmesh.ny = 3\nmesh.lx = 1\nmesh.ly = 1\nrun.h = 1e-3\nrun.steps = 3\n"
+        f"initial.preset = shear\noutput.directory = {tmp_path / 'out'}\n"
+    )
+    assert cli_io.main(["run", str(cfg)]) == 0
+    assert len(stamps.steps) == 3

@@ -821,13 +821,33 @@ def test_mesh_check_flags_problems(tmp_path, capsys):
     assert cli.main(["mesh", "check", str(bad)]) == 1
     assert "degenerate dual edge" in capsys.readouterr().err
 
+    # a clockwise cell is reoriented: a note on stdout, not an issue
     flipped = tmp_path / "flipped.txt"
-    flipped.write_text("4 2\n0 0\n1 0\n0.5 0.9\n0.5 -0.9\n0 2 1\n1 0 3\n")
-    assert cli.main(["mesh", "check", str(flipped)]) == 1
-    assert "clockwise" in capsys.readouterr().err
+    flipped.write_text(FLIPPED)
+    assert cli.main(["mesh", "check", str(flipped)]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(f"note: cell 0 was clockwise; reoriented\n{flipped}: ok -- ")
+    assert err == ""
 
     assert cli.main(["mesh", "check", str(tmp_path / "none.txt")]) == 1
     assert "cannot read" in capsys.readouterr().err
+
+
+FLIPPED = "4 2\n0 0\n1 0\n0.5 0.9\n0.5 -0.9\n0 2 1\n1 0 3\n"
+
+
+def test_check_and_run_accept_a_mesh_with_a_clockwise_cell(tmp_path, capsys):
+    # One verdict per mesh: `run` reorients the cell, and `mesh check` passes.
+    flipped = tmp_path / "flipped.txt"
+    flipped.write_text(FLIPPED)
+    assert cli.main(["mesh", "check", str(flipped)]) == 0
+    cfg = tmp_path / "rest.cfg"
+    cfg.write_text(
+        f"mesh.file = {flipped}\nrun.h = 1e-3\nrun.steps = 3\n"
+        f"initial.preset = rest\noutput.directory = {tmp_path / 'out'}\n"
+    )
+    assert cli.main(["run", str(cfg)]) == 0
+    assert (tmp_path / "out" / "diagnostics.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Flux layout, semi-discrete right-hand side, and the implicit stepper."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -28,6 +30,19 @@ def shear_state(geom, amp=0.3):
         geom, lambda p: np.array([amp * np.sin(2 * np.pi * p[1]), 0.0]), no_slip=True
     )
     return ph.FluidState(a, np.ones(geom.n), np.zeros(geom.n))
+
+
+def taylor_state(geom):
+    return cli_io.initial_condition_presets("taylor-like", {"amplitude": "0.3"}, geom, GAS)
+
+
+def assert_same_step(got, want):
+    """Two ``(state, report)`` results of ``step``, byte for byte."""
+    (state, report), (want_state, want_report) = got, want
+    for field in ("a", "d", "s"):
+        assert getattr(state, field).tobytes() == getattr(want_state, field).tobytes()
+    assert report.friction_power.tobytes() == want_report.friction_power.tobytes()
+    assert dataclasses.replace(report, friction_power=None) == dataclasses.replace(want_report, friction_power=None)
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +94,7 @@ def test_the_sampled_first_order_transport_equals_the_dense_one(mesh, sign, h, r
     # eta - [eta, xi^T]/2 gives at those entries, and the old side's bracket.
     geom = request.getfixturevalue(mesh)
     stepper = ig.VariationalStepper(geom, GAS, INVISCID, h)
-    a = cli_io.initial_condition_presets("taylor-like", {"amplitude": "0.3"}, geom, GAS).a
+    a = taylor_state(geom).a
     d = 1.0 + 0.2 * np.sin(3.0 * geom.circumcenters[:, 0]) * np.cos(2.0 * geom.circumcenters[:, 1])
     zero = np.zeros(stepper.layout.size)
     want = dense.first_order_transport(stepper.layout, a, d, h, sign)
@@ -336,7 +351,7 @@ def test_the_report_counts_the_series_terms(gen65, monkeypatch, kind):
     monkeypatch.setattr(gr, "dtau_inv", traced_dtau_inv)
     monkeypatch.setattr(gr, "commutator", traced_commutator)
     phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01)
-    state = cli_io.initial_condition_presets("taylor-like", {"amplitude": "0.3"}, gen65, GAS)
+    state = taylor_state(gen65)
     stepper = ig.VariationalStepper(gen65, GAS, phys, h=1e-3, kind=kind)
     for _ in range(2):
         count["terms"] = 0
@@ -363,21 +378,27 @@ def test_a_stale_matrix_is_rebuilt_once_the_iterations_double(gen65, kind):
 
 
 def test_a_fresh_count_of_zero_allows_two_iterations(gen65):
+    # A state at rest converges at its first residual on a new matrix, so
+    # its fresh count is 0.  A carry with that count keeps its matrix through
+    # steps of two iterations, 2 * max(0, 1), and drops it at three.
     phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01, insulated=True)
+    strong = ig.VariationalStepper(gen65, GAS, phys, h=1e-3)
+    _, first = strong.step(shear_state(gen65))
+    lu = strong.carry.lu
     stepper = ig.VariationalStepper(gen65, GAS, phys, h=1e-3)
-    _, first = stepper.step(shear_state(gen65))
-    # a state at rest converges at its first residual on the new matrix...
-    reports = [stepper.step(rest_state(gen65))[1] for _ in range(10)]
-    # ...and a faint shear then needs two iterations per step, which is not
-    # more than 2 * max(0, 1).  Each step gets a copy, so that it starts
-    # from the incoming fluxes, not from the carried extrapolation.
-    state = shear_state(gen65, amp=1e-6)
+    state, _ = stepper.step(shear_state(gen65, amp=1e-6))
+    stepper.carry = dataclasses.replace(stepper.carry, lu=lu, fresh=0)
+    reports = []
     for _ in range(10):
-        state, report = stepper.step(ph.FluidState(state.a.copy(), state.d, state.s))
+        # start Newton from the incoming fluxes, not the extrapolation
+        stepper.carry = dataclasses.replace(stepper.carry, flux_from=stepper.carry.flux)
+        state, report = stepper.step(state)
         reports.append(report)
+        assert stepper.carry.lu is lu and stepper.carry.fresh == 0
     assert first.jacobian_builds == 1
-    assert [r.newton_iters for r in reports] == [0] * 10 + [2] * 10
+    assert [r.newton_iters for r in reports] == [2] * 10
     assert sum(r.jacobian_builds for r in reports) == 0
+    assert ig._refresh(stepper.carry, ig.StepReport(newton_iters=3), lu) == (None, 0)
 
 
 @pytest.mark.parametrize("kind", gr.KINDS)
@@ -386,11 +407,11 @@ def test_the_carried_old_side_equals_the_series(jittered65, monkeypatch, kind):
     # +hA plus one bracket: it equals the dense series at -hA.
     phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01)
     stepper = ig.VariationalStepper(jittered65, GAS, phys, h=1e-3, kind=kind)
-    state = cli_io.initial_condition_presets("taylor-like", {"amplitude": "0.3"}, jittered65, GAS)
+    state = taylor_state(jittered65)
     prev_terms, solve = [], stepper._solve_momentum
     monkeypatch.setattr(stepper, "_solve_momentum", lambda *args: prev_terms.append(args[3]) or solve(*args))
     for step in range(1, 7):
-        d_prev = state.d if step == 1 else stepper._d_prev
+        d_prev = state.d if step == 1 else stepper.carry.d_prev
         series = dense.old_side_series(stepper.layout, state.a, d_prev, stepper.h, kind)
         state, _ = stepper.step(state)
         assert len(prev_terms) == step
@@ -399,15 +420,17 @@ def test_the_carried_old_side_equals_the_series(jittered65, monkeypatch, kind):
 
 @pytest.mark.parametrize("kind", gr.KINDS)
 def test_a_copy_of_the_output_gets_the_carried_old_side(jittered65, monkeypatch, kind):
-    # The carried transport is a cache keyed on the returned velocity: a
-    # copy recomputes it, and its old side is the carried one bit for bit.
+    # The carry is keyed by the fluxes of the returned velocity, so a copy
+    # hits it: its step computes no transport before Newton, and its old
+    # side is the original's bit for bit.
     class Stop(Exception):
         pass
 
     phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01)
     stepper = ig.VariationalStepper(jittered65, GAS, phys, h=1e-3, kind=kind)
-    state, _ = stepper.step(cli_io.initial_condition_presets("taylor-like", {"amplitude": "0.3"}, jittered65, GAS))
-    prev_terms, solve = [], stepper._solve_momentum
+    state, _ = stepper.step(taylor_state(jittered65))
+    prev_terms, solve, transport, seen = [], stepper._solve_momentum, stepper._transport_term, []
+    monkeypatch.setattr(stepper, "_transport_term", lambda a, d: seen.append(a) or transport(a, d))
 
     def record(*args):
         prev_terms.append(args[3])
@@ -419,8 +442,49 @@ def test_a_copy_of_the_output_gets_the_carried_old_side(jittered65, monkeypatch,
     for _ in range(5):
         with pytest.raises(Stop):
             stepper.step(ph.FluidState(state.a.copy(), state.d, state.s))
+        assert seen == []
         state, _ = stepper.step(state)
+        seen.clear()
         np.testing.assert_array_equal(prev_terms[-2], prev_terms[-1])
+
+
+def test_a_copy_of_the_output_steps_as_the_output(jittered65):
+    phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01)
+    mine, copies = (ig.VariationalStepper(jittered65, GAS, phys, h=1e-3) for _ in range(2))
+    state = copied = taylor_state(jittered65)
+    for _ in range(5):
+        want = mine.step(state)
+        got = copies.step(ph.FluidState(copied.a.copy(), copied.d.copy(), copied.s.copy()))
+        assert_same_step(got, want)
+        state, copied = want[0], got[0]
+
+
+@pytest.mark.parametrize("restart", ["foreign-velocity", "no-carry"])
+def test_a_cold_start_steps_as_a_new_stepper(jittered65, restart):
+    phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01)
+    stepper = ig.VariationalStepper(jittered65, GAS, phys, h=1e-3)
+    state = taylor_state(jittered65)
+    for _ in range(3):
+        state, _ = stepper.step(state)
+    if restart == "foreign-velocity":
+        state = shear_state(jittered65)
+    else:
+        stepper.carry = None
+    want = ig.VariationalStepper(jittered65, GAS, phys, h=1e-3).step(state)
+    assert_same_step(stepper.step(state), want)
+
+
+def test_the_stepper_carries_one_value(jittered65):
+    # Between steps only the carry changes, besides the two caches built at
+    # the first use on the geometry.
+    stepper = ig.VariationalStepper(jittered65, GAS, ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01), h=1e-3)
+    before, missing = dict(vars(stepper)), object()
+    state = taylor_state(jittered65)
+    for _ in range(3):
+        state, _ = stepper.step(state)
+    after = vars(stepper)
+    changed = {k for k in before.keys() | after.keys() if before.get(k, missing) is not after.get(k, missing)}
+    assert changed == {"carry", "_sampled", "_colors"}
 
 
 def test_a_failed_step_leaves_the_carried_state(gen65, monkeypatch):
@@ -453,51 +517,45 @@ def test_a_failed_step_leaves_the_carried_state(gen65, monkeypatch):
     for k, (want, want_report) in enumerate(expected[: drops + 2], start=1):
         if k in (1, 3, drops, drops + 1):
             fail.append(k)
+            carry = stepper.carry
             with pytest.raises(ig.StateRangeError, match="injected"):
                 stepper.step(state)
+            assert stepper.carry is carry
         state, report = stepper.step(state)
-        for field in ("a", "d", "s"):
-            np.testing.assert_array_equal(getattr(state, field), getattr(want, field))
-        np.testing.assert_array_equal(report.friction_power, want_report.friction_power)
-        report.friction_power = want_report.friction_power = None
-        assert report == want_report
+        assert_same_step((state, report), (want, want_report))
 
 
 def test_the_carried_start_saves_newton_iterations(gen65):
-    # The same 30 shear steps, once on the stepper's own outputs and once on
-    # copies of them, which start Newton from their own fluxes: the
+    # The same 30 shear steps, once from the extrapolated fluxes and once
+    # from the incoming ones (a carry whose previous fluxes are its own): the
     # extrapolated start saves iterations, and both runs solve the same
     # equations.
     phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01, insulated=True)
     carried, cold = (ig.VariationalStepper(gen65, GAS, phys, h=1e-3) for _ in range(2))
-    mine = copied = shear_state(gen65)
+    mine = theirs = shear_state(gen65)
     iters = [0, 0]
     for _ in range(30):
         mine, report = carried.step(mine)
         iters[0] += report.newton_iters
-        copied, report = cold.step(ph.FluidState(copied.a.copy(), copied.d, copied.s))
+        if cold.carry is not None:
+            cold.carry = dataclasses.replace(cold.carry, flux_from=cold.carry.flux)
+        theirs, report = cold.step(theirs)
         iters[1] += report.newton_iters
     assert iters[0] < iters[1]
     for field in ("a", "d", "s"):
-        want = getattr(copied, field)
+        want = getattr(theirs, field)
         assert np.max(np.abs(getattr(mine, field) - want)) <= 1e-9 * np.max(np.abs(want))
 
 
-def test_a_returned_velocity_is_read_only(gen65, monkeypatch):
-    # The carried values describe the returned velocity, so it cannot be
-    # changed in place; a changed copy recomputes its transport, and the
-    # velocity itself does not.
+def test_a_returned_velocity_is_writeable(gen65):
+    # The carry is keyed by value, so a velocity changed in place after it
+    # was returned misses it: its step is a new stepper's, byte for byte.
     stepper = ig.VariationalStepper(gen65, GAS, INVISCID, h=1e-3)
     state, _ = stepper.step(shear_state(gen65))
-    with pytest.raises(ValueError, match="read-only"):
-        state.a *= 2.0
-    seen, transport = [], stepper._transport_term
-    monkeypatch.setattr(stepper, "_transport_term", lambda a, d: seen.append(a) or transport(a, d))
-    stepper.step(state)
-    assert not any(a is state.a for a in seen)  # Newton's residuals only
-    changed = 2.0 * state.a
-    stepper.step(ph.FluidState(changed, state.d, state.s))
-    assert any(a is changed for a in seen)
+    assert state.a.flags.writeable
+    state.a *= 2.0
+    want = ig.VariationalStepper(gen65, GAS, INVISCID, h=1e-3).step(state)
+    assert_same_step(stepper.step(state), want)
 
 
 def test_range_failure_keeps_its_subclass_through_run(gen65):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from decflow import fields as fd
 from decflow import mesh as msh
+from decflow import verify
 
 ROOT3 = np.sqrt(3.0)
 
@@ -179,8 +180,8 @@ def test_load_mesh_fixes_clockwise_cells():
     flipped = GOOD.replace("0 1 2", "0 2 1")
     mesh = msh.load_mesh(flipped)
     assert mesh.reoriented == (0,)
-    issues = msh.inspect_geometry(mesh)[1]
-    assert "cell 0 was clockwise; reoriented" in issues
+    # a reoriented cell is a note of `mesh check`, not an issue
+    assert msh.inspect_geometry(mesh)[1] == []
 
 
 @pytest.mark.parametrize(
@@ -336,13 +337,16 @@ def test_degenerate_geometry_lists_every_issue(text, issues):
     assert str(err.value) == "; ".join(issues)
 
 
+# Node 4 is interior with four cells; cell 0 is given clockwise, which is
+# not an issue.
+LOW_DEGREE = "5 4\n1 0\n0 1\n-1 0\n0 -1\n{}\n4 1 0\n1 2 4\n2 3 4\n3 0 4\n"
+
+
 def test_low_degree_is_a_hard_issue():
-    # Node 4 is interior with four cells; cell 0 is given clockwise, which
-    # is a note of inspect_geometry only.
-    text = "5 4\n1 0\n0 1\n-1 0\n0 -1\n{}\n4 1 0\n1 2 4\n2 3 4\n3 0 4\n"
     degree = "interior node 4 has degree 4 < 5 (the flat's two-away one-form entries need degree 5 or more)"
-    mesh = msh.load_mesh(text.format("0.2 0.1"))
-    assert msh.inspect_geometry(mesh)[1] == ["cell 0 was clockwise; reoriented", degree]
+    mesh = msh.load_mesh(LOW_DEGREE.format("0.2 0.1"))
+    assert mesh.reoriented == (0,)
+    assert msh.inspect_geometry(mesh)[1] == [degree]
     with pytest.raises(msh.MeshError) as err:
         msh.compute_geometry(mesh)
     assert str(err.value) == degree
@@ -350,11 +354,34 @@ def test_low_degree_is_a_hard_issue():
         "non-positive kite at node 0, cell 0 (area -3.925e-02)",
         "non-positive kite at node 1, cell 0 (area -2.075e-02)",
     ]
-    mesh = msh.load_mesh(text.format("0.3 0.2"))
-    assert msh.inspect_geometry(mesh)[1] == ["cell 0 was clockwise; reoriented", *kites, degree]
+    mesh = msh.load_mesh(LOW_DEGREE.format("0.3 0.2"))
+    assert msh.inspect_geometry(mesh)[1] == [*kites, degree]
     with pytest.raises(msh.MeshError) as err:
         msh.compute_geometry(mesh)
     assert str(err.value) == "; ".join([*kites, degree])
+
+
+def test_inspect_lists_issues_exactly_when_compute_raises(request):
+    # One verdict per mesh: over the verify corpus, the shared fixtures, a
+    # clockwise rhombus and broken meshes, inspect_geometry lists no issue
+    # exactly when compute_geometry returns, and otherwise the issues that
+    # compute_geometry names.
+    fixtures = ("rhombus", "gen65", "small43", "jittered", "jittered65")
+    meshes = [geom.mesh for geom in verify.mesh_corpus(seed=1)]
+    meshes += [request.getfixturevalue(name).mesh for name in fixtures]
+    texts = [GOOD.replace("0 1 2", "0 2 1"), LOW_DEGREE.format("0.2 0.1"), LOW_DEGREE.format("0.3 0.2")]
+    meshes += [msh.load_mesh(text) for text in [*texts, PINCHED, FOLDED, SPLIT_FAN]]
+    verdicts = []
+    for mesh in meshes:
+        issues = msh.inspect_geometry(mesh)[1]
+        try:
+            msh.compute_geometry(mesh)
+            raised = None
+        except msh.MeshError as exc:
+            raised = str(exc)
+        assert raised == ("; ".join(issues) if issues else None)
+        verdicts.append(raised is None)
+    assert verdicts.count(False) == 5 and len(verdicts) == 51 + 5 + 6
 
 
 # ---------------------------------------------------------------------------
