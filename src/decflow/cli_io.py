@@ -375,14 +375,12 @@ def format_mesh(mesh: msh.Mesh) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_vtk(geom, state: ph.FluidState, gas, phys, path, fric=None) -> None:
+def export_vtk(geom, state: ph.FluidState, gas, path, fric) -> None:
     """Legacy-ASCII VTK unstructured grid with per-cell state fields;
-    ``fric`` is the state's friction power if the caller has it."""
+    ``fric`` is the state's friction power."""
     mesh = geom.mesh
     theta = ph.temperature(state.d, state.s, gas)
     diva = fd.div(geom, state.a)
-    if fric is None:
-        fric = ph.friction_power(geom, state.a, phys)
     vel = fd.reconstruct_velocity(geom, state.a)
 
     out = [
@@ -460,9 +458,7 @@ def cmd_run(config_path: str) -> int:
 
             def observer(k, t, st, report):
                 fric = report.friction_power  # computed once per state
-                if fric is None:  # the initial state
-                    fric = ph.friction_power(geom, st.a, cfg.phys)
-                sample = dg.sample(geom, st, cfg.gas, cfg.phys, t=t, heat=heat, fric=fric)
+                sample = dg.sample(geom, st, cfg.gas, cfg.phys, fric, t=t, heat=heat)
                 resid = dg.energy_residual(prev_sample[0], sample) if prev_sample[0] else 0.0
                 prev_sample[0] = sample
                 row = [k, sample.time, sample.total_mass, sample.total_entropy, sample.total_energy]
@@ -473,14 +469,7 @@ def cmd_run(config_path: str) -> int:
                         raise it.StateRangeError(f"step {k}: diagnostic '{name}' = {value} is not finite")
                 writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
                 if cfg.snapshot_stride > 0 and k % cfg.snapshot_stride == 0:
-                    export_vtk(
-                        geom,
-                        st,
-                        cfg.gas,
-                        cfg.phys,
-                        os.path.join(cfg.outdir, f"snapshot_{k:06d}.vtk"),
-                        fric,
-                    )
+                    export_vtk(geom, st, cfg.gas, os.path.join(cfg.outdir, f"snapshot_{k:06d}.vtk"), fric)
 
             try:
                 stepper.run(state, cfg.steps, observer=observer)

@@ -49,22 +49,20 @@ def sample(
     state: ph.FluidState,
     gas: ph.GasParams,
     phys: ph.PhysParams,
+    fric: np.ndarray,
     t: float = 0.0,
     heat=None,
-    fric=None,
 ) -> DiagnosticsSample:
     """Evaluate all scalar diagnostics at one instant.
 
-    ``heat`` is the external heating field R (per unit mass), or None.  ``fric`` is the state's friction power when the caller has it
-    (the step's :class:`~decflow.integrator.StepReport` carries it), or None
-    to compute it here.
+    ``fric`` is the state's cell-wise friction power, which the step's
+    :class:`~decflow.integrator.StepReport` carries.  ``heat`` is the
+    external heating field R (per unit mass), or None.
     """
-    a, d, s = state.a, state.d, state.s
+    d, s = state.d, state.s
     omega = geom.omega
     theta = ph.temperature(d, s, gas)
     _, theta_j, j_bnd = ph.conduction(geom, theta, phys)
-    if fric is None:
-        fric = ph.friction_power(geom, a, phys)
 
     r = np.zeros(geom.n) if heat is None else d * np.asarray(heat, dtype=float)
     production = float(np.sum(omega * (fric - theta_j + r) / theta))

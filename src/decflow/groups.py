@@ -10,13 +10,15 @@ Two kinds are provided:
 
 * ``"exponential"``: the matrix exponential.  ``dtau_inv`` is the classical
   Bernoulli-number series ``sum_n (B_n / n!) ad_{-xi}^n(eta)`` (with the
-  ``B_1 = -1/2`` convention), truncated adaptively; ``dtau`` is the series
-  ``sum_n (1/(n+1)!) ad_{-xi}^n(delta)``.
+  ``B_1 = -1/2`` convention); ``dtau`` is the series
+  ``sum_n (1/(n+1)!) ad_{-xi}^n(delta)``.  Both run ``K`` terms, fixed
+  before the first from the guard's bound on ``|xi|_2`` (:func:`_series_terms`).
 * ``"cayley"``: ``(I - xi/2)^-1 (I + xi/2)`` with the closed-form tangents
   ``dtau(delta) = (I + xi/2)^-1 delta (I - xi/2)^-1`` and
-  ``dtau_inv(eta) = (I + xi/2) eta (I - xi/2)``.  Note the Cayley map does
-  not preserve the row-sum-zero structure of transported quantities the way
-  the exponential does, so the exponential is the default everywhere.
+  ``dtau_inv(eta) = (I + xi/2) eta (I - xi/2)``; ``tau`` and ``dtau`` raise
+  where a solve with ``I -+ xi/2`` fails.  The Cayley map does not preserve
+  the row-sum-zero structure of transported quantities the way the
+  exponential does, so the exponential is the default everywhere.
 
 Every function except :func:`tau` takes ``xi`` as a SciPy CSR array, such
 as the CSR form of a velocity matrix from
@@ -71,16 +73,21 @@ KINDS = ("exponential", "cayley")
 _SERIES_CAP = 24
 
 
-def _bernoulli(cap: int) -> list:
-    """Bernoulli numbers ``B_0 .. B_cap`` (``B_1 = -1/2``), each correctly
-    rounded: ``B_n = -sum_{k<n} C(n+1, k) B_k / (n+1)`` in exact fractions."""
-    b = [Fraction(1)]
+def _coefficients(cap: int):
+    """Bernoulli numbers ``B_0 .. B_cap`` (``B_1 = -1/2``), correctly rounded
+    from ``B_n = -sum_{k<n} C(n+1, k) B_k / (n+1)`` in fractions, and the
+    coefficients of ``ad_{-xi}^n``, ``n = 1 .. cap``: ``B_n / n!`` of
+    ``dtau_inv``, ``1 / (n+1)!`` of ``dtau``, with ``n!`` by ``f *= n``."""
+    b, inv, fwd, factorial = [Fraction(1)], [], [], 1.0
     for n in range(1, cap + 1):
         b.append(-sum(math.comb(n + 1, k) * b[k] for k in range(n)) / (n + 1))
-    return [float(x) for x in b]
+        factorial *= n
+        inv.append(float(b[n]) / factorial)
+        fwd.append(1.0 / (factorial * (n + 1)))
+    return [float(x) for x in b], inv, fwd
 
 
-_BERNOULLI = _bernoulli(_SERIES_CAP)
+_BERNOULLI, _DTAU_INV_COEFFS, _DTAU_COEFFS = _coefficients(_SERIES_CAP)
 
 
 class GroupMapError(ValueError):
@@ -141,23 +148,24 @@ def commutator(a: np.ndarray, b, *, work: SeriesWork | None = None, out=None) ->
     return np.subtract(right.T, _product(b, a, out), out=out)
 
 
-def _max_abs(x: np.ndarray, scratch: np.ndarray) -> float:
-    return float(np.max(np.abs(x, out=scratch)))
-
-
 def _rows(x) -> np.ndarray:
     """The row of every stored entry of a CSR ``x``."""
     return np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))
 
 
 def _cayley_factors(xi: np.ndarray):
-    n = xi.shape[0]
-    eye = np.eye(n)
-    p = eye - 0.5 * xi
-    q = eye + 0.5 * xi
-    if abs(np.linalg.det(p)) < 1e-300:
-        raise GroupMapError("cayley map is singular: 2 is an eigenvalue of xi")
-    return p, q
+    """``p = I - xi/2`` and ``q = I + xi/2`` of a dense ``xi``."""
+    eye = np.eye(xi.shape[0])
+    return eye - 0.5 * xi, eye + 0.5 * xi
+
+
+def _cayley_solve(factor: np.ndarray, rhs: np.ndarray, eigenvalue: str) -> np.ndarray:
+    """``factor^-1 rhs``; a singular ``factor``, ``I -+ xi/2``, means that
+    ``eigenvalue``, ``2`` or ``-2``, is an eigenvalue of ``xi``."""
+    try:
+        return np.linalg.solve(factor, rhs)
+    except np.linalg.LinAlgError:
+        raise GroupMapError(f"cayley map is singular: {eigenvalue} is an eigenvalue of xi") from None
 
 
 def tau(xi: np.ndarray, kind: str = "exponential") -> np.ndarray:
@@ -168,17 +176,17 @@ def tau(xi: np.ndarray, kind: str = "exponential") -> np.ndarray:
     if kind == "exponential":
         return expm(xi)
     p, q = _cayley_factors(xi)
-    return np.linalg.solve(p, q)
+    return _cayley_solve(p, q, "2")
 
 
-def _taylor_terms(norm: float) -> int:
-    """Least ``K`` with ``norm^(K+1)/(K+1)! / (1 - norm/(K+2)) <= 2^-53``:
-    the tail bound of the exponential's Taylor series after order ``K``
-    (``norm <= 1``)."""
-    order, term = 0, norm  # term = norm^(order+1) / (order+1)!
-    while term / (1.0 - norm / (order + 2)) > 2.0**-53:
+def _tail_terms(x: float, tol: float) -> int:
+    """Least ``K`` with ``x^(K+1)/(K+1)! / (1 - x/(K+2)) <= tol``: the tail
+    bound of the exponential's Taylor series at ``x`` after order ``K``
+    (``0 <= x < 2``)."""
+    order, term = 0, x  # term = x^(order+1) / (order+1)!
+    while term / (1.0 - x / (order + 2)) > tol:
         order += 1
-        term *= norm / (order + 1)
+        term *= x / (order + 1)
     return order
 
 
@@ -206,7 +214,7 @@ def tau_action(xi, kind: str = "exponential"):
         raise GroupMapError("group map argument is not finite")
     steps = max(1, math.ceil(norm))
     vals = xi.data / steps
-    terms = _taylor_terms(norm / steps)
+    terms = _tail_terms(norm / steps, 2.0**-53)
 
     def act(w):
         w = np.asarray(w, dtype=float)
@@ -233,48 +241,55 @@ def norm_bound(x) -> float:
         return float(np.sqrt(cols_sum.max() * rows_sum.max()))
 
 
-def _series_guard(xi) -> None:
+def _series_terms(xi) -> int:
+    """The exponential tangent series' guard, which raises unless ``|xi|_2 <
+    1``, and term count ``K``: its tail bound (:func:`_tail_terms`) at ``2
+    nu >= |ad_xi|_2`` is at most ``1e-14``, ``nu`` being ``norm_bound(xi)``
+    or, where that does not clear 1, ``|xi|_2`` by SVD.  ``K <= 21``."""
     # The bound decides only well clear of 1, so rounding in it or in the
     # SVD cannot make its decision differ from the SVD's.
     bound = norm_bound(xi)
     if bound < 1.0 - 1e-12:
-        return
+        return _tail_terms(2.0 * bound, 1e-14)
     if not math.isfinite(bound):  # the SVD would not converge
         raise GroupMapError("tangent-map series argument is not finite; reduce the time step")
     norm = float(np.linalg.norm(xi.toarray(), 2))
     if norm >= 1.0:
-        raise GroupMapError(
-            f"tangent-map series needs |xi| < 1, got {norm:.3e}; "
-            "reduce the time step"
-        )
+        raise GroupMapError(f"tangent-map series needs |xi| < 1, got {norm:.3e}; reduce the time step")
+    return _tail_terms(2.0 * norm, 1e-14)
+
+
+def _ad_series(xi, eta: np.ndarray, coeffs, work: SeriesWork) -> np.ndarray:
+    """``eta + sum_{n >= 1} coeffs[n-1] ad_{-xi}^n(eta)``, one commutator per
+    coefficient, the terms alternating in ``work``, the sum in its total."""
+    term, total = eta, work.total
+    np.copyto(total, eta)
+    for coeff in coeffs:
+        term = commutator(term, xi, work=work, out=work.next if term is work.term else work.term)
+        work.terms += 1
+        if coeff != 0.0:
+            total += np.multiply(coeff, term, out=work.scratch)
+    return total
 
 
 def dtau(xi, delta: np.ndarray, kind: str = "exponential") -> np.ndarray:
     """Left-trivialized tangent of ``tau`` at ``xi`` applied to ``delta``:
-    ``tau(xi)^-1 d/dt tau(xi + t delta)``."""
+    ``tau(xi)^-1 d/dt tau(xi + t delta)``; for the exponential the series
+    ``delta + [delta, xi]/2 + [[delta, xi], xi]/6 + ...`` (:func:`_series_terms`)."""
     _check_kind(kind)
     delta = np.asarray(delta, dtype=float)
     if kind == "cayley":
         p, q = _cayley_factors(xi.toarray())
         # Q^-1 delta P^-1, computed as solve(Q, delta) then right-divide by P
-        return np.linalg.solve(q, np.linalg.solve(p.T, delta.T).T)
-    _series_guard(xi)
-    scale = float(np.max(np.abs(delta))) or 1.0
-    term = delta.copy()
-    total = term.copy()
-    for n in range(1, _SERIES_CAP + 1):
-        term = commutator(term, xi) / (n + 1.0)  # ad_{-xi}
-        total += term
-        if float(np.max(np.abs(term))) <= 1e-14 * scale:
-            break
-    return total
+        return _cayley_solve(q, _cayley_solve(p.T, delta.T, "2").T, "-2")
+    return _ad_series(xi, delta, _DTAU_COEFFS[: _series_terms(xi)], SeriesWork(len(delta)))
 
 
 def dtau_inv(
     xi, eta: np.ndarray, kind: str = "exponential", *, work: SeriesWork | None = None
 ) -> np.ndarray:
     """Inverse trivialized tangent; for the exponential the Bernoulli series
-    ``eta + [xi, eta]/2 + [xi, [xi, eta]]/12 - ...``.
+    ``eta + [xi, eta]/2 + [xi, [xi, eta]]/12 - ...`` (:func:`_series_terms`).
 
     The exponential's terms alternate between the term arrays of ``work``
     and the result is its total, valid until the next call with ``work``;
@@ -286,24 +301,8 @@ def dtau_inv(
     if kind == "cayley":
         p, q = _cayley_factors(xi.toarray())
         return q @ eta @ p
-    _series_guard(xi)
-    if work is None:
-        work = SeriesWork(len(eta))
-    scale = _max_abs(eta, work.scratch) or 1.0
-    term, total = eta, work.total
-    np.copyto(total, eta)
-    factorial = 1.0
-    for n in range(1, _SERIES_CAP + 1):
-        nxt = work.next if term is work.term else work.term
-        term = commutator(term, xi, work=work, out=nxt)  # ad_{-xi}
-        work.terms += 1
-        factorial *= n
-        coeff = _BERNOULLI[n] / factorial
-        if coeff != 0.0:
-            total += np.multiply(coeff, term, out=work.scratch)
-        if _max_abs(term, work.scratch) / factorial <= 1e-14 * scale:
-            break
-    return total
+    coeffs = _DTAU_INV_COEFFS[: _series_terms(xi)]
+    return _ad_series(xi, eta, coeffs, SeriesWork(len(eta)) if work is None else work)
 
 
 def dtau_inv_star(

@@ -301,9 +301,11 @@ class StepReport:
     Jacobian builds, two per color of each build.  ``colors`` is the color
     count of the step's builds (0 without a build).  ``series_terms``
     counts the ``ad`` terms that the step's full ``dtau_inv`` series
-    computed (0 for the Cayley map).
-    ``friction_power`` is the step's cell-wise friction power of the new
-    velocity, for the observer to reuse (None at step 0)."""
+    computed: the term count of each series (:func:`decflow.groups.dtau_inv`,
+    fixed from ``|hA|``) summed, 0 for the Cayley map and at rest.
+    ``friction_power`` is the cell-wise friction power of the step's new
+    velocity, or in :meth:`VariationalStepper.run`'s step 0 report of the
+    initial one, for the observer to reuse."""
 
     newton_iters: int = 0
     entropy_iters: int = 0
@@ -513,11 +515,11 @@ class VariationalStepper:
 
     # -- entropy -----------------------------------------------------------
 
-    def _solve_entropy(self, a_new, back, d_old, s_old, d_new, theta_old, fric):
+    def _solve_entropy(self, back, fwd, d_old, s_old, d_new, theta_old, fric):
         """Fixed point for ``S^{k+1}`` (before boundary enforcement);
-        ``back`` is the step's action of ``tau(-h A^k)``."""
+        ``back`` and ``fwd`` are the step's actions of ``tau(-h A^k)`` and
+        ``tau(h A^k)``."""
         geom, phys, gas, h = self.geom, self.phys, self.gas, self.h
-        fwd = gr.tau_action(geom.adjacency_csr.load(a_new, h), self.kind)
         rhs_const = h * fric - h * ph.conduction(geom, theta_old, phys)[1]
         if self.heat_source is not None:
             rhs_const = rhs_const + h * d_old * self.heat_source
@@ -573,6 +575,7 @@ class VariationalStepper:
             report.series_terms = self._work.terms - terms
             a_new = self.layout.to_matrix(flux)
             back = gr.tau_action(geom.adjacency_csr.load(a_new, -h), self.kind)
+            fwd = gr.tau_action(geom.adjacency_csr.load(a_new, h), self.kind)
         except gr.GroupMapError as exc:
             raise SeriesRangeError(str(exc)) from exc
 
@@ -586,7 +589,7 @@ class VariationalStepper:
         theta_old = ph.temperature(state.d, state.s, gas)
         fric = report.friction_power = ph.friction_power(geom, a_new, phys)
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            s_new, report.entropy_iters = self._solve_entropy(a_new, back, state.d, state.s, d_new, theta_old, fric)
+            s_new, report.entropy_iters = self._solve_entropy(back, fwd, state.d, state.s, d_new, theta_old, fric)
             if not phys.insulated:
                 bc = geom.mesh.boundary_cells
                 s_new[bc] = ph.entropy_from_temperature(d_new[bc], phys.theta_env, gas)
@@ -604,11 +607,12 @@ class VariationalStepper:
 
     def run(self, state: ph.FluidState, steps: int, observer=None):
         """Advance ``steps`` steps from ``t = 0``, invoking
-        ``observer(k, t, state, report)`` after each; solver failures are
+        ``observer(k, t, state, report)`` after each and at step 0, whose
+        report carries only the initial friction power; solver failures are
         re-raised annotated with the step."""
         t = 0.0
         if observer is not None:
-            observer(0, t, state, StepReport())
+            observer(0, t, state, StepReport(friction_power=ph.friction_power(self.geom, state.a, self.phys)))
         for k in range(1, steps + 1):
             try:
                 state, report = self.step(state)

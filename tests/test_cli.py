@@ -366,7 +366,7 @@ def test_export_vtk_roundtrip(gen65, tmp_path):
     phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.0)
     state = cli.initial_condition_presets("shear", {}, gen65, gas)
     path = tmp_path / "snap.vtk"
-    cli.export_vtk(gen65, state, gas, phys, path)
+    cli.export_vtk(gen65, state, gas, path, ph.friction_power(gen65, state.a, phys))
     text = path.read_text()
     assert text.startswith("# vtk DataFile Version 3.0")
 

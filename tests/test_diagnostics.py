@@ -26,7 +26,8 @@ def shear_state(geom, amp=0.3):
 
 def test_rest_sample_is_trivial(gen65):
     phys = ph.PhysParams(mu=0.1, zeta=0.1, lam=0.1, theta_env=1.0, insulated=False)
-    s = dg.sample(gen65, rest_state(gen65), GAS, phys)
+    state = rest_state(gen65)
+    s = dg.sample(gen65, state, GAS, phys, ph.friction_power(gen65, state.a, phys))
     assert s.total_mass == pytest.approx(1.0, rel=1e-14)
     assert s.total_energy == pytest.approx(1.0, rel=1e-14)  # eps(1, 0) = 1
     assert s.total_entropy == 0.0
@@ -50,7 +51,8 @@ def test_total_energy_is_kinetic_plus_internal(gen65):
 
 def test_energy_residual_of_identical_times_is_zero(gen65):
     phys = ph.PhysParams(mu=0.0, zeta=0.0, lam=0.0)
-    s = dg.sample(gen65, rest_state(gen65), GAS, phys, t=1.0)
+    state = rest_state(gen65)
+    s = dg.sample(gen65, state, GAS, phys, ph.friction_power(gen65, state.a, phys), t=1.0)
     assert dg.energy_residual(s, s) == 0.0
 
 
@@ -64,12 +66,12 @@ def _one_step_residuals(geom, h):
     stepper = ig.VariationalStepper(geom, GAS, phys, h=h, heat_source=heat)
     state, t = shear_state(geom), 0.0
     for k in range(5):
-        state, _ = stepper.step(state)
+        state, report = stepper.step(state)
         t += h
-    prev = dg.sample(geom, state, GAS, phys, t=t, heat=heat)
-    state, _ = stepper.step(state)
+    prev = dg.sample(geom, state, GAS, phys, report.friction_power, t=t, heat=heat)
+    state, report = stepper.step(state)
     t += h
-    cur = dg.sample(geom, state, GAS, phys, t=t, heat=heat)
+    cur = dg.sample(geom, state, GAS, phys, report.friction_power, t=t, heat=heat)
     e_res = dg.energy_residual(prev, cur)
     s_res = (cur.total_entropy - prev.total_entropy) / h - 0.5 * (
         prev.entropy_production + cur.entropy_production

@@ -230,9 +230,21 @@ def test_importing_the_cli_skips_scipy_special():
 
 
 def test_cayley_singularity():
-    xi = np.diag([2.0, 0.0])
-    with pytest.raises(gr.GroupMapError, match="cayley map is singular"):
-        gr.tau(xi, "cayley")
+    # I - xi/2 is singular for tau, and I -+ xi/2 for dtau, which solves with both
+    with pytest.raises(gr.GroupMapError, match="cayley map is singular: 2 is an eigenvalue"):
+        gr.tau(np.diag([2.0, 0.0]), "cayley")
+    for value in ("2", "-2"):
+        xi = sparse.csr_array(np.diag([float(value), 0.0]))
+        with pytest.raises(gr.GroupMapError, match=f"cayley map is singular: {value} is an eigenvalue"):
+            gr.dtau(xi, np.ones((2, 2)), "cayley")
+
+
+def test_a_cayley_factor_whose_determinant_underflows_is_regular():
+    # det(I - xi/2) = 0.05^300 underflows to 0, though the factor is 0.05 I
+    np.testing.assert_allclose(gr.tau(1.9 * np.eye(300), "cayley"), 39.0 * np.eye(300), rtol=1e-14)
+    # (I + xi/2) eta (I - xi/2) solves nothing: det(I - xi/2) = 0.25^600
+    xi = sparse.csr_array(1.5 * np.eye(600))
+    np.testing.assert_array_equal(gr.dtau_inv(xi, np.eye(600), "cayley"), 0.4375 * np.eye(600))
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +417,36 @@ def test_the_guard_decides_alike_for_csr_and_dense(jittered65, c):
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
     assert (outcomes[0] is not None) == (c >= 1.0)
+
+
+@pytest.mark.parametrize("h", [1e-3, 1e-2, 1e-1])
+def test_the_term_count_is_fixed_by_the_bound(jittered65, rng, h):
+    # K is the bound's, before the first term: alike at xi, -xi and xi^T,
+    # whose norm_bound is xi's, and for an eta of any size.
+    a, pattern, n = mesh_velocity(jittered65), jittered65.adjacency_csr, jittered65.n
+    want = gr._tail_terms(2.0 * gr.norm_bound(pattern.load(a, h)), 1e-14)
+    work = gr.SeriesWork(n)
+    eta = rng.normal(size=(n, n))
+    for sign, transpose, size in ((1.0, False, 1.0), (-1.0, False, 1.0), (1.0, True, 1.0), (1.0, False, 1e-12)):
+        xi = pattern.load(a, sign * h)
+        before = work.terms
+        gr.dtau_inv(xi.T if transpose else xi, size * eta, work=work)
+        assert work.terms - before == want
+    assert 0 < want <= 21
+
+
+@pytest.mark.parametrize("c", [0.9, 0.999])
+def test_past_a_loose_bound_the_term_count_comes_from_the_svd(jittered65, rng, c):
+    a = mesh_velocity(jittered65)
+    scaled = c * a / np.linalg.norm(fd.velocity_matrix(jittered65, a), 2)
+    csr = jittered65.adjacency_csr.load(scaled)
+    xi = fd.velocity_matrix(jittered65, scaled)
+    assert gr.norm_bound(csr) >= 1.0
+    eta = rng.normal(size=xi.shape)
+    work = gr.SeriesWork(jittered65.n)
+    got = gr.dtau_inv(csr, eta, work=work)
+    assert work.terms == gr._tail_terms(2.0 * np.linalg.norm(xi, 2), 1e-14)
+    assert rel_diff(got, dense.dtau_inv(xi, eta)) <= 1e-14
 
 
 @pytest.mark.parametrize("kind", gr.KINDS)

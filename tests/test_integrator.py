@@ -360,6 +360,34 @@ def test_the_report_counts_the_series_terms(gen65, monkeypatch, kind):
     assert (report.series_terms > 0) == (kind == "exponential")
 
 
+def test_a_step_from_rest_computes_no_series_term(gen65):
+    # |hA| = 0 fixes every series at no term
+    stepper = ig.VariationalStepper(gen65, GAS, INVISCID, h=1e-3)
+    state = rest_state(gen65)
+    for _ in range(2):
+        state, report = stepper.step(state)
+        assert report.series_terms == 0
+
+
+def test_a_singular_forward_action_is_a_range_error(gen65, monkeypatch):
+    # The entropy solve's action of tau(+hA), the step's second, is built in
+    # the step's GroupMapError block, as the action of tau(-hA) is.
+    action, calls = gr.tau_action, []
+
+    def refuse_the_second(xi, kind="exponential"):
+        calls.append(xi.data.copy())
+        if len(calls) == 2:
+            raise gr.GroupMapError("cayley map is singular: 2 is an eigenvalue of xi")
+        return action(xi, kind)
+
+    monkeypatch.setattr(gr, "tau_action", refuse_the_second)
+    stepper = ig.VariationalStepper(gen65, GAS, INVISCID, h=1e-3, kind="cayley")
+    with pytest.raises(ig.SeriesRangeError, match="cayley map is singular: 2 is an eigenvalue"):
+        stepper.step(shear_state(gen65))
+    np.testing.assert_array_equal(calls[1], -calls[0])  # +hA after -hA
+    assert stepper.carry is None
+
+
 @pytest.mark.parametrize("kind", ["exponential", "cayley"])
 def test_a_stale_matrix_is_rebuilt_once_the_iterations_double(gen65, kind):
     phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01, insulated=True)
