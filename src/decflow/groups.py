@@ -22,21 +22,13 @@ Two kinds are provided:
 
 Every function except :func:`tau` takes ``xi`` as a SciPy CSR array, such
 as the CSR form of a velocity matrix from
-:class:`decflow.mesh.AdjacencyCSR`, whose ``.T`` is kept ready.  Each series
-term ``T xi - xi T`` is two sparse-times-dense products, ``xi T`` and
-``(xi^T T^T)^T``, and the exponential's action applies ``xi^T`` from the
-stored entries.  :func:`tau` is the dense reference element; the Cayley
-branches and the guard's SVD densify ``xi`` with ``xi.toarray()``.
-
-A series term runs the kernel that SciPy's ``x @ dense`` runs
-(``_sparsetools.<format>_matvecs``, chosen by ``x.format`` as SciPy does)
-straight into ``(N, N)`` arrays the caller owns: a :class:`SeriesWork`
-passed as ``work=`` to :func:`commutator`, :func:`dtau_inv` and
-:func:`dtau_inv_star`.  The order of operations is SciPy's, so the numbers
-are those of the ``@`` expressions.  A result backed by work arrays is one
-of them and is valid until the next call that uses them, as a loaded
-:class:`decflow.mesh.AdjacencyCSR` is valid until the next load.  Without
-``work`` each call makes its own arrays and returns a fresh result.
+:class:`decflow.mesh.AdjacencyCSR`, whose ``.T`` is kept ready; the Cayley
+branches and the guard's SVD densify it.  :func:`tau`, :func:`commutator`
+(two sparse-times-dense products by SciPy's ``@``), :func:`dtau`,
+:func:`dtau_inv` and :func:`dtau_inv_star` are dense references for the
+checks and tests.  The step evaluates the series at the entries it reads
+(:class:`decflow.integrator.SampledSeries`), with the term count of
+:func:`dtau_inv_coefficients` and the same bits.
 
 Both kinds satisfy, for any square ``xi`` and ``delta``,
 
@@ -53,7 +45,6 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.sparse import _sparsetools
 
 __all__ = [
     "tau",
@@ -62,7 +53,7 @@ __all__ = [
     "dtau_inv",
     "dtau_inv_star",
     "commutator",
-    "SeriesWork",
+    "dtau_inv_coefficients",
     "norm_bound",
     "GroupMapError",
     "KINDS",
@@ -100,52 +91,12 @@ def _check_kind(kind: str) -> None:
         raise GroupMapError(f"unknown group map kind {kind!r}; use one of {KINDS}")
 
 
-class SeriesWork:
-    """The ``(N, N)`` work arrays of the tangent series: the operand, the
-    current and the next term, the running total, a scratch array and the
-    transposed operand of a commutator.  A caller that evaluates many series
-    on one mesh keeps one and passes it as ``work=``.  ``terms`` counts the
-    ``ad`` terms that :func:`dtau_inv` has computed in it.  The integrator's
-    full series run here; its first-order residuals and its old side's
-    bracket read four entries per flux and leave these arrays alone."""
-
-    def __init__(self, n: int):
-        self.operand, self.term, self.next, self.total, self.scratch, self.transposed = (
-            np.empty((n, n)) for _ in range(6)
-        )
-        self.terms = 0
-
-
-def _product(x, dense: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``x @ dense`` for a CSR or CSC ``x`` and a C-contiguous ``dense``,
-    written into ``out`` by the kernel SciPy's ``@`` runs for them.  The
-    kernel trusts the sizes it is given, so they are checked here."""
-    if dense.shape[0] != x.shape[1] or out.shape != (x.shape[0], dense.shape[1]):
-        raise ValueError(f"cannot multiply {x.shape} by {dense.shape} into {out.shape}")
-    if not (dense.flags.c_contiguous and out.flags.c_contiguous):
-        raise ValueError("the dense operand and the result must be C-contiguous")
-    out.fill(0.0)
-    kernel = getattr(_sparsetools, x.format + "_matvecs")
-    kernel(*x.shape, dense.shape[1], x.indptr, x.indices, x.data, dense.ravel(), out.ravel())
-    return out
-
-
-def commutator(a: np.ndarray, b, *, work: SeriesWork | None = None, out=None) -> np.ndarray:
-    """``[a, b] = a b - b a`` for a sparse ``b``, which multiplies from the
-    right as ``a b = (b^T a^T)^T``: two sparse-times-dense products, run
-    by SciPy's kernel into the transposed and scratch arrays of ``work``
-    and into ``out`` (which must not be ``a``).  Returns ``out``; without
-    ``work`` or ``out``, fresh arrays take their place."""
-    a = np.ascontiguousarray(a, dtype=float)
-    if work is None:
-        work = SeriesWork(len(a))
-    if out is None:
-        out = np.empty(a.shape)
-    elif np.may_share_memory(out, a):
-        raise ValueError("the commutator cannot overwrite its dense operand")
-    np.copyto(work.transposed, a.T)
-    right = _product(b.T, work.transposed, work.scratch)
-    return np.subtract(right.T, _product(b, a, out), out=out)
+def commutator(a: np.ndarray, b) -> np.ndarray:
+    """``[a, b] = a b - b a`` for a dense ``a`` and a sparse ``b``, which
+    multiplies from the right as ``a b = (b^T a^T)^T``: two
+    sparse-times-dense products."""
+    a = np.asarray(a, dtype=float)
+    return (b.T @ a.T).T - b @ a
 
 
 def _rows(x) -> np.ndarray:
@@ -259,16 +210,14 @@ def _series_terms(xi) -> int:
     return _tail_terms(2.0 * norm, 1e-14)
 
 
-def _ad_series(xi, eta: np.ndarray, coeffs, work: SeriesWork) -> np.ndarray:
+def _ad_series(xi, eta: np.ndarray, coeffs) -> np.ndarray:
     """``eta + sum_{n >= 1} coeffs[n-1] ad_{-xi}^n(eta)``, one commutator per
-    coefficient, the terms alternating in ``work``, the sum in its total."""
-    term, total = eta, work.total
-    np.copyto(total, eta)
+    coefficient, the terms added in ascending ``n``."""
+    term, total = eta, eta.copy()
     for coeff in coeffs:
-        term = commutator(term, xi, work=work, out=work.next if term is work.term else work.term)
-        work.terms += 1
+        term = commutator(term, xi)
         if coeff != 0.0:
-            total += np.multiply(coeff, term, out=work.scratch)
+            total += coeff * term
     return total
 
 
@@ -282,49 +231,30 @@ def dtau(xi, delta: np.ndarray, kind: str = "exponential") -> np.ndarray:
         p, q = _cayley_factors(xi.toarray())
         # Q^-1 delta P^-1, computed as solve(Q, delta) then right-divide by P
         return _cayley_solve(q, _cayley_solve(p.T, delta.T, "2").T, "-2")
-    return _ad_series(xi, delta, _DTAU_COEFFS[: _series_terms(xi)], SeriesWork(len(delta)))
+    return _ad_series(xi, delta, _DTAU_COEFFS[: _series_terms(xi)])
 
 
-def dtau_inv(
-    xi, eta: np.ndarray, kind: str = "exponential", *, work: SeriesWork | None = None
-) -> np.ndarray:
+def dtau_inv_coefficients(xi) -> list:
+    """The coefficients ``B_n / n!`` of ``ad_{-xi}^n``, ``n = 1 .. K``, of the
+    exponential's ``dtau_inv`` series at a CSR ``xi``, ``K`` from the guard
+    (:func:`_series_terms`), which raises unless ``|xi|_2 < 1``."""
+    return _DTAU_INV_COEFFS[: _series_terms(xi)]
+
+
+def dtau_inv(xi, eta: np.ndarray, kind: str = "exponential") -> np.ndarray:
     """Inverse trivialized tangent; for the exponential the Bernoulli series
-    ``eta + [xi, eta]/2 + [xi, [xi, eta]]/12 - ...`` (:func:`_series_terms`).
-
-    The exponential's terms alternate between the term arrays of ``work``
-    and the result is its total, valid until the next call with ``work``;
-    ``eta`` may be its operand.  Without ``work`` the call makes its own.
-    The Cayley branch ignores ``work``.
-    """
+    ``eta + [xi, eta]/2 + [xi, [xi, eta]]/12 - ...`` (:func:`_series_terms`)."""
     _check_kind(kind)
     eta = np.asarray(eta, dtype=float)
     if kind == "cayley":
         p, q = _cayley_factors(xi.toarray())
         return q @ eta @ p
-    coeffs = _DTAU_INV_COEFFS[: _series_terms(xi)]
-    return _ad_series(xi, eta, coeffs, SeriesWork(len(eta)) if work is None else work)
+    return _ad_series(xi, eta, dtau_inv_coefficients(xi))
 
 
-def dtau_inv_star(
-    omega: np.ndarray,
-    xi,
-    lmat: np.ndarray,
-    kind: str = "exponential",
-    *,
-    divide: bool = True,
-    work: SeriesWork | None = None,
-) -> np.ndarray:
+def dtau_inv_star(omega: np.ndarray, xi, lmat: np.ndarray, kind: str = "exponential") -> np.ndarray:
     """Adjoint of ``dtau_inv`` in the area-weighted pairing
     ``<L, B> = Tr(L^T Omega B)``: equals ``Omega^-1 dtau_inv(xi^T, Omega L)``
-    (the pairing turns each ``ad_{-xi}`` into ``Omega^-1 ad_{-xi^T} Omega``).
-    With ``divide=False`` it returns ``dtau_inv(xi^T, Omega L)``, leaving the
-    row division by ``Omega`` to a caller that needs only some entries.
-    ``Omega L`` goes to the operand of ``work``, which ``lmat`` may be, and
-    the series runs in ``work`` (see :func:`dtau_inv`).
-    """
-    out = None if work is None else work.operand
-    wl = np.multiply(omega[:, None], np.asarray(lmat, dtype=float), out=out)
-    star = dtau_inv(xi.T, wl, kind, work=work)
-    if divide:
-        star /= omega[:, None]
-    return star
+    (the pairing turns each ``ad_{-xi}`` into ``Omega^-1 ad_{-xi^T} Omega``)."""
+    wl = omega[:, None] * np.asarray(lmat, dtype=float)
+    return dtau_inv(xi.T, wl, kind) / omega[:, None]

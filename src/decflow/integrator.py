@@ -10,25 +10,18 @@ The variational step solves, in order:
 
 1. the discrete momentum balance for the new velocity ``A^k``, by Newton on
    the fluxes (:meth:`VariationalStepper._solve_momentum`).  Each residual
-   applies the adjoint tangent series :func:`decflow.groups.dtau_inv_star`
-   at ``+h A`` in the CSR form of :class:`decflow.mesh.AdjacencyCSR`, whose
-   ``.data`` it refreshes without building a sparse array, and reads four
-   entries per flux of the result (:meth:`FluxLayout.pick_P`).  The
-   old-side term, the same transport at ``-h A^{k-1}`` with ``D^{k-1}``, is
-   fixed within a step (:meth:`VariationalStepper._old_side`) and comes
-   from the converged transport the previous step carried (:class:`Carry`).
-   The pressure/temperature gradient and the viscous force are evaluated on
-   the flux pairs only, from cell values and the per-pair kernels of
-   :mod:`decflow.physics`.  ``A`` is held on the adjacency list; only the
-   full series is dense: its operand (the flat, scattered from P2, and the
-   momentum ``D A^flat``) and every term live in one
-   :class:`decflow.groups.SeriesWork` that the stepper owns.  Each term runs
-   SciPy's sparse-times-dense kernel into those arrays, and a result there
-   is valid until the next residual, so a warm full residual allocates no
-   ``(N, N)`` array.  Newton's matrix is the colored finite-difference
-   Jacobian of the residual cut after series order 1
-   (:meth:`VariationalStepper._jacobian`), which uses no ``(N, N)`` array,
-   as a dense ``(F, F)`` array factored by ``lu_factor``,
+   applies the adjoint tangent series of :func:`decflow.groups.dtau_inv_star`
+   at ``+h A`` at the four entries per flux that :meth:`FluxLayout.pick_P`
+   reads, term by term on the entries those read (:class:`SampledSeries`),
+   with the bits of the dense series and no ``(N, N)`` array.  The old-side
+   term, the same transport at ``-h A^{k-1}`` with ``D^{k-1}``, is fixed
+   within a step (:meth:`VariationalStepper._old_side`) and comes from the
+   converged transport the previous step carried (:class:`Carry`).  The
+   gradient and viscous forces are evaluated on the flux pairs only
+   (:mod:`decflow.physics`).  Newton's matrix is the colored
+   finite-difference Jacobian of the residual cut after series order 1
+   (:meth:`VariationalStepper._jacobian`), as a dense ``(F, F)`` array
+   factored by ``lu_factor``,
 2. exact density transport ``D^{k+1} = D^k bullet tau(-h A^k)``.  The
    group element is never formed: :func:`decflow.groups.tau_action` applies
    ``tau(-h A^k)^T`` to ``Omega D^k`` as a Taylor series of products with
@@ -171,55 +164,143 @@ def _gradient_forces(geom, layout, a, d, s, gas):
 
 
 # ---------------------------------------------------------------------------
-# The order-1 bracket at the picked entries
+# The tangent series at the picked entries
 # ---------------------------------------------------------------------------
 
 
-def _row_entries(indptr, rows):
-    """``(k, s)`` for every stored entry ``s`` of CSR row ``rows[k]``, row
-    by row and in stored order within a row."""
-    counts = indptr[rows + 1] - indptr[rows]
-    k = np.repeat(np.arange(len(rows)), counts)
-    start = np.repeat(indptr[rows] - (np.cumsum(counts) - counts), counts)
-    return k, start + np.arange(len(k))
+def _positions(keys, n, *pairs):
+    """The position in the ascending ``keys`` of each pair ``(rows, cols)``
+    of ``pairs``, keyed ``rows * n + cols``, or ``-1``: one array per pair."""
+    queries = np.concatenate([p[0] * n + p[1] for p in pairs])
+    found = np.searchsorted(keys, queries)
+    found[keys[np.minimum(found, len(keys) - 1)] != queries] = -1
+    return np.split(found, np.cumsum([len(p[0]) for p in pairs])[:-1])
 
 
-class SampledBracket:
-    """``[eta, xi^T]`` at the four entries :meth:`FluxLayout.pick_P` reads
-    per flux, for ``eta`` on P2 (:func:`decflow.fields.flat_p2`) and ``xi``
-    on the diagonal and the adjacent pairs.
+def _power(step, k):
+    """``step^k`` for a boolean sparse ``step``: its pattern, by squaring."""
+    if k == 1:
+        return step
+    half = _power(step, k // 2)
+    return half @ half @ step if k % 2 else half @ half
 
-    Entry ``(i, j)`` is ``sum_k eta_ik xi_jk - sum_k xi_ki eta_kj``.  Both
-    sums are fixed once as index triples (pick entry, P2 position of the
-    ``eta`` entry, position of the ``xi`` entry in ``[pairs, diagonal]``):
-    ``k`` runs over row ``j`` of ``xi`` and row ``i`` of ``xi^T`` in the
-    stored order of :class:`decflow.mesh.AdjacencyCSR`, and a term whose
-    ``eta`` entry lies off P2, where ``eta`` is zero, is left out.  So each
-    sum adds the products that :func:`decflow.groups.commutator` adds, in
-    its order; ``np.bincount`` adds each entry's products in that order.
+
+def _padded_csr(reads, values_at, width):
+    """A CSR of zeros on the reads ``>= 0`` of each row of ``reads``, padded
+    with ``-1``, and the positions ``values_at`` of its values."""
+    keep = reads >= 0
+    ptr = np.zeros(len(reads) + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=1, dtype=np.int32), out=ptr[1:])
+    mat = sparse.csr_array((np.zeros(ptr[-1]), reads[keep], ptr), shape=(len(reads), width))
+    return mat, values_at[keep]
+
+
+class SampledSeries:
+    """``eta + sum_{n <= K} c_n T_n``, ``T_n = [T_{n-1}, xi^T]`` and ``T_0 =
+    eta``, at the four entries :meth:`FluxLayout.pick_P` reads per flux:
+    the series of :func:`decflow.groups.dtau_inv_star` before its division
+    by ``Omega``, for ``eta`` on P2 and ``xi`` as its values on ``[pairs,
+    diagonal]``.
+
+    ``T_n(i, j) = sum_{k in row j} T_ik xi_jk - sum_{k in row i} xi_ki
+    T_kj`` over the stored entries of :class:`decflow.mesh.AdjacencyCSR`,
+    in order.  ``T_n`` is zero past cell-graph distance ``n + 2``, and the
+    picks need it up to distance ``K - n + 1``, so every term lives on the
+    table of the pairs at distance ``top = (K + 3) // 2`` or less: the
+    pattern of ``(I + |xi|)^top``, row major.  One CSR holds, interleaved,
+    the rows of each pair's left and right sums: the table positions they
+    read (a read past the table dropped) and the positions of their ``xi``
+    values; the right sums are the transposed pair's left ones, transposed.
+    A second CSR holds the picks' rows.  Each term but the last is one
+    product with the first, the last one with the second.  A dropped read
+    is of a zero until term ``top``; the error it leaves after moves inward
+    one distance per term, and ``2 top > K + 1`` keeps it from the picks.
+    So each sum adds the dense series' products in its order, leaving out
+    only products with a zero, and the total adds ``c_n T_n`` in ascending
+    ``n``: the bits of the dense series.
+
+    The structure is built at the first call, and again when a call needs
+    more terms than it was built for; it serves every smaller ``K``.
+    ``terms`` counts the terms of the stepper's full transports.
     """
 
     def __init__(self, layout: FluxLayout):
-        geom, csr = layout.geom, layout.geom.adjacency_csr
-        # pick entries (r, c), (c, r), (r, r), (c, c), in blocks of one per flux
-        ei = np.concatenate([layout.rows, layout.cols, layout.rows, layout.cols])
-        ej = np.concatenate([layout.cols, layout.rows, layout.rows, layout.cols])
-        k1, s1 = _row_entries(csr.indptr, ej)  # eta_ik xi_jk
-        k2, s2 = _row_entries(csr.indptr, ei)  # xi_ki eta_kj = (xi^T)_ik eta_kj
-        entry = np.concatenate([k1, k2 + len(ei)])
-        eta_at = np.concatenate([geom.p2_index(ei[k1], csr.cols[s1]), geom.p2_index(csr.cols[s2], ej[k2])])
-        on_p2 = eta_at >= 0
-        self._entry = entry[on_p2]
-        self._xi_at = np.concatenate([csr.take[s1], csr.take_t[s2]])[on_p2]
-        self._eta_at = eta_at[on_p2]
-        self._picks = len(ei)
+        self.layout = layout
+        self.depth = 0
+        self.terms = 0
 
-    def __call__(self, eta: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """The ``(4, fluxes)`` entries of ``[eta, xi^T]``, from ``eta`` on P2
-        and ``xi`` as its values on ``[pairs, diagonal]``."""
-        n = self._picks
-        sums = np.bincount(self._entry, xi[self._xi_at] * eta[self._eta_at], minlength=2 * n)
-        return (sums[:n] - sums[n:]).reshape(4, -1)
+    def _build(self, depth):
+        lay, geom, csr = self.layout, self.layout.geom, self.layout.geom.adjacency_csr
+        n = geom.n
+        step = sparse.csr_array((np.ones(len(csr.cols), dtype=bool), csr.cols, csr.indptr), shape=(n, n))
+        reach = _power(step, (depth + 3) // 2)
+        reach.sort_indices()
+        size, i, j = reach.nnz, np.repeat(np.arange(n), np.diff(reach.indptr)), reach.indices
+        count = np.diff(csr.indptr)
+        slots = np.arange(count.max())
+        stored = np.where(slots < count[:, None], csr.indptr[:-1, None] + slots, -1)[j]  # row j's, padded
+        valid = stored >= 0
+        left = (np.broadcast_to(i[:, None], stored.shape)[valid], csr.cols[stored[valid]])  # the left sums' reads
+        p2, cells = (geom.adj_i, geom.adj_j), np.arange(n)
+        found = _positions(i * n + j, n, left, (j, i), p2, (geom.ta_row, geom.ta_col), (cells, cells))
+        both = np.full((size, 2, len(slots)), -1, dtype=np.int32)
+        both[:, 0][valid] = found[0]  # a read past the table stays -1, and is dropped
+        tpos = found[1]  # the transposed pairs'
+        both[:, 1] = np.append(tpos, -1)[both[tpos, 0]]  # keeps -1
+        xi_at = np.empty(both.shape, dtype=np.intp)  # take casts its indices to intp
+        xi_at[:, 0], xi_at[:, 1] = csr.take[stored], csr.take_t[stored[tpos]]
+        both, xi_at = both.reshape(2 * size, -1), xi_at.reshape(2 * size, -1)
+        self._mat, self._xi_at = _padded_csr(both, xi_at, size)
+        self._eta_at = np.concatenate(found[2:4])
+        pairs, diagonal = found[2], found[4]  # the positions of P2 and of the diagonal
+        self._picks = np.concatenate([pairs[lay.pos], pairs[lay.rev], diagonal[lay.rows], diagonal[lay.cols]])
+        rows = (2 * self._picks[:, None] + [0, 1]).ravel()
+        self._at_picks, self._pick_xi_at = _padded_csr(both[rows], xi_at[rows], size)
+        self._term = np.empty(size)
+        self.depth = depth
+
+    def _load(self, eta, xi, depth):
+        """``T_0 = eta`` in the table's one term array, after filling the values
+        of ``depth`` terms: the table's for all but the last, the picks'."""
+        if max(depth, 1) > self.depth:
+            self._build(max(depth, 1))
+        if depth > 1:
+            np.take(xi, self._xi_at, out=self._mat.data, mode="clip")  # "clip" writes in place
+        np.take(xi, self._pick_xi_at, out=self._at_picks.data, mode="clip")
+        self._term.fill(0.0)
+        self._term[self._eta_at] = eta
+        return self._term
+
+    @staticmethod
+    def _ad(mat, term, out=None):
+        """The next term at the rows of ``mat``."""
+        sums = mat @ term
+        return np.subtract(sums[0::2], sums[1::2], out=out)
+
+    def __call__(self, eta, xi, coeffs):
+        """The ``(4, fluxes)`` entries of ``eta + sum_n coeffs[n-1] T_n``: the
+        terms before the last on the table, the last at the picks."""
+        term = self._load(eta, xi, len(coeffs))
+        total = term[self._picks]
+        for n, coeff in enumerate(coeffs, 1):
+            last = n == len(coeffs)
+            picked = self._ad(self._at_picks, term) if last else self._ad(self._mat, term, out=term)[self._picks]
+            if coeff != 0.0:
+                total += coeff * picked
+        return total.reshape(4, -1)
+
+    def bracket(self, eta, xi):
+        """The ``(4, fluxes)`` entries of ``T_1 = [eta, xi^T]``."""
+        return self._ad(self._at_picks, self._load(eta, xi, 1)).reshape(4, -1)
+
+    def cayley(self, eta, xi):
+        """The ``(4, fluxes)`` entries of the Cayley tangent ``(I + xi^T/2) eta
+        (I - xi^T/2) = eta + R/2 - L/2 - R(L)/4``, ``L``, ``R`` a term's sums."""
+        term = self._load(eta, xi, 2)
+        sums = self._at_picks @ term
+        twice = (self._at_picks @ (self._mat @ term)[0::2])[1::2]
+        total = term[self._picks] + 0.5 * (sums[1::2] - sums[0::2]) - 0.25 * twice
+        return total.reshape(4, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +381,9 @@ class StepReport:
     residual: the full ones of Newton and the first-order ones of the
     Jacobian builds, two per color of each build.  ``colors`` is the color
     count of the step's builds (0 without a build).  ``series_terms``
-    counts the ``ad`` terms that the step's full ``dtau_inv`` series
-    computed: the term count of each series (:func:`decflow.groups.dtau_inv`,
-    fixed from ``|hA|``) summed, 0 for the Cayley map and at rest.
+    sums the term count ``K`` of the step's full residuals, each fixed
+    from ``|hA|`` (:func:`decflow.groups.dtau_inv_coefficients`), the cold
+    start's transport included: 0 for the Cayley map and at rest.
     ``friction_power`` is the cell-wise friction power of the step's new
     velocity, or in :meth:`VariationalStepper.run`'s step 0 report of the
     initial one, for the observer to reuse."""
@@ -382,8 +463,7 @@ class VariationalStepper:
         self.entropy_max = entropy_max
         self.heat_source = heat_source
         self.layout = FluxLayout.build(geom)
-        self._p2 = np.concatenate([geom.adj_i, geom.ta_row]), np.concatenate([geom.adj_j, geom.ta_col])  # P2 pairs
-        self._work = gr.SeriesWork(geom.n)  # every residual's series runs here
+        self._p2_rows = np.concatenate([geom.adj_i, geom.ta_row])  # the row of each P2 pair
         self.carry: Carry | None = None
 
     # -- momentum ----------------------------------------------------------
@@ -391,41 +471,31 @@ class VariationalStepper:
     def _transport_term(self, a, d):
         """``(1/h) P((dtau_inv_{hA})^* (D A^flat))`` on the layout, with the
         adjoint's division by ``Omega`` applied to the entries that ``P``
-        reads.  The full series runs on the dense ``D A^flat``, written from
-        P2 into the work arrays' operand, with ``hA`` in CSR form."""
-        rows, cols = self._p2
-        lmat = self._work.operand
-        lmat.fill(0.0)
-        lmat[rows, cols] = fd.flat_p2(self.geom, a) * d[rows]
-        xi = self.geom.adjacency_csr.load(a, self.h)
-        star = gr.dtau_inv_star(self.geom.omega, xi, lmat, self.kind, divide=False, work=self._work)
-        return self.layout.pick_P(star, self.geom.omega) / self.h
+        reads; the series' term count comes from the guard on ``(hA)^T``."""
+        eta, xi = self._operands(a, d)
+        if self.kind == "cayley":
+            star = self._series.cayley(eta, xi)
+        else:
+            coeffs = gr.dtau_inv_coefficients(self.geom.adjacency_csr.load(a, self.h).T)
+            self._series.terms += len(coeffs)
+            star = self._series(eta, xi, coeffs)
+        return self.layout.project(star, self.geom.omega) / self.h
 
     def _first_order_term(self, a, d):
-        """:meth:`_transport_term` with the series cut after
-        ``eta - [eta, xi^T]/2``, computed at the four entries per flux only
-        (:class:`SampledBracket`)."""
-        eta, star = self._eta_and_bracket(a, d)
-        star *= -0.5
-        star[0] += eta[self.layout.pos]
-        star[1] += eta[self.layout.rev]  # eta is zero on the diagonal
+        """:meth:`_transport_term` with the series cut after ``eta - [eta, xi^T]/2``."""
+        star = self._series(*self._operands(a, d), (-0.5,))  # B_1 / 1!
         return self.layout.project(star, self.geom.omega) / self.h
 
     @functools.cached_property
-    def _sampled(self):
-        """The order-1 bracket's index triples, built at the first use."""
-        return SampledBracket(self.layout)
+    def _series(self):
+        return SampledSeries(self.layout)
 
-    def _eta_and_bracket(self, a, d):
-        """``eta = Omega D A^flat`` on P2 and ``[eta, xi^T]`` at the four
-        entries per flux, with ``xi = h A``."""
-        geom, rows = self.geom, self._p2[0]
-        eta = fd.flat_p2(geom, a)
-        eta *= d[rows]
-        eta *= geom.omega[rows]
-        xi = np.concatenate([a, geom.diagonal(a)])
-        xi *= self.h
-        return eta, self._sampled(eta, xi)
+    def _operands(self, a, d):
+        """``eta = Omega D A^flat`` on P2 and ``xi = h A`` on ``[pairs,
+        diagonal]``."""
+        rows = self._p2_rows
+        eta = fd.flat_p2(self.geom, a) * d[rows] * self.geom.omega[rows]
+        return eta, np.concatenate([a, self.geom.diagonal(a)]) * self.h
 
     def _old_side(self, a, d, transport):
         """The transport at ``-hA`` from ``transport``, :meth:`_transport_term`
@@ -434,7 +504,7 @@ class VariationalStepper:
         = [eta, xi]`` (only the exponential's ``B_1`` term is odd in ``xi``),
         so the old side costs one bracket at four entries per flux, not a
         series."""
-        _, bracket = self._eta_and_bracket(a, d)
+        bracket = self._series.bracket(*self._operands(a, d))
         return transport + self.layout.project(bracket, self.geom.omega) / self.h
 
     def _residual_and_transport(self, flux, d, s, prev_term, transport):
@@ -564,7 +634,7 @@ class VariationalStepper:
         geom, gas, phys, h = self.geom, self.gas, self.phys, self.h
         flux_in = self.layout.from_matrix(state.a)
         carry = self.carry
-        terms = self._work.terms
+        terms = self._series.terms
         try:
             if carry is None or not np.array_equal(flux_in, carry.flux):  # a cold start
                 carry = Carry(flux_in, flux_in, self._transport_term(state.a, state.d), state.d, None, None)
@@ -572,7 +642,7 @@ class VariationalStepper:
             flux, lu, report, transport = self._solve_momentum(
                 2.0 * flux_in - carry.flux_from, state.d, state.s, prev_term, carry.lu
             )
-            report.series_terms = self._work.terms - terms
+            report.series_terms = self._series.terms - terms
             a_new = self.layout.to_matrix(flux)
             back = gr.tau_action(geom.adjacency_csr.load(a_new, -h), self.kind)
             fwd = gr.tau_action(geom.adjacency_csr.load(a_new, h), self.kind)

@@ -13,6 +13,7 @@ from scipy import sparse
 
 from decflow import fields as fd
 from decflow import groups as gr
+from decflow import integrator as ig
 from decflow import mesh as msh
 from decflow import verify as vf
 
@@ -77,52 +78,42 @@ def csr_pair(geom, rng):
     return loaded, plain
 
 
-def dirty_work(n):
-    """Work arrays filled with NaN, so that a value left unwritten shows."""
-    work = gr.SeriesWork(n)
-    for arr in (work.operand, work.term, work.next, work.total, work.scratch, work.transposed):
-        arr.fill(np.nan)
-    return work
-
-
 def test_the_commutator_runs_scipys_kernel(jittered65, rng):
     # Bit for bit the two products SciPy's ``@`` makes, for either format of
-    # ``b.T``, with and without work arrays.
+    # ``b.T``.
     a = rng.normal(size=(jittered65.n, jittered65.n))
     for b in csr_pair(jittered65, rng):
         ref = (b.T @ a.T).T - b @ a
         np.testing.assert_array_equal(gr.commutator(a, b), ref)
-        work = dirty_work(jittered65.n)
-        got = gr.commutator(a, b, work=work, out=work.total)
-        assert got is work.total
-        np.testing.assert_array_equal(got, ref)
         np.testing.assert_array_equal(gr.commutator(a, b.T), (b @ a.T).T - b.T @ a)
-    # the kernel trusts its sizes: a mismatch raises before it runs
+    # a size mismatch raises
     with pytest.raises(ValueError):
         gr.commutator(a[:-1, :-1], b)
-    with pytest.raises(ValueError):
-        gr.commutator(a, b, out=np.empty((jittered65.n, jittered65.n - 1)))
-    with pytest.raises(ValueError):
-        gr.commutator(a, b, out=a)
 
 
 @pytest.mark.parametrize("kind", gr.KINDS)
 def test_work_arrays_give_the_same_bits(jittered65, rng, kind):
-    omega = jittered65.omega
-    lmat = rng.normal(size=(jittered65.n, jittered65.n))
-    for xi in csr_pair(jittered65, rng):
-        ref = gr.dtau_inv_star(omega, xi, lmat, kind, divide=False)
-        work = dirty_work(jittered65.n)
-        for _ in range(2):  # the second call reuses what the first left
-            np.copyto(work.operand, lmat)
-            got = gr.dtau_inv_star(omega, xi, work.operand, kind, divide=False, work=work)
-            np.testing.assert_array_equal(got, ref)
-        if kind == "exponential":
-            assert got is work.total
-        ref = gr.dtau_inv(xi, lmat, kind)
-        np.testing.assert_array_equal(gr.dtau_inv(xi, lmat, kind, work=work), ref)
-        ref = gr.dtau_inv_star(omega, xi, lmat, kind)
-        np.testing.assert_array_equal(gr.dtau_inv_star(omega, xi, lmat, kind, work=work), ref)
+    # The sampled series keeps its term array and the values of its CSRs
+    # between calls: after calls at other arguments, and after a bracket,
+    # a call gives the bits of a fresh series.
+    geom = jittered65
+    layout = ig.FluxLayout.build(geom)
+    p2_rows = np.concatenate([geom.adj_i, geom.ta_row])
+
+    def operands(scale):
+        a = layout.to_matrix(rng.normal(size=layout.size))
+        xi = np.concatenate([a, geom.diagonal(a)]) * (0.05 / np.max(np.abs(a)))
+        return fd.flat_p2(geom, scale * a) * geom.omega[p2_rows], xi
+
+    def evaluate(series, eta, xi):
+        return series.cayley(eta, xi) if kind == "cayley" else series(eta, xi, gr._DTAU_INV_COEFFS[:6])
+
+    used = ig.SampledSeries(layout)
+    for eta, xi in [operands(scale) for scale in (1.0, 3.0, 0.5)]:
+        want = evaluate(ig.SampledSeries(layout), eta, xi)
+        np.testing.assert_array_equal(evaluate(used, eta, xi), want)
+        used.bracket(eta, 2.0 * xi)
+        np.testing.assert_array_equal(evaluate(used, eta, xi), want)
 
 
 def test_calls_without_work_arrays_return_fresh_arrays(jittered65, rng):
@@ -133,11 +124,22 @@ def test_calls_without_work_arrays_return_fresh_arrays(jittered65, rng):
         lambda: gr.commutator(eta, xi),
         lambda: gr.dtau_inv(xi, eta),
         lambda: gr.dtau_inv_star(omega, xi, eta),
-        lambda: gr.dtau_inv_star(omega, xi, eta, divide=False),
     ):
         first, second = call(), call()
         assert not np.shares_memory(first, second)
         assert not np.shares_memory(first, eta)
+
+
+def count_terms(monkeypatch):
+    """``calls[0]`` counts the commutators of the dense series from here on."""
+    calls, commutator = [0], gr.commutator
+
+    def counted(*args):
+        calls[0] += 1
+        return commutator(*args)
+
+    monkeypatch.setattr(gr, "commutator", counted)
+    return calls
 
 
 def test_dtau_inv_star_is_the_pairing_adjoint():
@@ -376,8 +378,6 @@ def test_csr_and_dense_arguments_agree(jittered65, rng, h, kind):
         assert rel_diff(fn(csr, eta, kind), oracle(xi, eta, kind)) <= 1e-14
     star = gr.dtau_inv_star(omega, csr, eta, kind)
     assert rel_diff(star, dense.dtau_inv_star(omega, xi, eta, kind)) <= 1e-14
-    undivided = gr.dtau_inv_star(omega, csr, eta, kind, divide=False)
-    np.testing.assert_array_equal(undivided / omega[:, None], star)
 
 
 @pytest.mark.parametrize("h", [1e-3, 1e-1])
@@ -420,32 +420,33 @@ def test_the_guard_decides_alike_for_csr_and_dense(jittered65, c):
 
 
 @pytest.mark.parametrize("h", [1e-3, 1e-2, 1e-1])
-def test_the_term_count_is_fixed_by_the_bound(jittered65, rng, h):
+def test_the_term_count_is_fixed_by_the_bound(jittered65, rng, monkeypatch, h):
     # K is the bound's, before the first term: alike at xi, -xi and xi^T,
     # whose norm_bound is xi's, and for an eta of any size.
     a, pattern, n = mesh_velocity(jittered65), jittered65.adjacency_csr, jittered65.n
     want = gr._tail_terms(2.0 * gr.norm_bound(pattern.load(a, h)), 1e-14)
-    work = gr.SeriesWork(n)
+    terms = count_terms(monkeypatch)
     eta = rng.normal(size=(n, n))
     for sign, transpose, size in ((1.0, False, 1.0), (-1.0, False, 1.0), (1.0, True, 1.0), (1.0, False, 1e-12)):
         xi = pattern.load(a, sign * h)
-        before = work.terms
-        gr.dtau_inv(xi.T if transpose else xi, size * eta, work=work)
-        assert work.terms - before == want
+        before = terms[0]
+        gr.dtau_inv(xi.T if transpose else xi, size * eta)
+        assert terms[0] - before == want
+        assert len(gr.dtau_inv_coefficients(xi.T if transpose else xi)) == want
     assert 0 < want <= 21
 
 
 @pytest.mark.parametrize("c", [0.9, 0.999])
-def test_past_a_loose_bound_the_term_count_comes_from_the_svd(jittered65, rng, c):
+def test_past_a_loose_bound_the_term_count_comes_from_the_svd(jittered65, rng, monkeypatch, c):
     a = mesh_velocity(jittered65)
     scaled = c * a / np.linalg.norm(fd.velocity_matrix(jittered65, a), 2)
     csr = jittered65.adjacency_csr.load(scaled)
     xi = fd.velocity_matrix(jittered65, scaled)
     assert gr.norm_bound(csr) >= 1.0
     eta = rng.normal(size=xi.shape)
-    work = gr.SeriesWork(jittered65.n)
-    got = gr.dtau_inv(csr, eta, work=work)
-    assert work.terms == gr._tail_terms(2.0 * np.linalg.norm(xi, 2), 1e-14)
+    terms = count_terms(monkeypatch)
+    got = gr.dtau_inv(csr, eta)
+    assert terms[0] == gr._tail_terms(2.0 * np.linalg.norm(xi, 2), 1e-14)
     assert rel_diff(got, dense.dtau_inv(xi, eta)) <= 1e-14
 
 

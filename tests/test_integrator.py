@@ -330,33 +330,27 @@ def test_the_report_counts_the_colors(gen65):
 
 @pytest.mark.parametrize("kind", gr.KINDS)
 def test_the_report_counts_the_series_terms(gen65, monkeypatch, kind):
-    # series_terms equals the commutators called under dtau_inv, counted by
-    # wrapping the module attributes as the benchmark's tracer does; the
-    # carried old side and the first-order residuals of the Jacobian build call no
-    # commutator.
-    count = {"depth": 0, "terms": 0}
-    dtau_inv, commutator = gr.dtau_inv, gr.commutator
+    # series_terms sums the term count K of every full residual, recorded by
+    # wrapping the guard that fixes it; the carried old side and the
+    # first-order residuals of the Jacobian build fix none.
+    counts = []
+    guard = gr._series_terms
 
-    def traced_dtau_inv(*args, **kwargs):
-        count["depth"] += 1
-        try:
-            return dtau_inv(*args, **kwargs)
-        finally:
-            count["depth"] -= 1
+    def traced_guard(xi):
+        counts.append(guard(xi))
+        return counts[-1]
 
-    def traced_commutator(*args, **kwargs):
-        count["terms"] += count["depth"] > 0
-        return commutator(*args, **kwargs)
-
-    monkeypatch.setattr(gr, "dtau_inv", traced_dtau_inv)
-    monkeypatch.setattr(gr, "commutator", traced_commutator)
+    monkeypatch.setattr(gr, "_series_terms", traced_guard)
     phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01)
     state = taylor_state(gen65)
     stepper = ig.VariationalStepper(gen65, GAS, phys, h=1e-3, kind=kind)
     for _ in range(2):
-        count["terms"] = 0
+        counts.clear()
+        cold = stepper.carry is None
         state, report = stepper.step(state)
-        assert report.series_terms == count["terms"]
+        assert report.series_terms == sum(counts)
+        # one K per full residual: Newton's, plus the cold start's transport
+        assert len(counts) == (kind == "exponential") * (report.newton_iters + 1 + cold)
     assert (report.series_terms > 0) == (kind == "exponential")
 
 
@@ -512,7 +506,7 @@ def test_the_stepper_carries_one_value(jittered65):
         state, _ = stepper.step(state)
     after = vars(stepper)
     changed = {k for k in before.keys() | after.keys() if before.get(k, missing) is not after.get(k, missing)}
-    assert changed == {"carry", "_sampled", "_colors"}
+    assert changed == {"carry", "_series", "_colors"}
 
 
 def test_a_failed_step_leaves_the_carried_state(gen65, monkeypatch):

@@ -13,6 +13,7 @@ import pytest
 
 from decflow import cli_io as cli
 from decflow import fields as fd
+from decflow import groups as gr
 from decflow import integrator as ig
 from decflow import mesh as msh
 from decflow import physics as ph
@@ -255,40 +256,117 @@ def test_no_velocity_is_dense(jittered980, jittered65):
 
 
 def test_a_warm_residual_builds_no_dense_array(jittered980):
-    # The series runs in the stepper's work arrays: after one warm-up call,
-    # a full and a first-order momentum residual each peak below N^2 bytes
-    # on 980 cells (62 and 46 MB when every term made its own arrays).
+    # The series runs on the picks' table: after one warm-up call, a full
+    # and a first-order momentum residual each peak below N^2 bytes on 980
+    # cells, for both group maps (62 and 46 MB when every term of the dense
+    # series made its own arrays).
     geom = jittered980
     state = uneven_state(geom, 0.3)
+    for kind in gr.KINDS:
+        stepper = ig.VariationalStepper(geom, GAS, PHYS, 1e-3, kind=kind)
+        flux = stepper.layout.from_matrix(state.a)
+        prev_term = stepper._old_side(state.a, state.d, stepper._transport_term(state.a, state.d))
+        for transport in (stepper._transport_term, stepper._first_order_term):
+            residual = functools.partial(stepper._residual_and_transport, flux, state.d, state.s, prev_term, transport)
+            residual()
+            peak = peak_bytes(residual)
+            assert peak < geom.n**2, (kind, transport.__name__, peak)
+
+
+def test_the_series_builds_below_the_dense_work_arrays(jittered250):
+    # Building the sampled series and one full residual on 250 cells peak
+    # below the six (N, N) work arrays of the dense series.
+    geom = jittered250
+    state = uneven_state(geom, 0.3)
+    layout = ig.FluxLayout.build(geom)
+    flux, zero = layout.from_matrix(state.a), np.zeros(layout.size)
+    warm = ig.VariationalStepper(geom, GAS, PHYS, 1e-3)  # the geometry's caches
+    warm._residual_and_transport(flux, state.d, state.s, zero, warm._first_order_term)
     stepper = ig.VariationalStepper(geom, GAS, PHYS, 1e-3)
-    flux = stepper.layout.from_matrix(state.a)
-    prev_term = stepper._old_side(state.a, state.d, stepper._transport_term(state.a, state.d))
-    for transport in (stepper._transport_term, stepper._first_order_term):
-        residual = functools.partial(stepper._residual_and_transport, flux, state.d, state.s, prev_term, transport)
-        residual()
-        peak = peak_bytes(residual)
-        assert peak < geom.n**2, (transport.__name__, peak)
+    peak = peak_bytes(stepper._residual_and_transport, flux, state.d, state.s, zero, stepper._transport_term)
+    assert stepper._series.depth > 1
+    assert peak < 6 * geom.n**2 * 8, peak
 
 
 def test_a_first_order_residual_reads_no_series_work_array(jittered65):
-    # The first-order residual runs on P2 and four entries per flux: with
-    # every array of the stepper's SeriesWork NaN, it leaves them NaN and
-    # gives the residual of a fresh stepper.
+    # The first-order residual runs on P2 and the picks' rows: with the
+    # values of the full series' table NaN, it leaves them NaN and gives
+    # the residual of a fresh stepper, whose series is built for one term.
     state = uneven_state(jittered65, 0.3)
     stepper = ig.VariationalStepper(jittered65, GAS, PHYS, 1e-3)
     flux = stepper.layout.from_matrix(state.a)
     prev_term = stepper._old_side(state.a, state.d, stepper._transport_term(state.a, state.d))
     fresh = ig.VariationalStepper(jittered65, GAS, PHYS, 1e-3)
     want = fresh._residual_and_transport(flux, state.d, state.s, prev_term, fresh._first_order_term)[0]
-    work = stepper._work
-    terms = work.terms
-    arrays = [work.operand, work.term, work.next, work.total, work.scratch, work.transposed]
-    for x in arrays:
-        x.fill(np.nan)
+    series = stepper._series
+    terms = series.terms
+    series._mat.data.fill(np.nan)
     got = stepper._residual_and_transport(flux, state.d, state.s, prev_term, stepper._first_order_term)[0]
     np.testing.assert_array_equal(got, want)
-    assert all(np.isnan(x).all() for x in arrays)
-    assert work.terms == terms
+    assert np.isnan(series._mat.data).all()
+    assert series.terms == terms
+    assert series.depth > 1 == fresh._series.depth
+
+
+# ---------------------------------------------------------------------------
+# The sampled series against the dense one
+# ---------------------------------------------------------------------------
+
+
+def series_states(geom, rng):
+    """``(a, d, h)``: a random velocity with random density at ``h = -+1e-2``,
+    and a stepped state at ``h = -+1e-3``."""
+    layout = ig.FluxLayout.build(geom)
+    a = layout.to_matrix(rng.normal(size=layout.size))
+    a *= 3.0 / np.max(np.abs(a))
+    d = 0.5 + rng.random(geom.n)
+    stepped = stepped_state(geom, 1e-3)
+    return [(a, d, h) for h in (1e-2, -1e-2)] + [(stepped.a, stepped.d, h) for h in (1e-3, -1e-3)]
+
+
+def dense_picks(stepper, a, d, h, kind="exponential"):
+    """The four entries per flux of the dense ``dtau_inv(xi^T, eta)``, ``xi
+    = hA`` and ``eta = Omega D A^flat`` scattered from P2 as the sampled
+    series reads it; ``kind`` "first-order" cuts the series after ``eta -
+    [eta, xi^T]/2``, and "bracket" gives ``[eta, xi^T]``."""
+    geom, layout = stepper.geom, stepper.layout
+    rows, cols = np.concatenate([geom.adj_i, geom.ta_row]), np.concatenate([geom.adj_j, geom.ta_col])
+    lmat = np.zeros((geom.n, geom.n))
+    lmat[rows, cols] = fd.flat_p2(geom, a) * d[rows]
+    wl = geom.omega[:, None] * lmat
+    xi_t = geom.adjacency_csr.load(a, h).T
+    if kind == "bracket":
+        star = gr.commutator(wl, xi_t)
+    elif kind == "first-order":
+        star = wl - 0.5 * gr.commutator(wl, xi_t)
+    else:
+        star = gr.dtau_inv(xi_t, wl, kind)
+    r, c = layout.rows, layout.cols
+    return np.stack([star[r, c], star[c, r], star[r, r], star[c, c]])
+
+
+@pytest.mark.parametrize("mesh", ["jittered65", "jittered250"])
+def test_the_sampled_series_is_the_dense_one_at_the_picks(mesh, request):
+    # Bit for bit, for the exponential's K terms, for K = 1 (the first-order
+    # term eta - [eta, xi^T]/2, and the bracket alone), and from a structure
+    # built for K + 2; the Cayley tangent to 1e-14 of the largest pick.
+    geom = request.getfixturevalue(mesh)
+    for a, d, h in series_states(geom, np.random.default_rng(11)):
+        stepper = ig.VariationalStepper(geom, GAS, PHYS, h)
+        eta, xi = stepper._operands(a, d)
+        coeffs = gr.dtau_inv_coefficients(geom.adjacency_csr.load(a, h).T)
+        assert len(coeffs) > 2
+        want = dense_picks(stepper, a, d, h)
+        np.testing.assert_array_equal(stepper._series(eta, xi, coeffs), want)
+        deeper = ig.SampledSeries(stepper.layout)
+        deeper(eta, xi, gr._DTAU_INV_COEFFS[: len(coeffs) + 2])
+        assert deeper.depth == len(coeffs) + 2
+        np.testing.assert_array_equal(deeper(eta, xi, coeffs), want)
+        np.testing.assert_array_equal(stepper._series(eta, xi, [-0.5]), dense_picks(stepper, a, d, h, "first-order"))
+        np.testing.assert_array_equal(stepper._series.bracket(eta, xi), dense_picks(stepper, a, d, h, "bracket"))
+        cayley = dense_picks(stepper, a, d, h, "cayley")
+        gap = ig.SampledSeries(stepper.layout).cayley(eta, xi) - cayley
+        assert np.max(np.abs(gap)) <= 1e-14 * np.max(np.abs(cayley))
 
 
 def test_the_step_takes_no_variational_derivatives(jittered65, monkeypatch):

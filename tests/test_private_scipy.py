@@ -11,7 +11,7 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "decflow"
 
 #: (module, private SciPy name, function that uses it)
-PRIVATE_USES = {("groups.py", "scipy.sparse._sparsetools", "_product")}
+PRIVATE_USES = set()
 #: (module, class, SciPy base)
 SUBCLASSES = {("mesh.py", "_PairedCSR", "scipy.sparse.csr_array")}
 
