@@ -19,7 +19,8 @@ the list and the diagonal with a vector field on the list.  Dense
 ``(N, N)`` matrices are left to :func:`from_pairs`, :func:`velocity_matrix`
 and :func:`flat` (scatters of those values), :func:`proj_P` and the matrix
 route :func:`lie_deriv_oneform_density`, which the identity suite and the
-tests use as references.  The fundamental matrix spaces are
+tests use as references, with the SciPy CSR form :func:`velocity_csr`.
+The fundamental matrix spaces are
 
 * ``S``: rows sum to zero (NB: the row convention -- transport matrices act
   on densities through their transpose),
@@ -36,6 +37,7 @@ construction; V and no-slip are properties of its values, checked by
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .groups import commutator
 from .mesh import MeshGeometry, sum_at
@@ -43,6 +45,7 @@ from .mesh import MeshGeometry, sum_at
 __all__ = [
     "from_pairs",
     "velocity_matrix",
+    "velocity_csr",
     "pair_diff",
     "pair_mean",
     "pairing0",
@@ -91,6 +94,15 @@ def velocity_matrix(geom: MeshGeometry, a) -> np.ndarray:
     out = from_pairs(geom, a)
     np.fill_diagonal(out, geom.diagonal(a))
     return out
+
+
+def velocity_csr(geom: MeshGeometry, a) -> csr_array:
+    """A fresh SciPy CSR array of a vector field held on the adjacency list,
+    its implied diagonal included, on the pattern of
+    :attr:`decflow.mesh.MeshGeometry.adjacency_csr`."""
+    pattern = geom.adjacency_csr
+    values = np.concatenate([a, geom.diagonal(a)])[pattern.take]
+    return csr_array((values, pattern.cols, pattern.indptr), shape=(geom.n, geom.n))
 
 
 def pair_diff(f, i, j) -> np.ndarray:
@@ -298,10 +310,10 @@ def lie_deriv_pairs(geom: MeshGeometry, a, zp) -> np.ndarray:
 def lie_deriv_oneform_density(geom: MeshGeometry, a, lmat) -> np.ndarray:
     """Lie derivative of a one-form density: ``P(Omega^-1 [A^T, Omega L])``
     for ``A`` on the adjacency list and a dense ``L``.  The bracket is
-    :func:`decflow.groups.commutator` with the CSR form of ``-A^T``, loaded
-    into ``geom.adjacency_csr``: two sparse-times-dense products."""
+    :func:`decflow.groups.commutator` with the CSR form of ``-A^T``
+    (:func:`velocity_csr`): two sparse-times-dense products."""
     wl = geom.omega[:, None] * np.asarray(lmat, dtype=float)
-    minus_at = geom.adjacency_csr.load(a, -1.0).T
+    minus_at = (-velocity_csr(geom, a)).T
     return proj_P(commutator(wl, minus_at) / geom.omega[:, None])
 
 

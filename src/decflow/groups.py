@@ -20,15 +20,17 @@ Two kinds are provided:
   the row-sum-zero structure of transported quantities the way the
   exponential does, so the exponential is the default everywhere.
 
-Every function except :func:`tau` takes ``xi`` as a SciPy CSR array, such
-as the CSR form of a velocity matrix from
-:class:`decflow.mesh.AdjacencyCSR`, whose ``.T`` is kept ready; the Cayley
-branches and the guard's SVD densify it.  :func:`tau`, :func:`commutator`
-(two sparse-times-dense products by SciPy's ``@``), :func:`dtau`,
-:func:`dtau_inv` and :func:`dtau_inv_star` are dense references for the
-checks and tests.  The step evaluates the series at the entries it reads
-(:class:`decflow.integrator.SampledSeries`), with the term count of
-:func:`dtau_inv_coefficients` and the same bits.
+The functions the step calls, :func:`tau_action`, :func:`norm_bound` and
+:func:`dtau_inv_coefficients`, take ``xi`` as its stored entries: their
+``rows``, ``cols`` and values ``vals`` and the size ``n``, such as the
+values of a velocity at the pattern of :class:`decflow.mesh.AdjacencyCSR`.
+The Cayley action and the guard's SVD densify them.  :func:`tau` (of a
+dense ``xi``), :func:`commutator` (two sparse-times-dense products by
+SciPy's ``@``), :func:`dtau`, :func:`dtau_inv` and :func:`dtau_inv_star`
+are dense references for the checks and tests; they take ``xi`` as a SciPy
+CSR or CSC array and run the same guard on its entries.  The step evaluates the
+series at the entries it reads (:class:`decflow.integrator.SampledSeries`),
+with the term count of :func:`dtau_inv_coefficients` and the same bits.
 
 Both kinds satisfy, for any square ``xi`` and ``delta``,
 
@@ -95,13 +97,29 @@ def commutator(a: np.ndarray, b) -> np.ndarray:
     """``[a, b] = a b - b a`` for a dense ``a`` and a sparse ``b``, which
     multiplies from the right as ``a b = (b^T a^T)^T``: two
     sparse-times-dense products."""
+    return _bracket(a, b, b.T)
+
+
+def _bracket(a, b, bt) -> np.ndarray:
+    """:func:`commutator` with the transpose ``bt`` of ``b`` given, so that
+    a series forms it once and not once per term."""
     a = np.asarray(a, dtype=float)
-    return (b.T @ a.T).T - b @ a
+    return (bt @ a.T).T - b @ a
 
 
-def _rows(x) -> np.ndarray:
-    """The row of every stored entry of a CSR ``x``."""
-    return np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))
+def _entries(x):
+    """The rows, columns and values of the stored entries of a SciPy CSR or
+    CSC ``x``, in stored order, and its size."""
+    major = np.repeat(np.arange(len(x.indptr) - 1), np.diff(x.indptr))
+    rows, cols = (major, x.indices) if x.format == "csr" else (x.indices, major)
+    return rows, cols, x.data, x.shape[0]
+
+
+def _dense(rows, cols, vals, n) -> np.ndarray:
+    """The ``(n, n)`` matrix of the entries ``vals`` at ``(rows, cols)``."""
+    out = np.zeros((n, n))
+    out[rows, cols] = vals
+    return out
 
 
 def _cayley_factors(xi: np.ndarray):
@@ -141,9 +159,10 @@ def _tail_terms(x: float, tol: float) -> int:
     return order
 
 
-def tau_action(xi, kind: str = "exponential"):
-    """The map ``w -> tau(xi)^T w`` of a CSR ``xi``, for applying one group
-    element to several vectors without forming it.
+def tau_action(rows, cols, vals, n, kind: str = "exponential"):
+    """The map ``w -> tau(xi)^T w`` of the ``(n, n)`` ``xi`` whose stored
+    entries are ``vals`` at ``(rows, cols)``, for applying one group element
+    to several vectors without forming it.
 
     For the exponential, ``exp(xi^T) w = (exp(xi^T / s))^s w`` with
     ``s = max(1, ceil(|xi|_1))``, and each factor is the Taylor series
@@ -151,20 +170,17 @@ def tau_action(xi, kind: str = "exponential"):
     from ``|xi^T|_inf = |xi|_1``, is at most ``2^-53 |w|_inf``.  ``s`` and
     ``K`` are fixed per action, so every application costs ``s K`` products
     of ``xi^T`` with a vector, each a gather and an ``np.bincount`` over the
-    stored entries.  The action keeps copies of those entries, not ``xi``,
-    so a later :meth:`decflow.mesh.AdjacencyCSR.load` leaves it unchanged.
-    The Cayley element is formed once, from ``xi.toarray()``.
+    stored entries.  The Cayley element is formed once, from the entries.
     """
     _check_kind(kind)
     if kind == "cayley":
-        qt = tau(xi.toarray(), kind).T
+        qt = tau(_dense(rows, cols, vals, n), kind).T
         return lambda w: qt @ w
-    n, rows, cols = xi.shape[0], _rows(xi), xi.indices.copy()
-    norm = float(np.bincount(cols, np.abs(xi.data), minlength=n).max())
+    norm = float(np.bincount(cols, np.abs(vals), minlength=n).max())
     if not math.isfinite(norm):
         raise GroupMapError("group map argument is not finite")
     steps = max(1, math.ceil(norm))
-    vals = xi.data / steps
+    vals = vals / steps
     terms = _tail_terms(norm / steps, 2.0**-53)
 
     def act(w):
@@ -180,31 +196,32 @@ def tau_action(xi, kind: str = "exponential"):
     return act
 
 
-def norm_bound(x) -> float:
+def norm_bound(rows, cols, vals, n) -> float:
     """``sqrt(|x|_1 |x|_inf)``, an upper bound on the spectral norm
-    ``|x|_2`` that costs two absolute sums over the stored entries of a
-    CSR ``x`` instead of an SVD.  It is ``inf`` once the product of the two
-    norms overflows."""
-    ax = np.abs(x.data)
-    cols_sum = np.bincount(x.indices, ax, minlength=x.shape[1])
-    rows_sum = np.bincount(_rows(x), ax, minlength=x.shape[0])
+    ``|x|_2`` that costs two absolute sums over the stored entries ``vals``
+    at ``(rows, cols)`` of an ``(n, n)`` ``x`` instead of an SVD.  It is
+    ``inf`` once the product of the two norms overflows."""
+    ax = np.abs(vals)
+    cols_sum = np.bincount(cols, ax, minlength=n)
+    rows_sum = np.bincount(rows, ax, minlength=n)
     with np.errstate(over="ignore"):
         return float(np.sqrt(cols_sum.max() * rows_sum.max()))
 
 
-def _series_terms(xi) -> int:
+def _series_terms(rows, cols, vals, n) -> int:
     """The exponential tangent series' guard, which raises unless ``|xi|_2 <
     1``, and term count ``K``: its tail bound (:func:`_tail_terms`) at ``2
-    nu >= |ad_xi|_2`` is at most ``1e-14``, ``nu`` being ``norm_bound(xi)``
-    or, where that does not clear 1, ``|xi|_2`` by SVD.  ``K <= 21``."""
+    nu >= |ad_xi|_2`` is at most ``1e-14``, ``nu`` being :func:`norm_bound`
+    of the entries of ``xi`` or, where that does not clear 1, ``|xi|_2`` by
+    SVD.  ``K <= 21``."""
     # The bound decides only well clear of 1, so rounding in it or in the
     # SVD cannot make its decision differ from the SVD's.
-    bound = norm_bound(xi)
+    bound = norm_bound(rows, cols, vals, n)
     if bound < 1.0 - 1e-12:
         return _tail_terms(2.0 * bound, 1e-14)
     if not math.isfinite(bound):  # the SVD would not converge
         raise GroupMapError("tangent-map series argument is not finite; reduce the time step")
-    norm = float(np.linalg.norm(xi.toarray(), 2))
+    norm = float(np.linalg.norm(_dense(rows, cols, vals, n), 2))
     if norm >= 1.0:
         raise GroupMapError(f"tangent-map series needs |xi| < 1, got {norm:.3e}; reduce the time step")
     return _tail_terms(2.0 * norm, 1e-14)
@@ -213,9 +230,9 @@ def _series_terms(xi) -> int:
 def _ad_series(xi, eta: np.ndarray, coeffs) -> np.ndarray:
     """``eta + sum_{n >= 1} coeffs[n-1] ad_{-xi}^n(eta)``, one commutator per
     coefficient, the terms added in ascending ``n``."""
-    term, total = eta, eta.copy()
+    xt, term, total = xi.T, eta, eta.copy()
     for coeff in coeffs:
-        term = commutator(term, xi)
+        term = _bracket(term, xi, xt)
         if coeff != 0.0:
             total += coeff * term
     return total
@@ -231,14 +248,15 @@ def dtau(xi, delta: np.ndarray, kind: str = "exponential") -> np.ndarray:
         p, q = _cayley_factors(xi.toarray())
         # Q^-1 delta P^-1, computed as solve(Q, delta) then right-divide by P
         return _cayley_solve(q, _cayley_solve(p.T, delta.T, "2").T, "-2")
-    return _ad_series(xi, delta, _DTAU_COEFFS[: _series_terms(xi)])
+    return _ad_series(xi, delta, _DTAU_COEFFS[: _series_terms(*_entries(xi))])
 
 
-def dtau_inv_coefficients(xi) -> list:
+def dtau_inv_coefficients(rows, cols, vals, n) -> list:
     """The coefficients ``B_n / n!`` of ``ad_{-xi}^n``, ``n = 1 .. K``, of the
-    exponential's ``dtau_inv`` series at a CSR ``xi``, ``K`` from the guard
-    (:func:`_series_terms`), which raises unless ``|xi|_2 < 1``."""
-    return _DTAU_INV_COEFFS[: _series_terms(xi)]
+    exponential's ``dtau_inv`` series at the ``xi`` of the entries ``vals``
+    at ``(rows, cols)``, ``K`` from the guard (:func:`_series_terms`), which
+    raises unless ``|xi|_2 < 1``."""
+    return _DTAU_INV_COEFFS[: _series_terms(rows, cols, vals, n)]
 
 
 def dtau_inv(xi, eta: np.ndarray, kind: str = "exponential") -> np.ndarray:
@@ -249,7 +267,7 @@ def dtau_inv(xi, eta: np.ndarray, kind: str = "exponential") -> np.ndarray:
     if kind == "cayley":
         p, q = _cayley_factors(xi.toarray())
         return q @ eta @ p
-    return _ad_series(xi, eta, dtau_inv_coefficients(xi))
+    return _ad_series(xi, eta, dtau_inv_coefficients(*_entries(xi)))
 
 
 def dtau_inv_star(omega: np.ndarray, xi, lmat: np.ndarray, kind: str = "exponential") -> np.ndarray:

@@ -11,10 +11,11 @@ The variational step solves, in order:
 1. the discrete momentum balance for the new velocity ``A^k``, by Newton on
    the fluxes (:meth:`VariationalStepper._solve_momentum`).  Each residual
    applies the adjoint tangent series of :func:`decflow.groups.dtau_inv_star`
-   at ``+h A`` at the four entries per flux that :meth:`FluxLayout.pick_P`
-   reads, term by term on the entries those read (:class:`SampledSeries`),
-   with the bits of the dense series and no ``(N, N)`` array.  The old-side
-   term, the same transport at ``-h A^{k-1}`` with ``D^{k-1}``, is fixed
+   at ``+h A`` at the four entries per flux that the projection ``P`` reads
+   (:meth:`FluxLayout.project`), term by term on the entries those read
+   (:class:`SampledSeries`), with the bits of the dense series and no
+   ``(N, N)`` array.  The old-side term, the same transport at
+   ``-h A^{k-1}`` with ``D^{k-1}``, is fixed
    within a step (:meth:`VariationalStepper._old_side`) and comes from the
    converged transport the previous step carried (:class:`Carry`).  The
    gradient and viscous forces are evaluated on the flux pairs only
@@ -25,7 +26,8 @@ The variational step solves, in order:
 2. exact density transport ``D^{k+1} = D^k bullet tau(-h A^k)``.  The
    group element is never formed: :func:`decflow.groups.tau_action` applies
    ``tau(-h A^k)^T`` to ``Omega D^k`` as a Taylor series of products with
-   the stored entries of the CSR form of ``-h A^k``, whose term count is
+   the entries of ``-h A^k`` on the diagonal and the adjacent pairs
+   (:class:`decflow.mesh.AdjacencyCSR`), whose term count is
    fixed from ``|h A^k|_1`` so the remainder is at most ``2^-53`` of the
    vector; the action builds no ``(N, N)`` array.  Mass stays exact to
    round-off: the rows of ``A^k`` sum to zero, so every term after the
@@ -58,7 +60,7 @@ from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from . import fields as fd
 from . import groups as gr
 from . import physics as ph
-from .mesh import MeshGeometry
+from .mesh import MeshGeometry, last_row
 
 __all__ = [
     "FluxLayout",
@@ -133,16 +135,10 @@ class FluxLayout:
         g = self.geom
         return g.omega[self.rows] * a[self.pos] - g.omega[self.cols] * a[self.rev]
 
-    def pick_P(self, mat: np.ndarray, omega: np.ndarray) -> np.ndarray:
-        """``proj_P(mat / omega[:, None])`` at ``(rows, cols)``, read from
-        the four entries ``(r, c)``, ``(c, r)``, ``(r, r)`` and ``(c, c)`` of
-        each flux instead of the whole matrix."""
-        r, c = self.rows, self.cols
-        return self.project(np.stack([mat[r, c], mat[c, r], mat[r, r], mat[c, c]]), omega)
-
     def project(self, entries: np.ndarray, omega: np.ndarray) -> np.ndarray:
-        """:meth:`pick_P` from the four entries of each flux, the rows of
-        ``entries``."""
+        """``proj_P(mat / omega[:, None])`` at ``(rows, cols)`` from the four
+        entries ``(r, c)``, ``(c, r)``, ``(r, r)`` and ``(c, c)`` of ``mat``
+        per flux, the rows of ``entries``."""
         r, c = self.rows, self.cols
         m_rc, m_rr = entries[0] / omega[r], entries[2] / omega[r]
         m_cr, m_cc = entries[1] / omega[c], entries[3] / omega[c]
@@ -168,15 +164,6 @@ def _gradient_forces(geom, layout, a, d, s, gas):
 # ---------------------------------------------------------------------------
 
 
-def _positions(keys, n, *pairs):
-    """The position in the ascending ``keys`` of each pair ``(rows, cols)``
-    of ``pairs``, keyed ``rows * n + cols``, or ``-1``: one array per pair."""
-    queries = np.concatenate([p[0] * n + p[1] for p in pairs])
-    found = np.searchsorted(keys, queries)
-    found[keys[np.minimum(found, len(keys) - 1)] != queries] = -1
-    return np.split(found, np.cumsum([len(p[0]) for p in pairs])[:-1])
-
-
 def _power(step, k):
     """``step^k`` for a boolean sparse ``step``: its pattern, by squaring."""
     if k == 1:
@@ -197,7 +184,7 @@ def _padded_csr(reads, values_at, width):
 
 class SampledSeries:
     """``eta + sum_{n <= K} c_n T_n``, ``T_n = [T_{n-1}, xi^T]`` and ``T_0 =
-    eta``, at the four entries :meth:`FluxLayout.pick_P` reads per flux:
+    eta``, at the four entries per flux that :meth:`FluxLayout.project` reads:
     the series of :func:`decflow.groups.dtau_inv_star` before its division
     by ``Omega``, for ``eta`` on P2 and ``xi`` as its values on ``[pairs,
     diagonal]``.
@@ -241,8 +228,10 @@ class SampledSeries:
         stored = np.where(slots < count[:, None], csr.indptr[:-1, None] + slots, -1)[j]  # row j's, padded
         valid = stored >= 0
         left = (np.broadcast_to(i[:, None], stored.shape)[valid], csr.cols[stored[valid]])  # the left sums' reads
-        p2, cells = (geom.adj_i, geom.adj_j), np.arange(n)
-        found = _positions(i * n + j, n, left, (j, i), p2, (geom.ta_row, geom.ta_col), (cells, cells))
+        cells = np.arange(n)
+        queries = [left, (j, i), (geom.adj_i, geom.adj_j), (geom.ta_row, geom.ta_col), (cells, cells)]
+        found = last_row(i * n + j, np.concatenate([r * n + c for r, c in queries]))
+        found = np.split(found, np.cumsum([len(r) for r, _ in queries])[:-1])  # one array per query
         both = np.full((size, 2, len(slots)), -1, dtype=np.int32)
         both[:, 0][valid] = found[0]  # a read past the table stays -1, and is dropped
         tpos = found[1]  # the transposed pairs'
@@ -471,12 +460,14 @@ class VariationalStepper:
     def _transport_term(self, a, d):
         """``(1/h) P((dtau_inv_{hA})^* (D A^flat))`` on the layout, with the
         adjoint's division by ``Omega`` applied to the entries that ``P``
-        reads; the series' term count comes from the guard on ``(hA)^T``."""
+        reads; the series' term count comes from the guard on the entries of
+        ``(hA)^T``."""
         eta, xi = self._operands(a, d)
         if self.kind == "cayley":
             star = self._series.cayley(eta, xi)
         else:
-            coeffs = gr.dtau_inv_coefficients(self.geom.adjacency_csr.load(a, self.h).T)
+            csr = self.geom.adjacency_csr
+            coeffs = gr.dtau_inv_coefficients(csr.rows, csr.cols, xi[csr.take_t], self.geom.n)
             self._series.terms += len(coeffs)
             star = self._series(eta, xi, coeffs)
         return self.layout.project(star, self.geom.omega) / self.h
@@ -644,8 +635,10 @@ class VariationalStepper:
             )
             report.series_terms = self._series.terms - terms
             a_new = self.layout.to_matrix(flux)
-            back = gr.tau_action(geom.adjacency_csr.load(a_new, -h), self.kind)
-            fwd = gr.tau_action(geom.adjacency_csr.load(a_new, h), self.kind)
+            csr = geom.adjacency_csr
+            values = np.concatenate([a_new, geom.diagonal(a_new)])[csr.take]
+            back = gr.tau_action(csr.rows, csr.cols, values * -h, geom.n, self.kind)
+            fwd = gr.tau_action(csr.rows, csr.cols, values * h, geom.n, self.kind)
         except gr.GroupMapError as exc:
             raise SeriesRangeError(str(exc)) from exc
 

@@ -45,7 +45,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
 
 __all__ = [
     "Mesh",
@@ -58,6 +57,7 @@ __all__ = [
     "compute_geometry",
     "inspect_geometry",
     "sum_at",
+    "last_row",
 ]
 
 
@@ -454,7 +454,7 @@ class MeshGeometry:
         """Positions of the cell pairs ``(i[k], j[k])`` on *P2*, the
         adjacency list followed by the two-away list ``(ta_row, ta_col)``;
         ``-1`` for a pair off it, such as ``(i, i)``."""
-        return _last_row(self._p2_keys, np.asarray(i) * self.n + j)
+        return last_row(self._p2_keys, np.asarray(i) * self.n + j)
 
     @functools.cached_property
     def wedge_rows(self) -> np.ndarray:
@@ -466,38 +466,22 @@ class MeshGeometry:
 
     @functools.cached_property
     def adjacency_csr(self) -> "AdjacencyCSR":
-        """CSR form of matrices on the diagonal and the adjacent pairs,
+        """The CSR index structure of the diagonal and the adjacent pairs,
         built at its first use."""
         return AdjacencyCSR(self)
 
 
-class _PairedCSR(csr_array):
-    """A CSR array whose transpose is a second one kept on the same index
-    structure, so that ``.T`` constructs nothing."""
-
-    transposed = None
-
-    def transpose(self, axes=None, copy=False):
-        if self.transposed is None or copy:
-            return super().transpose(axes=axes, copy=copy)
-        return self.transposed
-
-
 class AdjacencyCSR:
-    """SciPy CSR arrays on the fixed pattern of the diagonal and the
+    """The CSR index structure of the fixed pattern of the diagonal and the
     adjacent cell pairs, which supports every velocity matrix.
 
-    The index structure is built once: ``rows``, ``cols`` and ``indptr``
-    of the stored entries (row major), and ``take`` and ``take_t``, each
-    entry's position in ``[pair values, diagonal]`` for ``X`` and ``X^T``.
-    The pattern is symmetric, so the same structure serves a matrix ``X``
-    and its transpose: :meth:`load` takes ``X`` as its values on the
-    adjacency list, completes the implied diagonal, and fills ``.data`` of
-    two cached arrays with ``scale * X`` and ``scale * X^T`` through
-    ``take`` and ``take_t``.  It returns the first, whose ``.T`` is the
-    second.  Both are overwritten by the next :meth:`load`, so no caller
-    holds a loaded array past it; :func:`decflow.groups.tau_action` keeps
-    copies of what it needs.
+    ``rows``, ``cols`` and ``indptr`` hold the stored entries (row major),
+    and ``take`` and ``take_t`` each entry's position in ``[pair values,
+    diagonal]`` for ``X`` and ``X^T``.  The pattern is symmetric, so the
+    same structure serves a matrix ``X`` and its transpose: for ``xi`` the
+    values of ``X`` on ``[pairs, diagonal]``, ``xi[take]`` and
+    ``xi[take_t]`` are the values of ``X`` and ``X^T`` at ``(rows, cols)``,
+    the entries that the group functions of :mod:`decflow.groups` take.
     """
 
     def __init__(self, geom: MeshGeometry):
@@ -506,24 +490,10 @@ class AdjacencyCSR:
         cols = np.concatenate([geom.adj_j, np.arange(n)])
         order = np.lexsort((cols, rows))  # row major
         self.rows, self.cols = rows[order], cols[order]
-        # Each stored entry's position in [pair values, diagonal], for X
-        # and for X^T (whose pair (i, j) holds the value of (j, i)).
+        # X^T's pair (i, j) holds the value of (j, i).
         swapped = np.concatenate([geom.pair_index(geom.adj_j, geom.adj_i), np.arange(m, m + n)])
         self.take, self.take_t = order, swapped[order]
-        self._diagonal = geom.diagonal
-        self.indptr = indptr = np.searchsorted(self.rows, np.arange(n + 1))
-        pair = [
-            _PairedCSR((np.zeros(len(self.rows)), self.cols, indptr), shape=(n, n))
-            for _ in range(2)
-        ]
-        pair[0].transposed, pair[1].transposed = pair[1], pair[0]
-        self._mat = pair[0]
-
-    def load(self, a: np.ndarray, scale: float = 1.0) -> csr_array:
-        values = np.concatenate([a, self._diagonal(a)])
-        np.multiply(values[self.take], scale, out=self._mat.data)
-        np.multiply(values[self.take_t], scale, out=self._mat.T.data)
-        return self._mat
+        self.indptr = np.searchsorted(self.rows, np.arange(n + 1))
 
 
 def _circumcenters(nodes: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -537,7 +507,7 @@ def _circumcenters(nodes: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return a + np.stack([ux, uy], axis=1)
 
 
-def _last_row(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+def last_row(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Row of the last occurrence of each query in ``keys``, ``-1`` where it
     does not occur."""
     if len(keys) == 0 or np.size(queries) == 0:
@@ -563,7 +533,7 @@ def _node_fans(mesh: Mesh, issues: list) -> tuple:
     opened = mesh.cell_adjacency[:, [2, 0, 1]].ravel() < 0
     # A row's successor is the row of (ccw-next cell, same node), or -1; the
     # appended -1 is the successor of -1.
-    succ = np.append(_last_row(rows // 3 * num_nodes + node, nxt * num_nodes + node), -1)
+    succ = np.append(last_row(rows // 3 * num_nodes + node, nxt * num_nodes + node), -1)
     degree = np.bincount(node, minlength=num_nodes)
     opens = np.bincount(node[opened], minlength=num_nodes)
     # An open chain starts at its open row, a closed fan at the node's
@@ -675,7 +645,7 @@ def _geometry(mesh: Mesh, issues: list) -> MeshGeometry:
     # ccw fan pair (i, j) has that node as its e+.
     ai, aj = c[adj_row], d[adj_row]
     fan_key = pair_i * n + pair_j
-    ep, em = _last_row(fan_key, adj_key), _last_row(fan_key, aj * n + ai)
+    ep, em = last_row(fan_key, adj_key), last_row(fan_key, aj * n + ai)
     found = (ep >= 0) & (em >= 0)
     for i, j in zip(ai[~found], aj[~found]):
         issues.append(f"adjacent pair ({i},{j}) missing a fan endpoint")
@@ -685,7 +655,7 @@ def _geometry(mesh: Mesh, issues: list) -> MeshGeometry:
     dual = star_h > eps_geom  # a degenerate dual edge gets no sharp
     sharp_coef = np.where(dual, h_len / np.where(dual, star_h, 1.0), 0.0) / (2.0 * omega[adj_i])
     # A fan pair whose adjacent pair was dropped above has no row: drop it.
-    pair_adj = _last_row(adj_i * n + adj_j, fan_key)
+    pair_adj = last_row(adj_i * n + adj_j, fan_key)
     on_list = pair_adj >= 0
 
     # Two-away one-form entry assignments.  Triplet (i, j, k) at node e fixes
@@ -695,7 +665,7 @@ def _geometry(mesh: Mesh, issues: list) -> MeshGeometry:
     # Entries are skipped when j, k happen to share an edge (their value is
     # already the adjacent one).  A later triplet hitting an assigned entry
     # (at an interior node of degree < 5, an issue below) is dropped.
-    t = np.flatnonzero((tri_j != tri_k) & (_last_row(adj_key, tri_j * n + tri_k) < 0))
+    t = np.flatnonzero((tri_j != tri_k) & (last_row(adj_key, tri_j * n + tri_k) < 0))
     ta_row = np.stack([tri_j[t], tri_k[t]], axis=1).ravel()
     ta_col = np.stack([tri_k[t], tri_j[t]], axis=1).ravel()
     ta_tri, ta_sign = np.repeat(t, 2), np.tile([1.0, -1.0], len(t))

@@ -366,7 +366,7 @@ def check_commutator_nonclosure(geom, rng) -> float:
         return 1.0
     i, j, k = triple
     a, b = random_tangent(geom, rng), random_tangent(geom, rng)
-    c = gr.commutator(fd.velocity_matrix(geom, a), geom.adjacency_csr.load(b))
+    c = gr.commutator(fd.velocity_matrix(geom, a), fd.velocity_csr(geom, b))
     ij, jk = geom.pair_index([i, j], [j, k])
     caption = a[ij] * b[jk] - b[ij] * a[jk]
     scale = np.max(np.abs(c)) + _FLOOR
@@ -406,8 +406,8 @@ def check_tau_shift(geom, rng, kind) -> float:
     xi = _small_algebra(geom, rng)
     delta = fd.velocity_matrix(geom, random_algebra(geom, rng))
     q = gr.tau(fd.velocity_matrix(geom, xi), kind)
-    lhs = gr.dtau(geom.adjacency_csr.load(xi, -1.0), delta, kind)
-    rhs = q @ gr.dtau(geom.adjacency_csr.load(xi), delta, kind) @ np.linalg.inv(q)
+    lhs = gr.dtau(-fd.velocity_csr(geom, xi), delta, kind)
+    rhs = q @ gr.dtau(fd.velocity_csr(geom, xi), delta, kind) @ np.linalg.inv(q)
     return _rel(np.max(np.abs(lhs - rhs)), np.max(np.abs(lhs)))
 
 
@@ -416,13 +416,13 @@ def check_dtau_inv_shift(geom, rng, kind) -> float:
     xi = _small_algebra(geom, rng)
     delta = fd.velocity_matrix(geom, random_algebra(geom, rng))
     q = gr.tau(fd.velocity_matrix(geom, xi), kind)
-    lhs = gr.dtau_inv(geom.adjacency_csr.load(xi, -1.0), q @ delta @ np.linalg.inv(q), kind)
-    rhs = gr.dtau_inv(geom.adjacency_csr.load(xi), delta, kind)
+    lhs = gr.dtau_inv(-fd.velocity_csr(geom, xi), q @ delta @ np.linalg.inv(q), kind)
+    rhs = gr.dtau_inv(fd.velocity_csr(geom, xi), delta, kind)
     return _rel(np.max(np.abs(lhs - rhs)), np.max(np.abs(rhs)))
 
 
 def check_dtau_roundtrip(geom, rng, kind) -> float:
-    xi = geom.adjacency_csr.load(_small_algebra(geom, rng))
+    xi = fd.velocity_csr(geom, _small_algebra(geom, rng))
     delta = fd.velocity_matrix(geom, random_algebra(geom, rng))
     back = gr.dtau_inv(xi, gr.dtau(xi, delta, kind), kind)
     return _rel(np.max(np.abs(back - delta)), np.max(np.abs(delta)))
@@ -439,14 +439,14 @@ def check_dtau_inv_fd(geom, rng, kind) -> float:
     d_fd = (
         qm @ gr.tau(dense + step * delta, kind) - qm @ gr.tau(dense - step * delta, kind)
     ) / (2.0 * step)
-    err = np.max(np.abs(gr.dtau_inv(geom.adjacency_csr.load(xi), d_fd, kind) - delta))
+    err = np.max(np.abs(gr.dtau_inv(fd.velocity_csr(geom, xi), d_fd, kind) - delta))
     return _rel(err, np.max(np.abs(delta)))
 
 
 def check_transport_adjoint(geom, rng, kind) -> float:
     """dtau_inv_star is the exact adjoint of dtau_inv in the area-weighted
     matrix pairing."""
-    xi = geom.adjacency_csr.load(_small_algebra(geom, rng))
+    xi = fd.velocity_csr(geom, _small_algebra(geom, rng))
     lmat = rng.standard_normal((geom.n, geom.n))
     bp = random_algebra(geom, rng)
     push = gr.dtau_inv(xi, fd.velocity_matrix(geom, bp), kind)

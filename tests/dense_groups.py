@@ -1,12 +1,13 @@
 """The group tangents on a dense ``xi``: the Bernoulli series, its guard and
 the area-weighted adjoint with dense matrix products.
 
-:mod:`decflow.groups` takes ``xi`` in CSR form only.  This is the dense
-path it replaced, kept as the oracle that the CSR series is checked
+:mod:`decflow.groups` takes ``xi`` in sparse form only.  This is the dense
+path it replaced, kept as the oracle that the sparse series is checked
 against; it shares the Bernoulli numbers and the Cayley factors.  The
 first-order transport on a dense ``eta`` (:func:`first_order_transport`)
 is the oracle of the stepper's sampled one, and the full series at
-``-hA`` (:func:`old_side_series`) that of its old side.
+``-hA`` (:func:`old_side_series`) that of its old side; both read the
+dense result at four entries per flux (:func:`pick_P`).
 """
 
 import math
@@ -84,34 +85,41 @@ def dtau_inv_star(omega, xi, lmat, kind="exponential"):
     return dtau_inv(np.asarray(xi, dtype=float).T, wl, kind) / omega[:, None]
 
 
+def pick_P(layout, mat, omega):
+    """``proj_P(mat / omega[:, None])`` at the fluxes of ``layout``, read
+    from the four entries ``(r, c)``, ``(c, r)``, ``(r, r)`` and ``(c, c)``
+    of each flux instead of the whole matrix."""
+    r, c = layout.rows, layout.cols
+    return layout.project(np.stack([mat[r, c], mat[c, r], mat[r, r], mat[c, c]]), omega)
+
+
 def order_one(geom, a, d, xi_scale):
     """The dense ``eta = Omega D A^flat`` and ``[eta, xi^T]`` for
     ``xi = xi_scale * A``, by :func:`decflow.groups.commutator`."""
     eta = geom.omega[:, None] * (fd.flat(geom, a) * d[:, None])
-    return eta, gr.commutator(eta, geom.adjacency_csr.load(a, xi_scale).T)
+    return eta, gr.commutator(eta, (fd.velocity_csr(geom, a) * xi_scale).T)
 
 
 def first_order_transport(layout, a, d, h, sign):
     """``(1/h) P(eta - [eta, xi^T]/2)`` at the fluxes, ``xi = sign*h*A``:
     the transport with the ``dtau_inv`` series cut after order 1, picked by
-    :meth:`decflow.integrator.FluxLayout.pick_P` from dense matrices."""
+    :func:`pick_P` from dense matrices."""
     geom = layout.geom
     eta, bracket = order_one(geom, a, d, sign * h)
-    return layout.pick_P(eta - 0.5 * bracket, geom.omega) / h
+    return pick_P(layout, eta - 0.5 * bracket, geom.omega) / h
 
 
 def old_side(layout, a, d, h, transport):
     """The transport at ``-hA`` from ``transport``, the one at ``+hA``:
     ``transport + (1/h) P([eta, xi^T])`` with ``xi = h A``."""
     _, bracket = order_one(layout.geom, a, d, h)
-    return transport + layout.pick_P(bracket, layout.geom.omega) / h
+    return transport + pick_P(layout, bracket, layout.geom.omega) / h
 
 
 def old_side_series(layout, a, d, h, kind="exponential"):
     """``(1/h) P((dtau_inv_{-hA})^* (D A^flat))`` at the fluxes: the old-side
-    transport by the dense series at ``-hA``, picked by
-    :meth:`decflow.integrator.FluxLayout.pick_P`."""
+    transport by the dense series at ``-hA``, picked by :func:`pick_P`."""
     geom = layout.geom
     lmat = fd.flat(geom, a) * d[:, None]
-    star = dtau_inv_star(geom.omega, geom.adjacency_csr.load(a, -h).toarray(), lmat, kind)
-    return layout.pick_P(star, np.ones(geom.n)) / h
+    star = dtau_inv_star(geom.omega, (fd.velocity_csr(geom, a) * -h).toarray(), lmat, kind)
+    return pick_P(layout, star, np.ones(geom.n)) / h

@@ -66,26 +66,28 @@ def test_commutator():
     np.testing.assert_array_equal(gr.commutator(a, b), [[1.0, 0.0], [0.0, -1.0]])
 
 
-def csr_pair(geom, rng):
-    """The same CSR ``xi`` twice: loaded by :class:`decflow.mesh.AdjacencyCSR`
-    (its ``.T`` is CSR) and as a plain ``csr_array`` (its ``.T`` is CSC)."""
+def random_csr(geom, rng):
+    """The CSR ``xi`` of a random velocity (:func:`decflow.fields.velocity_csr`),
+    scaled to ``max |xi| <= 0.05``; its ``.T`` is a CSC."""
     a = rng.normal(size=len(geom.adj_i))
-    loaded = geom.adjacency_csr.load(a, 0.05 / np.max(np.abs(a)))
-    plain = sparse.csr_array(
-        (loaded.data.copy(), loaded.indices.copy(), loaded.indptr.copy()), shape=loaded.shape
-    )
-    assert (loaded.T.format, plain.T.format) == ("csr", "csc")
-    return loaded, plain
+    xi = fd.velocity_csr(geom, a) * (0.05 / np.max(np.abs(a)))
+    assert (xi.format, xi.T.format) == ("csr", "csc")
+    return xi
+
+
+def entries(x):
+    """The stored entries of a dense ``x`` as :func:`decflow.groups.tau_action`
+    and :func:`decflow.groups.norm_bound` take them."""
+    return gr._entries(sparse.csr_array(x))
 
 
 def test_the_commutator_runs_scipys_kernel(jittered65, rng):
-    # Bit for bit the two products SciPy's ``@`` makes, for either format of
-    # ``b.T``.
+    # Bit for bit the two products SciPy's ``@`` makes, for a CSR ``b`` and
+    # for its ``.T``, a CSC.
     a = rng.normal(size=(jittered65.n, jittered65.n))
-    for b in csr_pair(jittered65, rng):
-        ref = (b.T @ a.T).T - b @ a
-        np.testing.assert_array_equal(gr.commutator(a, b), ref)
-        np.testing.assert_array_equal(gr.commutator(a, b.T), (b @ a.T).T - b.T @ a)
+    b = random_csr(jittered65, rng)
+    np.testing.assert_array_equal(gr.commutator(a, b), (b.T @ a.T).T - b @ a)
+    np.testing.assert_array_equal(gr.commutator(a, b.T), (b @ a.T).T - b.T @ a)
     # a size mismatch raises
     with pytest.raises(ValueError):
         gr.commutator(a[:-1, :-1], b)
@@ -118,7 +120,7 @@ def test_work_arrays_give_the_same_bits(jittered65, rng, kind):
 
 def test_calls_without_work_arrays_return_fresh_arrays(jittered65, rng):
     # The verify checks compare two such results.
-    omega, (xi, _) = jittered65.omega, csr_pair(jittered65, rng)
+    omega, xi = jittered65.omega, random_csr(jittered65, rng)
     eta = rng.normal(size=(jittered65.n, jittered65.n))
     for call in (
         lambda: gr.commutator(eta, xi),
@@ -132,13 +134,13 @@ def test_calls_without_work_arrays_return_fresh_arrays(jittered65, rng):
 
 def count_terms(monkeypatch):
     """``calls[0]`` counts the commutators of the dense series from here on."""
-    calls, commutator = [0], gr.commutator
+    calls, bracket = [0], gr._bracket
 
     def counted(*args):
         calls[0] += 1
-        return commutator(*args)
+        return bracket(*args)
 
-    monkeypatch.setattr(gr, "commutator", counted)
+    monkeypatch.setattr(gr, "_bracket", counted)
     return calls
 
 
@@ -194,7 +196,7 @@ def test_series_guard_looks_past_a_loose_bound():
     c = 0.9 / np.sqrt(2.0)
     x = np.array([[c, -c], [c, c]])
     xi = sparse.csr_array(x)
-    assert gr.norm_bound(xi) >= 1.0
+    assert gr.norm_bound(*gr._entries(xi)) >= 1.0
     gr.dtau_inv(xi, x, "exponential")
     with pytest.raises(gr.GroupMapError, match=r"got 1\.111e\+00; reduce the time step"):
         gr.dtau_inv(xi / 0.81, x, "exponential")
@@ -273,11 +275,21 @@ def dense_velocity(geom):
     return fd.velocity_matrix(geom, mesh_velocity(geom))
 
 
+def step_entries(geom, a, h, transpose=False):
+    """``xi = h A`` as the step passes it to the group functions: the values
+    of ``xi`` (or ``xi^T``) at the stored entries of
+    :class:`decflow.mesh.AdjacencyCSR`, from its values on ``[pairs,
+    diagonal]``."""
+    csr = geom.adjacency_csr
+    xi = np.concatenate([a, geom.diagonal(a)]) * h
+    return csr.rows, csr.cols, xi[csr.take_t if transpose else csr.take], geom.n
+
+
 @pytest.mark.parametrize("h", [1e-3, 1e-2, 1e-1])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_tau_action_matches_the_dense_transpose(jittered65, rng, h, sign):
     xi = sign * h * dense_velocity(jittered65)
-    act = gr.tau_action(sparse.csr_array(xi))
+    act = gr.tau_action(*step_entries(jittered65, mesh_velocity(jittered65), sign * h))
     qt = gr.tau(xi).T
     for _ in range(5):
         w = rng.normal(size=jittered65.n)
@@ -287,7 +299,7 @@ def test_tau_action_matches_the_dense_transpose(jittered65, rng, h, sign):
 
 @pytest.mark.parametrize("h", [1e-3, 1e-2, 1e-1])
 def test_tau_action_conserves_the_weighted_total(jittered65, rng, h):
-    act = gr.tau_action(sparse.csr_array(-h * dense_velocity(jittered65)))
+    act = gr.tau_action(*step_entries(jittered65, mesh_velocity(jittered65), -h))
     omega = jittered65.omega
     for _ in range(5):
         d = 0.5 + rng.random(jittered65.n)
@@ -301,28 +313,29 @@ def test_tau_action_past_unit_norm_is_split_into_steps(rng):
     xi *= 3.5 / np.abs(xi).sum(axis=0).max()
     w = rng.normal(size=6)
     ref = gr.tau(xi).T @ w
-    act = gr.tau_action(sparse.csr_array(xi))
+    act = gr.tau_action(*entries(xi))
     np.testing.assert_allclose(act(w), ref, rtol=0, atol=1e-14 * np.abs(ref).max())
 
 
 def test_tau_action_of_zero_is_identity(rng):
     w = rng.normal(size=4)
-    np.testing.assert_array_equal(gr.tau_action(sparse.csr_array((4, 4)))(w), w)
+    np.testing.assert_array_equal(gr.tau_action(*entries(np.zeros((4, 4))))(w), w)
 
 
 def test_cayley_action_is_the_dense_transpose(jittered65, rng):
     xi = 1e-2 * dense_velocity(jittered65)
     w = rng.normal(size=jittered65.n)
     np.testing.assert_array_equal(
-        gr.tau_action(sparse.csr_array(xi), "cayley")(w), gr.tau(xi, "cayley").T @ w
+        gr.tau_action(*step_entries(jittered65, mesh_velocity(jittered65), 1e-2), "cayley")(w),
+        gr.tau(xi, "cayley").T @ w,
     )
 
 
 def test_tau_action_rejects_bad_arguments():
     with pytest.raises(gr.GroupMapError, match="unknown group map kind"):
-        gr.tau_action(sparse.csr_array((2, 2)), "pade")
+        gr.tau_action(*entries(np.zeros((2, 2))), "pade")
     with pytest.raises(gr.GroupMapError, match="not finite"):
-        gr.tau_action(sparse.csr_array(np.full((2, 2), np.nan)))
+        gr.tau_action(*entries(np.full((2, 2), np.nan)))
 
 
 def test_series_guard_rejects_non_finite_arguments():
@@ -330,10 +343,11 @@ def test_series_guard_rejects_non_finite_arguments():
         gr.dtau_inv(sparse.csr_array(np.full((3, 3), np.nan)), np.eye(3))
 
 
-def test_actions_of_successive_loads_keep_their_own_entries(jittered65, rng):
-    # The two actions of a step come from two loads of the same buffers.
-    a = mesh_velocity(jittered65)
-    acts = [gr.tau_action(jittered65.adjacency_csr.load(a, h)) for h in (-1e-2, 1e-2)]
+def test_two_actions_from_one_values_array_keep_their_own_entries(jittered65, rng):
+    # The two actions of a step scale one values array by -h and +h.
+    a, csr = mesh_velocity(jittered65), jittered65.adjacency_csr
+    values = np.concatenate([a, jittered65.diagonal(a)])[csr.take]
+    acts = [gr.tau_action(csr.rows, csr.cols, values * h, jittered65.n) for h in (-1e-2, 1e-2)]
     for act, h in zip(acts, (-1e-2, 1e-2)):
         w = rng.normal(size=jittered65.n)
         ref = gr.tau(h * fd.velocity_matrix(jittered65, a)).T @ w
@@ -345,11 +359,11 @@ def test_the_action_builds_no_dense_array(rng):
     mesh = msh.jitter_mesh(msh.generate_rect_mesh(24, 20, 1.0, 1.0), 0.15, np.random.default_rng(7))
     geom = msh.compute_geometry(mesh)
     assert geom.n == 980
-    a, pattern = mesh_velocity(geom), geom.adjacency_csr
+    a = mesh_velocity(geom)
     w = rng.normal(size=geom.n)
     tracemalloc.start()
     try:
-        gr.tau_action(pattern.load(a, -1e-3))(w)
+        gr.tau_action(*step_entries(geom, a, -1e-3))(w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -368,7 +382,7 @@ def rel_diff(x, ref):
 @pytest.mark.parametrize("h", [1e-3, 1e-2, 1e-1])
 @pytest.mark.parametrize("kind", gr.KINDS)
 def test_csr_and_dense_arguments_agree(jittered65, rng, h, kind):
-    csr = jittered65.adjacency_csr.load(h * mesh_velocity(jittered65))
+    csr = fd.velocity_csr(jittered65, h * mesh_velocity(jittered65))
     xi = fd.velocity_matrix(jittered65, h * mesh_velocity(jittered65))
     np.testing.assert_array_equal(csr.toarray(), xi)
     eta = rng.normal(size=xi.shape)
@@ -387,11 +401,11 @@ def test_the_tangents_at_minus_xi_and_xi_differ_by_the_commutator(jittered65, rn
     # of the exponential's series is odd in xi, and the Cayley tangent
     # (I + xi/2) eta (I - xi/2) has one odd part, (xi eta - eta xi)/2.  The
     # step takes its old-side transport from this identity.
-    a, pattern = mesh_velocity(jittered65), jittered65.adjacency_csr
+    a = mesh_velocity(jittered65)
     eta = rng.normal(size=(jittered65.n, jittered65.n))
-    xi = pattern.load(a, -h)
+    xi = fd.velocity_csr(jittered65, a) * -h
     minus = [gr.dtau_inv(x, eta, kind) for x in (xi, xi.T)]
-    xi = pattern.load(a, h)
+    xi = fd.velocity_csr(jittered65, a) * h
     for x, low in zip((xi, xi.T), minus):
         bracket = gr.commutator(eta, x)
         assert np.max(np.abs(bracket)) > 1e-3 * np.max(np.abs(eta))
@@ -403,19 +417,24 @@ def test_the_tangents_at_minus_xi_and_xi_differ_by_the_commutator(jittered65, rn
 def test_the_guard_decides_alike_for_csr_and_dense(jittered65, c):
     a = mesh_velocity(jittered65)
     scaled = c * a / np.linalg.norm(fd.velocity_matrix(jittered65, a), 2)
-    csr = jittered65.adjacency_csr.load(scaled)
+    csr = fd.velocity_csr(jittered65, scaled)
     xi = fd.velocity_matrix(jittered65, scaled)
-    assert gr.norm_bound(csr) == pytest.approx(dense.norm_bound(xi), rel=1e-15)
+    step = step_entries(jittered65, scaled, 1.0, transpose=True)
+    assert gr.norm_bound(*step) == pytest.approx(dense.norm_bound(xi), rel=1e-15)
     # the bound alone clears |xi|_2 = 0.5; from 0.9 on the SVD decides
     assert (dense.norm_bound(xi) >= 1.0) == (c >= 0.9)
     outcomes = []
-    for fn, arg in ((dense.dtau_inv, xi), (gr.dtau_inv, csr)):
+    for call in (
+        lambda: dense.dtau_inv(xi, xi),
+        lambda: gr.dtau_inv(csr, xi),
+        lambda: gr.dtau_inv_coefficients(*step),  # the step's call
+    ):
         try:
-            fn(arg, xi)
+            call()
             outcomes.append(None)
         except gr.GroupMapError as exc:
             outcomes.append(str(exc))
-    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
     assert (outcomes[0] is not None) == (c >= 1.0)
 
 
@@ -423,16 +442,19 @@ def test_the_guard_decides_alike_for_csr_and_dense(jittered65, c):
 def test_the_term_count_is_fixed_by_the_bound(jittered65, rng, monkeypatch, h):
     # K is the bound's, before the first term: alike at xi, -xi and xi^T,
     # whose norm_bound is xi's, and for an eta of any size.
-    a, pattern, n = mesh_velocity(jittered65), jittered65.adjacency_csr, jittered65.n
-    want = gr._tail_terms(2.0 * gr.norm_bound(pattern.load(a, h)), 1e-14)
+    a, n = mesh_velocity(jittered65), jittered65.n
+    want = gr._tail_terms(2.0 * gr.norm_bound(*step_entries(jittered65, a, h)), 1e-14)
+    # the step's operand gives the bound's bits at -h and +h, for X and X^T
+    bounds = {gr.norm_bound(*step_entries(jittered65, a, s * h, t)).hex() for s in (1.0, -1.0) for t in (False, True)}
+    assert len(bounds) == 1
     terms = count_terms(monkeypatch)
     eta = rng.normal(size=(n, n))
     for sign, transpose, size in ((1.0, False, 1.0), (-1.0, False, 1.0), (1.0, True, 1.0), (1.0, False, 1e-12)):
-        xi = pattern.load(a, sign * h)
+        xi = fd.velocity_csr(jittered65, a) * (sign * h)
         before = terms[0]
         gr.dtau_inv(xi.T if transpose else xi, size * eta)
         assert terms[0] - before == want
-        assert len(gr.dtau_inv_coefficients(xi.T if transpose else xi)) == want
+        assert len(gr.dtau_inv_coefficients(*step_entries(jittered65, a, sign * h, transpose))) == want
     assert 0 < want <= 21
 
 
@@ -440,13 +462,15 @@ def test_the_term_count_is_fixed_by_the_bound(jittered65, rng, monkeypatch, h):
 def test_past_a_loose_bound_the_term_count_comes_from_the_svd(jittered65, rng, monkeypatch, c):
     a = mesh_velocity(jittered65)
     scaled = c * a / np.linalg.norm(fd.velocity_matrix(jittered65, a), 2)
-    csr = jittered65.adjacency_csr.load(scaled)
+    csr = fd.velocity_csr(jittered65, scaled)
     xi = fd.velocity_matrix(jittered65, scaled)
-    assert gr.norm_bound(csr) >= 1.0
+    step = step_entries(jittered65, scaled, 1.0, transpose=True)
+    assert gr.norm_bound(*step) >= 1.0
     eta = rng.normal(size=xi.shape)
     terms = count_terms(monkeypatch)
     got = gr.dtau_inv(csr, eta)
     assert terms[0] == gr._tail_terms(2.0 * np.linalg.norm(xi, 2), 1e-14)
+    assert len(gr.dtau_inv_coefficients(*step)) == terms[0]
     assert rel_diff(got, dense.dtau_inv(xi, eta)) <= 1e-14
 
 

@@ -82,8 +82,8 @@ def test_pick_P_reads_four_entries_per_flux(jittered65, rng):
     omega = jittered65.omega
     ones = np.ones(jittered65.n)
     r, c = layout.rows, layout.cols
-    np.testing.assert_array_equal(layout.pick_P(m, ones), fd.proj_P(m)[r, c])
-    np.testing.assert_array_equal(layout.pick_P(m, omega), fd.proj_P(m / omega[:, None])[r, c])
+    np.testing.assert_array_equal(dense.pick_P(layout, m, ones), fd.proj_P(m)[r, c])
+    np.testing.assert_array_equal(dense.pick_P(layout, m, omega), fd.proj_P(m / omega[:, None])[r, c])
 
 
 @pytest.mark.parametrize("h", [1e-3, 1e-1])
@@ -234,7 +234,9 @@ def test_one_group_action_per_direction_per_step(gen65, monkeypatch):
     calls = []
     action = ig.gr.tau_action
     monkeypatch.setattr(
-        ig.gr, "tau_action", lambda xi, kind="exponential": calls.append(xi.toarray()) or action(xi, kind)
+        ig.gr,
+        "tau_action",
+        lambda rows, cols, vals, n, kind="exponential": calls.append(vals.copy()) or action(rows, cols, vals, n, kind),
     )
     monkeypatch.setattr(ig.gr, "tau", None)  # the element itself is never formed
     stepper = ig.VariationalStepper(gen65, GAS, ph.PhysParams(mu=0.01, lam=0.01), h=1e-3)
@@ -336,8 +338,8 @@ def test_the_report_counts_the_series_terms(gen65, monkeypatch, kind):
     counts = []
     guard = gr._series_terms
 
-    def traced_guard(xi):
-        counts.append(guard(xi))
+    def traced_guard(*entries):
+        counts.append(guard(*entries))
         return counts[-1]
 
     monkeypatch.setattr(gr, "_series_terms", traced_guard)
@@ -368,11 +370,11 @@ def test_a_singular_forward_action_is_a_range_error(gen65, monkeypatch):
     # the step's GroupMapError block, as the action of tau(-hA) is.
     action, calls = gr.tau_action, []
 
-    def refuse_the_second(xi, kind="exponential"):
-        calls.append(xi.data.copy())
+    def refuse_the_second(rows, cols, vals, n, kind="exponential"):
+        calls.append(vals.copy())
         if len(calls) == 2:
             raise gr.GroupMapError("cayley map is singular: 2 is an eigenvalue of xi")
-        return action(xi, kind)
+        return action(rows, cols, vals, n, kind)
 
     monkeypatch.setattr(gr, "tau_action", refuse_the_second)
     stepper = ig.VariationalStepper(gen65, GAS, INVISCID, h=1e-3, kind="cayley")

@@ -497,15 +497,16 @@ def test_adjacency_csr_holds_the_pattern_and_its_transpose(jittered65, rng):
     rows, cols = np.nonzero(support)  # row major
     np.testing.assert_array_equal(pattern.rows, rows)
     np.testing.assert_array_equal(pattern.cols, cols)
+    np.testing.assert_array_equal(pattern.indptr, np.searchsorted(rows, np.arange(jittered65.n + 1)))
     values = rng.normal(size=len(jittered65.adj_i))
     x = fd.velocity_matrix(jittered65, values)  # the diagonal completes the rows
-    mat = pattern.load(values, -2.0)
-    np.testing.assert_array_equal(mat.toarray(), -2.0 * x)
-    np.testing.assert_array_equal(mat.T.toarray(), -2.0 * x.T)
-    assert mat.T.T is mat and mat.T.format == "csr"
-    np.testing.assert_array_equal(mat.T.indptr, mat.indptr)
-    assert pattern.load(values) is mat  # refreshed in place
+    xi = np.concatenate([values, jittered65.diagonal(values)])  # on [pairs, diagonal]
+    np.testing.assert_array_equal(xi[pattern.take], x[rows, cols])
+    np.testing.assert_array_equal(xi[pattern.take_t], x.T[rows, cols])
+    mat = fd.velocity_csr(jittered65, values)
+    assert mat.format == "csr" and mat.has_sorted_indices
     np.testing.assert_array_equal(mat.toarray(), x)
+    assert not np.shares_memory(fd.velocity_csr(jittered65, values).data, mat.data)  # a fresh array
 
 
 def _traced_geometry(nx, ny):

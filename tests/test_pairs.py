@@ -230,8 +230,8 @@ def test_the_step_builds_no_dense_force(jittered980):
 
 
 def test_no_velocity_is_dense(jittered980, jittered65):
-    # A velocity is one value per directed adjacent pair: building, loading
-    # and reading it peaks below N^2 bytes on 980 cells.
+    # A velocity is one value per directed adjacent pair: building, reading
+    # it and its CSR form peak below N^2 bytes on 980 cells.
     geom = jittered980
     state = uneven_state(geom, 0.3)
     layout = ig.FluxLayout.build(geom)
@@ -241,7 +241,7 @@ def test_no_velocity_is_dense(jittered980, jittered65):
     for fn, args in (
         (layout.to_matrix, (flux,)),
         (layout.from_matrix, (state.a,)),
-        (geom.adjacency_csr.load, (state.a, -1e-3)),
+        (fd.velocity_csr, (geom, state.a)),
         (ph.kinetic_density, (geom, state.a)),
         (ph.viscous_force, (geom, state.a, PHYS)),
         (fd.act_den, (geom, state.d, state.a)),
@@ -334,7 +334,7 @@ def dense_picks(stepper, a, d, h, kind="exponential"):
     lmat = np.zeros((geom.n, geom.n))
     lmat[rows, cols] = fd.flat_p2(geom, a) * d[rows]
     wl = geom.omega[:, None] * lmat
-    xi_t = geom.adjacency_csr.load(a, h).T
+    xi_t = (fd.velocity_csr(geom, a) * h).T
     if kind == "bracket":
         star = gr.commutator(wl, xi_t)
     elif kind == "first-order":
@@ -354,7 +354,8 @@ def test_the_sampled_series_is_the_dense_one_at_the_picks(mesh, request):
     for a, d, h in series_states(geom, np.random.default_rng(11)):
         stepper = ig.VariationalStepper(geom, GAS, PHYS, h)
         eta, xi = stepper._operands(a, d)
-        coeffs = gr.dtau_inv_coefficients(geom.adjacency_csr.load(a, h).T)
+        csr = geom.adjacency_csr
+        coeffs = gr.dtau_inv_coefficients(csr.rows, csr.cols, xi[csr.take_t], geom.n)
         assert len(coeffs) > 2
         want = dense_picks(stepper, a, d, h)
         np.testing.assert_array_equal(stepper._series(eta, xi, coeffs), want)

@@ -1,8 +1,9 @@
 """SciPy's private API and subclasses of SciPy classes in ``src/decflow``.
 
 A ratchet: the uses listed here are the ones left, and any new one fails
-this test before a SciPy release can break it.  The list shrinks as the
-uses go; once both are gone, both sets are empty.
+this test before a SciPy release can break it.  Both sets are empty now.
+``groups`` and ``mesh`` import nothing from ``scipy.sparse``: the step's
+group calls take a velocity as its entries on the mesh's index structure.
 """
 
 import ast
@@ -13,7 +14,9 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "decflow"
 #: (module, private SciPy name, function that uses it)
 PRIVATE_USES = set()
 #: (module, class, SciPy base)
-SUBCLASSES = {("mesh.py", "_PairedCSR", "scipy.sparse.csr_array")}
+SUBCLASSES = set()
+#: modules that import nothing from ``scipy.sparse``
+NO_SPARSE = ("groups.py", "mesh.py")
 
 
 def scipy_imports(tree):
@@ -81,6 +84,30 @@ def test_private_scipy_and_scipy_subclasses_are_only_the_listed_ones():
         subclasses |= more_subclasses
     assert uses == PRIVATE_USES
     assert subclasses == SUBCLASSES
+
+
+def sparse_imports(tree):
+    """Every module or name from ``scipy.sparse`` that ``tree`` imports."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names]
+    return [m for m in found if f"{m}.".startswith("scipy.sparse.")]
+
+
+def test_groups_and_mesh_import_nothing_from_scipy_sparse():
+    for name in NO_SPARSE:
+        assert sparse_imports(ast.parse((SRC / name).read_text(encoding="utf-8"))) == [], name
+
+
+def test_the_import_scan_sees_each_form():
+    tree = ast.parse(
+        "import scipy.sparse\nimport scipy.linalg\nfrom scipy import sparse, linalg\n"
+        "from scipy.sparse import csr_array\nfrom . import mesh\n"
+    )
+    assert sparse_imports(tree) == ["scipy.sparse", "scipy.sparse", "scipy.sparse.csr_array"]
 
 
 def test_the_scan_sees_a_new_private_use(tmp_path):
