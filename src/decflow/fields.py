@@ -39,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.sparse import csr_array
 
-from .groups import commutator
+from .groups import _bracket
 from .mesh import MeshGeometry, sum_at
 
 __all__ = [
@@ -310,11 +310,11 @@ def lie_deriv_pairs(geom: MeshGeometry, a, zp) -> np.ndarray:
 def lie_deriv_oneform_density(geom: MeshGeometry, a, lmat) -> np.ndarray:
     """Lie derivative of a one-form density: ``P(Omega^-1 [A^T, Omega L])``
     for ``A`` on the adjacency list and a dense ``L``.  The bracket is
-    :func:`decflow.groups.commutator` with the CSR form of ``-A^T``
-    (:func:`velocity_csr`): two sparse-times-dense products."""
+    ``[Omega L, -A^T]``, from one CSR of ``-A`` (:func:`velocity_csr`) and its
+    transpose: two sparse-times-dense products."""
     wl = geom.omega[:, None] * np.asarray(lmat, dtype=float)
-    minus_at = (-velocity_csr(geom, a)).T
-    return proj_P(commutator(wl, minus_at) / geom.omega[:, None])
+    minus_a = velocity_csr(geom, -a)
+    return proj_P(_bracket(wl, minus_a.T, minus_a) / geom.omega[:, None])
 
 
 def lie_deriv_oneform_density_kite(geom: MeshGeometry, a, b, d) -> np.ndarray:

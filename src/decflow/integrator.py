@@ -34,10 +34,10 @@ The variational step solves, in order:
    first has zero sum,
 3. a fixed point for the new entropy ``S^{k+1}`` balancing transport,
    friction heating, conduction and sources against the old temperature,
-   followed by the boundary temperature condition (unless insulated).  It
-   applies ``tau(h A^k)^T`` and ``tau(-h A^k)^T`` once per iteration; each
-   action is built once per step.  The conduction terms come from the
-   entropy flux on the adjacent pairs (:func:`decflow.physics.conduction`).
+   followed by the boundary temperature condition (unless insulated).  Only
+   the constant part is moved, once, by the action of step 2; the conduction
+   terms come from the entropy flux on the adjacent pairs
+   (:func:`decflow.physics.conduction`).
 
 A step that leaves the range the scheme covers raises a subclass of
 :class:`IntegratorError` naming the cause: :class:`SeriesRangeError` when the
@@ -576,23 +576,19 @@ class VariationalStepper:
 
     # -- entropy -----------------------------------------------------------
 
-    def _solve_entropy(self, back, fwd, d_old, s_old, d_new, theta_old, fric):
-        """Fixed point for ``S^{k+1}`` (before boundary enforcement);
-        ``back`` and ``fwd`` are the step's actions of ``tau(-h A^k)`` and
-        ``tau(h A^k)``."""
+    def _solve_entropy(self, back, d_old, s_old, d_new, theta_old, fric):
+        """Fixed point ``S = M - h div J(Theta(S))`` for ``S^{k+1}`` (before
+        boundary enforcement): ``M`` is the old entropy plus the heat over the
+        old temperature, moved by ``back``, the action of ``tau(-h A^k)``."""
         geom, phys, gas, h = self.geom, self.phys, self.gas, self.h
         rhs_const = h * fric - h * ph.conduction(geom, theta_old, phys)[1]
         if self.heat_source is not None:
             rhs_const = rhs_const + h * d_old * self.heat_source
-        rhs_const = s_old + rhs_const / theta_old
-
-        s = s_old.copy()
-        prev_delta = np.inf
+        moved = fd.group_act_den(geom, s_old + rhs_const / theta_old, back)
+        s, prev_delta = s_old.copy(), np.inf
         for it in range(1, self.entropy_max + 1):
             theta_new = ph.temperature(d_new, s, gas)
-            div_j = ph.conduction(geom, theta_new, phys)[0]
-            target = rhs_const - h * fd.group_act_den(geom, div_j, fwd)
-            s_next = fd.group_act_den(geom, target, back)
+            s_next = moved - h * ph.conduction(geom, theta_new, phys)[0]
             delta = float(np.max(np.abs(s_next - s)))
             if not np.isfinite(delta):  # an infinite temperature, with conduction
                 raise StateRangeError("entropy update is not finite; reduce the time step")
@@ -638,7 +634,6 @@ class VariationalStepper:
             csr = geom.adjacency_csr
             values = np.concatenate([a_new, geom.diagonal(a_new)])[csr.take]
             back = gr.tau_action(csr.rows, csr.cols, values * -h, geom.n, self.kind)
-            fwd = gr.tau_action(csr.rows, csr.cols, values * h, geom.n, self.kind)
         except gr.GroupMapError as exc:
             raise SeriesRangeError(str(exc)) from exc
 
@@ -652,7 +647,7 @@ class VariationalStepper:
         theta_old = ph.temperature(state.d, state.s, gas)
         fric = report.friction_power = ph.friction_power(geom, a_new, phys)
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            s_new, report.entropy_iters = self._solve_entropy(back, fwd, state.d, state.s, d_new, theta_old, fric)
+            s_new, report.entropy_iters = self._solve_entropy(back, state.d, state.s, d_new, theta_old, fric)
             if not phys.insulated:
                 bc = geom.mesh.boundary_cells
                 s_new[bc] = ph.entropy_from_temperature(d_new[bc], phys.theta_env, gas)

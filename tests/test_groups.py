@@ -343,8 +343,21 @@ def test_series_guard_rejects_non_finite_arguments():
         gr.dtau_inv(sparse.csr_array(np.full((3, 3), np.nan)), np.eye(3))
 
 
+@pytest.mark.parametrize("h", [1e-3, 1e-2, 1e-1, 1.0])
+@pytest.mark.parametrize("kind", gr.KINDS)
+def test_the_action_at_minus_xi_undoes_the_action_at_xi(jittered65, rng, kind, h):
+    # tau(-xi) = tau(xi)^-1 for both maps: the entropy solve moves only its
+    # constant part because moving a term by tau(xi) and back changes nothing.
+    a = mesh_velocity(jittered65)
+    there = gr.tau_action(*step_entries(jittered65, a, h), kind)
+    back = gr.tau_action(*step_entries(jittered65, a, -h), kind)
+    w = rng.normal(size=jittered65.n)
+    assert np.max(np.abs(back(there(w)) - w)) <= 1e-14 * np.max(np.abs(w))
+
+
 def test_two_actions_from_one_values_array_keep_their_own_entries(jittered65, rng):
-    # The two actions of a step scale one values array by -h and +h.
+    # Two actions that scale one values array by -h and +h, as the inverse
+    # pair above does, each keep their own entries.
     a, csr = mesh_velocity(jittered65), jittered65.adjacency_csr
     values = np.concatenate([a, jittered65.diagonal(a)])[csr.take]
     acts = [gr.tau_action(csr.rows, csr.cols, values * h, jittered65.n) for h in (-1e-2, 1e-2)]

@@ -240,11 +240,66 @@ def test_one_group_action_per_direction_per_step(gen65, monkeypatch):
     )
     monkeypatch.setattr(ig.gr, "tau", None)  # the element itself is never formed
     stepper = ig.VariationalStepper(gen65, GAS, ph.PhysParams(mu=0.01, lam=0.01), h=1e-3)
-    _, report = stepper.step(shear_state(gen65))
-    assert report.entropy_iters > 1  # each action is applied more than once
-    assert len(calls) == 2  # tau(-h A) and tau(h A), each once
-    assert np.any(calls[0])
-    np.testing.assert_array_equal(calls[0], -calls[1])
+    state = shear_state(gen65)
+    csr = gen65.adjacency_csr
+    for k in range(1, 4):
+        state, report = stepper.step(state)
+        assert report.entropy_iters > 1  # the iterations apply no action
+        assert len(calls) == k  # tau(-h A), once per step
+        assert np.any(calls[-1])
+        np.testing.assert_array_equal(calls[-1], np.concatenate([state.a, gen65.diagonal(state.a)])[csr.take] * -1e-3)
+
+
+TAU_ACTION = gr.tau_action
+
+
+class TwoActionStepper(ig.VariationalStepper):
+    """The reference entropy solve: the same equation, with the conduction
+    term moved by ``tau(h A)`` and back by ``tau(-h A)``, together with the
+    constant part, on every iteration.  ``calls`` holds the entries of every
+    ``tau_action`` call; the last is the step's action of ``tau(-h A)``."""
+
+    calls: list
+
+    def _solve_entropy(self, back, d_old, s_old, d_new, theta_old, fric):
+        rows, cols, vals, n = self.calls[-1]
+        fwd = TAU_ACTION(rows, cols, -vals, n, self.kind)
+        geom, phys, gas, h = self.geom, self.phys, self.gas, self.h
+        rhs_const = h * fric - h * ph.conduction(geom, theta_old, phys)[1]
+        if self.heat_source is not None:
+            rhs_const = rhs_const + h * d_old * self.heat_source
+        rhs_const = s_old + rhs_const / theta_old
+        s, prev_delta = s_old.copy(), np.inf
+        for it in range(1, self.entropy_max + 1):
+            div_j = ph.conduction(geom, ph.temperature(d_new, s, gas), phys)[0]
+            s_next = fd.group_act_den(geom, rhs_const - h * fd.group_act_den(geom, div_j, fwd), back)
+            delta = float(np.max(np.abs(s_next - s)))
+            if delta <= self.entropy_tol * max(1.0, float(np.max(np.abs(s_next)))):
+                return s_next, it
+            if delta >= prev_delta:
+                s_next = 0.5 * (s_next + s)
+            prev_delta, s = delta, s_next
+        raise ig.IntegratorError("entropy fixed point stalled")
+
+
+@pytest.mark.parametrize("kind", gr.KINDS)
+def test_the_entropy_solve_equals_the_two_action_one(gen65, monkeypatch, kind):
+    # tau(-hA) = tau(hA)^-1, so moving the conduction term there and back
+    # changes only the rounding.
+    calls = []
+    monkeypatch.setattr(
+        gr, "tau_action", lambda rows, cols, vals, n, kind="exponential": calls.append((rows, cols, vals, n)) or TAU_ACTION(rows, cols, vals, n, kind)
+    )
+    phys = ph.PhysParams(mu=0.01, lam=0.01)
+    stepper = ig.VariationalStepper(gen65, GAS, phys, h=1e-3, kind=kind)
+    reference = TwoActionStepper(gen65, GAS, phys, h=1e-3, kind=kind)
+    reference.calls = calls
+    state = want = shear_state(gen65)
+    for _ in range(20):
+        state, report = stepper.step(state)
+        want, want_report = reference.step(want)
+        assert report.entropy_iters == want_report.entropy_iters
+        assert np.max(np.abs(state.s - want.s)) <= 1e-12 * np.max(np.abs(want.s))
 
 
 def full_residual(stepper, flux, d, s, prev_term):
@@ -366,21 +421,19 @@ def test_a_step_from_rest_computes_no_series_term(gen65):
 
 
 def test_a_singular_forward_action_is_a_range_error(gen65, monkeypatch):
-    # The entropy solve's action of tau(+hA), the step's second, is built in
-    # the step's GroupMapError block, as the action of tau(-hA) is.
-    action, calls = gr.tau_action, []
+    # The step's one action, of tau(-hA), is built in the step's
+    # GroupMapError block.
+    calls = []
 
-    def refuse_the_second(rows, cols, vals, n, kind="exponential"):
+    def refuse(rows, cols, vals, n, kind="exponential"):
         calls.append(vals.copy())
-        if len(calls) == 2:
-            raise gr.GroupMapError("cayley map is singular: 2 is an eigenvalue of xi")
-        return action(rows, cols, vals, n, kind)
+        raise gr.GroupMapError("cayley map is singular: 2 is an eigenvalue of xi")
 
-    monkeypatch.setattr(gr, "tau_action", refuse_the_second)
+    monkeypatch.setattr(gr, "tau_action", refuse)
     stepper = ig.VariationalStepper(gen65, GAS, INVISCID, h=1e-3, kind="cayley")
     with pytest.raises(ig.SeriesRangeError, match="cayley map is singular: 2 is an eigenvalue"):
         stepper.step(shear_state(gen65))
-    np.testing.assert_array_equal(calls[1], -calls[0])  # +hA after -hA
+    assert len(calls) == 1 and np.any(calls[0])
     assert stepper.carry is None
 
 

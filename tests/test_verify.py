@@ -69,6 +69,17 @@ def test_subset_reproduces_full_suite_residuals():
         assert r.residual == full[r.name]
 
 
+def test_a_corpus_of_large_meshes_says_it_skipped_the_group_checks():
+    records = vf.run_suite(seed=1, sizes=(150, 200), count=2)
+    assert min(g.n for g in vf.mesh_corpus(seed=1, sizes=(150, 200), count=2)) > vf.GROUP_CELLS
+    assert [r.name for r in records] == [name for name, _, _ in vf.FIELD_CHECKS]
+    lines = vf.format_report(records).splitlines()
+    assert lines[-2] == f"group checks skipped: no corpus mesh has at most {vf.GROUP_CELLS} cells"
+    assert lines[-1] == f"{len(vf.FIELD_CHECKS)} checks, all passed"
+    # a corpus that runs them says nothing of a skip
+    assert "skipped" not in vf.format_report(vf.run_suite(seed=1, sizes=(20, 30), count=2))
+
+
 def test_format_report_lists_every_check():
     records = vf.run_suite(seed=0, sizes=(20, 30), count=3)
     report = vf.format_report(records)
