@@ -55,6 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+# imported with the module: lazily, its ~20 ms would land in a short run's set-up or first step
 from scipy.sparse.linalg import SuperLU, splu as lu_factor
 
 from . import fields as fd
@@ -336,28 +337,19 @@ def _stencil(layout):
 
 
 def _coloring(near):
-    """Columns grouped so that no two of one color reach a common row, when
-    column ``p`` reaches the rows of column ``p`` of the symmetric pattern
-    ``near``.
-
-    Returns ``(cols, rows, owners)`` per color: the columns to perturb
-    together and, for every row one of them reaches, that column.
-    """
-    m = near.shape[0]
+    """One color per column, no two columns of one color reaching a common
+    row, when column ``p`` reaches the rows of column ``p`` of the symmetric
+    pattern ``near``: a greedy first-fit, most conflicts first, so the
+    colors are ``0 .. color.max()``."""
     conflicts = _pattern(near @ near)  # columns that share a row
     indptr, indices = conflicts.indptr, conflicts.indices
-    color = np.full(m, -1)
+    color = np.full(near.shape[0], -1)
     for p in np.argsort(-np.diff(indptr), kind="stable"):  # most conflicts first
         used = color[indices[indptr[p] : indptr[p + 1]]]
         taken = np.zeros(len(used) + 1, dtype=bool)
         taken[used[(used >= 0) & (used <= len(used))]] = True
         color[p] = np.argmin(taken)  # the first free color
-    owners, rows = np.repeat(np.arange(m), np.diff(near.indptr)), near.indices
-    owner_color = color[owners]
-    return [
-        (np.flatnonzero(color == c), rows[owner_color == c], owners[owner_color == c])
-        for c in range(color.max() + 1)
-    ]
+    return color
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +362,11 @@ class StepReport:
     """Solver effort of one step; ``residual_evals`` counts every momentum
     residual: the full ones of Newton and the first-order ones of the
     Jacobian builds, two per color of each build.  ``colors`` is the color
-    count of the step's builds (0 without a build).  ``series_terms``
-    sums the term count ``K`` of the step's full residuals, each fixed
-    from ``|hA|`` (:func:`decflow.groups.dtau_inv_coefficients`), the cold
-    start's transport included: 0 for the Cayley map and at rest.
+    count ``color.max() + 1`` of the stencil's coloring in a step that
+    builds, 0 in one that does not.  ``series_terms`` sums the term count
+    ``K`` of the step's full residuals, each fixed from ``|hA|``
+    (:func:`decflow.groups.dtau_inv_coefficients`), the cold start's
+    transport included: 0 for the Cayley map and at rest.
     ``friction_power`` is the cell-wise friction power of the step's new
     velocity, or in :meth:`VariationalStepper.run`'s step 0 report of the
     initial one, for the observer to reuse."""
@@ -512,10 +505,9 @@ class VariationalStepper:
     @functools.cached_property
     def _colors(self):
         """The first-order residual's stencil, which is the CSC structure of
-        Newton's matrix, and its coloring with each color's positions ``at``."""
+        Newton's matrix, and the color of each of its columns."""
         near = _stencil(self.layout)
-        owner = np.repeat(np.arange(self.layout.size), np.diff(near.indptr))
-        return near, [(*color, np.flatnonzero(np.isin(owner, color[0]))) for color in _coloring(near)]
+        return near, _coloring(near)
 
     def _jacobian(self, flux, d, s, prev_term):
         """Newton's matrix: the Jacobian of the first-order residual, whose
@@ -523,21 +515,23 @@ class VariationalStepper:
         method (Kelley 1995, ch. 5) that converges to the full residual's
         solution.  A central difference with the step ``1e-7 max(|f_p|, 1)``
         per flux ``p``, colored (Curtis, Powell & Reid 1974): one residual
-        pair per color, each row's quotient stored at the one column of that
-        color that reaches it, so it is the column-by-column difference bit
-        for bit.  Returns the CSC Jacobian and the residuals it took."""
-        near, colors = self._colors
-        data = np.empty(near.nnz)
+        pair per color, each row's quotient gathered in one pass from the one
+        column of its color that reaches it, so it is the column-by-column
+        difference bit for bit.  Returns the CSC Jacobian and the residuals it took."""
+        near, color = self._colors
+        owner = np.repeat(np.arange(len(color)), np.diff(near.indptr))  # the column of each stored entry
         step = _FD_STEP * np.maximum(np.abs(flux), 1.0)
         residual = lambda f: self._residual_and_transport(f, d, s, prev_term, self._first_order_term)[0]
-        for cols, rows, owners, at in colors:
+        diff = np.empty((color.max() + 1, len(flux)))
+        for c, row in enumerate(diff):
+            cols = color == c
             fp = flux.copy()
             fp[cols] += step[cols]
             rp = residual(fp)
             fp[cols] -= 2 * step[cols]
-            rm = residual(fp)
-            data[at] = (rp[rows] - rm[rows]) / (2 * step[owners])
-        return sparse.csc_array((data, near.indices, near.indptr), shape=near.shape), 2 * len(colors)
+            row[:] = rp - residual(fp)
+        data = diff[color[owner], near.indices] / (2 * step[owner])
+        return sparse.csc_array((data, near.indices, near.indptr), shape=near.shape), 2 * len(diff)
 
     def _solve_momentum(self, flux0, d, s, prev_term, lu):
         """Newton on the fluxes from ``flux0`` on the sparse LU ``lu``, built
@@ -567,7 +561,7 @@ class VariationalStepper:
                     raise StateRangeError("Newton matrix is singular; reduce the time step") from exc
                 report.jacobian_builds += 1
                 report.residual_evals += evals
-                report.colors = len(self._colors[1])
+                report.colors = int(self._colors[1].max()) + 1
             flux = flux - lu_solve(lu, r)
             if not np.all(np.isfinite(flux)):
                 raise StateRangeError(

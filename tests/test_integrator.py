@@ -385,7 +385,7 @@ def test_the_report_counts_the_colors(gen65):
     stepper = ig.VariationalStepper(gen65, GAS, phys, h=1e-3)
     state, report = stepper.step(shear_state(gen65))
     assert report.jacobian_builds == 1
-    assert report.colors == len(stepper._colors[1]) > 0
+    assert report.colors == stepper._colors[1].max() + 1 > 0
     assert report.residual_evals == report.newton_iters + 1 + 2 * report.colors * report.jacobian_builds
     _, report = stepper.step(state)
     assert (report.jacobian_builds, report.colors) == (0, 0)
@@ -727,8 +727,8 @@ def test_first_order_jacobian_is_close_to_the_full_one(jittered65):
 @pytest.mark.parametrize("h", [1e-3, 1e-1])
 def test_jacobian_build_takes_a_residual_pair_per_color(jittered65, h):
     stepper, args = jacobian_setup(jittered65, h, amp=0.3)
-    colors = ig._coloring(ig._stencil(stepper.layout))
-    assert stepper._jacobian(*args)[1] == 2 * len(colors) == 2 * 16
+    color = ig._coloring(ig._stencil(stepper.layout))
+    assert stepper._jacobian(*args)[1] == 2 * (color.max() + 1) == 2 * 16
 
 
 def flux_distances(layout):
@@ -817,7 +817,7 @@ def test_colored_jacobian_is_the_column_by_column_one(mesh, request):
     stepper, args = random_setup(request.getfixturevalue(mesh))
     colored, evals = stepper._jacobian(*args)
     np.testing.assert_array_equal(colored.toarray(), dense_jacobian(stepper, *args))
-    assert evals == 2 * len(stepper._colors[1])
+    assert evals == 2 * (stepper._colors[1].max() + 1)
     # a CSC array on the stencil's pattern, every stored entry written
     near = ig._stencil(stepper.layout)
     assert colored.format == "csc" and np.all(np.isfinite(colored.data))
@@ -851,16 +851,23 @@ def test_coloring_keeps_colors_apart(mesh, reach, request):
         near = ig._stencil(layout)
     else:
         near = sparse.csr_array((flux_distances(layout) <= reach).astype(np.int32))
-    colors = ig._coloring(near)
-    seen_cols = np.concatenate([cols for cols, _, _ in colors])
-    np.testing.assert_array_equal(np.sort(seen_cols), np.arange(layout.size))
+    color = ig._coloring(near)
+    # every flux gets one of the colors 0 .. count - 1, each of them used
+    count = color.max() + 1
+    assert color.shape == (layout.size,) and color.dtype.kind == "i"
+    np.testing.assert_array_equal(np.unique(color), np.arange(count))
+    owners = np.repeat(np.arange(layout.size), np.diff(near.indptr))
     pattern = np.zeros((layout.size, layout.size), dtype=bool)
-    for cols, rows, owners in colors:
-        # no two columns of one color share a row of the pattern
+    for c in range(count):
+        # the rows one color's columns reach are distinct
+        mine = color[owners] == c
+        rows = near.indices[mine]
         assert len(np.unique(rows)) == len(rows)
-        assert np.all(np.isin(owners, cols))
-        pattern[rows, owners] = True
+        pattern[rows, owners[mine]] = True
     np.testing.assert_array_equal(pattern, near.toarray() > 0)
-    # columns can share a color only if some pair shares no row
+    # columns that share a color share no row, and columns can share a
+    # color only if some pair shares no row
     apart = (near @ near).toarray() == 0
-    assert (len(colors) < layout.size) == bool(np.any(apart))
+    same = color[:, None] == color[None, :]
+    assert np.all(apart[same & ~np.eye(layout.size, dtype=bool)])
+    assert (count < layout.size) == bool(np.any(apart))
