@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-# imported with the module: lazily, its ~20 ms would land in a short run's set-up or first step
+# imported with the module: lazily, its 15-20 ms would land in a short run's set-up or first step
 from scipy.sparse.linalg import SuperLU, splu as lu_factor
 
 from . import fields as fd

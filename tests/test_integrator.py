@@ -823,6 +823,9 @@ def test_colored_jacobian_is_the_column_by_column_one(mesh, request):
     assert colored.format == "csc" and np.all(np.isfinite(colored.data))
     np.testing.assert_array_equal(colored.indptr, near.indptr)
     np.testing.assert_array_equal(colored.indices, near.indices)
+    # past |f| = 1 each column divides by its own step
+    wide = (30 * args[0], *args[1:])
+    np.testing.assert_array_equal(stepper._jacobian(*wide)[0].toarray(), dense_jacobian(stepper, *wide))
 
 
 def test_a_strip_solves_in_one_newton_iteration_per_step(strip8x2):
