@@ -578,7 +578,11 @@ class VariationalStepper:
     def _solve_entropy(self, back, d_old, s_old, d_new, theta_old, fric):
         """Fixed point ``S = M - h div J(Theta(S))`` for ``S^{k+1}`` (before
         boundary enforcement): ``M`` is the old entropy plus the heat over the
-        old temperature, moved by ``back``, the action of ``tau(-h A^k)``."""
+        old temperature, moved by ``back``, the action of ``tau(-h A^k)``.
+        An update no smaller than the last is halved toward ``S``.  This
+        carries the runs whose plain iteration stalls at step 1 (the 6x5 mesh
+        heated at ``lambda = 1``, the 3880-cell taylor run at ``h = 5e-4``)
+        until a Newton solve (ROADMAP item 4) replaces it."""
         geom, phys, gas, h = self.geom, self.phys, self.gas, self.h
         rhs_const = h * fric - h * ph.conduction(geom, theta_old, phys)[1]
         if self.heat_source is not None:

@@ -391,7 +391,6 @@ class MeshGeometry:
 
     mesh: Mesh
     omega: np.ndarray
-    omega_env: float
     circumcenters: np.ndarray
     h_len: np.ndarray
     star_h_len: np.ndarray
@@ -693,7 +692,6 @@ def _geometry(mesh: Mesh, issues: list) -> MeshGeometry:
     return MeshGeometry(
         mesh=mesh,
         omega=omega,
-        omega_env=float(omega.sum()),
         circumcenters=cc,
         h_len=h_len,
         star_h_len=star_h,

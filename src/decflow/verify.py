@@ -13,12 +13,12 @@ up as an O(1) residual rather than a subtle drift: each residual is scaled
 by the total absolute mass of the terms entering the identity, never by the
 (possibly cancelling) value of either side alone.
 
-The field checks run on the integrator's forms: vector fields and forces on
-the adjacency list, one-forms on P2 (:func:`decflow.fields.flat_p2`).  Dense
-``(N, N)`` arrays are left where an identity is about a matrix or its random
-input is drawn as one: the group checks, ``proj_P``, the matrix route of the
-Lie derivative, the bracket of ``commutator-nonclosure`` and the
-environment-extended fields.
+The field checks draw their random input on the integrator's forms and run
+on them: vector fields and forces on the adjacency list, one-forms on P2
+(:func:`decflow.fields.flat_p2`), the exchange with the environment as one
+value per cell.  Dense ``(N, N)`` arrays are left where an identity is about
+a matrix: the group checks, ``proj_P``, the matrix route of the Lie
+derivative and the bracket of ``commutator-nonclosure``.
 """
 
 from __future__ import annotations
@@ -74,9 +74,9 @@ def random_density(geom, rng) -> np.ndarray:
 
 
 def random_algebra(geom, rng) -> np.ndarray:
-    """Vector field on the adjacency list: an ``(N, N)`` standard normal
-    draw read at the adjacent pairs (no flux antisymmetry imposed)."""
-    return rng.standard_normal((geom.n, geom.n))[geom.adj_i, geom.adj_j]
+    """Vector field on the adjacency list: one standard normal per pair (no
+    flux antisymmetry imposed)."""
+    return rng.standard_normal(len(geom.adj_i))
 
 
 def random_tangent(
@@ -104,22 +104,17 @@ def random_tangent(
     return fd.from_fluxes(geom, np.flatnonzero(up), geom.pair_index(ju, iu), flux)
 
 
-def random_exchange(geom, rng) -> np.ndarray:
-    """Extended dense ``(N+1)`` field: random edge fluxes plus a random
-    exchange flux between every boundary cell and the environment column
-    (``A_rc = f / (2 omega_r)``, ``A_cr = -f / (2 omega_c)``), all rows
-    (environment row included) summing to zero."""
-    up = geom.adj_i < geom.adj_j
-    iu, ju = geom.adj_i[up], geom.adj_j[up]
+def random_exchange(geom, rng) -> tuple:
+    """``(a, e)``: random edge fluxes on the adjacency list
+    (:func:`random_tangent`), and the column to the environment, ``e_r = f /
+    (2 omega_r)`` for a random exchange flux ``f`` at each boundary cell and
+    0 elsewhere.  Each row sums to zero with ``e``, so the diagonal is
+    ``geom.diagonal(a) - e``."""
+    a = random_tangent(geom, rng)
     bc = np.flatnonzero(geom.mesh.boundary_cells)
-    flux = np.concatenate([rng.standard_normal(iu.size), rng.standard_normal(bc.size)])
-    rows, cols = np.concatenate([iu, bc]), np.concatenate([ju, np.full(bc.size, geom.n)])
-    omega = np.append(geom.omega, geom.omega_env)
-    a = np.zeros((geom.n + 1, geom.n + 1))
-    a[rows, cols] = flux / (2.0 * omega[rows])
-    a[cols, rows] = -flux / (2.0 * omega[cols])
-    np.fill_diagonal(a, -a.sum(axis=1))
-    return a
+    e = np.zeros(geom.n)
+    e[bc] = rng.standard_normal(bc.size) / (2.0 * geom.omega[bc])
+    return a, e
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +132,9 @@ def check_divergence_theorem(geom, rng) -> float:
 def check_divergence_theorem_flux(geom, rng) -> float:
     """With environment exchange the total divergence equals the total
     boundary flux."""
-    a = random_exchange(geom, rng)
-    lhs = geom.omega * 2.0 * np.diagonal(a)[: geom.n]
-    rhs = geom.omega * fd.boundary_div(a[: geom.n, geom.n])
+    a, e = random_exchange(geom, rng)
+    lhs = geom.omega * 2.0 * (geom.diagonal(a) - e)
+    rhs = geom.omega * fd.boundary_div(e)
     return _rel(abs(lhs.sum() - rhs.sum()), np.abs(lhs).sum() + np.abs(rhs).sum())
 
 
@@ -158,14 +153,16 @@ def check_div_adjoint(geom, rng) -> float:
 def check_div_adjoint_flux(geom, rng) -> float:
     """Environment-exchange variant of the divergence adjoint: the defect is
     carried entirely by the edge-midpoint boundary term."""
-    n = geom.n
-    a = random_exchange(geom, rng)
-    f = rng.standard_normal(n + 1)
-    lhs = float(np.sum(geom.omega * 2.0 * np.diagonal(a)[:n] * f[:n]))
-    vol = float(np.sum(geom.omega * (a @ f)[:n]))
-    bnd = float(np.sum(geom.omega * 0.5 * (f[:n] + f[n]) * fd.boundary_div(a[:n, n])))
-    scale = float(np.sum(np.abs(geom.omega[:, None] * a[:n] * f[None, :]))) + abs(bnd)
-    return _rel(abs(lhs - vol - bnd), scale)
+    a, e = random_exchange(geom, rng)
+    f = rng.standard_normal(geom.n + 1)
+    f, f_env = f[:-1], f[-1]
+    diag = geom.diagonal(a) - e
+    lhs = float(np.sum(geom.omega * 2.0 * diag * f))
+    vol = np.concatenate(  # the rows of the field, environment column included, against f
+        [geom.omega[geom.adj_i] * a * f[geom.adj_j], geom.omega * diag * f, geom.omega * e * f_env]
+    )
+    bnd = float(np.sum(geom.omega * 0.5 * (f + f_env) * fd.boundary_div(e)))
+    return _rel(abs(lhs - float(np.sum(vol)) - bnd), float(np.sum(np.abs(vol))) + abs(bnd))
 
 
 def check_action_density_total(geom, rng) -> float:
@@ -202,9 +199,8 @@ def check_pairing_change(geom, rng) -> float:
 def check_projection_momentum(geom, rng) -> float:
     """Dropping the diagonal of a momentum does not change its pairing with
     row-sum-zero fields."""
-    lmat = rng.standard_normal((geom.n, geom.n))
+    lp, ld = rng.standard_normal(len(geom.adj_i)), rng.standard_normal(geom.n)
     b = random_algebra(geom, rng)
-    lp, ld = lmat[geom.adj_i, geom.adj_j], np.diagonal(lmat)
     lhs = fd.pairing1(geom, lp - ld[geom.adj_i], 0.0, b)  # L_ij - L_ii
     rhs = fd.pairing1(geom, lp, ld, b)
     return _rel(abs(lhs - rhs), _abs_pairing(geom, lp, ld, b))
@@ -212,9 +208,10 @@ def check_projection_momentum(geom, rng) -> float:
 
 def check_projection_oneform(geom, rng) -> float:
     """The one-form projection is invisible to constraint-satisfying fields."""
-    lmat = rng.standard_normal((geom.n, geom.n))
+    lp, ld = rng.standard_normal(len(geom.adj_i)), rng.standard_normal(geom.n)
     b = random_tangent(geom, rng)
-    lp, ld = lmat[geom.adj_i, geom.adj_j], np.diagonal(lmat)
+    lmat = fd.from_pairs(geom, lp)  # proj_P takes the dense matrix
+    np.fill_diagonal(lmat, ld)
     lhs = fd.pairing1(geom, fd.proj_P(lmat)[geom.adj_i, geom.adj_j], 0.0, b)  # P(L) has no diagonal
     rhs = fd.pairing1(geom, lp, ld, b)
     return _rel(abs(lhs - rhs), _abs_pairing(geom, lp, ld, b))

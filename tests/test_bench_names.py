@@ -2,7 +2,8 @@
 
 ``perfbench/instruments.py`` patches every name in ``LAYERS`` and the check
 registries in ``CHECK_REGISTRIES``; a renamed function would break a traced
-run (``perfbench/run.py --trace 1``).  This test fails first.
+run (``perfbench/run.py --trace 1``).  ``perfbench/gate.py`` parses the
+``decflow verify`` report and counts its checks.  These tests fail first.
 """
 
 import importlib
@@ -11,18 +12,18 @@ import pathlib
 
 from decflow import cli_io, integrator, physics, verify
 
-INSTRUMENTS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "instruments.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_instruments():
-    spec = importlib.util.spec_from_file_location("perfbench_instruments", INSTRUMENTS)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_name_resolves():
-    inst = load_instruments()
+    inst = load_perfbench("instruments")
     missing = []
     for layer, names in inst.LAYERS.items():
         module = importlib.import_module(f"decflow.{layer}")
@@ -74,7 +75,7 @@ def test_the_step_timer_sees_each_step_once(tmp_path, monkeypatch):
     # ``Stamps`` times each call of ``VariationalStepper.step`` for
     # ``first_step_s`` and ``step_ms_*``, so ``run`` must call it once per
     # step, through the class attribute.
-    inst = load_instruments()
+    inst = load_perfbench("instruments")
     for owner, name in [(integrator.VariationalStepper, "step"), (verify, "mesh_corpus")]:
         monkeypatch.setattr(owner, name, getattr(owner, name))  # restored after the test
     for registry in inst.CHECK_REGISTRIES:
@@ -88,3 +89,13 @@ def test_the_step_timer_sees_each_step_once(tmp_path, monkeypatch):
     )
     assert cli_io.main(["run", str(cfg)]) == 0
     assert len(stamps.steps) == 3
+
+
+def test_the_gate_reads_the_verify_report(capsys):
+    # ``gate.check_verify`` parses each report line and expects
+    # ``VERIFY_CHECKS`` of them: a new check or a changed line format fails
+    # here before it fails the benchmark.
+    gate = load_perfbench("gate")
+    assert gate.VERIFY_CHECKS == len(verify.all_check_names())
+    rc = cli_io.main(["verify", "--seed", "1"])
+    assert gate.check_verify(rc, capsys.readouterr().out) == (gate.VERIFY_CHECKS, 0, [])

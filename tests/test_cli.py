@@ -533,6 +533,19 @@ def test_run_reports_an_entropy_stall_with_the_time_step(tmp_path, capsys):
     )
 
 
+def test_a_run_the_entropy_damping_carries_ends(tmp_path, capsys):
+    # At a third of the stall's conductivity the plain fixed point still
+    # does not contract at step 1: its halved updates (109 in 5 steps) carry
+    # the run, which stalls without them.
+    cfg = tmp_path / "damped.cfg"
+    cfg.write_text(
+        MINIMAL.replace("mesh.nx = 4", "mesh.nx = 6").replace("mesh.ny = 3", "mesh.ny = 5")
+        + "heat.preset = constant\nheat.rate = 5\nphys.lambda = 1.0\n"
+        + f"output.directory = {tmp_path / 'out'}\n"
+    )
+    assert cli.main(["run", str(cfg)]) == 0, capsys.readouterr().err
+
+
 def taylor_config(tmp_path, h):
     cfg = tmp_path / "taylor.cfg"
     cfg.write_text(

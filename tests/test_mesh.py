@@ -22,7 +22,6 @@ ROOT3 = np.sqrt(3.0)
 def test_rhombus_cell_areas(rhombus):
     assert rhombus.n == 2
     np.testing.assert_allclose(rhombus.omega, ROOT3 / 4.0, rtol=1e-14)
-    assert rhombus.omega_env == pytest.approx(ROOT3 / 2.0, rel=1e-14)
 
 
 def test_rhombus_circumcenters(rhombus):

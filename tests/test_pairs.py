@@ -17,6 +17,7 @@ from decflow import groups as gr
 from decflow import integrator as ig
 from decflow import mesh as msh
 from decflow import physics as ph
+from decflow import verify as vf
 
 GAS = ph.GasParams()
 PHYS = ph.PhysParams(mu=0.02, zeta=0.01, lam=0.05, theta_env=1.2, insulated=False)
@@ -92,7 +93,7 @@ def dense_entropy_flux(geom, theta, phys):
     )
     te = phys.theta_env
     j[:n, n] = sl * (theta - te) / (theta + te) * geom.boundary_factor / geom.omega
-    j[n, :n] = -geom.omega * j[:n, n] / geom.omega_env
+    j[n, :n] = -geom.omega * j[:n, n] / geom.omega.sum()
     np.fill_diagonal(j, -j.sum(axis=1))
     return j
 
@@ -253,6 +254,20 @@ def test_no_velocity_is_dense(jittered980, jittered65):
     for name in cli.PRESETS:
         assert cli.initial_condition_presets(name, {}, geom, GAS).a.shape == geom.adj_i.shape
     assert stepped_state(jittered65, 1e-3).a.shape == jittered65.adj_i.shape
+
+
+def test_the_field_checks_draw_no_dense_array(jittered980):
+    # The identity suite draws its random fields on the adjacency list: each
+    # field check peaks below N^2 bytes on 980 cells, except the three whose
+    # identity is about a matrix (proj_P, the matrix Lie route, the bracket).
+    geom = jittered980
+    dense = {"projection-oneform", "advection-kite-formula", "commutator-nonclosure"}
+    checks = [(name, fn) for name, _, fn in vf.FIELD_CHECKS if name not in dense]
+    assert len(checks) == 16
+    for name, fn in checks:
+        fn(geom, np.random.default_rng(0))  # the geometry's caches
+        peak = peak_bytes(fn, geom, np.random.default_rng(1))
+        assert peak < geom.n**2, (name, peak)
 
 
 def test_a_warm_residual_builds_no_dense_array(jittered980):
