@@ -421,6 +421,6 @@ def membership_residuals(geom: MeshGeometry, a) -> dict:
     bc = geom.mesh.boundary_cells
     touching = np.concatenate([a[bc[i] | bc[j]], geom.diagonal(a)[bc]])
     return {
-        "V": float(np.max(np.abs(weighted + weighted[geom.pair_index(j, i)]), initial=0.0)),
+        "V": float(np.max(np.abs(weighted + weighted[geom.adj_rev]), initial=0.0)),
         "no_slip": float(np.max(np.abs(touching), initial=0.0)),
     }

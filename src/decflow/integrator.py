@@ -14,15 +14,14 @@ The variational step solves, in order:
    at ``+h A`` at the four entries per flux that the projection ``P`` reads
    (:meth:`FluxLayout.project`), term by term on the entries those read
    (:class:`SampledSeries`), with the bits of the dense series and no
-   ``(N, N)`` array.  The old-side term, the same transport at
-   ``-h A^{k-1}`` with ``D^{k-1}``, is fixed
-   within a step (:meth:`VariationalStepper._old_side`) and comes from the
-   converged transport the previous step carried (:class:`Carry`).  The
-   gradient and viscous forces are evaluated on the flux pairs only
-   (:mod:`decflow.physics`).  Newton's matrix is the colored
-   finite-difference Jacobian of the residual cut after series order 1
-   (:meth:`VariationalStepper._jacobian`), a CSC array on the residual's
-   stencil factored by SuperLU,
+   ``(N, N)`` array.  Only the fluxes move: ``D^k``, ``S^k`` and the old
+   side, the transport at ``-h A^{k-1}`` with ``D^{k-1}`` that the previous
+   step carried (:class:`Carry`), are fixed, so the residual is built once
+   per step as a function of the fluxes (:meth:`VariationalStepper._residual`),
+   its forces on the flux pairs only (:mod:`decflow.physics`).  Newton's
+   matrix is the colored finite-difference Jacobian of that residual cut after
+   series order 1 (:meth:`VariationalStepper._jacobian`), a CSC array on the
+   residual's stencil factored by SuperLU,
 2. exact density transport ``D^{k+1} = D^k bullet tau(-h A^k)``.  The
    group element is never formed: :func:`decflow.groups.tau_action` applies
    ``tau(-h A^k)^T`` to ``Omega D^k`` as a Taylor series of products with
@@ -106,8 +105,8 @@ class FluxLayout:
     (:func:`decflow.fields.from_fluxes`), which lands exactly in S, V and
     the no-slip subspace.  Flux ``k`` is the pair ``(rows[k], cols[k])``,
     ``rows < cols``, at position ``pos[k]`` of the directed adjacency list;
-    the reversed pair ``(cols[k], rows[k])`` is at ``rev[k]``.  Both are
-    looked up once, so neither assembly searches the list.
+    the reversed pair ``(cols[k], rows[k])`` is at ``rev[k]``, so neither
+    assembly searches the list.
     """
 
     geom: MeshGeometry
@@ -121,8 +120,7 @@ class FluxLayout:
         interior = geom.mesh.interior_cells
         i, j = geom.adj_i, geom.adj_j
         pos = np.flatnonzero((i < j) & interior[i] & interior[j])
-        rows, cols = i[pos], j[pos]
-        return cls(geom=geom, rows=rows, cols=cols, pos=pos, rev=geom.pair_index(cols, rows))
+        return cls(geom=geom, rows=i[pos], cols=j[pos], pos=pos, rev=geom.adj_rev[pos])
 
     @property
     def size(self) -> int:
@@ -145,20 +143,6 @@ class FluxLayout:
         m_rc, m_rr = entries[0] / omega[r], entries[2] / omega[r]
         m_cr, m_cc = entries[1] / omega[c], entries[3] / omega[c]
         return 0.5 * (m_rc - m_cr - m_rr + m_cc)
-
-
-# ---------------------------------------------------------------------------
-# Shared force assembly
-# ---------------------------------------------------------------------------
-
-
-def _gradient_forces(geom, layout, a, d, s, gas):
-    """``Dbar (dl/dD_j - dl/dD_i) + Sbar (dl/dS_j - dl/dS_i)`` on the flux
-    pairs (the discrete pressure/temperature gradient block)."""
-    dl_dd, dl_ds = ph.scalar_derivatives(geom, a, d, s, gas)
-    i, j = layout.rows, layout.cols
-    gd, gs = fd.pair_diff(dl_dd, i, j), fd.pair_diff(dl_ds, i, j)
-    return fd.pair_mean(d, i, j) * gd + fd.pair_mean(s, i, j) * gs
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +266,8 @@ class SampledSeries:
 
     def bracket(self, eta, xi):
         """The ``(4, fluxes)`` entries of ``T_1 = [eta, xi^T]``."""
-        return self._ad(self._at_picks, self._load(eta, xi, 1)).reshape(4, -1)
+        term = self._load(eta, xi, 1)  # builds ``_at_picks`` on a fresh series
+        return self._ad(self._at_picks, term).reshape(4, -1)
 
     def cayley(self, eta, xi):
         """The ``(4, fluxes)`` entries of the Cayley tangent ``(I + xi^T/2) eta
@@ -384,15 +369,15 @@ class StepReport:
 class Carry:
     """What a step passes to the next, keyed by the fluxes it returned:
     ``flux``, ``layout.from_matrix`` of the returned velocity; the fluxes
-    ``flux_from`` and density ``d_prev`` the step started from; the
-    converged ``transport`` at ``+hA``; the Newton matrix's SuperLU ``lu`` and
-    its ``fresh`` count (:func:`_refresh`).  The arrays are the carry's own.  A
-    cold start steps from ``Carry(f, f, transport, d, None, None)``."""
+    ``flux_from`` the step started from; the next step's ``old_side``, of the
+    returned velocity and the step's starting density; the Newton matrix's
+    SuperLU ``lu`` and its ``fresh`` count (:func:`_refresh`).  The arrays are
+    the carry's own.  A cold start steps from ``Carry(f, f, old_side, None,
+    None)``."""
 
     flux: np.ndarray
     flux_from: np.ndarray
-    transport: np.ndarray
-    d_prev: np.ndarray
+    old_side: np.ndarray
     lu: SuperLU | None
     fresh: int | None
 
@@ -492,15 +477,25 @@ class VariationalStepper:
         bracket = self._series.bracket(*self._operands(a, d))
         return transport + self.layout.project(bracket, self.geom.omega) / self.h
 
-    def _residual_and_transport(self, flux, d, s, prev_term, transport):
-        """The momentum residual on ``transport`` at ``+hA``, the full
-        :meth:`_transport_term` or the :meth:`_first_order_term`, and that
-        transport term."""
-        a = self.layout.to_matrix(flux)
-        cur = transport(a, d)
-        grad = _gradient_forces(self.geom, self.layout, a, d, s, self.gas)
-        visc = ph.viscous_force(self.geom, a, self.phys)[self.layout.pos]
-        return cur - prev_term + grad - visc, cur
+    def _residual(self, d, s, prev_term):
+        """The step's momentum residual ``residual(flux, transport) -> (r,
+        transport term)``, ``transport`` the :meth:`_transport_term` or the
+        :meth:`_first_order_term`, and ``Theta(d, s)``.  The closure of the
+        fixed ``(d, s)`` is evaluated once, here, with the gradient forces'
+        ``Dbar`` and ``Sbar (dl/dS_j - dl/dS_i)``; a call adds ``Dbar (dl/dD_j
+        - dl/dD_i)``, ``dl/dD = K/2 - eps_D``."""
+        i, j = self.layout.rows, self.layout.cols
+        _, eps_d, theta = ph.internal_energy(d, s, self.gas)
+        d_mean, s_term = fd.pair_mean(d, i, j), fd.pair_mean(s, i, j) * fd.pair_diff(-theta, i, j)
+
+        def residual(flux, transport):
+            a = self.layout.to_matrix(flux)
+            cur = transport(a, d)
+            grad = d_mean * fd.pair_diff(0.5 * ph.kinetic_density(self.geom, a) - eps_d, i, j) + s_term
+            visc = ph.viscous_force(self.geom, a, self.phys)[self.layout.pos]
+            return cur - prev_term + grad - visc, cur
+
+        return residual, theta
 
     @functools.cached_property
     def _colors(self):
@@ -509,43 +504,43 @@ class VariationalStepper:
         near = _stencil(self.layout)
         return near, _coloring(near)
 
-    def _jacobian(self, flux, d, s, prev_term):
-        """Newton's matrix: the Jacobian of the first-order residual, whose
-        cut adds ``O(|hA|^2)`` relative to the full one, so Newton is a chord
-        method (Kelley 1995, ch. 5) that converges to the full residual's
-        solution.  A central difference with the step ``1e-7 max(|f_p|, 1)``
-        per flux ``p``, colored (Curtis, Powell & Reid 1974): one residual
-        pair per color, each row's quotient gathered in one pass from the one
-        column of its color that reaches it, so it is the column-by-column
-        difference bit for bit.  Returns the CSC Jacobian and the residuals it took."""
+    def _jacobian(self, flux, residual):
+        """Newton's matrix: the Jacobian of ``residual`` on the first-order
+        transport, whose cut adds ``O(|hA|^2)`` relative to the full one, so
+        Newton is a chord method (Kelley 1995, ch. 5) that converges to the
+        full residual's solution.  A central difference with the step ``1e-7
+        max(|f_p|, 1)`` per flux ``p``, colored (Curtis, Powell & Reid 1974):
+        one residual pair per color, each row's quotient gathered in one pass
+        from the one column of its color that reaches it, so it is the
+        column-by-column difference bit for bit.  Returns the CSC Jacobian and
+        the residuals it took."""
         near, color = self._colors
         owner = np.repeat(np.arange(len(color)), np.diff(near.indptr))  # the column of each stored entry
         step = _FD_STEP * np.maximum(np.abs(flux), 1.0)
-        residual = lambda f: self._residual_and_transport(f, d, s, prev_term, self._first_order_term)[0]
         diff = np.empty((color.max() + 1, len(flux)))
         for c, row in enumerate(diff):
             cols = color == c
             fp = flux.copy()
             fp[cols] += step[cols]
-            rp = residual(fp)
+            rp = residual(fp, self._first_order_term)[0]
             fp[cols] -= 2 * step[cols]
-            row[:] = rp - residual(fp)
+            row[:] = rp - residual(fp, self._first_order_term)[0]
         data = diff[color[owner], near.indices] / (2 * step[owner])
         return sparse.csc_array((data, near.indices, near.indptr), shape=near.shape), 2 * len(diff)
 
-    def _solve_momentum(self, flux0, d, s, prev_term, lu):
-        """Newton on the fluxes from ``flux0`` on the sparse LU ``lu``, built
-        at the first iteration when None and rebuilt when an iteration reduces
-        the residual by less than half (at most 3 builds; a singular matrix
-        raises).  Returns the solution, the LU it ended on, a report of the
-        effort (``entropy_iters`` 0) and the converged residual's transport."""
+    def _solve_momentum(self, flux0, residual, lu):
+        """Newton on the fluxes from ``flux0`` for ``residual``, on the sparse
+        LU ``lu``, built at the first iteration when None and rebuilt when an
+        iteration reduces the residual by less than half (at most 3 builds; a
+        singular matrix raises).  Returns the solution, the LU it ended on, a
+        report of the effort (``entropy_iters`` 0) and the converged transport."""
         flux = flux0.copy()
         report = StepReport()
         if self.layout.size == 0:
             return flux, lu, report, np.zeros(0)
         prev_norm = np.inf
         for it in range(1, self.newton_max + 1):
-            r, transport = self._residual_and_transport(flux, d, s, prev_term, self._transport_term)
+            r, transport = residual(flux, self._transport_term)
             report.residual_evals += 1
             norm = float(np.max(np.abs(r)))
             if not np.isfinite(norm):
@@ -554,7 +549,7 @@ class VariationalStepper:
                 report.newton_iters = it - 1
                 return flux, lu, report, transport
             if lu is None or (norm > 0.5 * prev_norm and report.jacobian_builds < 3):
-                jac, evals = self._jacobian(flux, d, s, prev_term)
+                jac, evals = self._jacobian(flux, residual)
                 try:
                     lu = lu_factor(jac)
                 except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
@@ -616,10 +611,11 @@ class VariationalStepper:
         The momentum balance couples the incoming velocity, paired with the
         density one step back, to the new one.  When the fluxes of ``state.a``
         equal the key of :attr:`carry`, as a returned velocity's and its
-        copies' do, that density, the old side's transport, the LU and Newton's
-        start ``2 f_{k-1} - f_{k-2}`` come from the carry.  Any other velocity
-        is a cold start, bit for bit a new stepper's.  The next carry is set
-        once, after every check has passed, so a step that raises leaves it.
+        copies' do, the old side, the LU and Newton's start ``2 f_{k-1} -
+        f_{k-2}`` come from the carry.  Any other velocity is a cold start, bit
+        for bit a new stepper's.  The next carry, with the new velocity's old
+        side, is set once, after every check has passed, so a step that raises
+        leaves it.
         """
         geom, gas, phys, h = self.geom, self.gas, self.phys, self.h
         flux_in = self.layout.from_matrix(state.a)
@@ -627,11 +623,10 @@ class VariationalStepper:
         terms = self._series.terms
         try:
             if carry is None or not np.array_equal(flux_in, carry.flux):  # a cold start
-                carry = Carry(flux_in, flux_in, self._transport_term(state.a, state.d), state.d, None, None)
-            prev_term = self._old_side(state.a, carry.d_prev, carry.transport)
-            flux, lu, report, transport = self._solve_momentum(
-                2.0 * flux_in - carry.flux_from, state.d, state.s, prev_term, carry.lu
-            )
+                old_side = self._old_side(state.a, state.d, self._transport_term(state.a, state.d))
+                carry = Carry(flux_in, flux_in, old_side, None, None)
+            residual, theta_old = self._residual(state.d, state.s, carry.old_side)
+            flux, lu, report, transport = self._solve_momentum(2.0 * flux_in - carry.flux_from, residual, carry.lu)
             report.series_terms = self._series.terms - terms
             a_new = self.layout.to_matrix(flux)
             csr = geom.adjacency_csr
@@ -647,7 +642,6 @@ class VariationalStepper:
                 "reduce the time step"
             )
 
-        theta_old = ph.temperature(state.d, state.s, gas)
         fric = report.friction_power = ph.friction_power(geom, a_new, phys)
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             s_new, report.entropy_iters = self._solve_entropy(back, state.d, state.s, d_new, theta_old, fric)
@@ -662,8 +656,8 @@ class VariationalStepper:
                 "reduce the time step"
             )
 
-        lu, fresh = _refresh(carry, report, lu)
-        self.carry = Carry(self.layout.from_matrix(a_new), flux_in, transport, state.d.copy(), lu, fresh)
+        old_side = self._old_side(a_new, state.d, transport)
+        self.carry = Carry(self.layout.from_matrix(a_new), flux_in, old_side, *_refresh(carry, report, lu))
         return ph.FluidState(a_new, d_new, s_new), report
 
     def run(self, state: ph.FluidState, steps: int, observer=None):

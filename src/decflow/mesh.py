@@ -436,6 +436,11 @@ class MeshGeometry:
         which must hold them."""
         return np.searchsorted(self._pair_keys, np.asarray(i) * self.n + j)
 
+    @functools.cached_property
+    def adj_rev(self) -> np.ndarray:
+        """Row of each pair's reverse ``(adj_j, adj_i)`` on the adjacency list."""
+        return self.pair_index(self.adj_j, self.adj_i)
+
     def row_sums(self, w) -> np.ndarray:
         """``sum_j w_ij`` per cell of values ``w`` on the adjacency list."""
         return sum_at(self.adj_i, w, self.n)
@@ -490,7 +495,7 @@ class AdjacencyCSR:
         order = np.lexsort((cols, rows))  # row major
         self.rows, self.cols = rows[order], cols[order]
         # X^T's pair (i, j) holds the value of (j, i).
-        swapped = np.concatenate([geom.pair_index(geom.adj_j, geom.adj_i), np.arange(m, m + n)])
+        swapped = np.concatenate([geom.adj_rev, np.arange(m, m + n)])
         self.take, self.take_t = order, swapped[order]
         self.indptr = np.searchsorted(self.rows, np.arange(n + 1))
 

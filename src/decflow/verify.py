@@ -101,7 +101,7 @@ def random_tangent(
     if no_slip:
         bc = geom.mesh.boundary_cells
         flux = np.where(bc[iu] | bc[ju], 0.0, flux)
-    return fd.from_fluxes(geom, np.flatnonzero(up), geom.pair_index(ju, iu), flux)
+    return fd.from_fluxes(geom, np.flatnonzero(up), geom.adj_rev[up], flux)
 
 
 def random_exchange(geom, rng) -> tuple:

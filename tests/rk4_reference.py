@@ -13,7 +13,7 @@ import numpy as np
 
 from decflow import fields as fd
 from decflow import physics as ph
-from decflow.integrator import FluxLayout, _gradient_forces
+from decflow.integrator import FluxLayout
 
 
 def lagrangian(geom, a, d, s, gas):
@@ -21,6 +21,15 @@ def lagrangian(geom, a, d, s, gas):
     eps = ph.internal_energy(d, s, gas)[0]
     k = ph.kinetic_density(geom, a)
     return float(np.sum(geom.omega * (0.5 * np.asarray(d) * k - eps)))
+
+
+def gradient_forces(geom, layout, a, d, s, gas):
+    """``Dbar (dl/dD_j - dl/dD_i) + Sbar (dl/dS_j - dl/dS_i)`` on the flux
+    pairs (the discrete pressure/temperature gradient block)."""
+    dl_dd, dl_ds = ph.scalar_derivatives(geom, a, d, s, gas)
+    i, j = layout.rows, layout.cols
+    gd, gs = fd.pair_diff(dl_dd, i, j), fd.pair_diff(dl_ds, i, j)
+    return fd.pair_mean(d, i, j) * gd + fd.pair_mean(s, i, j) * gs
 
 
 def semi_discrete_rhs(geom, state, gas, phys, layout, heat=None):
@@ -32,7 +41,7 @@ def semi_discrete_rhs(geom, state, gas, phys, layout, heat=None):
     lie = fd.lie_deriv_oneform_density(geom, a, d[:, None] * z)
     lie = lie[layout.rows, layout.cols]
     visc = ph.viscous_force(geom, a, phys)[layout.pos]
-    mdot = -lie - _gradient_forces(geom, layout, a, d, s, gas) + visc
+    mdot = -lie - gradient_forces(geom, layout, a, d, s, gas) + visc
 
     ddot = -fd.act_den(geom, d, a)
 

@@ -5,7 +5,7 @@ Both tests run a 250-cell jittered mesh with the taylor-like vortex,
 viscosity, conduction, heating and isothermal walls for 8 steps, and compare
 ``diagnostics.csv`` and the two VTK snapshots byte for byte.  The second
 test catches state that one run leaves to the next in the same process,
-such as a cache kept past its stepper.
+such as a cache kept past its stepper, for both group maps.
 """
 
 import os
@@ -30,10 +30,12 @@ def root(tmp_path_factory):
     return root
 
 
-def config(root, name):
-    """The config file of a run writing to ``root / name``, and that directory."""
+def config(root, name, kind="exponential"):
+    """The config file of a run on the group map ``kind`` writing to ``root /
+    name``, and that directory."""
     out, path = root / name, root / f"{name}.cfg"
     lines = [
+        f"solver.tau = {kind}",
         f"mesh.file = {root / 'mesh.txt'}",
         "run.h = 1e-3",
         "run.steps = 8",
@@ -76,10 +78,11 @@ def test_the_blas_thread_count_leaves_the_outputs(root):
     assert results[0] == results[1]
 
 
-def test_two_runs_in_one_process_write_the_same_bytes(root, capsys):
+@pytest.mark.parametrize("kind", ["exponential", "cayley"])
+def test_two_runs_in_one_process_write_the_same_bytes(root, capsys, kind):
     results = []
     for name in ("first", "second"):
-        path, out = config(root, name)
+        path, out = config(root, f"{name}-{kind}", kind)
         assert cli.main(["run", str(path)]) == 0
         results.append(outputs(out))
     assert results[0] == results[1]

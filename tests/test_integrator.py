@@ -304,7 +304,7 @@ def test_the_entropy_solve_equals_the_two_action_one(gen65, monkeypatch, kind):
 
 def full_residual(stepper, flux, d, s, prev_term):
     """The momentum residual that Newton drives down, on the full series."""
-    return stepper._residual_and_transport(flux, d, s, prev_term, stepper._transport_term)[0]
+    return stepper._residual(d, s, prev_term)[0](flux, stepper._transport_term)[0]
 
 
 def old_side(stepper, a, d):
@@ -325,7 +325,7 @@ def test_residuals_construct_no_sparse_arrays(jittered65, monkeypatch):
     prev_term = old_side(stepper, state.a, state.d)
     first = full_residual(stepper, flux, state.d, state.s, prev_term)
     # the first Jacobian builds the stencil and its coloring
-    jac, _ = stepper._jacobian(flux, state.d, state.s, prev_term)
+    jac, _ = stepper._jacobian(flux, stepper._residual(state.d, state.s, prev_term)[0])
     new, _ = stepper.step(state)  # so that the step below starts warm
 
     built = []
@@ -334,11 +334,12 @@ def test_residuals_construct_no_sparse_arrays(jittered65, monkeypatch):
         monkeypatch.setattr(
             cls, "__init__", lambda self, *args, _init=init, **kw: built.append(self) or _init(self, *args, **kw)
         )
-    again = full_residual(stepper, flux, state.d, state.s, prev_term)
+    residual, _ = stepper._residual(state.d, state.s, prev_term)
+    again = residual(flux, stepper._transport_term)[0]
     np.testing.assert_array_equal(again, first)
     assert built == []
     # a second Jacobian reuses the cached stencil and coloring
-    second, _ = stepper._jacobian(flux, state.d, state.s, prev_term)
+    second, _ = stepper._jacobian(flux, residual)
     assert len(built) == 1 and built[0] is second and second.format == "csc"
     np.testing.assert_array_equal(second.toarray(), jac.toarray())
     ig.lu_factor(second)
@@ -390,6 +391,25 @@ def test_the_report_counts_the_colors(gen65):
     _, report = stepper.step(state)
     assert (report.jacobian_builds, report.colors) == (0, 0)
     assert report.residual_evals == report.newton_iters + 1
+
+
+@pytest.mark.parametrize("kind", gr.KINDS)
+def test_a_step_evaluates_the_closure_once_for_all_its_residuals(gen65, monkeypatch, kind):
+    # Within a step only the fluxes move, so the residual takes the closure of
+    # (D, S) from one evaluation, which also gives the old temperature: one
+    # call per entropy iteration, one for the new temperature, and that one.
+    phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01)
+    stepper = ig.VariationalStepper(gen65, GAS, phys, h=1e-3, kind=kind)
+    calls, energy = [], ph.internal_energy
+    monkeypatch.setattr(ph, "internal_energy", lambda *args: calls.append(args) or energy(*args))
+    state, reports = shear_state(gen65), []
+    for _ in range(4):
+        calls.clear()
+        state, report = stepper.step(state)
+        reports.append(report)
+        assert len(calls) == report.entropy_iters + 2, report
+    assert reports[0].jacobian_builds == 1 and reports[0].residual_evals > 2 * reports[0].colors > 0
+    assert all(r.residual_evals > 1 for r in reports)
 
 
 @pytest.mark.parametrize("kind", gr.KINDS)
@@ -488,18 +508,23 @@ def test_a_fresh_count_of_zero_allows_two_iterations(gen65):
 @pytest.mark.parametrize("kind", gr.KINDS)
 def test_the_carried_old_side_equals_the_series(jittered65, monkeypatch, kind):
     # Every step's old side, the cold first one included, is the transport at
-    # +hA plus one bracket: it equals the dense series at -hA.
+    # +hA plus one bracket: it equals the dense series at -hA.  The carry
+    # holds the next one: the returned velocity's, with the density the step
+    # started from.
     phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01)
     stepper = ig.VariationalStepper(jittered65, GAS, phys, h=1e-3, kind=kind)
     state = taylor_state(jittered65)
-    prev_terms, solve = [], stepper._solve_momentum
-    monkeypatch.setattr(stepper, "_solve_momentum", lambda *args: prev_terms.append(args[3]) or solve(*args))
+    prev_terms, residual = [], stepper._residual
+    monkeypatch.setattr(stepper, "_residual", lambda d, s, prev: prev_terms.append(prev) or residual(d, s, prev))
+    d_prev = state.d
     for step in range(1, 7):
-        d_prev = state.d if step == 1 else stepper.carry.d_prev
         series = dense.old_side_series(stepper.layout, state.a, d_prev, stepper.h, kind)
+        d_prev = state.d
         state, _ = stepper.step(state)
         assert len(prev_terms) == step
         assert np.max(np.abs(prev_terms[-1] - series)) <= 1e-13 * np.max(np.abs(series))
+        carried = dense.old_side_series(stepper.layout, state.a, d_prev, stepper.h, kind)
+        assert np.max(np.abs(stepper.carry.old_side - carried)) <= 1e-13 * np.max(np.abs(carried))
 
 
 @pytest.mark.parametrize("kind", gr.KINDS)
@@ -513,16 +538,17 @@ def test_a_copy_of_the_output_gets_the_carried_old_side(jittered65, monkeypatch,
     phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01)
     stepper = ig.VariationalStepper(jittered65, GAS, phys, h=1e-3, kind=kind)
     state, _ = stepper.step(taylor_state(jittered65))
-    prev_terms, solve, transport, seen = [], stepper._solve_momentum, stepper._transport_term, []
+    prev_terms, residual, solve = [], stepper._residual, stepper._solve_momentum
+    transport, seen = stepper._transport_term, []
     monkeypatch.setattr(stepper, "_transport_term", lambda a, d: seen.append(a) or transport(a, d))
+    monkeypatch.setattr(stepper, "_residual", lambda d, s, prev: prev_terms.append(prev) or residual(d, s, prev))
 
-    def record(*args):
-        prev_terms.append(args[3])
+    def stop_the_copy(*args):
         if len(prev_terms) % 2:  # the copy's step stops here and changes nothing
             raise Stop
         return solve(*args)
 
-    monkeypatch.setattr(stepper, "_solve_momentum", record)
+    monkeypatch.setattr(stepper, "_solve_momentum", stop_the_copy)
     for _ in range(5):
         with pytest.raises(Stop):
             stepper.step(ph.FluidState(state.a.copy(), state.d, state.s))
@@ -668,12 +694,11 @@ def test_range_failure_keeps_its_subclass_through_run(gen65):
 # ---------------------------------------------------------------------------
 
 
-def dense_jacobian(stepper, flux, d, s, prev_term, transport=None):
-    """The column-by-column central difference of the residual on
+def dense_jacobian(stepper, flux, residual, transport=None):
+    """The column-by-column central difference of the step's ``residual`` on
     ``transport``; by default the first-order one, which the colored build
     replaces."""
     transport = transport or stepper._first_order_term
-    residual = lambda f: stepper._residual_and_transport(f, d, s, prev_term, transport)[0]
     m = stepper.layout.size
     jac = np.empty((m, m))
     base = np.maximum(np.abs(flux), 1.0)
@@ -681,23 +706,23 @@ def dense_jacobian(stepper, flux, d, s, prev_term, transport=None):
         dp = 1e-7 * base[p]
         fp = flux.copy()
         fp[p] += dp
-        rp = residual(fp)
+        rp = residual(fp, transport)[0]
         fp[p] -= 2 * dp
-        rm = residual(fp)
+        rm = residual(fp, transport)[0]
         jac[:, p] = (rp - rm) / (2 * dp)
     return jac
 
 
 def jacobian_setup(geom, h, amp):
-    """A viscous, conducting stepper and the residual arguments at a shear
-    flow with varying density and entropy."""
+    """A viscous, conducting stepper, and the fluxes of a shear flow with the
+    residual at varying density and entropy."""
     phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01, insulated=True)
     stepper = ig.VariationalStepper(geom, GAS, phys, h=h)
     state = shear_state(geom, amp)
     d = 1.0 + 0.1 * np.cos(np.arange(geom.n))
     s = 0.05 * np.sin(np.arange(geom.n))
     prev_term = old_side(stepper, state.a, d)
-    return stepper, (stepper.layout.from_matrix(state.a), d, s, prev_term)
+    return stepper, (stepper.layout.from_matrix(state.a), stepper._residual(d, s, prev_term)[0])
 
 
 @pytest.mark.parametrize("h", [1e-3, 1e-2, 1e-1])
@@ -789,8 +814,8 @@ def rect3x2():
 
 
 def random_setup(geom):
-    """A viscous, conducting stepper and the residual arguments at a random
-    flow, density and entropy."""
+    """A viscous, conducting stepper, and random fluxes with the residual at
+    a random density and entropy."""
     phys = ph.PhysParams(mu=0.01, zeta=0.02, lam=0.01, insulated=True)
     stepper = ig.VariationalStepper(geom, GAS, phys, h=1e-3)
     rng = np.random.default_rng(3)
@@ -798,7 +823,7 @@ def random_setup(geom):
     d = 1.0 + 0.1 * rng.random(geom.n)
     s = 0.05 * rng.normal(size=geom.n)
     prev_term = old_side(stepper, stepper.layout.to_matrix(flux), d)
-    return stepper, (flux, d, s, prev_term)
+    return stepper, (flux, stepper._residual(d, s, prev_term)[0])
 
 
 @pytest.mark.parametrize("mesh", ["jittered65", "degree8", "strip8x2"])

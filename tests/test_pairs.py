@@ -5,7 +5,6 @@ The step evaluates these terms per pair of adjacent cells.  The dense
 """
 
 import dataclasses
-import functools
 import tracemalloc
 
 import numpy as np
@@ -149,6 +148,15 @@ def stepped_state(geom, h):
     return ig.VariationalStepper(geom, GAS, dataclasses.replace(PHYS, lam=0.0), h).step(state)[0]
 
 
+def step_gradient_forces(geom, flux, d, s):
+    """The gradient forces of the step's momentum residual at ``flux``: the
+    residual with no transport, old side or viscosity, which add exact
+    zeros."""
+    stepper = ig.VariationalStepper(geom, GAS, ph.PhysParams(), 1e-3)
+    residual, _ = stepper._residual(d, s, np.zeros(stepper.layout.size))
+    return residual(flux, lambda a, d: 0.0)[0]
+
+
 def assert_close(got, ref, rel=1e-14):
     assert np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
 
@@ -163,8 +171,10 @@ def test_per_pair_terms_equal_the_dense_formulas(mesh, h, request):
     layout = ig.FluxLayout.build(geom)
     pick = lambda m: m[layout.rows, layout.cols]
 
-    grad = ig._gradient_forces(geom, layout, a, d, s, GAS)
-    assert_close(grad, pick(dense_gradient_forces(geom, dense, d, s)))
+    flux = layout.from_matrix(a)
+    grad = step_gradient_forces(geom, flux, d, s)
+    at_flux = fd.velocity_matrix(geom, layout.to_matrix(flux))
+    assert_close(grad, pick(dense_gradient_forces(geom, at_flux, d, s)))
     visc = ph.viscous_force(geom, a, PHYS)[layout.pos]
     if h == 0.0:
         assert np.all(visc == 0.0)
@@ -219,9 +229,10 @@ def test_the_step_builds_no_dense_force(jittered980):
     state = uneven_state(geom, 0.3)
     layout = ig.FluxLayout.build(geom)
     theta = ph.temperature(state.d, state.s, GAS)
+    flux = layout.from_matrix(state.a)
     for fn, args in (
         (ph.viscous_force, (geom, state.a, PHYS)),
-        (ig._gradient_forces, (geom, layout, state.a, state.d, state.s, GAS)),
+        (step_gradient_forces, (geom, flux, state.d, state.s)),
         (ph.conduction, (geom, theta, PHYS)),
         (ph.entropy_flux, (geom, theta, PHYS)),
         (ph.friction_power, (geom, state.a, PHYS)),
@@ -281,11 +292,12 @@ def test_a_warm_residual_builds_no_dense_array(jittered980):
         stepper = ig.VariationalStepper(geom, GAS, PHYS, 1e-3, kind=kind)
         flux = stepper.layout.from_matrix(state.a)
         prev_term = stepper._old_side(state.a, state.d, stepper._transport_term(state.a, state.d))
+        residual, _ = stepper._residual(state.d, state.s, prev_term)
         for transport in (stepper._transport_term, stepper._first_order_term):
-            residual = functools.partial(stepper._residual_and_transport, flux, state.d, state.s, prev_term, transport)
-            residual()
-            peak = peak_bytes(residual)
+            residual(flux, transport)
+            peak = peak_bytes(residual, flux, transport)
             assert peak < geom.n**2, (kind, transport.__name__, peak)
+        assert peak_bytes(stepper._residual, state.d, state.s, prev_term) < geom.n**2
 
 
 def test_a_newton_matrix_builds_no_dense_array(jittered980):
@@ -296,7 +308,7 @@ def test_a_newton_matrix_builds_no_dense_array(jittered980):
     stepper = ig.VariationalStepper(jittered980, GAS, PHYS, 1e-3)
     flux = stepper.layout.from_matrix(state.a)
     prev_term = stepper._old_side(state.a, state.d, stepper._transport_term(state.a, state.d))
-    args = (flux, state.d, state.s, prev_term)
+    args = (flux, stepper._residual(state.d, state.s, prev_term)[0])
     stepper._jacobian(*args)
 
     def build_and_solve():
@@ -314,9 +326,9 @@ def test_the_series_builds_below_the_dense_work_arrays(jittered250):
     layout = ig.FluxLayout.build(geom)
     flux, zero = layout.from_matrix(state.a), np.zeros(layout.size)
     warm = ig.VariationalStepper(geom, GAS, PHYS, 1e-3)  # the geometry's caches
-    warm._residual_and_transport(flux, state.d, state.s, zero, warm._first_order_term)
+    warm._residual(state.d, state.s, zero)[0](flux, warm._first_order_term)
     stepper = ig.VariationalStepper(geom, GAS, PHYS, 1e-3)
-    peak = peak_bytes(stepper._residual_and_transport, flux, state.d, state.s, zero, stepper._transport_term)
+    peak = peak_bytes(lambda: stepper._residual(state.d, state.s, zero)[0](flux, stepper._transport_term))
     assert stepper._series.depth > 1
     assert peak < 6 * geom.n**2 * 8, peak
 
@@ -330,11 +342,11 @@ def test_a_first_order_residual_reads_no_series_work_array(jittered65):
     flux = stepper.layout.from_matrix(state.a)
     prev_term = stepper._old_side(state.a, state.d, stepper._transport_term(state.a, state.d))
     fresh = ig.VariationalStepper(jittered65, GAS, PHYS, 1e-3)
-    want = fresh._residual_and_transport(flux, state.d, state.s, prev_term, fresh._first_order_term)[0]
+    want = fresh._residual(state.d, state.s, prev_term)[0](flux, fresh._first_order_term)[0]
     series = stepper._series
     terms = series.terms
     series._mat.data.fill(np.nan)
-    got = stepper._residual_and_transport(flux, state.d, state.s, prev_term, stepper._first_order_term)[0]
+    got = stepper._residual(state.d, state.s, prev_term)[0](flux, stepper._first_order_term)[0]
     np.testing.assert_array_equal(got, want)
     assert np.isnan(series._mat.data).all()
     assert series.terms == terms
@@ -403,17 +415,32 @@ def test_the_sampled_series_is_the_dense_one_at_the_picks(mesh, request):
         assert np.max(np.abs(gap)) <= 1e-14 * np.max(np.abs(cayley))
 
 
+def test_a_fresh_series_brackets_as_a_used_one():
+    # The bracket loads its operands, and builds the structure, before it
+    # reads the picks' rows: its first call gives what it gives after a
+    # series call, bit for bit.
+    geom = msh.compute_geometry(msh.generate_rect_mesh(4, 3, 1.0, 1.0))
+    state = uneven_state(geom, 0.3)
+    stepper = ig.VariationalStepper(geom, GAS, PHYS, 1e-2)
+    eta, xi = stepper._operands(state.a, state.d)
+    used = ig.SampledSeries(stepper.layout)
+    used(eta, xi, gr._DTAU_INV_COEFFS[:4])
+    fresh = ig.SampledSeries(stepper.layout).bracket(eta, xi)
+    assert stepper.layout.size > 0 and np.max(np.abs(fresh)) > 0
+    np.testing.assert_array_equal(fresh, used.bracket(eta, xi))
+
+
 def test_the_step_takes_no_variational_derivatives(jittered65, monkeypatch):
     state = stepped_state(jittered65, 1e-3)
     stepper = ig.VariationalStepper(jittered65, GAS, dataclasses.replace(PHYS, lam=0.01), 1e-3)
     prev = stepper._old_side(state.a, state.d, stepper._transport_term(state.a, state.d))
     flux = stepper.layout.from_matrix(state.a)
-    stepper._residual_and_transport(flux, state.d, state.s, prev, stepper._transport_term)
+    stepper._residual(state.d, state.s, prev)[0](flux, stepper._transport_term)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("variational_derivatives called")
 
     monkeypatch.setattr(ph, "variational_derivatives", forbidden)
-    stepper._residual_and_transport(flux, state.d, state.s, prev, stepper._transport_term)
+    stepper._residual(state.d, state.s, prev)[0](flux, stepper._transport_term)
     _, report = stepper.step(state)  # residuals, a Jacobian and the entropy iterations
     assert report.jacobian_builds == 1 and report.entropy_iters > 1
