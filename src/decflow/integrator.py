@@ -21,7 +21,10 @@ The variational step solves, in order:
    its forces on the flux pairs only (:mod:`decflow.physics`).  Newton's
    matrix is the colored finite-difference Jacobian of that residual cut after
    series order 1 (:meth:`VariationalStepper._jacobian`), a CSC array on the
-   residual's stencil factored by SuperLU,
+   residual's stencil, with each row divided by the density's pair mean
+   ``Dbar`` at its flux and factored by SuperLU.  Newton thus solves the
+   balance per unit density, so the LU carried across steps barely ages as
+   the density moves; it stops on the unscaled residual,
 2. exact density transport ``D^{k+1} = D^k bullet tau(-h A^k)``.  The
    group element is never formed: :func:`decflow.groups.tau_action` applies
    ``tau(-h A^k)^T`` to ``Omega D^k`` as a Taylor series of products with
@@ -173,7 +176,9 @@ class SampledSeries:
     eta``, at the four entries per flux that :meth:`FluxLayout.project` reads:
     the series of :func:`decflow.groups.dtau_inv_star` before its division
     by ``Omega``, for ``eta`` on P2 and ``xi`` as its values on ``[pairs,
-    diagonal]``.
+    diagonal]``.  ``K`` is the last ``n`` with ``c_n != 0``: a call drops
+    trailing zero coefficients, such as the ``B_K = 0`` of a guard's odd
+    ``K >= 3``, whose term would be computed only to be left out.
 
     ``T_n(i, j) = sum_{k in row j} T_ik xi_jk - sum_{k in row i} xi_ki
     T_kj`` over the stored entries of :class:`decflow.mesh.AdjacencyCSR`,
@@ -194,7 +199,8 @@ class SampledSeries:
 
     The structure is built at the first call, and again when a call needs
     more terms than it was built for; it serves every smaller ``K``.
-    ``terms`` counts the terms of the stepper's full transports.
+    ``terms`` counts the guard's term counts of the stepper's full
+    transports, trailing zeros included.
     """
 
     def __init__(self, layout: FluxLayout):
@@ -254,7 +260,10 @@ class SampledSeries:
 
     def __call__(self, eta, xi, coeffs):
         """The ``(4, fluxes)`` entries of ``eta + sum_n coeffs[n-1] T_n``: the
-        terms before the last on the table, the last at the picks."""
+        terms before the last nonzero one on the table, that one at the
+        picks."""
+        while coeffs and coeffs[-1] == 0.0:
+            coeffs = coeffs[:-1]
         term = self._load(eta, xi, len(coeffs))
         total = term[self._picks]
         for n, coeff in enumerate(coeffs, 1):
@@ -348,10 +357,11 @@ class StepReport:
     residual: the full ones of Newton and the first-order ones of the
     Jacobian builds, two per color of each build.  ``colors`` is the color
     count ``color.max() + 1`` of the stencil's coloring in a step that
-    builds, 0 in one that does not.  ``series_terms`` sums the term count
-    ``K`` of the step's full residuals, each fixed from ``|hA|``
+    builds, 0 in one that does not.  ``series_terms`` sums the guard's term
+    count ``K`` of the step's full residuals, each fixed from ``|hA|``
     (:func:`decflow.groups.dtau_inv_coefficients`), the cold start's
-    transport included: 0 for the Cayley map and at rest.
+    transport included: 0 for the Cayley map and at rest.  An odd ``K``
+    counts its zero last term, which :class:`SampledSeries` skips.
     ``friction_power`` is the cell-wise friction power of the step's new
     velocity, or in :meth:`VariationalStepper.run`'s step 0 report of the
     initial one, for the observer to reuse."""
@@ -528,12 +538,21 @@ class VariationalStepper:
         data = diff[color[owner], near.indices] / (2 * step[owner])
         return sparse.csc_array((data, near.indices, near.indptr), shape=near.shape), 2 * len(diff)
 
-    def _solve_momentum(self, flux0, residual, lu):
+    def _solve_momentum(self, flux0, residual, lu, d_mean):
         """Newton on the fluxes from ``flux0`` for ``residual``, on the sparse
         LU ``lu``, built at the first iteration when None and rebuilt when an
         iteration reduces the residual by less than half (at most 3 builds; a
         singular matrix raises).  Returns the solution, the LU it ended on, a
-        report of the effort (``entropy_iters`` 0) and the converged transport."""
+        report of the effort (``entropy_iters`` 0) and the converged transport.
+
+        Newton solves the balance per unit density: the LU is of the Jacobian
+        with row ``q`` divided by ``d_mean[q]``, the pair mean ``Dbar`` of the
+        step's density at flux ``q``, and each update solves for ``r /
+        d_mean``.  To leading order row ``q`` is ``Dbar_q`` times a function
+        of the geometry, ``h`` and the fluxes, so the carried LU barely ages
+        as the density moves between steps.  The root and the stopping test,
+        ``max|r| <= newton_tol`` of the unscaled ``r``, are the plain
+        balance's."""
         flux = flux0.copy()
         report = StepReport()
         if self.layout.size == 0:
@@ -550,6 +569,7 @@ class VariationalStepper:
                 return flux, lu, report, transport
             if lu is None or (norm > 0.5 * prev_norm and report.jacobian_builds < 3):
                 jac, evals = self._jacobian(flux, residual)
+                jac.data /= d_mean[jac.indices]  # CSC indices are rows
                 try:
                     lu = lu_factor(jac)
                 except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
@@ -557,7 +577,7 @@ class VariationalStepper:
                 report.jacobian_builds += 1
                 report.residual_evals += evals
                 report.colors = int(self._colors[1].max()) + 1
-            flux = flux - lu_solve(lu, r)
+            flux = flux - lu_solve(lu, r / d_mean)
             if not np.all(np.isfinite(flux)):
                 raise StateRangeError(
                     "Newton update is not finite; reduce the time step"
@@ -626,7 +646,10 @@ class VariationalStepper:
                 old_side = self._old_side(state.a, state.d, self._transport_term(state.a, state.d))
                 carry = Carry(flux_in, flux_in, old_side, None, None)
             residual, theta_old = self._residual(state.d, state.s, carry.old_side)
-            flux, lu, report, transport = self._solve_momentum(2.0 * flux_in - carry.flux_from, residual, carry.lu)
+            d_mean = fd.pair_mean(state.d, self.layout.rows, self.layout.cols)
+            flux, lu, report, transport = self._solve_momentum(
+                2.0 * flux_in - carry.flux_from, residual, carry.lu, d_mean
+            )
             report.series_terms = self._series.terms - terms
             a_new = self.layout.to_matrix(flux)
             csr = geom.adjacency_csr

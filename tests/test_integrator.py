@@ -464,14 +464,65 @@ def test_a_singular_forward_action_is_a_range_error(gen65, monkeypatch):
     assert stepper.carry is None
 
 
-@pytest.mark.parametrize("kind", ["exponential", "cayley"])
-def test_a_stale_matrix_is_rebuilt_once_the_iterations_double(gen65, kind):
+def plant_a_stale_matrix(stepper):
+    """Swap the carried LU for the one of a cold shear step at ``1.25 h``.
+    Newton's matrix per unit density scales as ``1/h`` to leading order, so
+    on the stepper's ``h`` the chord contracts by about ``1/4`` per
+    iteration: stale, but not enough for an in-step rebuild."""
+    other = ig.VariationalStepper(stepper.geom, stepper.gas, stepper.phys, 1.25 * stepper.h, stepper.kind)
+    other.step(shear_state(stepper.geom))
+    stepper.carry = dataclasses.replace(stepper.carry, lu=other.carry.lu)
+
+
+@pytest.mark.parametrize("kind", gr.KINDS)
+def test_the_matrix_per_unit_density_stays_fresh(gen65, kind):
+    # The density moves by tens of percent over these 120 steps, but the
+    # matrix per unit density barely ages: one build, and the chord takes
+    # at most 3 iterations a step.
     phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01, insulated=True)
     stepper = ig.VariationalStepper(gen65, GAS, phys, h=1e-3, kind=kind)
     state, reports = shear_state(gen65), []
     for _ in range(120):
         state, report = stepper.step(state)
         reports.append(report)
+    assert sum(r.jacobian_builds for r in reports) == 1
+    assert max(r.newton_iters for r in reports) <= 3
+
+
+@pytest.mark.parametrize("kind", gr.KINDS)
+def test_newton_stops_on_the_balance_not_per_unit_density(gen65, kind):
+    # Newton's updates are per unit density, its stopping test is not: at a
+    # density of 50 the returned fluxes leave max|r| <= newton_tol of the
+    # balance formed from the dense series, where max|r / Dbar| <= newton_tol
+    # would stop 50 times short.
+    phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01, insulated=True)
+    stepper = ig.VariationalStepper(gen65, GAS, phys, h=1e-3, kind=kind, newton_tol=1e-7)
+    shear = shear_state(gen65)
+    state = ph.FluidState(shear.a, 50.0 * shear.d, shear.s)
+    new, report = stepper.step(state)
+    layout, h, d = stepper.layout, stepper.h, state.d
+    r = (
+        -dense.old_side_series(layout, new.a, d, -h, kind)  # the transport at +hA
+        - dense.old_side_series(layout, state.a, d, h, kind)
+        + rk4.gradient_forces(gen65, layout, new.a, d, state.s, GAS)
+        - ph.viscous_force(gen65, new.a, phys)[layout.pos]
+    )
+    assert report.newton_iters > 0
+    assert np.max(np.abs(r)) <= stepper.newton_tol
+
+
+@pytest.mark.parametrize("kind", ["exponential", "cayley"])
+def test_a_stale_matrix_is_rebuilt_once_the_iterations_double(gen65, kind):
+    # The matrix per unit density barely ages on this shear, so a stale one
+    # is planted after step 5.
+    phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01, insulated=True)
+    stepper = ig.VariationalStepper(gen65, GAS, phys, h=1e-3, kind=kind)
+    state, reports = shear_state(gen65), []
+    for k in range(1, 121):
+        state, report = stepper.step(state)
+        reports.append(report)
+        if k == 5:
+            plant_a_stale_matrix(stepper)
     builds = [k for k, r in enumerate(reports) if r.jacobian_builds]
     assert builds[0] == 0 and len(builds) > 1
     for start, end in zip(builds, builds[1:] + [len(reports)]):
@@ -602,13 +653,16 @@ def test_a_failed_step_leaves_the_carried_state(gen65, monkeypatch):
     # only when a step returns, so repeating a failed call gives the bits of
     # a stepper that never failed.  Step 3 fails after the momentum solve,
     # and so do the step whose refresh drops the LU and the two steps that
-    # build one (1 and drops + 1), whose LU must be thrown away.
+    # build one (1 and drops + 1), whose LU must be thrown away.  Both runs
+    # go stale by the matrix planted after step 5.
     phys = ph.PhysParams(mu=0.01, zeta=0.0, lam=0.01, insulated=True)
     stepper = ig.VariationalStepper(gen65, GAS, phys, h=1e-3)
     state, expected = shear_state(gen65), []
-    for _ in range(120):
+    for k in range(1, 21):
         state, report = stepper.step(state)
         expected.append((state, report))
+        if k == 5:
+            plant_a_stale_matrix(stepper)
     # the second build comes at index k, i.e. step k + 1, because step k dropped the LU
     drops = [k for k, (_, r) in enumerate(expected) if r.jacobian_builds][1]
     assert drops > 3
@@ -633,6 +687,8 @@ def test_a_failed_step_leaves_the_carried_state(gen65, monkeypatch):
             assert stepper.carry is carry
         state, report = stepper.step(state)
         assert_same_step((state, report), (want, want_report))
+        if k == 5:
+            plant_a_stale_matrix(stepper)
 
 
 def test_a_singular_newton_matrix_is_a_range_error(gen65, monkeypatch):
