@@ -15,11 +15,12 @@ list, where the geometry stores its lengths and flat/sharp coefficients, by
 NumPy gathers and ``np.bincount``: ``d0``, ``pair_mean``, ``flat_pairs``,
 ``lambda_op``, ``sharp`` and the kite Lie derivative return one value per
 pair, ``total_vorticity`` reads one, and ``pairing1`` pairs a momentum on
-the list and the diagonal with a vector field on the list.  Dense
-``(N, N)`` matrices are left to :func:`from_pairs`, :func:`velocity_matrix`
-and :func:`flat` (scatters of those values), :func:`proj_P` and the matrix
-route :func:`lie_deriv_oneform_density`, which the identity suite and the
-tests use as references, with the SciPy CSR form :func:`velocity_csr`.
+the list and the diagonal with a vector field on the list; so does the
+matrix route :func:`lie_deriv_oneform_density`, with :func:`proj_P` read
+from four entries per pair.  Dense ``(N, N)`` matrices are left to
+:func:`from_pairs`, :func:`velocity_matrix` and :func:`flat` (scatters of
+those values), references for the group checks and the tests, with the
+SciPy CSR form :func:`velocity_csr`.
 The fundamental matrix spaces are
 
 * ``S``: rows sum to zero (NB: the row convention -- transport matrices act
@@ -39,7 +40,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.sparse import csr_array
 
-from .groups import _bracket
 from .mesh import MeshGeometry, sum_at
 
 __all__ = [
@@ -289,12 +289,10 @@ def wedge_star(geom: MeshGeometry, za, zb) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def proj_P(lmat) -> np.ndarray:
-    """Project onto antisymmetric row-sum-zero matrices:
-    ``P(L)_ij = (L_ij - L_ji - L_ii + L_jj)/2``."""
-    lmat = np.asarray(lmat, dtype=float)
-    diag = np.diagonal(lmat)
-    return 0.5 * (lmat - lmat.T - diag[:, None] + diag[None, :])
+def proj_P(l_ij, l_ji, l_ii, l_jj) -> np.ndarray:
+    """Project onto antisymmetric row-sum-zero matrices, at a pair ``(i, j)``
+    from four entries: ``P(L)_ij = (L_ij - L_ji - L_ii + L_jj)/2``."""
+    return 0.5 * (l_ij - l_ji - l_ii + l_jj)
 
 
 def lie_deriv_pairs(geom: MeshGeometry, a, zp) -> np.ndarray:
@@ -307,14 +305,25 @@ def lie_deriv_pairs(geom: MeshGeometry, a, zp) -> np.ndarray:
     return -(diag[geom.adj_i] + diag[geom.adj_j]) * zp
 
 
-def lie_deriv_oneform_density(geom: MeshGeometry, a, lmat) -> np.ndarray:
-    """Lie derivative of a one-form density: ``P(Omega^-1 [A^T, Omega L])``
-    for ``A`` on the adjacency list and a dense ``L``.  The bracket is
-    ``[Omega L, -A^T]``, from one CSR of ``-A`` (:func:`velocity_csr`) and its
-    transpose: two sparse-times-dense products."""
-    wl = geom.omega[:, None] * np.asarray(lmat, dtype=float)
-    minus_a = velocity_csr(geom, -a)
-    return proj_P(_bracket(wl, minus_a.T, minus_a) / geom.omega[:, None])
+def lie_deriv_oneform_density(geom: MeshGeometry, a, lp2) -> np.ndarray:
+    """Lie derivative of a one-form density, ``P(Omega^-1 [A^T, Omega L])``
+    on the adjacency list, for ``A`` on the list and ``L`` on P2.  With ``W =
+    Omega L`` (zero on the diagonal), ``[A^T, W]_ij = (A_ii - A_jj) W_ij +
+    sum_k A_ki W_kj - sum_k W_ik A_jk`` at the pairs and the diagonal, over
+    the neighbors ``k`` of ``i`` (or ``j``), padded to the most a cell has."""
+    n, m, i, j = geom.n, len(a), geom.adj_i, geom.adj_j
+    w = np.append(geom.omega[np.concatenate([i, geom.ta_row])] * lp2, 0.0)  # off P2, -1, reads 0
+    row = np.searchsorted(i, np.arange(n + 1))
+    at = row[:-1, None] + np.arange(np.diff(row).max())
+    at[at >= row[1:, None]] = m  # past a row's end: A reads 0
+    k, a_k, a_kt = np.append(j, 0)[at], np.append(a, 0.0)[at], np.append(a[geom.adj_rev], 0.0)[at]
+    diag = geom.diagonal(a)
+    ti, tj = np.concatenate([i, np.arange(n)]), np.concatenate([j, np.arange(n)])  # the pairs, then the diagonal
+    bracket = np.concatenate([(diag[i] - diag[j]) * w[:m], np.zeros(n)])
+    bracket += np.sum(w[geom.p2_index(k[ti], tj[:, None])] * a_kt[ti], axis=1)
+    bracket -= np.sum(w[geom.p2_index(ti[:, None], k[tj])] * a_k[tj], axis=1)
+    p = bracket / geom.omega[ti]
+    return proj_P(p[:m], p[geom.adj_rev], p[m:][i], p[m:][j])
 
 
 def lie_deriv_oneform_density_kite(geom: MeshGeometry, a, b, d) -> np.ndarray:

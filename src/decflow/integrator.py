@@ -139,13 +139,11 @@ class FluxLayout:
         return g.omega[self.rows] * a[self.pos] - g.omega[self.cols] * a[self.rev]
 
     def project(self, entries: np.ndarray, omega: np.ndarray) -> np.ndarray:
-        """``proj_P(mat / omega[:, None])`` at ``(rows, cols)`` from the four
-        entries ``(r, c)``, ``(c, r)``, ``(r, r)`` and ``(c, c)`` of ``mat``
-        per flux, the rows of ``entries``."""
+        """:func:`decflow.fields.proj_P` of ``mat / omega[:, None]`` at ``(rows,
+        cols)`` from the four entries ``(r, c)``, ``(c, r)``, ``(r, r)`` and
+        ``(c, c)`` of ``mat`` per flux, the rows of ``entries``."""
         r, c = self.rows, self.cols
-        m_rc, m_rr = entries[0] / omega[r], entries[2] / omega[r]
-        m_cr, m_cc = entries[1] / omega[c], entries[3] / omega[c]
-        return 0.5 * (m_rc - m_cr - m_rr + m_cc)
+        return fd.proj_P(entries[0] / omega[r], entries[1] / omega[c], entries[2] / omega[r], entries[3] / omega[c])
 
 
 # ---------------------------------------------------------------------------

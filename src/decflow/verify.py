@@ -16,9 +16,9 @@ by the total absolute mass of the terms entering the identity, never by the
 The field checks draw their random input on the integrator's forms and run
 on them: vector fields and forces on the adjacency list, one-forms on P2
 (:func:`decflow.fields.flat_p2`), the exchange with the environment as one
-value per cell.  Dense ``(N, N)`` arrays are left where an identity is about
-a matrix: the group checks, ``proj_P``, the matrix route of the Lie
-derivative and the bracket of ``commutator-nonclosure``.
+value per cell; so do the identities about matrices (``P`` from four
+entries per pair, the matrix Lie route on the list, the bracket as a product
+of SciPy CSR arrays).  Only the group checks form dense ``(N, N)`` arrays.
 """
 
 from __future__ import annotations
@@ -210,9 +210,8 @@ def check_projection_oneform(geom, rng) -> float:
     """The one-form projection is invisible to constraint-satisfying fields."""
     lp, ld = rng.standard_normal(len(geom.adj_i)), rng.standard_normal(geom.n)
     b = random_tangent(geom, rng)
-    lmat = fd.from_pairs(geom, lp)  # proj_P takes the dense matrix
-    np.fill_diagonal(lmat, ld)
-    lhs = fd.pairing1(geom, fd.proj_P(lmat)[geom.adj_i, geom.adj_j], 0.0, b)  # P(L) has no diagonal
+    proj = fd.proj_P(lp, lp[geom.adj_rev], ld[geom.adj_i], ld[geom.adj_j])
+    lhs = fd.pairing1(geom, proj, 0.0, b)  # P(L) has no diagonal
     rhs = fd.pairing1(geom, lp, ld, b)
     return _rel(abs(lhs - rhs), _abs_pairing(geom, lp, ld, b))
 
@@ -241,7 +240,8 @@ def check_advection_kite(geom, rng) -> float:
     a = random_tangent(geom, rng)
     b = random_tangent(geom, rng)
     d = random_density(geom, rng)
-    direct = fd.lie_deriv_oneform_density(geom, a, d[:, None] * fd.flat(geom, b))[geom.adj_i, geom.adj_j]
+    lmat = d[np.concatenate([geom.adj_i, geom.ta_row])] * fd.flat_p2(geom, b)  # D_i B^flat_ij on P2
+    direct = fd.lie_deriv_oneform_density(geom, a, lmat)
     kite = fd.lie_deriv_oneform_density_kite(geom, a, b, d)
     return _rel(np.max(np.abs(direct - kite)), np.max(np.abs(direct)))
 
@@ -339,42 +339,28 @@ def check_viscous_duality(geom, rng) -> float:
     return _rel(abs(lhs - rhs), scale)
 
 
-def _two_away_triple(geom):
-    """A cell pair two apart in the dual graph with a unique go-between."""
-    rows = np.split(geom.adj_j, np.searchsorted(geom.adj_i, np.arange(1, geom.n)))
-    nbrs = [row.tolist() for row in rows]
-    for i in range(geom.n):
-        for j in nbrs[i]:
-            for k in nbrs[j]:
-                if k == i or k in nbrs[i]:
-                    continue
-                if [m for m in nbrs[i] if m in nbrs[k]] == [j]:
-                    return i, j, k
-    return None
-
-
 def check_commutator_nonclosure(geom, rng) -> float:
-    """The bracket of two tangent fields leaks onto two-away pairs: on a
-    pair (i, k) whose only shared neighbor is j the leaked entry is exactly
-    A_ij B_jk - B_ij A_jk, and it is generically nonzero -- so the
-    constraint distribution is not a subalgebra."""
-    triple = _two_away_triple(geom)
-    if triple is None:
+    """The bracket of two tangent fields leaks onto two-away pairs: at each
+    entry ``(j, k)`` of the two-away list, whose only common neighbor is the
+    middle cell ``m`` of its kite triplet, the leaked entry is exactly
+    ``A_jm B_mk - B_jm A_mk``, and it is generically nonzero -- so the
+    constraint distribution is not a subalgebra.  The bracket is the sparse
+    product of the two fields' CSR arrays, and it holds nothing off the
+    diagonal, the pairs and the two-away list."""
+    if len(geom.ta_row) == 0:
         return 1.0
-    i, j, k = triple
     a, b = random_tangent(geom, rng), random_tangent(geom, rng)
-    c = gr.commutator(fd.velocity_matrix(geom, a), fd.velocity_csr(geom, b))
-    ij, jk = geom.pair_index([i, j], [j, k])
-    caption = a[ij] * b[jk] - b[ij] * a[jk]
-    scale = np.max(np.abs(c)) + _FLOOR
-    bad = abs(c[i, k] - caption) / scale
-    if abs(c[i, k]) <= 1e-8 * scale:
+    ca, cb = fd.velocity_csr(geom, a), fd.velocity_csr(geom, b)
+    c = ca @ cb - cb @ ca
+    j, k, m = geom.ta_row, geom.ta_col, geom.tri_i[geom.ta_tri]
+    jm, mk, leak = geom.pair_index(j, m), geom.pair_index(m, k), c[j, k]
+    scale = np.max(np.abs(c.data), initial=0.0) + _FLOOR  # [A, A] stores nothing
+    bad = np.max(np.abs(leak - (a[jm] * b[mk] - b[jm] * a[mk]))) / scale
+    if np.max(np.abs(leak)) <= 1e-8 * scale:
         bad = max(bad, 1.0)
-    c[geom.adj_i, geom.adj_j] = 0.0  # leaves what lies off the diagonal and the pairs
-    np.fill_diagonal(c, 0.0)
-    if np.max(np.abs(c)) <= 1e-8 * scale:
-        bad = max(bad, 1.0)
-    return bad
+    rows = np.repeat(np.arange(geom.n), np.diff(c.indptr))
+    off = (geom.p2_index(rows, c.indices) < 0) & (rows != c.indices)
+    return float(max(bad, np.max(np.abs(c.data[off]), initial=0.0) / scale))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ against; it shares the Bernoulli numbers and the Cayley factors.  The
 first-order transport on a dense ``eta`` (:func:`first_order_transport`)
 is the oracle of the stepper's sampled one, and the full series at
 ``-hA`` (:func:`old_side_series`) that of its old side; both read the
-dense result at four entries per flux (:func:`pick_P`).
+dense result at four entries per flux (:func:`pick_P`).  :func:`proj_P`
+projects a whole dense matrix, the oracle of the four-entry projection.
 """
 
 import math
@@ -83,6 +84,15 @@ def dtau_inv(xi, eta, kind="exponential"):
 def dtau_inv_star(omega, xi, lmat, kind="exponential"):
     wl = omega[:, None] * np.asarray(lmat, dtype=float)
     return dtau_inv(np.asarray(xi, dtype=float).T, wl, kind) / omega[:, None]
+
+
+def proj_P(lmat):
+    """Project onto antisymmetric row-sum-zero matrices, the whole dense
+    matrix at once: ``P(L)_ij = (L_ij - L_ji - L_ii + L_jj)/2`` (the oracle
+    of :func:`decflow.fields.proj_P`, which reads four entries per pair)."""
+    lmat = np.asarray(lmat, dtype=float)
+    diag = np.diagonal(lmat)
+    return 0.5 * (lmat - lmat.T - diag[:, None] + diag[None, :])
 
 
 def pick_P(layout, mat, omega):

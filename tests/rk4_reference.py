@@ -37,9 +37,8 @@ def semi_discrete_rhs(geom, state, gas, phys, layout, heat=None):
     with the momentum one-form ``m_ij = Dbar_ij A^flat_ij`` carried on the
     flux layout."""
     a, d, s = state.a, state.d, state.s
-    z = fd.flat(geom, a)
-    lie = fd.lie_deriv_oneform_density(geom, a, d[:, None] * z)
-    lie = lie[layout.rows, layout.cols]
+    lmat = d[np.concatenate([geom.adj_i, geom.ta_row])] * fd.flat_p2(geom, a)  # D_i A^flat_ij on P2
+    lie = fd.lie_deriv_oneform_density(geom, a, lmat)[layout.pos]
     visc = ph.viscous_force(geom, a, phys)[layout.pos]
     mdot = -lie - gradient_forces(geom, layout, a, d, s, gas) + visc
 

@@ -274,7 +274,7 @@ def test_c12_nonholonomy_witness(suite, gen65, rng):
     r = suite["commutator-nonclosure"]
     # Direct demonstration on one mesh: two fields supported on the
     # adjacency pattern whose bracket has a two-away entry.
-    i, j, k = vf._two_away_triple(gen65)
+    i, k = gen65.ta_row[0], gen65.ta_col[0]  # the first pair of the two-away list
     a = fd.velocity_matrix(gen65, vf.random_algebra(gen65, rng))
     b = fd.velocity_matrix(gen65, vf.random_algebra(gen65, rng))
     bracket = a @ b - b @ a

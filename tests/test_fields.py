@@ -8,6 +8,8 @@ from decflow import mesh as msh
 from decflow import physics as ph
 from decflow import verify as vf
 
+import dense_groups as dense
+
 
 def adjacent(geom):
     """The adjacency pattern as a dense boolean mask, from the pair list."""
@@ -230,14 +232,38 @@ def test_wedge_star_is_symmetric(jittered, rng):
 # ---------------------------------------------------------------------------
 
 
+def proj_every_pair(lmat):
+    """:func:`decflow.fields.proj_P` at every ``(i, j)`` of a dense matrix,
+    from its four entries there."""
+    diag = np.diagonal(lmat)
+    return fd.proj_P(lmat, lmat.T, diag[:, None], diag[None, :])
+
+
 def test_projections_are_idempotent(rng):
     lmat = rng.normal(size=(6, 6))
     q = lmat - np.diagonal(lmat)[:, None]  # the row-sum-zero projection
-    p = fd.proj_P(lmat)
-    np.testing.assert_allclose(fd.proj_P(p), p, atol=1e-15)
+    p = proj_every_pair(lmat)
+    np.testing.assert_array_equal(p, dense.proj_P(lmat))  # the dense oracle's bits
+    np.testing.assert_allclose(proj_every_pair(p), p, atol=1e-15)
     np.testing.assert_allclose(p, -p.T, atol=1e-15)
     # The antisymmetrizer factors through the row-sum-zero projection.
-    np.testing.assert_allclose(fd.proj_P(q), p, atol=1e-15)
+    np.testing.assert_allclose(proj_every_pair(q), p, atol=1e-15)
+
+
+@pytest.mark.parametrize("mesh", ["jittered", "gen65", "jittered65"])
+@pytest.mark.parametrize("field", ["tangent", "algebra"])
+def test_the_listed_lie_route_is_the_dense_one(mesh, field, request, rng):
+    # P(Omega^-1 [A^T, Omega L]) on the adjacency list, for any A there and
+    # any L on P2, against the dense matrix products and the dense P.
+    geom = request.getfixturevalue(mesh)
+    a = vf.random_tangent(geom, rng) if field == "tangent" else vf.random_algebra(geom, rng)
+    lp2 = rng.normal(size=len(geom.adj_i) + len(geom.ta_row))
+    lmat = fd.from_pairs(geom, lp2[: len(geom.adj_i)])
+    lmat[geom.ta_row, geom.ta_col] = lp2[len(geom.adj_i) :]
+    amat, wl = fd.velocity_matrix(geom, a), geom.omega[:, None] * lmat
+    want = dense.proj_P((amat.T @ wl - wl @ amat.T) / geom.omega[:, None])[geom.adj_i, geom.adj_j]
+    got = fd.lie_deriv_oneform_density(geom, a, lp2)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def lie_deriv_oneform(a, f):
@@ -306,8 +332,8 @@ def test_momentum_transport_routes_agree(jittered, rng):
     a = vf.random_tangent(jittered, rng)
     b = vf.random_tangent(jittered, rng)
     d = vf.random_density(jittered, rng)
-    lmat = d[:, None] * fd.flat(jittered, b)
-    direct = fd.lie_deriv_oneform_density(jittered, a, lmat)[jittered.adj_i, jittered.adj_j]
+    lmat = d[np.concatenate([jittered.adj_i, jittered.ta_row])] * fd.flat_p2(jittered, b)  # on P2
+    direct = fd.lie_deriv_oneform_density(jittered, a, lmat)
     kite = fd.lie_deriv_oneform_density_kite(jittered, a, b, d)
     assert kite.shape == jittered.adj_i.shape
     assert np.abs(direct - kite).max() <= 1e-12 * np.abs(direct).max()

@@ -268,13 +268,13 @@ def test_no_velocity_is_dense(jittered980, jittered65):
 
 
 def test_the_field_checks_draw_no_dense_array(jittered980):
-    # The identity suite draws its random fields on the adjacency list: each
-    # field check peaks below N^2 bytes on 980 cells, except the three whose
-    # identity is about a matrix (proj_P, the matrix Lie route, the bracket).
+    # The identity suite draws its random fields on the adjacency list and
+    # runs every field check there, the three identities about matrices
+    # included (P, the matrix Lie route, the bracket): each peaks below N^2
+    # bytes on 980 cells.
     geom = jittered980
-    dense = {"projection-oneform", "advection-kite-formula", "commutator-nonclosure"}
-    checks = [(name, fn) for name, _, fn in vf.FIELD_CHECKS if name not in dense]
-    assert len(checks) == 16
+    checks = [(name, fn) for name, _, fn in vf.FIELD_CHECKS]
+    assert len(checks) == 19
     for name, fn in checks:
         fn(geom, np.random.default_rng(0))  # the geometry's caches
         peak = peak_bytes(fn, geom, np.random.default_rng(1))

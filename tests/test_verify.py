@@ -1,5 +1,6 @@
 """The randomized identity suite's own plumbing: corpus, records, report."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import numpy as np
 
 import decflow
+from decflow import fields as fd
 from decflow import verify as vf
 
 
@@ -89,3 +91,55 @@ def test_format_report_lists_every_check():
     bad = records + [vf.CheckRecord("made-up", 1.0, 1e-11)]
     report = vf.format_report(bad)
     assert "FAIL" in report and "1 failed" in report
+
+
+# ---------------------------------------------------------------------------
+# The three identities about matrices see a broken operator
+# ---------------------------------------------------------------------------
+
+
+def test_the_kite_check_sees_a_dropped_term(jittered65, monkeypatch):
+    assert vf.check_advection_kite(jittered65, np.random.default_rng(0)) <= 1e-10
+    kite = fd.lie_deriv_oneform_density_kite
+
+    def without_dabar(geom, a, b, d):  # the kite formula less its mean(D bullet A) B^flat term
+        dabar = fd.pair_mean(fd.act_den(geom, d, a), geom.adj_i, geom.adj_j)
+        return kite(geom, a, b, d) - dabar * fd.flat_pairs(geom, b)
+
+    monkeypatch.setattr(fd, "lie_deriv_oneform_density_kite", without_dabar)
+    assert vf.check_advection_kite(jittered65, np.random.default_rng(0)) > 1e-10
+
+
+def test_the_projection_check_sees_a_dropped_diagonal(jittered65, monkeypatch):
+    assert vf.check_projection_oneform(jittered65, np.random.default_rng(0)) <= 1e-11
+    monkeypatch.setattr(fd, "proj_P", lambda l_ij, l_ji, l_ii, l_jj: 0.5 * (l_ij - l_ji))
+    assert vf.check_projection_oneform(jittered65, np.random.default_rng(0)) > 1e-11
+
+
+def test_the_bracket_check_needs_a_leak(gen65, rhombus, monkeypatch):
+    assert vf.check_commutator_nonclosure(gen65, np.random.default_rng(0)) <= 1e-10
+    assert len(rhombus.ta_row) == 0  # two cells: no two-away pair
+    assert vf.check_commutator_nonclosure(rhombus, np.random.default_rng(0)) >= 1.0
+    a = vf.random_tangent(gen65, np.random.default_rng(1))
+    monkeypatch.setattr(vf, "random_tangent", lambda geom, rng: a)  # b = a: [A, A] = 0
+    assert vf.check_commutator_nonclosure(gen65, np.random.default_rng(0)) >= 1.0
+
+
+def test_the_bracket_check_reads_the_sparse_product(gen65, monkeypatch):
+    # The leak comes from the product of the fields' CSR arrays: a product
+    # of doubled arrays no longer matches the caption formula's entries.
+    csr = fd.velocity_csr
+    monkeypatch.setattr(fd, "velocity_csr", lambda geom, a: 2.0 * csr(geom, a))
+    assert vf.check_commutator_nonclosure(gen65, np.random.default_rng(0)) > 1e-2
+
+
+def test_the_bracket_check_sees_a_leak_off_the_two_away_list(gen65):
+    # The two-away list is the bracket's whole support off the diagonal and
+    # the pairs: with one pair dropped from it, the entry there is a leak
+    # that the check reads nowhere else.
+    short = dataclasses.replace(
+        gen65,
+        **{name: getattr(gen65, name)[1:] for name in ("ta_row", "ta_col", "ta_tri", "ta_sign")},
+        kite_rows=gen65.kite_rows[:, 1:],
+    )
+    assert vf.check_commutator_nonclosure(short, np.random.default_rng(0)) > 1e-2
